@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp01_data_movement::run,
-        ia_bench::exp01_data_movement::report,
-    );
+    ia_bench::report::cli(ia_bench::exp01_data_movement::report);
 }

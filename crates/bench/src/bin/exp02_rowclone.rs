@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp02_rowclone::run,
-        ia_bench::exp02_rowclone::report,
-    );
+    ia_bench::report::cli(ia_bench::exp02_rowclone::report);
 }

@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp03_ambit::run, ia_bench::exp03_ambit::report);
+    ia_bench::report::cli(ia_bench::exp03_ambit::report);
 }

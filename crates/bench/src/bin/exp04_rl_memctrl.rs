@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp04_rl_memctrl::run,
-        ia_bench::exp04_rl_memctrl::report,
-    );
+    ia_bench::report::cli(ia_bench::exp04_rl_memctrl::report);
 }

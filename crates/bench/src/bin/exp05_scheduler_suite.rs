@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp05_scheduler_suite::run,
-        ia_bench::exp05_scheduler_suite::report,
-    );
+    ia_bench::report::cli(ia_bench::exp05_scheduler_suite::report);
 }

@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp06_raidr::run, ia_bench::exp06_raidr::report);
+    ia_bench::report::cli(ia_bench::exp06_raidr::report);
 }

@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp07_bdi::run, ia_bench::exp07_bdi::report);
+    ia_bench::report::cli(ia_bench::exp07_bdi::report);
 }

@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp08_pnm_graph::run,
-        ia_bench::exp08_pnm_graph::report,
-    );
+    ia_bench::report::cli(ia_bench::exp08_pnm_graph::report);
 }

@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp09_pointer_chase::run,
-        ia_bench::exp09_pointer_chase::report,
-    );
+    ia_bench::report::cli(ia_bench::exp09_pointer_chase::report);
 }

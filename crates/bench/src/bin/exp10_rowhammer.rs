@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp10_rowhammer::run,
-        ia_bench::exp10_rowhammer::report,
-    );
+    ia_bench::report::cli(ia_bench::exp10_rowhammer::report);
 }

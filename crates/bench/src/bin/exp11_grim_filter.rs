@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp11_grim_filter::run,
-        ia_bench::exp11_grim_filter::report,
-    );
+    ia_bench::report::cli(ia_bench::exp11_grim_filter::report);
 }

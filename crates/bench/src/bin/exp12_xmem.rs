@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp12_xmem::run, ia_bench::exp12_xmem::report);
+    ia_bench::report::cli(ia_bench::exp12_xmem::report);
 }

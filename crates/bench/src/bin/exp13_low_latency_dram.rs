@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp13_low_latency_dram::run,
-        ia_bench::exp13_low_latency_dram::report,
-    );
+    ia_bench::report::cli(ia_bench::exp13_low_latency_dram::report);
 }

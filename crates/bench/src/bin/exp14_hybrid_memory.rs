@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp14_hybrid_memory::run,
-        ia_bench::exp14_hybrid_memory::report,
-    );
+    ia_bench::report::cli(ia_bench::exp14_hybrid_memory::report);
 }

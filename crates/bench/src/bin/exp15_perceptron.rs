@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp15_perceptron::run,
-        ia_bench::exp15_perceptron::report,
-    );
+    ia_bench::report::cli(ia_bench::exp15_perceptron::report);
 }

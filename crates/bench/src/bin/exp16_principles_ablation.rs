@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp16_ablation::run,
-        ia_bench::exp16_ablation::report,
-    );
+    ia_bench::report::cli(ia_bench::exp16_ablation::report);
 }

@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp17_prefetchers::run,
-        ia_bench::exp17_prefetchers::report,
-    );
+    ia_bench::report::cli(ia_bench::exp17_prefetchers::report);
 }

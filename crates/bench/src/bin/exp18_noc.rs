@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp18_noc::run, ia_bench::exp18_noc::report);
+    ia_bench::report::cli(ia_bench::exp18_noc::report);
 }

@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp19_salp::run, ia_bench::exp19_salp::report);
+    ia_bench::report::cli(ia_bench::exp19_salp::report);
 }

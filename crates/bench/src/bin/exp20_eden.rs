@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp20_eden::run, ia_bench::exp20_eden::report);
+    ia_bench::report::cli(ia_bench::exp20_eden::report);
 }

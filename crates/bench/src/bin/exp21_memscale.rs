@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp21_memscale::run,
-        ia_bench::exp21_memscale::report,
-    );
+    ia_bench::report::cli(ia_bench::exp21_memscale::report);
 }

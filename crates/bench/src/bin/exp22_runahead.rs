@@ -6,8 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp22_runahead::run,
-        ia_bench::exp22_runahead::report,
-    );
+    ia_bench::report::cli(ia_bench::exp22_runahead::report);
 }

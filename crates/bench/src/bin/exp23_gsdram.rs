@@ -6,5 +6,5 @@
 //! machine-readable report.
 
 fn main() {
-    ia_bench::report::cli(ia_bench::exp23_gsdram::run, ia_bench::exp23_gsdram::report);
+    ia_bench::report::cli(ia_bench::exp23_gsdram::report);
 }

@@ -1,6 +1,3 @@
 fn main() {
-    ia_bench::report::cli(
-        ia_bench::exp24_fault_injection::run,
-        ia_bench::exp24_fault_injection::report,
-    );
+    ia_bench::report::cli(ia_bench::exp24_fault_injection::report);
 }

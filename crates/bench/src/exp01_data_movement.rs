@@ -5,48 +5,17 @@
 //! major commonly-used consumer workloads" (Boroumand+, ASPLOS 2018), and
 //! PIM offload substantially reduces it.
 
-use ia_core::Table;
 use ia_workloads::{energy_breakdown, energy_with_pim, MobileWorkload, SystemEnergyModel};
 
 use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
-/// Parsed outcome for assertions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// Suite-wide movement energy fraction.
-    pub movement_fraction: f64,
-    /// Suite-wide energy reduction from 80% PIM offload.
-    pub pim_reduction: f64,
-}
-
-/// Computes the outcome without formatting.
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
+/// Runs the experiment: the per-workload energy table plus the
+/// suite-wide movement share and 80%-offload PIM energy reduction.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let scale = if quick { 1 } else { 100 };
     let model = SystemEnergyModel::default();
-    let suite = MobileWorkload::consumer_suite(scale);
-    let mut total = 0.0;
-    let mut movement = 0.0;
-    let mut pim_total = 0.0;
-    for w in &suite {
-        let b = energy_breakdown(w, &model);
-        total += b.total_pj();
-        movement += b.movement_pj;
-        pim_total += energy_with_pim(w, &model, 0.8).total_pj();
-    }
-    Outcome {
-        movement_fraction: movement / total,
-        pim_reduction: 1.0 - pim_total / total,
-    }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let scale = if quick { 1 } else { 100 };
-    let model = SystemEnergyModel::default();
-    let suite = MobileWorkload::consumer_suite(scale);
-    let mut table = Table::new(&[
+    let mut rep = ExperimentReport::new("exp01_data_movement", quick).columns(&[
         "workload",
         "compute (uJ)",
         "movement (uJ)",
@@ -54,10 +23,16 @@ pub fn run(quick: bool) -> String {
         "total w/ PIM-80% (uJ)",
         "PIM saving",
     ]);
-    for w in &suite {
+    let mut total = 0.0;
+    let mut movement = 0.0;
+    let mut pim_total = 0.0;
+    for w in &MobileWorkload::consumer_suite(scale) {
         let b = energy_breakdown(w, &model);
         let pim = energy_with_pim(w, &model, 0.8);
-        table.row(&[
+        total += b.total_pj();
+        movement += b.movement_pj;
+        pim_total += pim.total_pj();
+        rep = rep.row(&[
             w.name.clone(),
             format!("{:.1}", b.compute_pj / 1e6),
             format!("{:.1}", b.movement_pj / 1e6),
@@ -66,22 +41,17 @@ pub fn run(quick: bool) -> String {
             pct(1.0 - pim.total_pj() / b.total_pj()),
         ]);
     }
-    let o = outcome(quick);
-    format!(
-        "E1: data-movement energy in consumer workloads (paper: 62.7% of system energy)\n{table}\n\
-         suite-wide movement share: {} | suite-wide PIM(80%) energy reduction: {}\n",
-        pct(o.movement_fraction),
-        pct(o.pim_reduction)
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp01_data_movement", quick)
-        .metric("movement_fraction", o.movement_fraction)
-        .metric("pim_reduction", o.pim_reduction)
+    let movement_fraction = movement / total;
+    let pim_reduction = 1.0 - pim_total / total;
+    Ok(rep
+        .metric("movement_fraction", movement_fraction)
+        .metric("pim_reduction", pim_reduction)
+        .caption(format!(
+            "E1: data-movement energy in consumer workloads (paper: 62.7% of system energy)\n\
+             suite-wide movement share: {} | suite-wide PIM(80%) energy reduction: {}",
+            pct(movement_fraction),
+            pct(pim_reduction)
+        )))
 }
 
 #[cfg(test)]
@@ -90,26 +60,26 @@ mod tests {
 
     #[test]
     fn movement_share_matches_paper_shape() {
-        let o = outcome(true);
+        let rep = report(true).unwrap();
+        let movement = rep.metric_value("movement_fraction").unwrap();
         assert!(
-            (0.55..0.80).contains(&o.movement_fraction),
-            "movement share {:.3} should bracket the paper's 62.7%",
-            o.movement_fraction
+            (0.55..0.80).contains(&movement),
+            "movement share {movement:.3} should bracket the paper's 62.7%"
         );
         // Offloading 80% of DRAM traffic removes its I/O share of total
         // energy — a double-digit-percent total-energy cut in this model
         // (the original reports ~55% on the PIM-offloaded functions
         // themselves, a superset of what our accounting attributes).
+        let pim = rep.metric_value("pim_reduction").unwrap();
         assert!(
-            o.pim_reduction > 0.1,
-            "PIM offload must cut a double-digit share of energy, got {:.3}",
-            o.pim_reduction
+            pim > 0.1,
+            "PIM offload must cut a double-digit share of energy, got {pim:.3}"
         );
     }
 
     #[test]
     fn table_renders_all_workloads() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         for name in [
             "tensorflow-inference",
             "video-playback",

@@ -4,66 +4,44 @@
 //! energy-efficient bulk data copy and initialization" — the original
 //! reports ≈11x latency and ≈74x energy reduction for in-subarray copy.
 
-use ia_core::Table;
 use ia_dram::{DramConfig, DramModule, PhysAddr};
 use ia_pum::{bulk_copy, CopyMode, CopyReport};
 
 use crate::ratio;
+use crate::report::{Error, ExperimentReport};
 
-/// Per-size results for assertions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// FPM latency speedup over CPU copy at the largest size.
-    pub fpm_speedup: f64,
-    /// FPM energy reduction over CPU copy at the largest size.
-    pub fpm_energy_gain: f64,
-    /// PSM latency speedup over CPU copy.
-    pub psm_speedup: f64,
-}
-
-fn fresh() -> DramModule {
-    DramModule::new(DramConfig::ddr3_1600()).expect("preset valid")
-}
-
-/// Same-bank consecutive-row byte stride under the default mapping.
-fn row_stride(d: &DramModule) -> u64 {
+/// Copies `bytes` from row 0 with `mode` on a fresh DDR3-1600 module:
+/// to the next row of the same subarray (FPM, CPU), a different bank
+/// (PSM), or 8 subarrays away (LISA).
+fn copy(mode: CopyMode, bytes: u64) -> Result<CopyReport, Error> {
+    let mut d = DramModule::new(DramConfig::ddr3_1600())?;
     let g = d.config().geometry;
-    g.row_bytes * (g.banks_per_group * g.bank_groups * g.ranks * g.channels) as u64
-}
-
-fn copy(mode: CopyMode, bytes: u64) -> CopyReport {
-    let mut d = fresh();
-    let stride = row_stride(&d);
+    // Same-bank consecutive-row byte stride under the default mapping.
+    let stride = g.row_bytes * (g.banks_per_group * g.bank_groups * g.ranks * g.channels) as u64;
     let dst = match mode {
-        CopyMode::Psm => PhysAddr::new(8192), // a different bank
-        _ => PhysAddr::new(stride),           // next row, same bank+subarray
+        CopyMode::Psm => 8192,
+        CopyMode::Lisa => 8 * 512 * stride,
+        _ => stride,
     };
-    bulk_copy(&mut d, PhysAddr::new(0), dst, bytes, mode).expect("valid copy")
+    Ok(bulk_copy(
+        &mut d,
+        PhysAddr::new(0),
+        PhysAddr::new(dst),
+        bytes,
+        mode,
+    )?)
 }
 
-/// Computes the headline outcome at 1 MiB (64 KiB in quick mode).
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    let bytes = if quick { 64 << 10 } else { 1 << 20 };
-    let fpm = copy(CopyMode::Fpm, bytes);
-    let psm = copy(CopyMode::Psm, bytes);
-    let cpu = copy(CopyMode::Cpu, bytes);
-    Outcome {
-        fpm_speedup: cpu.ns / fpm.ns,
-        fpm_energy_gain: cpu.energy_pj / fpm.energy_pj,
-        psm_speedup: cpu.ns / psm.ns,
-    }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
+/// Runs every copy mechanism over a size sweep; the headline ratios are
+/// the 1 MiB row (64 KiB in quick mode).
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let sizes: &[u64] = if quick {
         &[4 << 10, 64 << 10]
     } else {
         &[4 << 10, 64 << 10, 1 << 20, 16 << 20]
     };
-    let mut table = Table::new(&[
+    let headline_bytes = if quick { 64 << 10 } else { 1 << 20 };
+    let mut rep = ExperimentReport::new("exp02_rowclone", quick).columns(&[
         "size",
         "CPU (us, nJ)",
         "FPM (us, nJ)",
@@ -72,25 +50,14 @@ pub fn run(quick: bool) -> String {
         "FPM speedup",
         "FPM energy gain",
     ]);
+    let mut headline = None;
     for &bytes in sizes {
-        let cpu = copy(CopyMode::Cpu, bytes);
-        let fpm = copy(CopyMode::Fpm, bytes);
-        let lisa = {
-            let mut d = fresh();
-            let stride = row_stride(&d);
-            // Destination 8 subarrays away.
-            bulk_copy(
-                &mut d,
-                PhysAddr::new(0),
-                PhysAddr::new(8 * 512 * stride),
-                bytes,
-                CopyMode::Lisa,
-            )
-            .expect("valid lisa copy")
-        };
-        let psm = copy(CopyMode::Psm, bytes);
+        let cpu = copy(CopyMode::Cpu, bytes)?;
+        let fpm = copy(CopyMode::Fpm, bytes)?;
+        let lisa = copy(CopyMode::Lisa, bytes)?;
+        let psm = copy(CopyMode::Psm, bytes)?;
         let cell = |r: &CopyReport| format!("{:.2}, {:.0}", r.ns / 1000.0, r.energy_pj / 1000.0);
-        table.row(&[
+        rep = rep.row(&[
             format!("{} KiB", bytes >> 10),
             cell(&cpu),
             cell(&fpm),
@@ -99,23 +66,25 @@ pub fn run(quick: bool) -> String {
             ratio(cpu.ns, fpm.ns),
             ratio(cpu.energy_pj, fpm.energy_pj),
         ]);
+        if bytes == headline_bytes {
+            headline = Some((
+                cpu.ns / fpm.ns,
+                cpu.energy_pj / fpm.energy_pj,
+                cpu.ns / psm.ns,
+            ));
+        }
     }
-    let o = outcome(quick);
-    format!(
-        "E2: RowClone bulk copy (paper: ~11x latency, ~74x energy vs CPU copy)\n{table}\n\
-         headline: FPM {:.1}x faster, {:.0}x less energy; PSM {:.1}x faster\n",
-        o.fpm_speedup, o.fpm_energy_gain, o.psm_speedup
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp02_rowclone", quick)
-        .metric("fpm_speedup", o.fpm_speedup)
-        .metric("fpm_energy_gain", o.fpm_energy_gain)
-        .metric("psm_speedup", o.psm_speedup)
+    let (fpm_speedup, fpm_energy_gain, psm_speedup) =
+        headline.ok_or("headline size missing from the sweep")?;
+    Ok(rep
+        .metric("fpm_speedup", fpm_speedup)
+        .metric("fpm_energy_gain", fpm_energy_gain)
+        .metric("psm_speedup", psm_speedup)
+        .caption(format!(
+            "E2: RowClone bulk copy (paper: ~11x latency, ~74x energy vs CPU copy)\n\
+             headline: FPM {fpm_speedup:.1}x faster, {fpm_energy_gain:.0}x less energy; \
+             PSM {psm_speedup:.1}x faster"
+        )))
 }
 
 #[cfg(test)]
@@ -124,23 +93,24 @@ mod tests {
 
     #[test]
     fn fpm_reproduces_paper_shape() {
-        let o = outcome(true);
+        let rep = report(true).unwrap();
+        let m = |k| rep.metric_value(k).unwrap();
         assert!(
-            o.fpm_speedup > 8.0,
+            m("fpm_speedup") > 8.0,
             "FPM speedup {:.1} should be ~11x",
-            o.fpm_speedup
+            m("fpm_speedup")
         );
         assert!(
-            o.fpm_energy_gain > 30.0,
+            m("fpm_energy_gain") > 30.0,
             "FPM energy gain {:.0} should be tens of x",
-            o.fpm_energy_gain
+            m("fpm_energy_gain")
         );
-        assert!(o.psm_speedup > 1.0 && o.psm_speedup < o.fpm_speedup);
+        assert!(m("psm_speedup") > 1.0 && m("psm_speedup") < m("fpm_speedup"));
     }
 
     #[test]
     fn table_contains_all_modes() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         for m in ["CPU", "FPM", "LISA", "PSM"] {
             assert!(s.contains(m));
         }

@@ -4,62 +4,39 @@
 //! throughput and energy gains over moving data to the CPU — the original
 //! reports ~32x average throughput and 25-60x energy across operations.
 
-use ia_core::Table;
 use ia_dram::DramConfig;
 use ia_pum::{cpu_bitwise_baseline, AmbitEngine, BitwiseOp};
 
 use crate::ratio;
+use crate::report::{Error, ExperimentReport};
 
-/// Aggregate outcome across operations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// Geometric-mean throughput gain across the seven operations.
-    pub mean_throughput_gain: f64,
-    /// Geometric-mean energy gain.
-    pub mean_energy_gain: f64,
-}
-
-/// Computes gains at 8 MiB vectors (1 MiB in quick mode).
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    let bytes = if quick { 1 << 20 } else { 8 << 20 };
-    let cfg = DramConfig::ddr3_1600();
-    let engine = AmbitEngine::new(&cfg);
-    let mut tp = 1.0f64;
-    let mut en = 1.0f64;
-    let ops = BitwiseOp::all();
-    for op in ops {
-        let in_dram_ns = bytes as f64 / engine.throughput_gb_s(op);
-        let (cpu_ns, cpu_pj) = cpu_bitwise_baseline(&cfg, op, bytes);
-        tp *= cpu_ns / in_dram_ns;
-        en *= cpu_pj / (engine.energy_pj_per_byte(op) * bytes as f64);
-    }
-    Outcome {
-        mean_throughput_gain: tp.powf(1.0 / ops.len() as f64),
-        mean_energy_gain: en.powf(1.0 / ops.len() as f64),
-    }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
+/// Runs the seven operations on 8 MiB vectors (1 MiB in quick mode);
+/// the headline is the geometric-mean throughput and energy gain.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let bytes: u64 = if quick { 1 << 20 } else { 8 << 20 };
     let cfg = DramConfig::ddr3_1600();
     let engine = AmbitEngine::new(&cfg);
-    let mut table = Table::new(&[
-        "op",
-        "AAPs/row",
-        "Ambit GB/s",
-        "CPU GB/s",
-        "throughput gain",
-        "energy gain",
-    ]);
-    for op in BitwiseOp::all() {
+    let mut rep = ExperimentReport::new("exp03_ambit", quick)
+        .param("vector_bytes", bytes)
+        .columns(&[
+            "op",
+            "AAPs/row",
+            "Ambit GB/s",
+            "CPU GB/s",
+            "throughput gain",
+            "energy gain",
+        ]);
+    let ops = BitwiseOp::all();
+    let mut tp = 1.0f64;
+    let mut en = 1.0f64;
+    for op in ops {
         let in_dram = engine.throughput_gb_s(op);
         let (cpu_ns, cpu_pj) = cpu_bitwise_baseline(&cfg, op, bytes);
-        let cpu_gbps = bytes as f64 / cpu_ns;
         let energy_gain = cpu_pj / (engine.energy_pj_per_byte(op) * bytes as f64);
-        table.row(&[
+        tp *= cpu_ns / (bytes as f64 / in_dram);
+        en *= energy_gain;
+        let cpu_gbps = bytes as f64 / cpu_ns;
+        rep = rep.row(&[
             op.name().to_owned(),
             op.aap_count().to_string(),
             format!("{in_dram:.1}"),
@@ -68,26 +45,18 @@ pub fn run(quick: bool) -> String {
             format!("{energy_gain:.1}x"),
         ]);
     }
-    let o = outcome(quick);
-    format!(
-        "E3: Ambit in-DRAM bulk bitwise ops, {} MiB vectors, {} banks in parallel\n\
-         (paper: ~32x average throughput, 25-60x energy vs processor-centric)\n{table}\n\
-         geomean: {:.1}x throughput, {:.1}x energy\n",
-        bytes >> 20,
-        engine.parallelism(),
-        o.mean_throughput_gain,
-        o.mean_energy_gain
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp03_ambit", quick)
-        .param("vector_bytes", if quick { 1u64 << 20 } else { 8 << 20 })
-        .metric("mean_throughput_gain", o.mean_throughput_gain)
-        .metric("mean_energy_gain", o.mean_energy_gain)
+    let mean_throughput_gain = tp.powf(1.0 / ops.len() as f64);
+    let mean_energy_gain = en.powf(1.0 / ops.len() as f64);
+    Ok(rep
+        .metric("mean_throughput_gain", mean_throughput_gain)
+        .metric("mean_energy_gain", mean_energy_gain)
+        .caption(format!(
+            "E3: Ambit in-DRAM bulk bitwise ops, {} MiB vectors, {} banks in parallel\n\
+             (paper: ~32x average throughput, 25-60x energy vs processor-centric)\n\
+             geomean: {mean_throughput_gain:.1}x throughput, {mean_energy_gain:.1}x energy",
+            bytes >> 20,
+            engine.parallelism(),
+        )))
 }
 
 #[cfg(test)]
@@ -96,18 +65,18 @@ mod tests {
 
     #[test]
     fn gains_match_paper_shape() {
-        let o = outcome(true);
+        let rep = report(true).unwrap();
+        let tp = rep.metric_value("mean_throughput_gain").unwrap();
         assert!(
-            o.mean_throughput_gain > 10.0,
-            "mean throughput gain {:.1} should be tens of x",
-            o.mean_throughput_gain
+            tp > 10.0,
+            "mean throughput gain {tp:.1} should be tens of x"
         );
-        assert!(o.mean_energy_gain > 10.0);
+        assert!(rep.metric_value("mean_energy_gain").unwrap() > 10.0);
     }
 
     #[test]
     fn table_lists_all_ops() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         for op in BitwiseOp::all() {
             assert!(s.contains(op.name()));
         }

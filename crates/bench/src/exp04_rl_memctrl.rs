@@ -6,7 +6,8 @@
 //! (Ipek+, ISCA 2008 — ≈15-20% over FR-FCFS in their setup; crucially,
 //! the learned policy must leave the naive fixed policy far behind).
 
-use ia_core::Table;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use ia_dram::DramConfig;
 use ia_memctrl::{
     run_closed_loop_with, Fcfs, FrFcfs, MemoryController, RlScheduler, RlSchedulerConfig, Scheduler,
@@ -15,104 +16,66 @@ use ia_sim::SnapshotState;
 
 use crate::mixes::interference_mix;
 use crate::ratio;
+use crate::report::{Error, ExperimentReport};
 
-/// Headline outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// RL throughput relative to FCFS (requests per kilo-cycle ratio).
-    pub rl_vs_fcfs: f64,
-    /// RL throughput relative to FR-FCFS.
-    pub rl_vs_frfcfs: f64,
-}
-
-/// The scheduler-independent warm substrate every run in this experiment
-/// forks from ([`SnapshotState`]): one controller construction, one
-/// fork per run, no cold re-warm. A fork with a swapped policy is
+/// Runs FCFS, FR-FCFS and the RL scheduler over one interference mix,
+/// then the RL learning curve: one agent (shared Q-table) across
+/// consecutive workload segments. Every run forks the same warm
+/// controller ([`SnapshotState`]); a fork with a swapped policy is
 /// bit-identical to a cold-built controller (see
 /// [`MemoryController::with_scheduler`]).
-fn warm_substrate() -> MemoryController {
-    MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new()))
-        // lint: allow(P001, ddr3_1600 is a valid preset)
-        .expect("valid config")
-}
-
-/// The FCFS / FR-FCFS / RL throughputs shared by the table and the
-/// headline ratios (memoized: each scheduler simulates once per
-/// process, per `quick` flag).
-fn baseline_throughputs(quick: bool) -> (f64, f64, f64) {
-    static CACHE: crate::report::OutcomeCache<(f64, f64, f64)> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || {
-        let n = if quick { 400 } else { 4000 };
-        let traces = interference_mix(n, 7);
-        let warm = warm_substrate();
-        let throughput_of = |scheduler: Box<dyn Scheduler>| {
-            run_closed_loop_with(
-                warm.fork().with_scheduler(scheduler),
-                &traces,
-                8,
-                200_000_000,
-            )
-            // lint: allow(P001, interference_mix traces are non-empty by construction)
-            .expect("run completes")
-            .throughput_rpkc()
-        };
-        (
-            throughput_of(Box::new(Fcfs::new())),
-            throughput_of(Box::new(FrFcfs::new())),
-            throughput_of(Box::new(RlScheduler::new(RlSchedulerConfig::default()))),
-        )
-    })
-}
-
-/// Computes the outcome.
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    let (fcfs, frfcfs, rl) = baseline_throughputs(quick);
-    Outcome {
-        rl_vs_fcfs: rl / fcfs,
-        rl_vs_frfcfs: rl / frfcfs,
-    }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let n = if quick { 400 } else { 4000 };
-    let mut table = Table::new(&["scheduler", "req/kcycle", "vs FCFS"]);
-    let (fcfs, frfcfs, rl_tp) = baseline_throughputs(quick);
+    let warm = MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new()))?;
+    let traces = interference_mix(n, 7)?;
+    let throughput_of = |scheduler: Box<dyn Scheduler>, traces: &[Vec<_>]| {
+        run_closed_loop_with(
+            warm.fork().with_scheduler(scheduler),
+            traces,
+            8,
+            200_000_000,
+        )
+        .map(|r| r.throughput_rpkc())
+    };
+    let fcfs = throughput_of(Box::new(Fcfs::new()), &traces)?;
+    let frfcfs = throughput_of(Box::new(FrFcfs::new()), &traces)?;
+    let rl = throughput_of(
+        Box::new(RlScheduler::new(RlSchedulerConfig::default())),
+        &traces,
+    )?;
+    let mut rep = ExperimentReport::new("exp04_rl_memctrl", quick)
+        .metric("rl_vs_fcfs", rl / fcfs)
+        .metric("rl_vs_frfcfs", rl / frfcfs)
+        .columns(&["scheduler", "req/kcycle", "vs FCFS"]);
     for (name, tp) in [
         ("FCFS", fcfs),
         ("FR-FCFS", frfcfs),
-        ("RL (self-optimizing)", rl_tp),
+        ("RL (self-optimizing)", rl),
     ] {
-        table.row(&[name.to_owned(), format!("{tp:.2}"), ratio(tp, fcfs)]);
+        rep = rep.row(&[name.to_owned(), format!("{tp:.2}"), ratio(tp, fcfs)]);
     }
 
-    // Learning curve: the same agent (shared Q-table) across consecutive
-    // workload segments — throughput should not degrade, and typically
-    // rises as the policy converges.
-    let mut curve = Table::new(&["segment", "RL req/kcycle"]);
-    let rl = std::sync::Arc::new(std::sync::Mutex::new(RlScheduler::new(
-        RlSchedulerConfig::default(),
-    )));
-    let warm = warm_substrate();
+    // Learning curve: throughput should not degrade across segments, and
+    // typically rises as the policy converges.
+    let agent = Arc::new(Mutex::new(RlScheduler::new(RlSchedulerConfig::default())));
     let segments = if quick { 3 } else { 6 };
     for seg in 0..segments {
-        let traces = interference_mix(n / 2, 100 + seg as u64);
-        let ctrl = warm.fork().with_scheduler(Box::new(SharedRl(rl.clone())));
-        let tp = run_closed_loop_with(ctrl, &traces, 8, 200_000_000)
-            // lint: allow(P001, interference_mix traces are non-empty by construction)
-            .expect("run completes")
-            .throughput_rpkc();
-        curve.row(&[format!("{seg}"), format!("{tp:.2}")]);
+        let segment = interference_mix(n / 2, 100 + seg)?;
+        let tp = throughput_of(Box::new(SharedRl(agent.clone())), &segment)?;
+        rep = rep.row(&[
+            format!("RL segment {seg}"),
+            format!("{tp:.2}"),
+            "-".to_owned(),
+        ]);
     }
-    let o = outcome(quick);
-    format!(
+    Ok(rep.caption(format!(
         "E4: self-optimizing memory controller (paper: RL ≈ 15-20% over FR-FCFS-class fixed policies)\n\
-         {table}\n\nRL learning curve across workload segments (same agent, continuing to learn):\n{curve}\n\
-         headline: RL/FCFS = {:.2}, RL/FR-FCFS = {:.2}\n",
-        o.rl_vs_fcfs, o.rl_vs_frfcfs
-    )
+         headline: RL/FCFS = {:.2}, RL/FR-FCFS = {:.2}\n\
+         `RL segment k` rows: the RL learning curve across workload segments \
+         (same agent, continuing to learn)",
+        rl / fcfs,
+        rl / frfcfs
+    )))
 }
 
 /// A scheduler handle that shares one learning agent across several runs
@@ -120,12 +83,11 @@ pub fn run(quick: bool) -> String {
 /// rather than `Rc<RefCell>` because `Scheduler` is `Send`; the runs are
 /// serial, so the lock is never contended.
 #[derive(Debug)]
-struct SharedRl(std::sync::Arc<std::sync::Mutex<RlScheduler>>);
+struct SharedRl(Arc<Mutex<RlScheduler>>);
 
 impl SharedRl {
-    fn agent(&self) -> std::sync::MutexGuard<'_, RlScheduler> {
-        // lint: allow(P001, single-threaded use - the lock cannot be poisoned)
-        self.0.lock().expect("uncontended")
+    fn agent(&self) -> MutexGuard<'_, RlScheduler> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -158,38 +120,27 @@ impl ia_memctrl::Scheduler for SharedRl {
     }
 }
 
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp04_rl_memctrl", quick)
-        .metric("rl_vs_fcfs", o.rl_vs_fcfs)
-        .metric("rl_vs_frfcfs", o.rl_vs_frfcfs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn rl_beats_fcfs_and_tracks_frfcfs() {
-        let o = outcome(true);
+        let rep = report(true).unwrap();
+        let vs_fcfs = rep.metric_value("rl_vs_fcfs").unwrap();
+        let vs_frfcfs = rep.metric_value("rl_vs_frfcfs").unwrap();
+        assert!(vs_fcfs > 1.02, "RL must beat naive FCFS, got {vs_fcfs:.3}");
         assert!(
-            o.rl_vs_fcfs > 1.02,
-            "RL must beat naive FCFS, got {:.3}",
-            o.rl_vs_fcfs
-        );
-        assert!(
-            o.rl_vs_frfcfs > 0.9,
-            "RL must be competitive with FR-FCFS, got {:.3}",
-            o.rl_vs_frfcfs
+            vs_frfcfs > 0.9,
+            "RL must be competitive with FR-FCFS, got {vs_frfcfs:.3}"
         );
     }
 
     #[test]
     fn report_renders() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("FR-FCFS"));
         assert!(s.contains("learning curve"));
+        assert!(s.contains("RL segment 2"));
     }
 }

@@ -6,13 +6,14 @@
 //! against fairness. This experiment reproduces the classic comparison:
 //! weighted speedup and maximum slowdown over a 4-thread interference mix.
 
-use ia_core::{SchedulerKind, Table};
+use ia_core::SchedulerKind;
 use ia_dram::DramConfig;
 use ia_memctrl::{max_slowdown, run_closed_loop_with, weighted_speedup, MemoryController};
 use ia_par::{auto_threads, par_map};
 use ia_sim::SnapshotState;
 
 use crate::mixes::interference_mix;
+use crate::report::{Error, ExperimentReport};
 
 /// Result per scheduler for assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,17 +32,16 @@ pub struct Row {
     pub engine: ia_sim::EngineStats,
 }
 
-/// Runs every scheduler over the mix and returns the rows (memoized:
-/// `run` and `report` share one simulation per process).
-#[must_use]
-pub fn rows(quick: bool) -> Vec<Row> {
-    static CACHE: crate::report::OutcomeCache<Vec<Row>> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_rows(quick))
-}
-
-fn compute_rows(quick: bool) -> Vec<Row> {
+/// Runs every scheduler over the mix and returns the rows [`report`]
+/// renders. Public so the trace-attribution test can sum the runs'
+/// simulated cycles, which the report does not carry.
+///
+/// # Errors
+///
+/// The mix or a controller fails to build, or a run fails.
+pub fn rows(quick: bool) -> Result<Vec<Row>, Error> {
     let n = if quick { 300 } else { 3000 };
-    let traces = interference_mix(n, 11);
+    let traces = interference_mix(n, 11)?;
 
     // Warm-fork: build the DRAM substrate and controller scaffolding
     // exactly once, then fork every run in the sweep from the same warm
@@ -49,9 +49,7 @@ fn compute_rows(quick: bool) -> Vec<Row> {
     // independent, so a fork with a swapped policy is bit-identical to a
     // cold-built controller — the reports below are byte-for-byte the
     // same as the per-run-construction path at every `--threads`.
-    let warm = MemoryController::new(DramConfig::ddr3_1600(), SchedulerKind::FrFcfs.build(1))
-        // lint: allow(P001, ddr3_1600 is a valid preset)
-        .expect("valid config");
+    let warm = MemoryController::new(DramConfig::ddr3_1600(), SchedulerKind::FrFcfs.build(1))?;
 
     // Alone runs (per-thread baselines) are scheduler-independent:
     // a single thread cannot interfere with itself across schedulers in a
@@ -61,13 +59,11 @@ fn compute_rows(quick: bool) -> Vec<Row> {
         .iter()
         .map(|t| (warm.fork(), vec![t.clone()]))
         .collect();
-    let alone: Vec<u64> = par_map(auto_threads(), alone_jobs, |(ctrl, solo)| {
-        run_closed_loop_with(ctrl, &solo, 8, 200_000_000)
-            // lint: allow(P001, every mix trace is non-empty)
-            .expect("solo run")
-            .threads[0]
-            .finish
-    });
+    let alone = par_map(auto_threads(), alone_jobs, |(ctrl, solo)| {
+        run_closed_loop_with(ctrl, &solo, 8, 200_000_000).map(|r| r.threads[0].finish)
+    })
+    .into_iter()
+    .collect::<Result<Vec<u64>, _>>()?;
 
     // The seven shared runs are likewise independent; `par_map` returns
     // rows in `SchedulerKind::all()` order, so the table and every
@@ -80,9 +76,7 @@ fn compute_rows(quick: bool) -> Vec<Row> {
         .map(|&kind| (kind, warm.fork().with_scheduler(kind.build(traces.len()))))
         .collect();
     let runs = par_map(auto_threads(), shared_jobs, |(kind, ctrl)| {
-        let mut report = run_closed_loop_with(ctrl, &traces, 8, 500_000_000)
-            // lint: allow(P001, every mix trace is non-empty)
-            .expect("shared run");
+        let mut report = run_closed_loop_with(ctrl, &traces, 8, 500_000_000)?;
         let trace = report.trace.take();
         let row = Row {
             name: kind.name().to_owned(),
@@ -92,53 +86,35 @@ fn compute_rows(quick: bool) -> Vec<Row> {
             cycles: report.cycles,
             engine: report.engine,
         };
-        (row, trace)
+        Ok::<_, Error>((row, trace))
     });
     runs.into_iter()
-        .map(|(row, trace)| {
+        .map(|run| {
+            let (row, trace) = run?;
             if let Some(log) = trace {
                 ia_trace::submit(log.prefixed(&row.name));
             }
-            row
+            Ok(row)
         })
         .collect()
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let mut table = Table::new(&[
-        "scheduler",
-        "weighted speedup",
-        "max slowdown",
-        "req/kcycle",
-    ]);
-    for r in &rows {
-        table.row(&[
-            r.name.clone(),
-            format!("{:.3}", r.weighted_speedup),
-            format!("{:.2}", r.max_slowdown),
-            format!("{:.2}", r.throughput),
-        ]);
-    }
-    format!(
-        "E5: scheduler lineage on a 4-thread interference mix\n\
-         (paper shape: FR-FCFS beats FCFS on throughput; fairness schedulers cut max slowdown)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let mut rep = crate::report::ExperimentReport::new("exp05_scheduler_suite", quick).columns(&[
-        "scheduler",
-        "weighted_speedup",
-        "max_slowdown",
-        "req_per_kcycle",
-    ]);
+/// Runs the scheduler lineage: weighted speedup, maximum slowdown and
+/// throughput per scheduler, plus the event-driven engine's counters.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let mut rep = ExperimentReport::new("exp05_scheduler_suite", quick)
+        .columns(&[
+            "scheduler",
+            "weighted_speedup",
+            "max_slowdown",
+            "req_per_kcycle",
+        ])
+        .caption(
+            "E5: scheduler lineage on a 4-thread interference mix\n\
+             (paper shape: FR-FCFS beats FCFS on throughput; fairness schedulers cut max slowdown)",
+        );
     let mut engine = ia_sim::EngineStats::default();
-    for r in rows(quick) {
+    for r in rows(quick)? {
         let key = r.name.to_lowercase().replace([' ', '-'], "_");
         engine.merge(&r.engine);
         rep = rep
@@ -152,10 +128,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
     }
     // The cycle-skipping engine's aggregate work/savings over the seven
     // shared runs: proof the event-driven refactor is actually engaged.
-    rep.metric("engine_events_processed", engine.events_processed as f64)
+    Ok(rep
+        .metric("engine_events_processed", engine.events_processed as f64)
         .metric("engine_cycles_skipped", engine.cycles_skipped as f64)
         .metric("engine_skips", engine.skips as f64)
-        .metric("engine_sink_high_water", engine.sink_high_water as f64)
+        .metric("engine_sink_high_water", engine.sink_high_water as f64))
 }
 
 #[cfg(test)]
@@ -164,7 +141,7 @@ mod tests {
 
     #[test]
     fn frfcfs_outperforms_fcfs_on_throughput() {
-        let rows = rows(true);
+        let rows = rows(true).unwrap();
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("present").clone();
         let fcfs = get("FCFS");
         let frfcfs = get("FR-FCFS");
@@ -178,7 +155,7 @@ mod tests {
 
     #[test]
     fn fairness_schedulers_bound_slowdown() {
-        let rows = rows(true);
+        let rows = rows(true).unwrap();
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("present").clone();
         let frfcfs = get("FR-FCFS");
         let best_fair = ["PAR-BS", "ATLAS", "TCM", "BLISS"]
@@ -195,7 +172,7 @@ mod tests {
 
     #[test]
     fn all_schedulers_complete_the_mix() {
-        let rows = rows(true);
+        let rows = rows(true).unwrap();
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| r.weighted_speedup > 0.0));
     }

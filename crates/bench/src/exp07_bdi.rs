@@ -7,18 +7,10 @@
 //! enlargement on real data patterns.
 
 use ia_cache::{bdi_compress, CompressedCache};
-use ia_core::Table;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Outcome for assertions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// Mean compression ratio across the pattern suite.
-    pub mean_ratio: f64,
-    /// Hit-rate gain of the compressed cache on the pointer workload.
-    pub hit_rate_gain: f64,
-}
+use crate::report::{Error, ExperimentReport};
 
 fn pattern_block(kind: &str, rng: &mut SmallRng) -> [u8; 64] {
     let mut b = [0u8; 64];
@@ -49,85 +41,55 @@ fn pattern_block(kind: &str, rng: &mut SmallRng) -> [u8; 64] {
 }
 
 /// Mean compression ratio per pattern over `blocks` samples.
-fn pattern_ratio(kind: &str, blocks: usize, rng: &mut SmallRng) -> f64 {
+fn pattern_ratio(kind: &str, blocks: usize, rng: &mut SmallRng) -> Result<f64, Error> {
     let mut total = 0usize;
     for _ in 0..blocks {
-        total += bdi_compress(&pattern_block(kind, rng))
-            .expect("64B block")
-            .bytes;
+        total += bdi_compress(&pattern_block(kind, rng))?.bytes;
     }
-    (blocks * 64) as f64 / total as f64
+    Ok((blocks * 64) as f64 / total as f64)
 }
 
-/// Computes the outcome.
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
+/// Compresses each data pattern with BDI, then replays a pointer-heavy
+/// working set 2x the capacity of a compressed and a plain cache of
+/// equal bytes; the headline is the mean ratio and the hit-rate gain.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let blocks = if quick { 50 } else { 1000 };
     let mut rng = SmallRng::seed_from_u64(31);
+    let mut rep = ExperimentReport::new("exp07_bdi", quick)
+        .columns(&["data pattern", "BDI compression ratio"]);
     let kinds = ["zeros", "repeated", "narrow-ints", "pointers", "random"];
-    let mean: f64 = kinds
-        .iter()
-        .map(|k| pattern_ratio(k, blocks, &mut rng))
-        .sum::<f64>()
-        / kinds.len() as f64;
+    let mut ratios = Vec::with_capacity(kinds.len());
+    for kind in kinds {
+        let r = pattern_ratio(kind, blocks, &mut rng)?;
+        rep = rep.row(&[kind.to_owned(), format!("{r:.2}x")]);
+        ratios.push(r);
+    }
+    let mean_ratio = ratios.iter().sum::<f64>() / kinds.len() as f64;
 
-    // Effective capacity: a compressed cache vs. a plain one of equal
-    // bytes, over a pointer-heavy working set 2x the plain capacity.
     let mut rng2 = SmallRng::seed_from_u64(32);
     let lines: Vec<u64> = (0..256u64).map(|i| i * 64).collect();
-    let sizes: Vec<usize> = lines
+    let sizes = lines
         .iter()
-        .map(|_| {
-            bdi_compress(&pattern_block("pointers", &mut rng2))
-                .expect("64B")
-                .bytes
-        })
-        .collect();
-    let mut plain = CompressedCache::new(8192, 8, 64).expect("valid");
-    let mut compressed = CompressedCache::new(8192, 8, 64).expect("valid");
-    for round in 0..4 {
-        for (i, &a) in lines.iter().enumerate() {
-            let _ = round;
+        .map(|_| Ok(bdi_compress(&pattern_block("pointers", &mut rng2))?.bytes))
+        .collect::<Result<Vec<usize>, Error>>()?;
+    let mut plain = CompressedCache::new(8192, 8, 64)?;
+    let mut compressed = CompressedCache::new(8192, 8, 64)?;
+    for _round in 0..4 {
+        for (&a, &size) in lines.iter().zip(&sizes) {
             plain.access(a, 64);
-            compressed.access(a, sizes[i]);
+            compressed.access(a, size);
         }
     }
-    let plain_hr = plain.stats.hit_rate();
-    let comp_hr = compressed.stats.hit_rate();
-    Outcome {
-        mean_ratio: mean,
-        hit_rate_gain: comp_hr - plain_hr,
-    }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let blocks = if quick { 50 } else { 1000 };
-    let mut rng = SmallRng::seed_from_u64(31);
-    let mut table = Table::new(&["data pattern", "BDI compression ratio"]);
-    for kind in ["zeros", "repeated", "narrow-ints", "pointers", "random"] {
-        table.row(&[
-            kind.to_owned(),
-            format!("{:.2}x", pattern_ratio(kind, blocks, &mut rng)),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E7: BDI cache compression (paper: ≈1.5x average ratio, larger effective cache)\n{table}\n\
-         mean ratio across patterns: {:.2}x | compressed-cache hit-rate gain on pointer data: +{:.1} pts\n",
-        o.mean_ratio,
-        o.hit_rate_gain * 100.0
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp07_bdi", quick)
-        .metric("mean_compression_ratio", o.mean_ratio)
-        .metric("hit_rate_gain", o.hit_rate_gain)
+    let hit_rate_gain = compressed.stats.hit_rate() - plain.stats.hit_rate();
+    Ok(rep
+        .metric("mean_compression_ratio", mean_ratio)
+        .metric("hit_rate_gain", hit_rate_gain)
+        .caption(format!(
+            "E7: BDI cache compression (paper: ≈1.5x average ratio, larger effective cache)\n\
+             mean ratio across patterns: {mean_ratio:.2}x | compressed-cache hit-rate gain on \
+             pointer data: +{:.1} pts",
+            hit_rate_gain * 100.0
+        )))
 }
 
 #[cfg(test)]
@@ -136,27 +98,22 @@ mod tests {
 
     #[test]
     fn mean_ratio_matches_paper_band() {
-        let o = outcome(true);
-        assert!(
-            o.mean_ratio > 1.4,
-            "mean ratio {:.2} should be ≈1.5x+",
-            o.mean_ratio
-        );
+        let ratio = report(true)
+            .unwrap()
+            .metric_value("mean_compression_ratio")
+            .unwrap();
+        assert!(ratio > 1.4, "mean ratio {ratio:.2} should be ≈1.5x+");
     }
 
     #[test]
     fn compression_enlarges_effective_cache() {
-        let o = outcome(true);
-        assert!(
-            o.hit_rate_gain > 0.1,
-            "hit-rate gain {:.3} should be substantial",
-            o.hit_rate_gain
-        );
+        let gain = report(true).unwrap().metric_value("hit_rate_gain").unwrap();
+        assert!(gain > 0.1, "hit-rate gain {gain:.3} should be substantial");
     }
 
     #[test]
     fn report_lists_patterns() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         for k in ["zeros", "pointers", "random"] {
             assert!(s.contains(k));
         }

@@ -11,132 +11,80 @@ use ia_workloads::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{pct, ratio};
+use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
-/// Outcome for assertions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    /// Speedup at each vault count (vaults, speedup).
-    pub speedups: Vec<(usize, f64)>,
-}
-
-/// Computes the vault-scaling sweep.
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
+/// Runs PageRank on one R-MAT graph at 1, 4, 16 and 32 vaults; the
+/// graph is built once and shared read-only, and each vault count is an
+/// independent PNM simulation on the worker pool.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let (v, e) = if quick {
         (2048, 32 * 1024)
     } else {
         (16 * 1024, 512 * 1024)
     };
     let mut rng = SmallRng::seed_from_u64(41);
-    // lint: allow(P001, v and e are positive literals for both sizes - always a valid RMAT shape)
-    let g = Graph::rmat(v, e, &mut rng).expect("valid rmat");
+    let g = Graph::rmat(v, e, &mut rng)?;
     let iterations = 10;
-    // The graph is built once and shared read-only; each vault count is
-    // an independent PNM simulation over it.
-    let speedups = ia_par::par_map(ia_par::auto_threads(), vec![1usize, 4, 16, 32], |vaults| {
-        let stack = StackConfig::hmc_like()
-            .with_vaults(vaults)
-            // lint: allow(P001, vaults ranges over the literal non-zero list 1/4/16/32)
-            .expect("non-zero");
-        // lint: allow(P001, the hmc_like preset is valid for every vault count in the list)
-        let engine = PnmGraphEngine::new(stack, &g).expect("valid stack");
-        let (_, report) = engine.pagerank(0.85, iterations);
-        (
-            vaults,
-            host_pagerank_ns(&stack, &g, iterations) / report.total_ns,
-        )
+    let runs = ia_par::par_map(ia_par::auto_threads(), vec![1usize, 4, 16, 32], |vaults| {
+        let stack = StackConfig::hmc_like().with_vaults(vaults)?;
+        let (ranks, report) = PnmGraphEngine::new(stack, &g)?.pagerank(0.85, iterations);
+        // Sanity: functional result matches the host reference.
+        debug_assert_eq!(ranks.len(), g.vertex_count() as usize);
+        let host = host_pagerank_ns(&stack, &g, iterations);
+        Ok::<_, Error>((vaults, stack, report, host))
     });
-    Outcome { speedups }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let (v, e) = if quick {
-        (2048, 32 * 1024)
-    } else {
-        (16 * 1024, 512 * 1024)
-    };
-    let mut rng = SmallRng::seed_from_u64(41);
-    // lint: allow(P001, v and e are positive literals for both sizes - always a valid RMAT shape)
-    let g = Graph::rmat(v, e, &mut rng).expect("valid rmat");
-    let iterations = 10;
-    let mut table = Table::new(&[
+    let mut side = Table::new(&[
         "vaults",
         "internal GB/s",
         "PNM time (us)",
         "host time (us)",
-        "speedup",
         "remote edges",
     ]);
-    // Same fan-out as `outcome`; each task returns its preformatted
-    // table cells, appended in vault order after the pool joins.
-    let rows = ia_par::par_map(ia_par::auto_threads(), vec![1usize, 4, 16, 32], |vaults| {
-        let stack = StackConfig::hmc_like()
-            .with_vaults(vaults)
-            // lint: allow(P001, vaults ranges over the literal non-zero list 1/4/16/32)
-            .expect("non-zero");
-        // lint: allow(P001, the hmc_like preset is valid for every vault count in the list)
-        let engine = PnmGraphEngine::new(stack, &g).expect("valid stack");
-        let (ranks, report) = engine.pagerank(0.85, iterations);
-        // Sanity: functional result matches the host reference.
-        debug_assert_eq!(ranks.len(), g.vertex_count() as usize);
-        let host = host_pagerank_ns(&stack, &g, iterations);
-        [
+    let mut rep = ExperimentReport::new("exp08_pnm_graph", quick).columns(&["vaults", "speedup"]);
+    let mut best = 0.0f64;
+    for run in runs {
+        let (vaults, stack, report, host) = run?;
+        let speedup = host / report.total_ns;
+        best = best.max(speedup);
+        side.row(&[
             vaults.to_string(),
             format!("{:.0}", stack.internal_gbps_total()),
             format!("{:.1}", report.total_ns / 1000.0),
             format!("{:.1}", host / 1000.0),
-            ratio(host, report.total_ns),
             pct(report.remote_edge_fraction),
-        ]
-    });
-    for cells in &rows {
-        table.row(cells);
+        ]);
+        rep = rep.row(&[vaults.to_string(), format!("{speedup:.2}")]);
     }
-    format!(
+    Ok(rep.metric("best_speedup", best).caption(format!(
         "E8: PageRank on an R-MAT graph ({v} vertices, {e} edges), near-memory vs host\n\
-         (paper shape: ≈10x at 16 vaults, scaling with internal bandwidth)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    let best = o.speedups.iter().fold(0.0f64, |a, &(_, s)| a.max(s));
-    let mut rep = crate::report::ExperimentReport::new("exp08_pnm_graph", quick)
-        .metric("best_speedup", best)
-        .columns(&["vaults", "speedup"]);
-    for (vaults, s) in &o.speedups {
-        rep = rep.row(&[vaults.to_string(), format!("{s:.2}")]);
-    }
-    rep
+         (paper shape: ≈10x at 16 vaults, scaling with internal bandwidth)\n{side}\n"
+    )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn speedups() -> Vec<(usize, f64)> {
+        report(true)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| (r[0].parse().unwrap(), r[1].parse().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn speedup_grows_with_vaults() {
-        let o = outcome(true);
-        let s: Vec<f64> = o.speedups.iter().map(|&(_, s)| s).collect();
+        let s: Vec<f64> = speedups().iter().map(|&(_, s)| s).collect();
         assert!(s[1] > s[0], "4 vaults should beat 1: {s:?}");
         assert!(s[2] > s[1], "16 vaults should beat 4: {s:?}");
     }
 
     #[test]
     fn sixteen_vaults_reach_tesseract_band() {
-        let o = outcome(true);
-        let s16 = o
-            .speedups
+        let s16 = speedups()
             .iter()
             .find(|&&(v, _)| v == 16)
             .expect("16 vaults")
@@ -146,8 +94,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("vaults"));
         assert!(s.contains("speedup"));
+        assert!(s.contains("remote edges"));
     }
 }

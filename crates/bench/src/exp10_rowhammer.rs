@@ -12,16 +12,7 @@ use ia_reliability::{
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Outcome for assertions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    /// (generation, unmitigated flips) at a fixed hammer count.
-    pub unmitigated: Vec<(DeviceGeneration, u64)>,
-    /// Flips on the newest device under PARA.
-    pub para_flips: u64,
-    /// Flips on the newest device under counter-TRR.
-    pub trr_flips: u64,
-}
+use crate::report::{Error, ExperimentReport};
 
 /// One independent attack configuration.
 #[derive(Debug, Clone, Copy)]
@@ -34,31 +25,22 @@ enum Attack {
     Trr,
 }
 
-/// Computes the outcome. Every attack owns a seeded RNG derived from
-/// the base seed and its task index (instead of the pre-`ia-par`
-/// single stream threaded through all five runs), so the five
-/// configurations are independent and fan out on the worker pool with
-/// results identical at any `--threads` setting.
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
+/// Runs the double-sided attack unmitigated on every device
+/// generation, then under PARA and counter-TRR on the newest. Every
+/// attack owns a seeded RNG derived from the base seed and its task
+/// index, so the five configurations are independent and fan out on the
+/// worker pool with results identical at any `--threads` setting.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let hammers = if quick { 300_000 } else { 2_000_000 };
     let rows = 1 << 14;
     let victim = 5000;
     let pattern = double_sided_pattern(victim, hammers);
     let newest = DeviceGeneration::Lpddr4Y2020;
+    let generations = DeviceGeneration::all();
 
-    let mut tasks: Vec<Attack> = DeviceGeneration::all()
-        .into_iter()
-        .map(Attack::Unmitigated)
-        .collect();
+    let mut tasks: Vec<Attack> = generations.into_iter().map(Attack::Unmitigated).collect();
     tasks.push(Attack::Para);
     tasks.push(Attack::Trr);
-
     let flips = ia_par::par_map_indexed(ia_par::auto_threads(), tasks, |i, attack| {
         let mut rng = SmallRng::seed_from_u64(53 + i as u64);
         match attack {
@@ -78,80 +60,59 @@ fn compute_outcome(quick: bool) -> Outcome {
             }
         }
     });
+    let (unmitigated, mitigated) = flips.split_at(generations.len());
+    let (para_flips, trr_flips) = (mitigated[0], mitigated[1]);
 
-    let generations = DeviceGeneration::all();
-    Outcome {
-        unmitigated: generations.into_iter().zip(flips.iter().copied()).collect(),
-        para_flips: flips[generations.len()],
-        trr_flips: flips[generations.len() + 1],
+    let mut rep = ExperimentReport::new("exp10_rowhammer", quick)
+        .columns(&["generation", "unmitigated_flips"]);
+    let mut gen_table = Table::new(&["device generation", "HC_first"]);
+    for (g, flips) in generations.iter().zip(unmitigated) {
+        gen_table.row(&[g.label().to_owned(), g.hc_first().to_string()]);
+        rep = rep.row(&[format!("{g:?}"), flips.to_string()]);
     }
-}
-
-/// Runs the experiment and renders the tables.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let hammers = if quick { 300_000 } else { 2_000_000 };
-    let o = outcome(quick);
-    let mut gen_table = Table::new(&["device generation", "HC_first", "flips (double-sided)"]);
-    for &(g, flips) in &o.unmitigated {
-        gen_table.row(&[
-            g.label().to_owned(),
-            g.hc_first().to_string(),
-            flips.to_string(),
-        ]);
-    }
-    let newest_flips = o.unmitigated.last().map_or(0, |&(_, f)| f);
+    let newest_flips = unmitigated.last().copied().unwrap_or(0);
+    let suppression = |f: u64| {
+        if f == 0 {
+            "complete".to_owned()
+        } else {
+            format!("{:.0}x", newest_flips as f64 / f as f64)
+        }
+    };
     let mut mit_table = Table::new(&["mitigation (LPDDR4-2020)", "flips", "suppression"]);
     mit_table.row(&["none".to_owned(), newest_flips.to_string(), "1x".to_owned()]);
     mit_table.row(&[
         "PARA (p=0.01)".to_owned(),
-        o.para_flips.to_string(),
-        if o.para_flips == 0 {
-            "complete".to_owned()
-        } else {
-            format!("{:.0}x", newest_flips as f64 / o.para_flips as f64)
-        },
+        para_flips.to_string(),
+        suppression(para_flips),
     ]);
     mit_table.row(&[
         "Counter-TRR".to_owned(),
-        o.trr_flips.to_string(),
-        if o.trr_flips == 0 {
-            "complete".to_owned()
-        } else {
-            format!("{:.0}x", newest_flips as f64 / o.trr_flips as f64)
-        },
+        trr_flips.to_string(),
+        suppression(trr_flips),
     ]);
-    format!(
-        "E10: RowHammer, {hammers} double-sided activations in one refresh window\n\
-         (paper shape: flips explode as HC_first drops 139k→4.8k; mitigations suppress them)\n\
-         {gen_table}\n\n{mit_table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    let worst = o.unmitigated.iter().map(|&(_, f)| f).max().unwrap_or(0);
-    let mut rep = crate::report::ExperimentReport::new("exp10_rowhammer", quick)
+    let worst = unmitigated.iter().copied().max().unwrap_or(0);
+    Ok(rep
         .metric("worst_unmitigated_flips", worst as f64)
-        .metric("para_flips", o.para_flips as f64)
-        .metric("trr_flips", o.trr_flips as f64)
-        .columns(&["generation", "unmitigated_flips"]);
-    for (generation, flips) in &o.unmitigated {
-        rep = rep.row(&[format!("{generation:?}"), flips.to_string()]);
-    }
-    rep
+        .metric("para_flips", para_flips as f64)
+        .metric("trr_flips", trr_flips as f64)
+        .caption(format!(
+            "E10: RowHammer, {hammers} double-sided activations in one refresh window\n\
+             (paper shape: flips explode as HC_first drops 139k→4.8k; mitigations suppress them)\n\
+             {gen_table}\n\n{mit_table}\n"
+        )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn flips(rep: &ExperimentReport) -> Vec<u64> {
+        rep.rows.iter().map(|r| r[1].parse().unwrap()).collect()
+    }
+
     #[test]
     fn newer_devices_flip_more() {
-        let o = outcome(true);
-        let flips: Vec<u64> = o.unmitigated.iter().map(|&(_, f)| f).collect();
+        let flips = flips(&report(true).unwrap());
         assert!(
             flips[2] > flips[1],
             "2020 device must flip more than 2017: {flips:?}"
@@ -164,23 +125,24 @@ mod tests {
 
     #[test]
     fn mitigations_suppress_flips() {
-        let o = outcome(true);
-        let unmitigated = o.unmitigated.last().map(|&(_, f)| f).unwrap_or(0);
+        let rep = report(true).unwrap();
+        let unmitigated = flips(&rep).last().copied().unwrap_or(0);
+        let para = rep.metric_value("para_flips").unwrap();
         assert!(unmitigated > 0);
         assert!(
-            o.para_flips < unmitigated / 5,
-            "PARA: {} vs {unmitigated}",
-            o.para_flips
+            para < (unmitigated / 5) as f64,
+            "PARA: {para} vs {unmitigated}"
         );
         assert_eq!(
-            o.trr_flips, 0,
+            rep.metric_value("trr_flips"),
+            Some(0.0),
             "counter-TRR below HC_first must stop the attack"
         );
     }
 
     #[test]
     fn report_renders_generations() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("DDR3 (2013)"));
         assert!(s.contains("PARA"));
     }

@@ -6,25 +6,14 @@
 //! before the expensive alignment step (reported: ≈5.6x fewer false
 //! locations, ≈1.8-3.7x faster read mapping).
 
-use ia_core::Table;
 use ia_dram::DramConfig;
 use ia_pum::{AmbitEngine, BitwiseOp};
 use ia_workloads::{edit_distance_banded, random_genome, sample_reads, GrimIndex, SeedIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::report::{Error, ExperimentReport};
 use crate::{pct, ratio};
-
-/// Outcome for assertions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// Fraction of candidate locations eliminated by the filter.
-    pub candidates_eliminated: f64,
-    /// End-to-end mapping speedup (filter cost included).
-    pub mapping_speedup: f64,
-    /// True mappings lost by the filter (must be zero or tiny).
-    pub lost_mappings: u64,
-}
 
 /// Nanoseconds to verify one candidate with banded edit distance on the
 /// host (cells × ~0.5 ns per DP cell).
@@ -32,14 +21,10 @@ fn verify_cost_ns(read_len: usize, band: usize) -> f64 {
     (read_len * (2 * band + 1)) as f64 * 0.5
 }
 
-/// Computes the outcome.
-#[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
+/// Maps sampled reads against a random genome twice — verifying every
+/// seed candidate, and verifying only the candidates whose bins pass
+/// the in-DRAM GRIM-Filter — and compares the work.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let (genome_len, read_count) = if quick {
         (64 * 1024, 40)
     } else {
@@ -52,12 +37,9 @@ fn compute_outcome(quick: bool) -> Outcome {
     let mut rng = SmallRng::seed_from_u64(61);
 
     let genome = random_genome(genome_len, &mut rng);
-    // lint: allow(P001, genome_len / read_count / read_len are positive literals with read_len < genome_len)
-    let reads = sample_reads(&genome, read_count, read_len, 0.02, &mut rng).expect("valid reads");
-    // lint: allow(P001, seed length 8 is a literal below the literal genome lengths)
-    let seed_index = SeedIndex::build(&genome, 8).expect("valid index");
-    // lint: allow(P001, token_len 8 and bin cap 4096 are valid literals for both genome sizes)
-    let grim = GrimIndex::build(&genome, token_len, 4096).expect("valid grim");
+    let reads = sample_reads(&genome, read_count, read_len, 0.02, &mut rng)?;
+    let seed_index = SeedIndex::build(&genome, 8)?;
+    let grim = GrimIndex::build(&genome, token_len, 4096)?;
 
     // Load bin bitvectors into the Ambit engine once (rows 0..bins), the
     // read vector goes to a scratch row per query.
@@ -70,10 +52,7 @@ fn compute_outcome(quick: bool) -> Outcome {
         row
     };
     for bin in 0..grim.bin_count() {
-        engine
-            .write_row(bin as u64, pad(grim.bin_bitvector(bin)))
-            // lint: allow(P001, bin_count is capped at 4096 so every bin index fits the subarray rows and pad sizes the row exactly)
-            .expect("row fits");
+        engine.write_row(bin as u64, pad(grim.bin_bitvector(bin)))?;
     }
     let read_row = grim.bin_count() as u64;
     let and_row = read_row + 1;
@@ -100,8 +79,7 @@ fn compute_outcome(quick: bool) -> Outcome {
         // by any candidate's span. A read may straddle a bin boundary, so
         // a candidate's score sums the bins its span covers.
         let read_bv = grim.read_bitvector(&read.seq);
-        // lint: allow(P001, read_row is bin_count which leaves two in-bounds scratch rows past the bins)
-        engine.write_row(read_row, pad(&read_bv)).expect("row fits");
+        engine.write_row(read_row, pad(&read_bv))?;
         let bins_of = |c: u32| -> (usize, usize) {
             let first = c as usize / grim.bin_size();
             let last = (c as usize + read_len - 1) / grim.bin_size();
@@ -121,14 +99,10 @@ fn compute_outcome(quick: bool) -> Outcome {
         bins.dedup();
         let mut match_count = std::collections::BTreeMap::new();
         for bin in bins {
-            engine
-                .execute(BitwiseOp::And, and_row, bin as u64, Some(read_row))
-                // lint: allow(P001, both operand rows were written above before any AND is issued)
-                .expect("operands loaded");
+            engine.execute(BitwiseOp::And, and_row, bin as u64, Some(read_row))?;
             let matches: u32 = engine
                 .read_row(and_row)
-                // lint: allow(P001, the AND on the line above just wrote and_row)
-                .expect("result written")
+                .ok_or("AND result row was not written")?
                 .iter()
                 .map(|w| w.count_ones())
                 .sum();
@@ -158,39 +132,28 @@ fn compute_outcome(quick: bool) -> Outcome {
     let v = verify_cost_ns(read_len, band);
     let baseline_ns = baseline_verifications as f64 * v;
     let filtered_ns = filtered_verifications as f64 * v + filter_ns;
-    Outcome {
-        candidates_eliminated: 1.0
-            - filtered_verifications as f64 / baseline_verifications.max(1) as f64,
-        mapping_speedup: baseline_ns / filtered_ns,
-        lost_mappings: baseline_found.saturating_sub(filtered_found),
-    }
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let o = outcome(quick);
-    let mut table = Table::new(&["metric", "value"]);
-    table.row(&[
-        "candidate locations eliminated",
-        &pct(o.candidates_eliminated),
-    ]);
-    table.row(&["end-to-end mapping speedup", &ratio(o.mapping_speedup, 1.0)]);
-    table.row(&["true mappings lost", &o.lost_mappings.to_string()]);
-    format!(
-        "E11: GRIM-Filter seed-location filtering via in-DRAM bitwise AND\n\
-         (paper shape: large candidate reduction, 2-4x mapping speedup, no lost mappings)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp11_grim_filter", quick)
-        .metric("candidates_eliminated", o.candidates_eliminated)
-        .metric("mapping_speedup", o.mapping_speedup)
-        .metric("lost_mappings", o.lost_mappings as f64)
+    let candidates_eliminated =
+        1.0 - filtered_verifications as f64 / baseline_verifications.max(1) as f64;
+    let mapping_speedup = baseline_ns / filtered_ns;
+    let lost_mappings = baseline_found.saturating_sub(filtered_found);
+    Ok(ExperimentReport::new("exp11_grim_filter", quick)
+        .metric("candidates_eliminated", candidates_eliminated)
+        .metric("mapping_speedup", mapping_speedup)
+        .metric("lost_mappings", lost_mappings as f64)
+        .columns(&["metric", "value"])
+        .row(&[
+            "candidate locations eliminated".to_owned(),
+            pct(candidates_eliminated),
+        ])
+        .row(&[
+            "end-to-end mapping speedup".to_owned(),
+            ratio(mapping_speedup, 1.0),
+        ])
+        .row(&["true mappings lost".to_owned(), lost_mappings.to_string()])
+        .caption(
+            "E11: GRIM-Filter seed-location filtering via in-DRAM bitwise AND\n\
+             (paper shape: large candidate reduction, 2-4x mapping speedup, no lost mappings)",
+        ))
 }
 
 #[cfg(test)]
@@ -199,30 +162,30 @@ mod tests {
 
     #[test]
     fn filter_eliminates_most_candidates_without_losing_mappings() {
-        let o = outcome(true);
+        let rep = report(true).unwrap();
+        let eliminated = rep.metric_value("candidates_eliminated").unwrap();
         assert!(
-            o.candidates_eliminated > 0.3,
-            "filter should prune candidates, got {}",
-            o.candidates_eliminated
+            eliminated > 0.3,
+            "filter should prune candidates, got {eliminated}"
         );
         assert_eq!(
-            o.lost_mappings, 0,
+            rep.metric_value("lost_mappings"),
+            Some(0.0),
             "the filter must not reject true locations"
         );
     }
 
     #[test]
     fn filtering_speeds_up_mapping() {
-        let o = outcome(true);
-        assert!(
-            o.mapping_speedup > 1.1,
-            "speedup {:.2} should exceed 1x",
-            o.mapping_speedup
-        );
+        let speedup = report(true)
+            .unwrap()
+            .metric_value("mapping_speedup")
+            .unwrap();
+        assert!(speedup > 1.1, "speedup {speedup:.2} should exceed 1x");
     }
 
     #[test]
     fn report_renders() {
-        assert!(run(true).contains("eliminated"));
+        assert!(report(true).unwrap().to_text().contains("eliminated"));
     }
 }

@@ -5,12 +5,11 @@
 //! long histories that saturating-counter tables cannot, winning on
 //! history-correlated behaviour.
 
-use ia_core::Table;
 use ia_learn::PerceptronPredictor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
 /// A classic bimodal (2-bit saturating counter) predictor baseline.
 #[derive(Debug, Clone)]
@@ -84,8 +83,7 @@ fn accuracy_of(stream: &[bool], mut predict: impl FnMut(bool) -> bool) -> f64 {
 }
 
 /// Per-stream accuracies `(name, bimodal, perceptron)`.
-#[must_use]
-pub fn rows(quick: bool) -> Vec<(String, f64, f64)> {
+fn rows(quick: bool) -> Result<Vec<(String, f64, f64)>, Error> {
     streams(quick)
         .into_iter()
         .map(|(name, stream)| {
@@ -95,45 +93,36 @@ pub fn rows(quick: bool) -> Vec<(String, f64, f64)> {
                 bim.update(7, actual);
                 p == actual
             });
-            let mut per = PerceptronPredictor::new(1024, 16).expect("valid predictor");
+            let mut per = PerceptronPredictor::new(1024, 16)?;
             let per_acc = accuracy_of(&stream, |actual| {
                 let p = per.predict(7);
                 per.update(7, actual);
                 p == actual
             });
-            (name.to_owned(), bim_acc, per_acc)
+            Ok((name.to_owned(), bim_acc, per_acc))
         })
         .collect()
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&["branch stream", "bimodal 2-bit", "perceptron"]);
-    for (name, bim, per) in rows(quick) {
-        table.row(&[name, pct(bim), pct(per)]);
-    }
-    format!(
-        "E15: perceptron vs counter-table prediction\n\
-         (paper shape: perceptrons win on history-correlated streams, tie elsewhere)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = rows(quick);
+/// Runs a bimodal and a perceptron predictor over four branch streams
+/// of different predictability.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let data = rows(quick)?;
     let n = data.len().max(1) as f64;
     let mean_bim = data.iter().map(|(_, b, _)| b).sum::<f64>() / n;
     let mean_per = data.iter().map(|(_, _, p)| p).sum::<f64>() / n;
-    let mut rep = crate::report::ExperimentReport::new("exp15_perceptron", quick)
+    let mut rep = ExperimentReport::new("exp15_perceptron", quick)
         .metric("mean_bimodal_accuracy", mean_bim)
         .metric("mean_perceptron_accuracy", mean_per)
-        .columns(&["branch_stream", "bimodal_accuracy", "perceptron_accuracy"]);
+        .columns(&["branch_stream", "bimodal_accuracy", "perceptron_accuracy"])
+        .caption(
+            "E15: perceptron vs counter-table prediction\n\
+             (paper shape: perceptrons win on history-correlated streams, tie elsewhere)",
+        );
     for (name, bim, per) in &data {
         rep = rep.row(&[name.clone(), format!("{bim:.4}"), format!("{per:.4}")]);
     }
-    rep
+    Ok(rep)
 }
 
 #[cfg(test)]
@@ -142,7 +131,7 @@ mod tests {
 
     #[test]
     fn perceptron_wins_on_history_correlation() {
-        let rows = rows(true);
+        let rows = rows(true).unwrap();
         let (_, bim, per) = rows
             .iter()
             .find(|(n, _, _)| n.contains("XOR"))
@@ -160,7 +149,7 @@ mod tests {
 
     #[test]
     fn both_handle_biased_branches() {
-        let rows = rows(true);
+        let rows = rows(true).unwrap();
         let (_, bim, per) = rows
             .iter()
             .find(|(n, _, _)| n.contains("biased"))
@@ -172,7 +161,7 @@ mod tests {
 
     #[test]
     fn nobody_predicts_randomness() {
-        let rows = rows(true);
+        let rows = rows(true).unwrap();
         let (_, bim, per) = rows
             .iter()
             .find(|(n, _, _)| n.contains("random"))
@@ -184,6 +173,6 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(run(true).contains("perceptron"));
+        assert!(report(true).unwrap().to_text().contains("perceptron"));
     }
 }

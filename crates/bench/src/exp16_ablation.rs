@@ -6,13 +6,14 @@
 //! +data-centric → +data-driven → +data-aware on one mixed data-intensive
 //! workload.
 
-use ia_core::{run_ablation, AblationRow, SystemConfig, Table};
+use ia_core::{run_ablation, SystemConfig, Table};
 use ia_workloads::{StreamGen, TraceGenerator, TraceRequest, ZipfGen};
 use ia_xmem::{AtomRegistry, Criticality, DataAttributes, Locality};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
 // The hot structure is 4x the experiment's 64 KiB LLC: plain LRU
 // thrashes under the streaming pollution, giving the cache-policy
@@ -26,15 +27,14 @@ const HOT_BYTES: u64 = 256 * 1024;
 const STREAM_REGION: u64 = 1 << 26;
 const STREAM_BYTES: u64 = 1 << 22;
 
-fn workload(quick: bool) -> Vec<TraceRequest> {
+fn workload(quick: bool) -> Result<Vec<TraceRequest>, Error> {
     let n = if quick { 6_000 } else { 30_000 };
     let mut rng = SmallRng::seed_from_u64(97);
-    let mut hot =
-        ZipfGen::new(HOT_REGION, (HOT_BYTES / 4096) as usize, 4096, 1.3, 0.2).expect("valid zipf");
-    let mut stream = StreamGen::new(STREAM_REGION, 64, STREAM_BYTES, 0.1).expect("valid stream");
+    let mut hot = ZipfGen::new(HOT_REGION, (HOT_BYTES / 4096) as usize, 4096, 1.3, 0.2)?;
+    let mut stream = StreamGen::new(STREAM_REGION, 64, STREAM_BYTES, 0.1)?;
     // Two hot accesses per stream access: the reusable structure carries
     // the run, the stream pollutes it.
-    (0..n)
+    Ok((0..n)
         .map(|i| {
             if i % 3 != 0 {
                 hot.next_request(&mut rng)
@@ -42,7 +42,7 @@ fn workload(quick: bool) -> Vec<TraceRequest> {
                 stream.next_request(&mut rng).on_thread(1)
             }
         })
-        .collect()
+        .collect())
 }
 
 /// The system configuration all rungs share: a 64 KiB LLC the workload
@@ -54,91 +54,75 @@ fn config() -> SystemConfig {
     }
 }
 
-fn registry() -> AtomRegistry {
+fn registry() -> Result<AtomRegistry, Error> {
     let mut reg = AtomRegistry::new();
     reg.register(
         HOT_REGION..HOT_REGION + HOT_BYTES,
         DataAttributes::new()
             .criticality(Criticality::Critical)
             .locality(Locality::Reuse),
-    )
-    .expect("disjoint");
+    )?;
     reg.register(
         STREAM_REGION..STREAM_REGION + STREAM_BYTES,
         DataAttributes::new().locality(Locality::Streaming),
-    )
-    .expect("disjoint");
-    reg
+    )?;
+    Ok(reg)
 }
 
-/// The ablation ladder's rows (memoized: `run`, `report`, and
-/// `speedups` share one simulation per process).
-fn rows(quick: bool) -> Vec<AblationRow> {
-    static CACHE: crate::report::OutcomeCache<Vec<AblationRow>> =
-        crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || {
-        let trace = workload(quick);
-        // lint: allow(P001, the ladder configs are static and the trace is non-empty)
-        run_ablation(&config(), &registry(), &trace).expect("ablation runs")
-    })
-}
-
-/// The ladder's speedups (baseline = 1.0).
-#[must_use]
-pub fn speedups(quick: bool) -> Vec<f64> {
-    rows(quick).into_iter().map(|r| r.speedup).collect()
-}
-
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let mut table = Table::new(&[
+/// Climbs the ladder baseline → +data-centric → +data-driven →
+/// +data-aware on one workload; the headline is each rung's speedup.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let rows = run_ablation(&config(), &registry()?, &workload(quick)?)?;
+    let mut side = Table::new(&[
         "configuration",
         "cycles",
         "LLC hit rate",
         "DRAM row-hit rate",
-        "speedup vs baseline",
     ]);
-    for r in &rows {
-        table.row(&[
+    let mut rep = ExperimentReport::new("exp16_ablation", quick).columns(&["rung", "speedup"]);
+    let rungs = ["baseline", "+data-centric", "+data-driven", "+data-aware"];
+    let metrics = [
+        "baseline_speedup",
+        "data_centric_speedup",
+        "data_driven_speedup",
+        "full_system_speedup",
+    ];
+    for ((r, rung), metric) in rows.iter().zip(rungs).zip(metrics) {
+        side.row(&[
             r.principles.to_string(),
             r.report.cycles().to_string(),
             pct(r.report.llc_hit_rate),
             pct(r.report.memory.row_hit_rate),
-            format!("{:.3}x", r.speedup),
         ]);
+        rep = rep
+            .metric(metric, r.speedup)
+            .row(&[rung.to_owned(), format!("{:.3}", r.speedup)]);
     }
-    format!(
+    Ok(rep.caption(format!(
         "E16: principle ablation on a mixed hot-structure + streaming workload\n\
-         (paper shape: each principle contributes; the full system is fastest or tied)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let s = speedups(quick);
-    let mut rep = crate::report::ExperimentReport::new("exp16_ablation", quick)
-        .metric("baseline_speedup", s[0])
-        .metric("data_centric_speedup", s[1])
-        .metric("data_driven_speedup", s[2])
-        .metric("full_system_speedup", s[3])
-        .columns(&["rung", "speedup"]);
-    let rungs = ["baseline", "+data-centric", "+data-driven", "+data-aware"];
-    for (rung, sp) in rungs.iter().zip(&s) {
-        rep = rep.row(&[(*rung).to_owned(), format!("{sp:.3}")]);
-    }
-    rep
+         (paper shape: each principle contributes; the full system is fastest or tied)\n{side}\n"
+    )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn speedups() -> Vec<f64> {
+        let rep = report(true).unwrap();
+        [
+            "baseline_speedup",
+            "data_centric_speedup",
+            "data_driven_speedup",
+            "full_system_speedup",
+        ]
+        .map(|k| rep.metric_value(k).unwrap())
+        .to_vec()
+    }
+
     #[test]
     fn full_system_is_fastest() {
-        let s = speedups(true);
+        let s = speedups();
         assert_eq!(s.len(), 4);
         assert!((s[0] - 1.0).abs() < 1e-12);
         let best = s.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -156,7 +140,7 @@ mod tests {
 
     #[test]
     fn every_rung_contributes() {
-        let s = speedups(true);
+        let s = speedups();
         // The workload is sized so each principle has headroom: AL-DRAM
         // accelerates the Zipf-scattered activations, DIP resists the
         // stream's pollution, and the data-aware hints protect the hot
@@ -183,7 +167,7 @@ mod tests {
 
     #[test]
     fn report_renders_ladder() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("processor-centric baseline"));
         assert!(s.contains("data-centric+data-driven+data-aware"));
     }

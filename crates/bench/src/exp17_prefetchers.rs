@@ -9,7 +9,6 @@
 //! irregular ones; the adaptive generations keep the coverage while
 //! recovering accuracy.
 
-use ia_core::Table;
 use ia_prefetch::{
     FeedbackDirected, GhbPrefetcher, NextLinePrefetcher, PerceptronFilter, PrefetchHarness,
     PrefetchMetrics, Prefetcher, StridePrefetcher,
@@ -18,7 +17,7 @@ use ia_workloads::{PointerChaseGen, StreamGen, TraceGenerator, ZipfGen};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
 fn prefetchers() -> Vec<Box<dyn Prefetcher>> {
     vec![
@@ -30,65 +29,50 @@ fn prefetchers() -> Vec<Box<dyn Prefetcher>> {
     ]
 }
 
-fn workloads(quick: bool) -> Vec<(&'static str, Vec<u64>)> {
-    let n = if quick { 3_000 } else { 30_000 };
+fn workloads(n: usize) -> Result<Vec<(&'static str, Vec<u64>)>, Error> {
     let mut rng = SmallRng::seed_from_u64(117);
-    let stream = StreamGen::new(0, 64, 4 << 20, 0.0)
-        // lint: allow(P001, generator parameters are compile-time constants)
-        .expect("static")
+    let stream = StreamGen::new(0, 64, 4 << 20, 0.0)?
         .generate(n, &mut rng)
         .into_iter()
         .map(|r| r.addr)
         .collect();
-    let strided = StreamGen::new(1 << 26, 320, 4 << 20, 0.0)
-        // lint: allow(P001, generator parameters are compile-time constants)
-        .expect("static")
+    let strided = StreamGen::new(1 << 26, 320, 4 << 20, 0.0)?
         .generate(n, &mut rng)
         .into_iter()
         .map(|r| r.addr)
         .collect();
-    let zipf = ZipfGen::new(2 << 26, 8192, 4096, 1.0, 0.0)
-        // lint: allow(P001, generator parameters are compile-time constants)
-        .expect("static")
+    let zipf = ZipfGen::new(2 << 26, 8192, 4096, 1.0, 0.0)?
         .generate(n, &mut rng)
         .into_iter()
         .map(|r| r.addr)
         .collect();
-    let mut chase_gen = PointerChaseGen::new(3 << 26, 128 * 1024, 64, &mut rng)
-        // lint: allow(P001, generator parameters are compile-time constants)
-        .expect("static");
+    let mut chase_gen = PointerChaseGen::new(3 << 26, 128 * 1024, 64, &mut rng)?;
     let chase = chase_gen
         .generate(n, &mut rng)
         .into_iter()
         .map(|r| r.addr)
         .collect();
-    vec![
+    Ok(vec![
         ("stream", stream),
         ("strided", strided),
         ("zipf", zipf),
         ("pointer-chase", chase),
-    ]
+    ])
 }
 
 /// One row of the result matrix: a workload name and its per-prefetcher
 /// metrics.
 type MatrixRow = (String, Vec<(String, PrefetchMetrics)>);
 
-/// Metrics per (workload, prefetcher) cell (memoized: `run` and
-/// `report` share one simulation per process).
-#[must_use]
-pub fn matrix(quick: bool) -> Vec<MatrixRow> {
-    static CACHE: crate::report::OutcomeCache<Vec<MatrixRow>> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_matrix(quick))
-}
-
-fn compute_matrix(quick: bool) -> Vec<MatrixRow> {
+/// Metrics per (workload, prefetcher) cell over `n` demand accesses
+/// per workload.
+fn matrix(n: usize) -> Result<Vec<MatrixRow>, Error> {
     // Trace generation shares one RNG stream and stays serial; the 4×5
     // (workload, prefetcher) harness runs are independent, so flatten
     // the grid into tasks for the worker pool. `par_map` preserves the
     // row-major task order, so the reassembled matrix is identical to
     // the nested serial loops.
-    let workloads = workloads(quick);
+    let workloads = workloads(n)?;
     let lanes = prefetchers().len();
     let tasks: Vec<(usize, usize)> = (0..workloads.len())
         .flat_map(|wi| (0..lanes).map(move |pi| (wi, pi)))
@@ -96,61 +80,34 @@ fn compute_matrix(quick: bool) -> Vec<MatrixRow> {
     let cells = ia_par::par_map(ia_par::auto_threads(), tasks, |(wi, pi)| {
         let p = prefetchers().swap_remove(pi);
         let name = p.name().to_owned();
-        let mut h = PrefetchHarness::new(64 * 1024, 64, 8, p)
-            // lint: allow(P001, harness geometry is a compile-time constant)
-            .expect("valid harness");
+        let mut h = PrefetchHarness::new(64 * 1024, 64, 8, p)?;
         for &a in &workloads[wi].1 {
             h.demand(a);
         }
-        (name, *h.metrics())
-    });
-    workloads
+        Ok((name, *h.metrics()))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, Error>>()?;
+    Ok(workloads
         .iter()
         .zip(cells.chunks(lanes))
         .map(|((wname, _), row)| ((*wname).to_owned(), row.to_vec()))
-        .collect()
+        .collect())
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "workload",
-        "prefetcher",
-        "coverage",
-        "accuracy",
-        "issued/kdemand",
-    ]);
-    for (wname, cells) in matrix(quick) {
-        for (pname, m) in cells {
-            table.row(&[
-                wname.clone(),
-                pname,
-                pct(m.coverage()),
-                pct(m.accuracy()),
-                format!("{:.0}", m.issued as f64 / m.demands as f64 * 1000.0),
-            ]);
-        }
-    }
-    format!(
-        "E17: prefetcher lineage across workload classes\n\
-         (paper shape: heuristics cover streams but pollute on irregular traffic;\n\
-          feedback/learning recover accuracy by throttling or filtering)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let mut rep = crate::report::ExperimentReport::new("exp17_prefetchers", quick).columns(&[
-        "workload",
-        "prefetcher",
-        "coverage",
-        "accuracy",
-        "issued",
-    ]);
+/// Runs five prefetchers over four workload classes; the headline is
+/// the best coverage any prefetcher reaches.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let n = if quick { 3_000 } else { 30_000 };
+    let mut rep = ExperimentReport::new("exp17_prefetchers", quick)
+        .columns(&["workload", "prefetcher", "coverage", "accuracy", "issued"])
+        .caption(format!(
+            "E17: prefetcher lineage across workload classes, {n} demand accesses per workload\n\
+             (paper shape: heuristics cover streams but pollute on irregular traffic;\n\
+             feedback/learning recover accuracy by throttling or filtering)"
+        ));
     let mut best_coverage = 0.0f64;
-    for (workload, cells) in matrix(quick) {
+    for (workload, cells) in matrix(n)? {
         for (prefetcher, m) in cells {
             best_coverage = best_coverage.max(m.coverage());
             rep = rep.row(&[
@@ -162,7 +119,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             ]);
         }
     }
-    rep.metric("best_coverage", best_coverage)
+    Ok(rep.metric("best_coverage", best_coverage))
 }
 
 #[cfg(test)]
@@ -182,7 +139,7 @@ mod tests {
 
     #[test]
     fn stride_covers_regular_streams() {
-        let m = matrix(true);
+        let m = matrix(3_000).unwrap();
         assert!(cell(&m, "stream", "stride").coverage() > 0.7);
         assert!(cell(&m, "strided", "stride").coverage() > 0.7);
         assert!(cell(&m, "stream", "GHB").coverage() > 0.5);
@@ -190,7 +147,7 @@ mod tests {
 
     #[test]
     fn nothing_covers_pointer_chasing() {
-        let m = matrix(true);
+        let m = matrix(3_000).unwrap();
         for p in ["next-line", "stride", "GHB"] {
             assert!(
                 cell(&m, "pointer-chase", p).coverage() < 0.1,
@@ -201,7 +158,7 @@ mod tests {
 
     #[test]
     fn feedback_throttles_where_accuracy_dies() {
-        let m = matrix(true);
+        let m = matrix(3_000).unwrap();
         let naive = cell(&m, "pointer-chase", "stride");
         let fd = cell(&m, "pointer-chase", "feedback");
         let naive_rate = naive.issued as f64 / naive.demands.max(1) as f64;
@@ -214,7 +171,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("stride"));
         assert!(s.contains("pointer-chase"));
     }

@@ -9,18 +9,11 @@
 use ia_core::Table;
 use ia_noc::{simulate, simulate_traced, MeshConfig, NocReport, RouterKind, Traffic};
 
-/// Latency-vs-load series for both routers (memoized: `run` and
-/// `report` share one simulation per process).
-#[must_use]
-pub fn sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
-    static CACHE: crate::report::OutcomeCache<Vec<(f64, NocReport, NocReport)>> =
-        crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_sweep(quick))
-}
+use crate::report::{Error, ExperimentReport};
 
-fn compute_sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
-    // lint: allow(P001, 8x8 are compile-time dims MeshConfig::new accepts)
-    let mesh = MeshConfig::new(8, 8).expect("valid mesh");
+/// Latency-vs-load series `(rate, buffered, bufferless)`.
+fn sweep(quick: bool) -> Result<Vec<(f64, NocReport, NocReport)>, Error> {
+    let mesh = MeshConfig::new(8, 8)?;
     let cycles = if quick { 2_000 } else { 20_000 };
     let rates = [0.02f64, 0.05, 0.10, 0.20, 0.30];
     // 5 rates × 2 router kinds = 10 independent simulations, each with
@@ -42,21 +35,17 @@ fn compute_sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
         .collect();
     let runs = ia_par::par_map(ia_par::auto_threads(), tasks, |(rate, kind)| {
         if tracing {
-            let (report, log) =
-                simulate_traced(kind, mesh, Traffic::UniformRandom, rate, cycles, 11)
-                    // lint: allow(P001, swept rates are constants inside [0, 1])
-                    .expect("valid run");
-            (report, Some(log), rate, kind)
+            simulate_traced(kind, mesh, Traffic::UniformRandom, rate, cycles, 11)
+                .map(|(report, log)| (report, Some(log), rate, kind))
         } else {
-            let report = simulate(kind, mesh, Traffic::UniformRandom, rate, cycles, 11)
-                // lint: allow(P001, swept rates are constants inside [0, 1])
-                .expect("valid run");
-            (report, None, rate, kind)
+            simulate(kind, mesh, Traffic::UniformRandom, rate, cycles, 11)
+                .map(|report| (report, None, rate, kind))
         }
     });
-    let reports: Vec<NocReport> = runs
+    let reports = runs
         .into_iter()
-        .map(|(report, log, rate, kind)| {
+        .map(|run| {
+            let (report, log, rate, kind) = run?;
             if let Some(log) = log {
                 let label = match kind {
                     RouterKind::Buffered => format!("buffered@{rate:.2}"),
@@ -64,47 +53,22 @@ fn compute_sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
                 };
                 ia_trace::submit(log.prefixed(&label));
             }
-            report
+            Ok(report)
         })
-        .collect();
-    rates
+        .collect::<Result<Vec<NocReport>, Error>>()?;
+    Ok(rates
         .iter()
         .zip(reports.chunks(2))
         .map(|(&rate, pair)| (rate, pair[0], pair[1]))
-        .collect()
+        .collect())
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "inj. rate",
-        "buffered lat (cy)",
-        "bufferless lat (cy)",
-        "deflections/pkt",
-        "peak buffers (buffered)",
-    ]);
-    for (rate, b, d) in sweep(quick) {
-        table.row(&[
-            format!("{rate:.2}"),
-            format!("{:.1}", b.avg_latency),
-            format!("{:.1}", d.avg_latency),
-            format!("{:.2}", d.deflections as f64 / d.delivered.max(1) as f64),
-            b.peak_buffering.to_string(),
-        ]);
-    }
-    format!(
-        "E18: 8x8 mesh, uniform-random traffic — buffered XY vs bufferless deflection\n\
-         (paper shape: near-identical latency at low-to-medium load with zero buffers;\n\
-          deflections grow as the bufferless network approaches saturation)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep(quick);
-    let mut rep = crate::report::ExperimentReport::new("exp18_noc", quick).columns(&[
+/// Sweeps the injection rate on an 8x8 mesh under uniform-random
+/// traffic, buffered XY against bufferless deflection routing.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let data = sweep(quick)?;
+    let mut side = Table::new(&["inj. rate", "peak buffers (buffered)"]);
+    let mut rep = ExperimentReport::new("exp18_noc", quick).columns(&[
         "injection_rate",
         "buffered_latency",
         "bufferless_latency",
@@ -116,6 +80,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
         } else {
             bufferless.deflections as f64 / bufferless.delivered as f64
         };
+        side.row(&[format!("{rate:.2}"), buffered.peak_buffering.to_string()]);
         rep = rep.row(&[
             format!("{rate:.2}"),
             format!("{:.1}", buffered.avg_latency),
@@ -128,7 +93,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             .metric("peak_buffered_latency", buffered.avg_latency)
             .metric("peak_bufferless_latency", bufferless.avg_latency);
     }
-    rep
+    Ok(rep.caption(format!(
+        "E18: 8x8 mesh, uniform-random traffic — buffered XY vs bufferless deflection\n\
+         (paper shape: near-identical latency at low-to-medium load with zero buffers;\n\
+         deflections grow as the bufferless network approaches saturation)\n{side}\n"
+    )))
 }
 
 #[cfg(test)]
@@ -137,7 +106,7 @@ mod tests {
 
     #[test]
     fn bufferless_is_competitive_at_low_load() {
-        let s = sweep(true);
+        let s = sweep(true).unwrap();
         let (_, b, d) = &s[0];
         assert!(
             d.avg_latency < b.avg_latency + 3.0,
@@ -149,7 +118,7 @@ mod tests {
 
     #[test]
     fn deflections_grow_with_load() {
-        let s = sweep(true);
+        let s = sweep(true).unwrap();
         let low = s[0].2.deflections as f64 / s[0].2.delivered.max(1) as f64;
         let high = s.last().expect("non-empty").2.deflections as f64
             / s.last().expect("non-empty").2.delivered.max(1) as f64;
@@ -161,13 +130,13 @@ mod tests {
 
     #[test]
     fn buffered_queues_grow_with_load() {
-        let s = sweep(true);
+        let s = sweep(true).unwrap();
         assert!(s.last().expect("non-empty").1.peak_buffering > s[0].1.peak_buffering);
     }
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(true).unwrap().to_text();
         assert!(out.contains("deflections"));
         assert!(out.contains("0.02"));
     }

@@ -6,16 +6,14 @@
 //! paper reports ~13-17% average speedup, approaching ideal
 //! one-subarray-per-bank behaviour on conflict-heavy streams.
 
-use ia_core::Table;
 use ia_dram::{serve_stream, BankOrganization, DramConfig, SalpBank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ratio;
+use crate::report::{Error, ExperimentReport};
 
 /// Per-workload cycle counts `(name, conventional, salp)`.
-#[must_use]
-pub fn rows(quick: bool) -> Vec<(String, u64, u64)> {
+fn rows(quick: bool) -> Vec<(String, u64, u64)> {
     let n = if quick { 2_000 } else { 20_000 };
     let mut rng = SmallRng::seed_from_u64(131);
     let subarrays = 8usize;
@@ -55,39 +53,21 @@ pub fn rows(quick: bool) -> Vec<(String, u64, u64)> {
     .collect()
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "row stream",
-        "conventional (cy)",
-        "SALP/MASA (cy)",
-        "speedup",
-    ]);
-    for (name, conv, salp) in rows(quick) {
-        table.row(&[
-            name,
-            conv.to_string(),
-            salp.to_string(),
-            ratio(conv as f64, salp as f64),
-        ]);
-    }
-    format!(
-        "E19: subarray-level parallelism within one bank\n\
-         (paper shape: inter-subarray conflicts overlap — large gains on ping-pong streams,\n\
-          none on hits or intra-subarray conflicts)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let mut rep = crate::report::ExperimentReport::new("exp19_salp", quick).columns(&[
-        "row_stream",
-        "conventional_cycles",
-        "salp_cycles",
-        "speedup",
-    ]);
+/// Serves five row streams on one bank, conventional against
+/// SALP/MASA; one speedup metric per stream.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let mut rep = ExperimentReport::new("exp19_salp", quick)
+        .columns(&[
+            "row_stream",
+            "conventional_cycles",
+            "salp_cycles",
+            "speedup",
+        ])
+        .caption(
+            "E19: subarray-level parallelism (SALP/MASA) within one bank\n\
+             (paper shape: inter-subarray conflicts overlap — large gains on ping-pong streams,\n\
+             none on hits or intra-subarray conflicts)",
+        );
     for (name, conv, salp) in rows(quick) {
         let key = name.to_lowercase().replace([' ', '-'], "_");
         let speedup = conv as f64 / salp.max(1) as f64;
@@ -98,7 +78,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             format!("{speedup:.2}"),
         ]);
     }
-    rep
+    Ok(rep)
 }
 
 #[cfg(test)]
@@ -150,6 +130,6 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(run(true).contains("SALP"));
+        assert!(report(true).unwrap().to_text().contains("SALP"));
     }
 }

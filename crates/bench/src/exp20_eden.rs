@@ -7,17 +7,18 @@
 //! collapses; per-layer interval selection stays within an accuracy
 //! budget.
 
-use ia_core::Table;
 use ia_reliability::{
     dnn_accuracy_loss, select_multiplier, sweep_refresh_multipliers, RetentionModel,
 };
 
-use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
-/// Sweep rows `(multiplier, savings, row error rate, robust-layer loss,
-/// sensitive-layer loss)`.
-#[must_use]
-pub fn sweep() -> Vec<(u32, f64, f64, f64, f64)> {
+/// One sweep row: `(multiplier, savings, row error rate, robust-layer
+/// loss, sensitive-layer loss)`.
+type Point = (u32, f64, f64, f64, f64);
+
+/// The refresh-interval sweep.
+fn sweep() -> Result<Vec<Point>, Error> {
     let model = RetentionModel::typical();
     // Each refresh-interval point is an independent evaluation of the
     // retention model; fan the grid out on the worker pool.
@@ -27,55 +28,30 @@ pub fn sweep() -> Vec<(u32, f64, f64, f64, f64)> {
         |multiplier| {
             let p = sweep_refresh_multipliers(&model, &[multiplier])
                 .pop()
-                // lint: allow(P001, the sweep returns exactly one point per multiplier)
-                .expect("one point per multiplier");
-            (
+                .ok_or("the refresh sweep returned no point")?;
+            Ok::<_, Error>((
                 p.multiplier,
                 p.refresh_savings,
                 p.row_error_rate,
                 dnn_accuracy_loss(p.row_error_rate, 0.05),
                 dnn_accuracy_loss(p.row_error_rate, 1e-5),
-            )
+            ))
         },
     )
+    .into_iter()
+    .collect()
 }
 
-/// Runs the experiment and renders the tables.
-#[must_use]
-pub fn run(_quick: bool) -> String {
-    let mut table = Table::new(&[
-        "refresh interval",
-        "refresh savings",
-        "row error exposure",
-        "robust layer acc. loss",
-        "sensitive layer acc. loss",
-    ]);
-    for (m, savings, err, robust, sensitive) in sweep() {
-        table.row(&[
-            format!("{}x (={} ms)", m, 64 * m),
-            pct(savings),
-            format!("{err:.2e}"),
-            pct(robust),
-            pct(sensitive),
-        ]);
-    }
+/// Sweeps the refresh interval of DNN data: refresh savings, row error
+/// exposure and the accuracy loss of a robust and a sensitive layer,
+/// plus the interval each layer picks under a 1% accuracy budget.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let data = sweep()?;
+    let max_savings = data.iter().fold(0.0f64, |a, &(_, s, ..)| a.max(s));
     let model = RetentionModel::typical();
     let robust_pick = select_multiplier(&model, 0.05, 0.01);
     let sensitive_pick = select_multiplier(&model, 1e-5, 0.01);
-    format!(
-        "E20: EDEN-style approximate DRAM for error-tolerant (DNN) data\n\
-         (paper shape: large refresh savings at negligible accuracy loss below the\n\
-          robustness knee; per-layer interval selection)\n{table}\n\
-         selected intervals at 1% accuracy budget: robust layer {robust_pick}x, sensitive layer {sensitive_pick}x\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep();
-    let max_savings = data.iter().fold(0.0f64, |a, &(_, s, ..)| a.max(s));
-    let mut rep = crate::report::ExperimentReport::new("exp20_eden", quick)
+    let mut rep = ExperimentReport::new("exp20_eden", quick)
         .metric("max_refresh_savings", max_savings)
         .columns(&[
             "interval_multiplier",
@@ -83,7 +59,14 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             "row_error_exposure",
             "robust_accuracy_loss",
             "sensitive_accuracy_loss",
-        ]);
+        ])
+        .caption(format!(
+            "E20: EDEN-style approximate DRAM for error-tolerant (DNN) data\n\
+             (paper shape: large refresh savings at negligible accuracy loss below the\n\
+             robustness knee; per-layer interval selection)\n\
+             selected intervals at 1% accuracy budget: robust layer {robust_pick}x, \
+             sensitive layer {sensitive_pick}x"
+        ));
     for (m, savings, err, robust, sensitive) in &data {
         rep = rep.row(&[
             m.to_string(),
@@ -93,7 +76,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             format!("{sensitive:.4}"),
         ]);
     }
-    rep
+    Ok(rep)
 }
 
 #[cfg(test)]
@@ -102,7 +85,7 @@ mod tests {
 
     #[test]
     fn robust_layers_save_most_refreshes_for_free() {
-        let s = sweep();
+        let s = sweep().unwrap();
         let at16 = s.iter().find(|r| r.0 == 16).expect("16x present");
         assert!(at16.1 > 0.9, "16x interval saves >90% of refreshes");
         assert!(
@@ -114,7 +97,7 @@ mod tests {
 
     #[test]
     fn sensitive_layers_degrade_past_nominal() {
-        let s = sweep();
+        let s = sweep().unwrap();
         let at8 = s.iter().find(|r| r.0 == 8).expect("8x present");
         assert!(
             at8.4 > at8.3,
@@ -131,7 +114,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("refresh savings"));
         assert!(s.contains("selected intervals"));
     }

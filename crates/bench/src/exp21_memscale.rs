@@ -10,10 +10,10 @@ use ia_core::Table;
 use ia_memctrl::{epoch_outcome, standard_points, MemScaleGovernor};
 
 use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
 /// Sweep rows `(avg utilization, energy vs full-speed, slowdown)`.
-#[must_use]
-pub fn sweep(quick: bool) -> Vec<(f64, f64, f64)> {
+fn sweep(quick: bool) -> Result<Vec<(f64, f64, f64)>, Error> {
     let epochs = if quick { 100 } else { 2000 };
     // Each utilization level owns its trace and governor — independent
     // tasks for the worker pool, returned in grid order.
@@ -31,65 +31,47 @@ pub fn sweep(quick: bool) -> Vec<(f64, f64, f64)> {
                     }
                 })
                 .collect();
-            let mut g =
-                MemScaleGovernor::new(standard_points().to_vec(), 0.10).expect("valid governor");
-            let o = g.run(&trace).expect("trace runs");
-            (base, o.energy, o.slowdown)
+            let o = MemScaleGovernor::new(standard_points().to_vec(), 0.10)?.run(&trace)?;
+            Ok::<_, Error>((base, o.energy, o.slowdown))
         },
     )
+    .into_iter()
+    .collect()
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "avg utilization",
-        "memory energy (vs full speed)",
-        "slowdown",
-        "energy saved",
-    ]);
-    for (u, energy, slowdown) in sweep(quick) {
-        table.row(&[
-            pct(u),
-            format!("{energy:.2}"),
-            format!("{slowdown:.3}"),
-            pct(1.0 - energy),
-        ]);
-    }
-    // Illustrate the static points the governor chooses among.
-    let mut pts = Table::new(&["operating point", "speed", "power", "slowdown @ 20% util"]);
-    for p in standard_points() {
-        let o = epoch_outcome(0.2, p).expect("valid point");
-        pts.row(&[
-            format!("{:.0}% clock", p.speed * 100.0),
-            format!("{:.2}", p.speed),
-            format!("{:.2}", p.power),
-            format!("{:.3}", o.slowdown),
-        ]);
-    }
-    format!(
-        "E21: memory DVFS (MemScale) with a 10% slowdown budget\n\
-         (paper shape: tens-of-percent memory energy savings at low utilization,\n\
-          shrinking to zero as the channel fills)\n{table}\n\n{pts}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep(quick);
+/// Runs the MemScale governor over bursty traces at five utilization
+/// levels; the caption adds the energy saved per level and the static
+/// operating points the governor picks from.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let data = sweep(quick)?;
     let best_saving = data.iter().fold(0.0f64, |a, &(_, e, _)| a.max(1.0 - e));
-    let mut rep = crate::report::ExperimentReport::new("exp21_memscale", quick)
+    let mut saved = Table::new(&["avg utilization", "energy saved"]);
+    let mut rep = ExperimentReport::new("exp21_memscale", quick)
         .metric("best_energy_saving", best_saving)
         .columns(&["avg_utilization", "memory_energy_vs_full", "slowdown"]);
     for (util, energy, slowdown) in &data {
+        saved.row(&[pct(*util), pct(1.0 - energy)]);
         rep = rep.row(&[
             format!("{util:.2}"),
             format!("{energy:.3}"),
             format!("{slowdown:.3}"),
         ]);
     }
-    rep
+    let mut points = Table::new(&["operating point", "speed", "power", "slowdown @ 20% util"]);
+    for p in standard_points() {
+        let o = epoch_outcome(0.2, p)?;
+        points.row(&[
+            format!("{:.0}% clock", p.speed * 100.0),
+            format!("{:.2}", p.speed),
+            format!("{:.2}", p.power),
+            format!("{:.3}", o.slowdown),
+        ]);
+    }
+    Ok(rep.caption(format!(
+        "E21: memory DVFS (MemScale) with a 10% slowdown budget\n\
+         (paper shape: tens-of-percent memory energy savings at low utilization,\n\
+         shrinking to zero as the channel fills)\n{saved}\n\n{points}\n"
+    )))
 }
 
 #[cfg(test)]
@@ -98,7 +80,7 @@ mod tests {
 
     #[test]
     fn savings_shrink_with_utilization() {
-        let s = sweep(true);
+        let s = sweep(true).unwrap();
         for w in s.windows(2) {
             assert!(
                 w[1].1 >= w[0].1 - 1e-9,
@@ -115,7 +97,7 @@ mod tests {
 
     #[test]
     fn slowdown_budget_is_respected_everywhere() {
-        for (u, _, slowdown) in sweep(true) {
+        for (u, _, slowdown) in sweep(true).unwrap() {
             assert!(
                 slowdown <= 1.10 + 1e-9,
                 "budget violated at {u}: {slowdown}"
@@ -125,7 +107,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = run(true);
+        let s = report(true).unwrap().to_text();
         assert!(s.contains("energy saved"));
         assert!(s.contains("operating point"));
     }

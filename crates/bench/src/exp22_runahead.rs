@@ -6,14 +6,12 @@
 //! with the runahead window, collapsing to nothing on dependent
 //! (pointer-chasing) chains — the gap PIM exists to fill.
 
-use ia_core::Table;
 use ia_prefetch::runahead::{build_trace, execute, CoreModel};
 
-use crate::ratio;
+use crate::report::{Error, ExperimentReport};
 
 /// Matrix rows `(dependence ‰, window, stall cycles, runahead cycles)`.
-#[must_use]
-pub fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
+fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
     let loads = if quick { 500 } else { 5000 };
     // The 3×3 (dependence, window) grid: every cell builds its own
     // trace and runs two core models — independent tasks for the
@@ -42,40 +40,14 @@ pub fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
     })
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "dependent loads",
-        "runahead window",
-        "stall-on-miss (kcy)",
-        "runahead (kcy)",
-        "speedup",
-    ]);
-    for (dep, window, stall, ra) in matrix(quick) {
-        table.row(&[
-            format!("{:.0}%", f64::from(dep) / 10.0),
-            window.to_string(),
-            format!("{:.0}", stall as f64 / 1000.0),
-            format!("{:.0}", ra as f64 / 1000.0),
-            ratio(stall as f64, ra as f64),
-        ]);
-    }
-    format!(
-        "E22: runahead execution vs stall-on-miss\n\
-         (paper shape: big wins on independent misses, growing with the window;\n\
-          zero on fully dependent chains — which is where PIM takes over)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
+/// Runs stall-on-miss and runahead cores over a (dependent-load
+/// fraction × runahead window) grid; the headline is the best speedup.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let data = matrix(quick);
     let max_speedup = data.iter().fold(0.0f64, |a, &(_, _, stall, ra)| {
         a.max(stall as f64 / ra.max(1) as f64)
     });
-    let mut rep = crate::report::ExperimentReport::new("exp22_runahead", quick)
+    let mut rep = ExperimentReport::new("exp22_runahead", quick)
         .metric("max_speedup", max_speedup)
         .columns(&[
             "dependent_load_permille",
@@ -83,7 +55,12 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             "stall_cycles",
             "runahead_cycles",
             "speedup",
-        ]);
+        ])
+        .caption(
+            "E22: runahead execution vs stall-on-miss\n\
+             (paper shape: big wins on independent misses, growing with the window;\n\
+             zero on fully dependent chains — which is where PIM takes over)",
+        );
     for (dep, window, stall, ra) in &data {
         rep = rep.row(&[
             dep.to_string(),
@@ -93,7 +70,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
             format!("{:.2}", *stall as f64 / (*ra).max(1) as f64),
         ]);
     }
-    rep
+    Ok(rep)
 }
 
 #[cfg(test)]
@@ -140,6 +117,6 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(run(true).contains("runahead window"));
+        assert!(report(true).unwrap().to_text().contains("runahead_window"));
     }
 }

@@ -24,7 +24,6 @@
 //! sweep fans out on `ia-par` and the report is byte-identical at every
 //! `--threads` setting.
 
-use ia_core::Table;
 use ia_dram::{AddressMapping, DramConfig, Location};
 use ia_faults::FaultPlan;
 use ia_memctrl::{
@@ -35,6 +34,7 @@ use ia_par::{auto_threads, par_map};
 use ia_sim::SnapshotState;
 
 use crate::pct;
+use crate::report::{Error, ExperimentReport};
 
 /// Aggressor rows (bank 0): double-sided hammer around the victim.
 const AGGRESSOR_LOW: u64 = 1000;
@@ -48,27 +48,27 @@ const HAMMER_THRESHOLD: u64 = 128;
 /// victim is retired before disturbance does real damage.
 const QUARANTINE_THRESHOLD: u64 = 256;
 
-/// One cell of the sweep, for assertions.
+/// One cell of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Cell {
+struct Cell {
     /// Fault-rate multiplier.
-    pub rate: f64,
+    rate: f64,
     /// Mitigation tier.
-    pub mitigation: Mitigation,
+    mitigation: Mitigation,
     /// Faults the model injected.
-    pub injected: u64,
+    injected: u64,
     /// Reads corrected by ECC.
-    pub corrected: u64,
+    corrected: u64,
     /// Reads that delivered wrong data.
-    pub uncorrected: u64,
+    uncorrected: u64,
     /// Fraction of reads that delivered wrong data.
-    pub uncorrected_rate: f64,
+    uncorrected_rate: f64,
     /// Rows retired to spares after uncorrectable errors.
-    pub remaps: u64,
+    remaps: u64,
     /// Victim rows quarantined on hammer exposure.
-    pub quarantines: u64,
+    quarantines: u64,
     /// Targeted refreshes for escalated (retention-weak) rows.
-    pub escalated_refreshes: u64,
+    escalated_refreshes: u64,
 }
 
 /// Sweep dimensions: fault-rate multipliers × mitigation tiers.
@@ -147,7 +147,7 @@ fn cell(
     rate: f64,
     rate_idx: usize,
     mitigation: Mitigation,
-) -> (Cell, Option<ia_trace::TraceLog>) {
+) -> Result<(Cell, Option<ia_trace::TraceLog>), Error> {
     let reliability = ReliabilityConfig {
         mitigation,
         spare_rows_per_bank: 8,
@@ -168,12 +168,11 @@ fn cell(
         .build();
     let pipeline = ReliabilityPipeline::with_hook(reliability, Box::new(injector), rows);
     let ctrl = base.with_reliability(pipeline);
-    let mut report = run_closed_loop_with(ctrl, trace, 4, 50_000_000)
-        // lint: allow(P001, the trace is non-empty by construction)
-        .expect("run completes");
+    let mut report = run_closed_loop_with(ctrl, trace, 4, 50_000_000)?;
     let log = report.trace.take();
-    // lint: allow(P001, with_reliability attached a pipeline two statements up)
-    let rel = report.reliability.expect("pipeline attached");
+    let rel = report
+        .reliability
+        .ok_or("the run reported no reliability pipeline")?;
     let cell = Cell {
         rate,
         mitigation,
@@ -185,20 +184,13 @@ fn cell(
         quarantines: rel.stats.quarantines,
         escalated_refreshes: rel.stats.escalated_refreshes,
     };
-    (cell, log)
+    Ok((cell, log))
 }
 
 /// Runs the full sweep. Cells are independent simulations; `par_map`
 /// returns them in input order, so results — and any submitted traces —
-/// are identical at any thread count. Memoized: `run` and `report`
-/// share one sweep per process.
-#[must_use]
-pub fn cells(quick: bool) -> Vec<Cell> {
-    static CACHE: crate::report::OutcomeCache<Vec<Cell>> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_cells(quick))
-}
-
-fn compute_cells(quick: bool) -> Vec<Cell> {
+/// are identical at any thread count.
+fn cells(quick: bool) -> Result<Vec<Cell>, Error> {
     // Warm-fork: the DRAM config, the workload trace, and the base
     // controller (scheduler + refresh mode) are identical across every
     // cell — build and decode them once, snapshot the warm controller,
@@ -206,13 +198,12 @@ fn compute_cells(quick: bool) -> Vec<Cell> {
     // swept variable) is built per fork, so the reports stay
     // byte-identical to the build-everything-per-cell path.
     let config = DramConfig::ddr3_1600();
-    let base = MemoryController::new(config.clone(), Box::new(Fcfs::new()))
-        // lint: allow(P001, ddr3_1600 is a valid preset)
-        .expect("valid config")
+    let base = MemoryController::new(config.clone(), Box::new(Fcfs::new()))?
         .with_refresh_mode(RefreshMode::AllBank);
     // Routed through the record/replay session so `--record-trace` /
     // `--replay-trace` cover the fault-injection workload too.
-    let shared_trace = crate::replay::intercept(0xE24, || vec![trace(&config, quick)]);
+    let shared_trace =
+        crate::replay::intercept(0xE24, || Ok::<_, Error>(vec![trace(&config, quick)]))?;
     let jobs: Vec<(usize, f64, Mitigation, MemoryController)> = rates(quick)
         .iter()
         .enumerate()
@@ -223,7 +214,8 @@ fn compute_cells(quick: bool) -> Vec<Cell> {
         cell(ctrl, &config, &shared_trace, r, i, m)
     });
     runs.into_iter()
-        .map(|(cell, log)| {
+        .map(|run| {
+            let (cell, log) = run?;
             if let Some(log) = log {
                 ia_trace::submit(log.prefixed(&format!(
                     "{:.0}x-{}",
@@ -231,86 +223,26 @@ fn compute_cells(quick: bool) -> Vec<Cell> {
                     cell.mitigation.label()
                 )));
             }
-            cell
+            Ok(cell)
         })
         .collect()
 }
 
-/// Headline numbers at the highest swept rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// Uncorrected-read rate with no mitigation.
-    pub baseline_rate: f64,
-    /// Uncorrected-read rate with the full intelligent tier.
-    pub mitigated_rate: f64,
-}
-
-/// Extracts the headline comparison from sweep results.
-#[must_use]
-pub fn outcome(cells: &[Cell]) -> Outcome {
+/// The uncorrected-read rate of tier `m` at the highest swept rate.
+fn at_max_rate(cells: &[Cell], m: Mitigation) -> Result<f64, Error> {
     let max_rate = cells.iter().map(|c| c.rate).fold(0.0, f64::max);
-    let at = |m: Mitigation| {
-        cells
-            .iter()
-            .find(|c| c.rate == max_rate && c.mitigation == m)
-            // lint: allow(P001, the sweep crosses every rate with every tier)
-            .expect("cell present")
-            .uncorrected_rate
-    };
-    Outcome {
-        baseline_rate: at(Mitigation::None),
-        mitigated_rate: at(Mitigation::Full),
-    }
+    Ok(cells
+        .iter()
+        .find(|c| c.rate == max_rate && c.mitigation == m)
+        .ok_or("the sweep misses a tier at the highest rate")?
+        .uncorrected_rate)
 }
 
-/// Runs the experiment and renders the table.
-#[must_use]
-pub fn run(quick: bool) -> String {
-    let cells = cells(quick);
-    let mut table = Table::new(&[
-        "fault rate",
-        "mitigation",
-        "injected",
-        "corrected",
-        "uncorrected",
-        "uncorrected rate",
-        "remaps",
-        "quarantines",
-    ]);
-    for c in &cells {
-        table.row(&[
-            format!("{:.0}x", c.rate),
-            c.mitigation.label().to_owned(),
-            c.injected.to_string(),
-            c.corrected.to_string(),
-            c.uncorrected.to_string(),
-            pct(c.uncorrected_rate),
-            c.remaps.to_string(),
-            c.quarantines.to_string(),
-        ]);
-    }
-    let o = outcome(&cells);
-    format!(
-        "E24: fault injection vs. the mitigation ladder (retention + RowHammer + transients)\n\
-         (paper shape: intelligent mitigation holds uncorrected reads near zero where the\n\
-         unprotected baseline collapses)\n{table}\n\
-         headline: at the highest fault rate, ecc+remap+quarantine delivers {} uncorrected reads\n\
-         vs {} unprotected — {}\n",
-        pct(o.mitigated_rate),
-        pct(o.baseline_rate),
-        if o.mitigated_rate > 0.0 {
-            format!("a {:.0}x reduction", o.baseline_rate / o.mitigated_rate)
-        } else {
-            "every uncorrected read eliminated".to_string()
-        },
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let cells = cells(quick);
-    let mut rep = crate::report::ExperimentReport::new("exp24_fault_injection", quick)
+/// Runs the fault-rate × mitigation-tier sweep; the headline compares
+/// the unprotected and the full tier at the highest fault rate.
+pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+    let cells = cells(quick)?;
+    let mut rep = ExperimentReport::new("exp24_fault_injection", quick)
         .param("rates", format!("{:?}", rates(quick)))
         .param("hammer_threshold", HAMMER_THRESHOLD)
         .param("quarantine_threshold", QUARANTINE_THRESHOLD)
@@ -354,9 +286,25 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
                 c.escalated_refreshes.to_string(),
             ]);
     }
-    let o = outcome(&cells);
-    rep.metric("baseline_uncorrected_rate", o.baseline_rate)
-        .metric("mitigated_uncorrected_rate", o.mitigated_rate)
+    let baseline = at_max_rate(&cells, Mitigation::None)?;
+    let mitigated = at_max_rate(&cells, Mitigation::Full)?;
+    Ok(rep
+        .metric("baseline_uncorrected_rate", baseline)
+        .metric("mitigated_uncorrected_rate", mitigated)
+        .caption(format!(
+            "E24: fault injection vs. the mitigation ladder (retention + RowHammer + transients)\n\
+             (paper shape: intelligent mitigation holds uncorrected reads near zero where the\n\
+             unprotected baseline collapses)\n\
+             headline: at the highest fault rate, ecc+remap+quarantine holds the uncorrected rate \
+             to {} vs {} unprotected — {}",
+            pct(mitigated),
+            pct(baseline),
+            if mitigated > 0.0 {
+                format!("a {:.0}x reduction", baseline / mitigated)
+            } else {
+                "every uncorrected read eliminated".to_string()
+            },
+        )))
 }
 
 #[cfg(test)]
@@ -365,38 +313,31 @@ mod tests {
 
     #[test]
     fn intelligent_mitigation_beats_baseline_by_10x() {
-        let o = outcome(&cells(true));
+        let rep = report(true).unwrap();
+        let baseline = rep.metric_value("baseline_uncorrected_rate").unwrap();
+        let mitigated = rep.metric_value("mitigated_uncorrected_rate").unwrap();
         assert!(
-            o.baseline_rate > 0.01,
-            "unprotected baseline should visibly collapse, got {:.4}",
-            o.baseline_rate
+            baseline > 0.01,
+            "unprotected baseline should visibly collapse, got {baseline:.4}"
         );
         assert!(
-            o.mitigated_rate <= o.baseline_rate / 10.0,
-            "full tier ({:.5}) must hold uncorrected reads to <= 1/10th of baseline ({:.5})",
-            o.mitigated_rate,
-            o.baseline_rate
+            mitigated <= baseline / 10.0,
+            "full tier ({mitigated:.5}) must hold uncorrected reads to <= 1/10th of baseline \
+             ({baseline:.5})"
         );
     }
 
     #[test]
     fn ladder_is_monotone_at_the_highest_rate() {
-        let cells = cells(true);
-        let max_rate = cells.iter().map(|c| c.rate).fold(0.0, f64::max);
-        let at = |m: Mitigation| {
-            cells
-                .iter()
-                .find(|c| c.rate == max_rate && c.mitigation == m)
-                .unwrap()
-                .uncorrected_rate
-        };
+        let cells = cells(true).unwrap();
+        let at = |m| at_max_rate(&cells, m).unwrap();
         assert!(at(Mitigation::EccOnly) < at(Mitigation::None));
         assert!(at(Mitigation::Full) <= at(Mitigation::EccOnly));
     }
 
     #[test]
     fn full_tier_actually_degrades_gracefully() {
-        let cells = cells(true);
+        let cells = cells(true).unwrap();
         let full: Vec<&Cell> = cells
             .iter()
             .filter(|c| c.mitigation == Mitigation::Full)
@@ -413,11 +354,10 @@ mod tests {
 
     #[test]
     fn report_carries_the_ladder() {
-        let rep = report(true);
+        let rep = report(true).unwrap();
         assert!(rep.metric_value("baseline_uncorrected_rate").is_some());
         assert!(rep.metric_value("mitigated_uncorrected_rate").is_some());
         assert_eq!(rep.rows.len(), rates(true).len() * TIERS.len());
-        let s = run(true);
-        assert!(s.contains("ecc+remap+quarantine"));
+        assert!(rep.to_text().contains("ecc+remap+quarantine"));
     }
 }

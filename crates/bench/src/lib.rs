@@ -1,15 +1,16 @@
 //! # ia-bench — experiment harness
 //!
-//! One module per experiment in DESIGN.md's index (E1–E16). Each module
-//! exposes `run(quick) -> String`, producing the table/series recorded in
-//! `EXPERIMENTS.md`, plus `report(quick) -> ExperimentReport` with the
-//! same results in machine-readable form. The `expNN_*` binaries route
-//! both through [`report::cli`] (`--quick`, `--threads <n>`,
-//! `--json <path>`, `--csv <path>`), and the integration tests assert
-//! the qualitative shape on `run(true)`. Independent-configuration
-//! sweeps fan out on the `ia-par` worker pool; reports are
-//! byte-identical at every `--threads` setting (see
-//! `tests/parallel_determinism.rs`).
+//! One module per experiment in DESIGN.md's index (E1–E24). Each module
+//! exposes one entry point, `report(quick) -> Result<ExperimentReport,
+//! Error>`, that runs the experiment once and returns its params,
+//! metrics, result table and caption; the table is the one recorded in
+//! `EXPERIMENTS.md`. [`EXPERIMENTS`] maps every binary name to its
+//! report function. The `expNN_*` binaries route it through
+//! [`report::cli`] (`--quick`, `--threads <n>`, `--json <path>`,
+//! `--csv <path>`), and the integration tests assert the qualitative
+//! shape on `report(true)`. Independent-configuration sweeps fan out on
+//! the `ia-par` worker pool; reports are byte-identical at every
+//! `--threads` setting (see `tests/parallel_determinism.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +44,35 @@ pub mod fuzz;
 pub mod mixes;
 pub mod replay;
 pub mod report;
+
+/// Every experiment, keyed by its standalone binary name (the names
+/// `scripts/bench_snapshot.sh` derives from `crates/bench/src/bin/exp*.rs`).
+pub const EXPERIMENTS: [(&str, report::ReportFn); 24] = [
+    ("exp01_data_movement_energy", exp01_data_movement::report),
+    ("exp02_rowclone", exp02_rowclone::report),
+    ("exp03_ambit_bitwise", exp03_ambit::report),
+    ("exp04_rl_memctrl", exp04_rl_memctrl::report),
+    ("exp05_scheduler_suite", exp05_scheduler_suite::report),
+    ("exp06_raidr", exp06_raidr::report),
+    ("exp07_bdi", exp07_bdi::report),
+    ("exp08_pnm_graph", exp08_pnm_graph::report),
+    ("exp09_pointer_chase", exp09_pointer_chase::report),
+    ("exp10_rowhammer", exp10_rowhammer::report),
+    ("exp11_grim_filter", exp11_grim_filter::report),
+    ("exp12_xmem", exp12_xmem::report),
+    ("exp13_low_latency_dram", exp13_low_latency_dram::report),
+    ("exp14_hybrid_memory", exp14_hybrid_memory::report),
+    ("exp15_perceptron", exp15_perceptron::report),
+    ("exp16_principles_ablation", exp16_ablation::report),
+    ("exp17_prefetchers", exp17_prefetchers::report),
+    ("exp18_noc", exp18_noc::report),
+    ("exp19_salp", exp19_salp::report),
+    ("exp20_eden", exp20_eden::report),
+    ("exp21_memscale", exp21_memscale::report),
+    ("exp22_runahead", exp22_runahead::report),
+    ("exp23_gsdram", exp23_gsdram::report),
+    ("exp24_fault_injection", exp24_fault_injection::report),
+];
 
 /// Formats a ratio as `N.NNx`.
 #[must_use]

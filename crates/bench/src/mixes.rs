@@ -5,6 +5,8 @@ use ia_workloads::{Op, PointerChaseGen, RandomGen, StreamGen, TraceGenerator, Zi
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::report::Error;
+
 /// Converts workload trace requests into controller requests.
 #[must_use]
 pub fn to_mem_requests(trace: &[ia_workloads::TraceRequest], thread: usize) -> Vec<MemRequest> {
@@ -21,31 +23,28 @@ pub fn to_mem_requests(trace: &[ia_workloads::TraceRequest], thread: usize) -> V
 /// a row-hit-friendly stream, a bank-hammering random thread, a hot-set
 /// zipf thread, and a dependent pointer chaser — the workload archetypes
 /// of the scheduling papers. `per_thread` requests each.
-#[must_use]
-pub fn interference_mix(per_thread: usize, seed: u64) -> Vec<Vec<MemRequest>> {
+///
+/// # Errors
+///
+/// A generator rejects its parameters.
+pub fn interference_mix(per_thread: usize, seed: u64) -> Result<Vec<Vec<MemRequest>>, Error> {
     // Routed through the record/replay session (the CLI's
     // `--record-trace` / `--replay-trace`); pass-through when off.
     crate::replay::intercept(seed, || {
         let mut rng = SmallRng::seed_from_u64(seed);
         // Disjoint 64 MiB regions per thread.
         let region = 64 << 20;
-        let stream = StreamGen::new(0, 64, 1 << 20, 0.1)
-            .expect("static")
-            .generate(per_thread, &mut rng);
-        let random = RandomGen::new(region, 32 << 20, 64, 0.3)
-            .expect("static")
-            .generate(per_thread, &mut rng);
-        let zipf = ZipfGen::new(2 * region, 4096, 4096, 1.2, 0.2)
-            .expect("static")
-            .generate(per_thread, &mut rng);
-        let mut chase = PointerChaseGen::new(3 * region, 64 * 1024, 64, &mut rng).expect("static");
+        let stream = StreamGen::new(0, 64, 1 << 20, 0.1)?.generate(per_thread, &mut rng);
+        let random = RandomGen::new(region, 32 << 20, 64, 0.3)?.generate(per_thread, &mut rng);
+        let zipf = ZipfGen::new(2 * region, 4096, 4096, 1.2, 0.2)?.generate(per_thread, &mut rng);
+        let mut chase = PointerChaseGen::new(3 * region, 64 * 1024, 64, &mut rng)?;
         let chase = chase.generate(per_thread, &mut rng);
-        vec![
+        Ok(vec![
             to_mem_requests(&stream, 0),
             to_mem_requests(&random, 1),
             to_mem_requests(&zipf, 2),
             to_mem_requests(&chase, 3),
-        ]
+        ])
     })
 }
 
@@ -55,7 +54,7 @@ mod tests {
 
     #[test]
     fn mix_has_four_threads_with_disjoint_regions() {
-        let mix = interference_mix(100, 1);
+        let mix = interference_mix(100, 1).unwrap();
         assert_eq!(mix.len(), 4);
         for (t, trace) in mix.iter().enumerate() {
             assert_eq!(trace.len(), 100);

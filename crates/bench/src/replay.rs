@@ -98,25 +98,32 @@ pub fn start_replay(path: &str) -> Result<(), TraceError> {
 
 /// The interception point, called by every workload-construction site:
 /// returns `make()` when the session is off or recording (capturing a
-/// copy in the latter case), or the next recorded segment when
-/// replaying.
-pub fn intercept(seed: u64, make: impl FnOnce() -> Vec<Vec<MemRequest>>) -> Vec<Vec<MemRequest>> {
+/// copy of a successful workload in the latter case), or the next
+/// recorded segment when replaying.
+///
+/// # Errors
+///
+/// Whatever `make` returns when it has to generate the workload.
+pub fn intercept<E>(
+    seed: u64,
+    make: impl FnOnce() -> Result<Vec<Vec<MemRequest>>, E>,
+) -> Result<Vec<Vec<MemRequest>>, E> {
     match MODE.load(Ordering::Acquire) {
         RECORD => {
-            let workload = make();
+            let workload = make()?;
             let mut s = state();
             if s.recorded.is_empty() {
                 s.first_seed = seed;
             }
             s.recorded.push(workload.clone());
-            workload
+            Ok(workload)
         }
         REPLAY => {
             let mut s = state();
             if let Some(segment) = s.segments.get(s.next) {
                 let segment = segment.clone();
                 s.next += 1;
-                segment
+                Ok(segment)
             } else {
                 drop(s);
                 eprintln!(
@@ -165,13 +172,16 @@ mod tests {
             vec![MemRequest::read(0x2000, 1)],
         ];
         let seg_b = vec![vec![MemRequest::write(0x4000, 0)]];
+        let intercept = |seed, make: &dyn Fn() -> Vec<Vec<MemRequest>>| {
+            intercept(seed, || Ok::<_, ()>(make())).unwrap()
+        };
 
         // Off: intercept is pass-through.
-        assert_eq!(intercept(1, || seg_a.clone()), seg_a);
+        assert_eq!(intercept(1, &|| seg_a.clone()), seg_a);
 
         start_record();
-        assert_eq!(intercept(0xAA, || seg_a.clone()), seg_a);
-        assert_eq!(intercept(0xBB, || seg_b.clone()), seg_b);
+        assert_eq!(intercept(0xAA, &|| seg_a.clone()), seg_a);
+        assert_eq!(intercept(0xBB, &|| seg_b.clone()), seg_b);
         finish_record(path).unwrap();
 
         let reader = TraceReader::from_path(path).unwrap();
@@ -183,10 +193,10 @@ mod tests {
             Some(path.to_owned())
         );
         // Replay ignores the generator entirely.
-        assert_eq!(intercept(0xAA, || unreachable!()), seg_a);
-        assert_eq!(intercept(0xBB, || unreachable!()), seg_b);
+        assert_eq!(intercept(0xAA, &|| unreachable!()), seg_a);
+        assert_eq!(intercept(0xBB, &|| unreachable!()), seg_b);
         // Exhausted: falls back to generating.
-        assert_eq!(intercept(0xCC, || seg_b.clone()), seg_b);
+        assert_eq!(intercept(0xCC, &|| seg_b.clone()), seg_b);
 
         // Disarm and clean up the global state for other tests.
         MODE.store(OFF, Ordering::Release);

@@ -1,15 +1,17 @@
 //! Machine-readable experiment reports and the shared CLI runner.
 //!
-//! Every experiment module exposes `report(quick) -> ExperimentReport`
-//! next to its human-facing `run(quick) -> String`. The `expNN_*`
-//! binaries route both through [`cli`], which understands:
+//! Every experiment module exposes one entry point,
+//! `report(quick) -> Result<ExperimentReport, Error>`: the run's params,
+//! metrics and result table, plus a human caption. The `expNN_*`
+//! binaries route it through [`cli`], which prints
+//! [`ExperimentReport::to_text`] and understands:
 //!
 //! * `--quick` — run the reduced-size configuration;
 //! * `--threads <n>` — worker count for parallel sweeps (`ia-par`);
 //!   `1` is the exact serial path, the default is the host's available
 //!   parallelism;
 //! * `--json <path>` — write the report as JSON;
-//! * `--csv <path>` — write the report's table (or metrics) as CSV;
+//! * `--csv <path>` — write the report's table as CSV;
 //! * `--trace <path>` — write an `ia-trace` Chrome trace-event JSON
 //!   file of the run (cycle-exact, byte-identical across `--threads`);
 //! * `--record-trace <path>` — record the run's generated workloads as
@@ -35,60 +37,17 @@
 //! numbers — `par_threads`, `par_tasks`, `par_imbalance` — therefore
 //! live in a separate [`runtime`](ExperimentReport::runtime) section
 //! that is *excluded* from the JSON/CSV emitters and printed to stderr
-//! instead.
-
-use std::sync::OnceLock;
+//! instead. The report's `caption` is text for people and stays out of
+//! JSON/CSV too.
 
 use ia_telemetry::{csv, JsonValue};
 
-/// Process-wide memo of an experiment's expensive computation, keyed by
-/// the `--quick` flag.
-///
-/// [`cli`] renders the human-readable run *and* (under `--json`/`--csv`)
-/// the machine-readable report in one invocation, and both call the same
-/// underlying computation; without the memo each binary simulated its
-/// entire workload twice. Experiment results are deterministic by
-/// construction — that is exactly what `BENCH_PR.json`'s byte-identity
-/// gate asserts — so caching the first computation is invisible
-/// everywhere except wall-clock.
-///
-/// Usage, inside an experiment module:
-///
-/// ```ignore
-/// pub fn rows(quick: bool) -> Vec<Row> {
-///     static CACHE: OutcomeCache<Vec<Row>> = OutcomeCache::new();
-///     CACHE.get_or_compute(quick, || compute_rows(quick))
-/// }
-/// ```
-#[derive(Debug)]
-pub struct OutcomeCache<T> {
-    quick: OnceLock<T>,
-    full: OnceLock<T>,
-}
+/// The error an experiment's report returns: whatever failed in the
+/// crates it drives, boxed.
+pub type Error = Box<dyn std::error::Error + Send + Sync>;
 
-impl<T: Clone> OutcomeCache<T> {
-    /// Creates an empty cache (usable in `static` position).
-    #[must_use]
-    pub const fn new() -> Self {
-        OutcomeCache {
-            quick: OnceLock::new(),
-            full: OnceLock::new(),
-        }
-    }
-
-    /// Returns the value for `quick`, running `compute` only on the
-    /// first call with that flag.
-    pub fn get_or_compute(&self, quick: bool, compute: impl FnOnce() -> T) -> T {
-        let slot = if quick { &self.quick } else { &self.full };
-        slot.get_or_init(compute).clone()
-    }
-}
-
-impl<T: Clone> Default for OutcomeCache<T> {
-    fn default() -> Self {
-        OutcomeCache::new()
-    }
-}
+/// One experiment's single entry point, parameterized by `--quick`.
+pub type ReportFn = fn(bool) -> Result<ExperimentReport, Error>;
 
 /// A structured record of one experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +62,9 @@ pub struct ExperimentReport {
     pub headers: Vec<String>,
     /// Result-table rows, one `Vec` of cells per row.
     pub rows: Vec<Vec<String>>,
+    /// Human caption printed above the table: the paper claim, the
+    /// headline line, and any side table. Excluded from JSON/CSV.
+    pub caption: String,
     /// Runtime-only diagnostics (`par_threads`, `par_imbalance`, …):
     /// wall-clock derived and nondeterministic, so excluded from
     /// [`to_json`](ExperimentReport::to_json) /
@@ -120,8 +82,16 @@ impl ExperimentReport {
             metrics: Vec::new(),
             headers: Vec::new(),
             rows: Vec::new(),
+            caption: String::new(),
             runtime: Vec::new(),
         }
+    }
+
+    /// Sets the human caption (chainable).
+    #[must_use]
+    pub fn caption(mut self, text: impl Into<String>) -> Self {
+        self.caption = text.into();
+        self
     }
 
     /// Adds a run parameter (chainable).
@@ -267,27 +237,29 @@ impl ExperimentReport {
             metrics,
             headers,
             rows,
-            // Runtime diagnostics are never serialized, so a parsed
-            // report always comes back without them.
+            // Caption and runtime diagnostics are never serialized, so a
+            // parsed report always comes back without them.
+            caption: String::new(),
             runtime: Vec::new(),
         })
     }
 
-    /// Renders the report as CSV: the result table when one is present,
-    /// otherwise the metrics as `metric,value` lines.
+    /// Renders the report for people: the caption, then the result
+    /// table.
+    #[must_use]
+    pub fn to_text(&self) -> String {
+        let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
+        let mut table = ia_core::Table::new(&headers);
+        for row in &self.rows {
+            table.row(row);
+        }
+        format!("{}\n{table}\n", self.caption)
+    }
+
+    /// Renders the report's result table as CSV.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        if self.headers.is_empty() {
-            let headers = ["metric".to_owned(), "value".to_owned()];
-            let rows: Vec<Vec<String>> = self
-                .metrics
-                .iter()
-                .map(|(k, v)| vec![k.clone(), format!("{v}")])
-                .collect();
-            csv::render(&headers, &rows)
-        } else {
-            csv::render(&self.headers, &self.rows)
-        }
+        csv::render(&self.headers, &self.rows)
     }
 }
 
@@ -351,19 +323,19 @@ fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
     Ok(opts)
 }
 
-/// Shared experiment-binary entry point: prints the human-readable run
-/// and, when `--json <path>` / `--csv <path>` are given, writes the
-/// machine-readable report. `--quick` selects the reduced configuration
-/// for both; `--threads <n>` sets the `ia-par` worker count for the
-/// whole process (`1` = the exact serial path, default = available
-/// parallelism). `--trace <path>` records an `ia-trace` session during
-/// the run and writes it as Chrome trace-event JSON; `--profile`
-/// additionally prints the cycle-attribution profile to stderr.
-/// `--record-trace <path>` captures the run's workloads as an
-/// `ia-tracefmt` artifact and `--replay-trace <path>` drives the run
-/// from one (mutually exclusive — rejected with exit status `2`).
-/// Parallel-execution diagnostics for the invocation are printed to
-/// stderr and attached to the report as
+/// Shared experiment-binary entry point: runs `report` once, prints
+/// its [text](ExperimentReport::to_text) and, when `--json <path>` /
+/// `--csv <path>` are given, writes the machine-readable report.
+/// `--quick` selects the reduced configuration; `--threads <n>` sets
+/// the `ia-par` worker count for the whole process (`1` = the exact
+/// serial path, default = available parallelism). `--trace <path>`
+/// records an `ia-trace` session during the run and writes it as
+/// Chrome trace-event JSON; `--profile` additionally prints the
+/// cycle-attribution profile to stderr. `--record-trace <path>`
+/// captures the run's workloads as an `ia-tracefmt` artifact and
+/// `--replay-trace <path>` drives the run from one (mutually exclusive
+/// — rejected with exit status `2`). Parallel-execution diagnostics for
+/// the invocation are printed to stderr and attached to the report as
 /// [runtime metrics](ExperimentReport::runtime_metric).
 ///
 /// # Exits
@@ -372,8 +344,9 @@ fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
 /// an argument is not recognized, `--threads` is not a positive
 /// integer, or a requested output file cannot be written — an
 /// experiment binary has nothing sensible to do with any of those, and
-/// callers (CI, sweep scripts) key off the exit code.
-pub fn cli(run: impl FnOnce(bool) -> String, report: impl FnOnce(bool) -> ExperimentReport) {
+/// callers (CI, sweep scripts) key off the exit code. Exits with status
+/// `1` after `error: <experiment>: <cause>` if the experiment fails.
+pub fn cli(report: ReportFn) {
     let args: Vec<String> = std::env::args().collect();
     let opts = parse_cli(&args).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
@@ -405,18 +378,19 @@ pub fn cli(run: impl FnOnce(bool) -> String, report: impl FnOnce(bool) -> Experi
         let _ = ia_trace::session::take();
         ia_trace::set_capture(true);
     }
-    print!("{}", run(opts.quick));
+    let rep = report(opts.quick).unwrap_or_else(|e| {
+        let bin = std::path::Path::new(args.first().map_or("", String::as_str));
+        let name = bin.file_stem().unwrap_or_default().to_string_lossy();
+        eprintln!("error: {name}: {e}");
+        std::process::exit(1);
+    });
     if let Some(path) = &opts.record_trace {
-        // Workload construction happens inside `run` (and is memoized
-        // across `report`), so the session is complete here.
         if let Err(e) = crate::replay::finish_record(path) {
             eprintln!("error: writing recorded trace {path}: {e}");
             std::process::exit(2);
         }
     }
     if tracing {
-        // Capture must be off before `report(quick)` re-runs the
-        // experiment below, or the session would hold everything twice.
         ia_trace::set_capture(false);
         let log = ia_trace::session::take();
         if let Some(path) = &opts.trace {
@@ -426,11 +400,8 @@ pub fn cli(run: impl FnOnce(bool) -> String, report: impl FnOnce(bool) -> Experi
             eprint!("{}", profile_text(&log));
         }
     }
-    if opts.json.is_none() && opts.csv.is_none() {
-        eprintln!("{}", par_diagnostics_line());
-        return;
-    }
-    let rep = attach_par_diagnostics(report(opts.quick));
+    let rep = attach_par_diagnostics(rep);
+    print!("{}", rep.to_text());
     eprintln!("{}", par_diagnostics_from(&rep));
     if let Some(path) = opts.json {
         let mut text = rep.to_json().render();
@@ -504,11 +475,6 @@ fn par_diagnostics_from(rep: &ExperimentReport) -> String {
     )
 }
 
-/// Diagnostics line for runs that never built a report.
-fn par_diagnostics_line() -> String {
-    par_diagnostics_from(&attach_par_diagnostics(ExperimentReport::new("", false)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,27 +508,40 @@ mod tests {
     }
 
     #[test]
-    fn csv_uses_table_when_present_and_metrics_otherwise() {
-        let with_table = sample().to_csv();
-        assert!(with_table.starts_with("size,speedup"));
-        let metrics_only = ExperimentReport::new("m", false).metric("x", 1.5).to_csv();
-        assert!(metrics_only.contains("metric,value"));
-        assert!(metrics_only.contains("x,1.5"));
+    fn csv_renders_the_table() {
+        assert!(sample().to_csv().starts_with("size,speedup"));
     }
 
     #[test]
-    fn runtime_metrics_stay_out_of_json_and_csv() {
+    fn runtime_metrics_and_caption_stay_out_of_json_and_csv() {
         let rep = sample()
+            .caption("E99: sample caption")
             .runtime_metric("par_threads", 4.0)
             .runtime_metric("par_imbalance", 1.31);
         let json = rep.to_json().render();
         assert!(!json.contains("par_threads"), "runtime leaked into JSON");
+        assert!(!json.contains("E99"), "caption leaked into JSON");
         assert!(!rep.to_csv().contains("par_imbalance"));
+        assert!(!rep.to_csv().contains("E99"));
         let parsed = JsonValue::parse(&json).unwrap();
         let back = ExperimentReport::from_json(&parsed).unwrap();
-        assert!(back.runtime.is_empty());
+        assert!(back.runtime.is_empty() && back.caption.is_empty());
         // Byte-identity: the canonical output ignores runtime entirely.
         assert_eq!(json, sample().to_json().render());
+    }
+
+    #[test]
+    fn text_is_the_caption_then_the_table() {
+        let text = sample().caption("E99: sample\nheadline: 11.6x").to_text();
+        assert_eq!(
+            text,
+            "E99: sample\nheadline: 11.6x\n\
+             +-------+---------+\n\
+             | size  | speedup |\n\
+             +-------+---------+\n\
+             | 4 KiB | 11.6x   |\n\
+             +-------+---------+\n"
+        );
     }
 
     fn argv(parts: &[&str]) -> Vec<String> {

@@ -9,7 +9,7 @@ use ia_telemetry::JsonValue;
 
 #[test]
 fn exp02_report_round_trips_through_json_on_disk() {
-    let rep = ia_bench::exp02_rowclone::report(true);
+    let rep = ia_bench::exp02_rowclone::report(true).expect("exp02 runs");
 
     // Write exactly what the binary's `--json <path>` flag writes.
     let mut text = rep.to_json().render();
@@ -22,7 +22,9 @@ fn exp02_report_round_trips_through_json_on_disk() {
     let back = ExperimentReport::from_json(&parsed).expect("well-formed report");
     std::fs::remove_file(&path).ok();
 
-    assert_eq!(back, rep);
+    // The caption is for people and stays out of the JSON.
+    assert!(!rep.caption.is_empty());
+    assert_eq!(back, rep.clone().caption(""));
     assert_eq!(back.name, "exp02_rowclone");
     assert!(back
         .params
@@ -41,14 +43,33 @@ fn exp02_report_round_trips_through_json_on_disk() {
 
 #[test]
 fn every_experiment_report_names_itself_and_records_quick() {
-    // Cheap sanity on the two smallest reports: names match modules and
-    // the quick param is recorded, so BENCH_PR.json entries are
-    // self-describing.
-    let raidr = ia_bench::exp06_raidr::report(true);
-    assert_eq!(raidr.name, "exp06_raidr");
-    assert!(raidr.metric_value("refresh_reduction").is_some());
+    // Names match their binaries' experiment number, the quick param is
+    // recorded and every report carries its table, so BENCH_PR.json
+    // entries are self-describing.
+    for (bin, report) in ia_bench::EXPERIMENTS {
+        let rep = report(true).unwrap_or_else(|e| panic!("{bin}: {e}"));
+        assert_eq!(rep.name[..6], bin[..6], "{bin} reports as {}", rep.name);
+        assert!(
+            rep.params
+                .contains(&("quick".to_owned(), "true".to_owned())),
+            "{bin}"
+        );
+        assert!(!rep.headers.is_empty() && !rep.rows.is_empty(), "{bin}");
+        assert!(!rep.metrics.is_empty(), "{bin}");
+    }
+}
 
-    let pnm = ia_bench::exp08_pnm_graph::report(true);
-    assert_eq!(pnm.name, "exp08_pnm_graph");
-    assert!(!pnm.rows.is_empty(), "sweep reports carry their table");
+#[test]
+fn registry_lists_exactly_the_experiment_binaries() {
+    // bench_snapshot.sh derives the snapshot's entries from this glob.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+    let mut bins: Vec<String> = std::fs::read_dir(dir)
+        .expect("bin dir readable")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|f| f.starts_with("exp") && f.ends_with(".rs"))
+        .map(|f| f.trim_end_matches(".rs").to_owned())
+        .collect();
+    bins.sort();
+    let registry: Vec<&str> = ia_bench::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    assert_eq!(bins, registry);
 }

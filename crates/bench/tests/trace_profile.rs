@@ -15,7 +15,7 @@ fn captured_exp05() -> (
 ) {
     let _ = ia_trace::session::take();
     ia_trace::set_capture(true);
-    let rows = ia_bench::exp05_scheduler_suite::rows(true);
+    let rows = ia_bench::exp05_scheduler_suite::rows(true).expect("exp05 runs");
     ia_trace::set_capture(false);
     (rows, ia_trace::session::take())
 }

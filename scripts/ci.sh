@@ -53,8 +53,15 @@ mv "$wall.tmp" "$wall"
 echo "== cargo test"
 cargo test -q --workspace
 
-echo "== parallel determinism (--threads 1 vs --threads 4 byte-identity)"
+echo "== parallel determinism (all 24 reports at --threads 1/2/4, traces at 1/4)"
 cargo test -q --test parallel_determinism
+echo "== parallel determinism, one test at a time"
+cargo test -q --test parallel_determinism -- --test-threads 1
+echo "== parallel determinism, each test alone (green in any order)"
+for t in $(cargo test -q --test parallel_determinism -- --list 2>/dev/null \
+        | sed -n 's/: test$//p'); do
+    cargo test -q --test parallel_determinism -- --exact "$t"
+done
 
 echo "== --threads 2 smoke run (exercises the multi-worker pool on any host)"
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- --quick --threads 2 > /dev/null
@@ -119,7 +126,8 @@ cargo test -q -p ia-memctrl --test snapshot_fork
 fork_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir"' EXIT
 # The warm-forked exp05 must emit byte-identical reports on back-to-back
-# runs (fork determinism is what makes the sweep's memoization sound).
+# runs: every sweep cell forks one warm controller, so a fork must behave
+# exactly like a cold-built one.
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
     --quick --json "$fork_dir/a.json" > /dev/null
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \

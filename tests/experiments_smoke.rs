@@ -1,39 +1,84 @@
-//! Smoke tests for the experiment harness: every experiment's quick mode
-//! must produce its table. The quantitative shape assertions live in each
-//! experiment module's own tests; these guard the binary entry points.
+//! Smoke tests for the experiment harness: every entry of
+//! `ia_bench::EXPERIMENTS` must render its caption and table in quick
+//! mode, with the marker text below. A missing marker means content was
+//! lost. The quantitative shape assertions live in each experiment
+//! module's own tests.
+
+/// One marker per registry entry, in registry order.
+const MARKERS: [&str; 24] = [
+    "movement share",
+    "FPM",
+    "geomean",
+    "RL",
+    "max slowdown",
+    "refresh reduction",
+    "compression ratio",
+    "vaults",
+    "streams",
+    "HC_first",
+    "eliminated",
+    "retention",
+    "ChargeCache",
+    "RBLA",
+    "perceptron",
+    "baseline",
+    "coverage",
+    "deflections",
+    "SALP",
+    "refresh savings",
+    "energy saved",
+    "runahead",
+    "traffic cut",
+    "uncorrected rate",
+];
+
+fn renders(index: usize) {
+    let (name, report) = ia_bench::EXPERIMENTS[index];
+    let out = report(true)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .to_text();
+    let marker = MARKERS[index];
+    assert!(
+        out.contains(marker),
+        "{name}: missing `{marker}` in:\n{out}"
+    );
+    assert!(out.lines().count() >= 5, "{name}: table too short:\n{out}");
+}
 
 macro_rules! smoke {
-    ($name:ident, $module:ident, $marker:literal) => {
-        #[test]
-        fn $name() {
-            let out = ia_bench::$module::run(true);
-            assert!(out.contains($marker), "missing `{}` in:\n{out}", $marker);
-            assert!(out.lines().count() >= 5, "table too short:\n{out}");
-        }
+    ($($name:ident => $index:expr),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                renders($index);
+            }
+        )*
     };
 }
 
-smoke!(e01_renders, exp01_data_movement, "movement share");
-smoke!(e02_renders, exp02_rowclone, "FPM");
-smoke!(e03_renders, exp03_ambit, "geomean");
-smoke!(e04_renders, exp04_rl_memctrl, "RL");
-smoke!(e05_renders, exp05_scheduler_suite, "max slowdown");
-smoke!(e06_renders, exp06_raidr, "refresh reduction");
-smoke!(e07_renders, exp07_bdi, "compression ratio");
-smoke!(e08_renders, exp08_pnm_graph, "vaults");
-smoke!(e09_renders, exp09_pointer_chase, "streams");
-smoke!(e10_renders, exp10_rowhammer, "HC_first");
-smoke!(e11_renders, exp11_grim_filter, "eliminated");
-smoke!(e12_renders, exp12_xmem, "retention");
-smoke!(e13_renders, exp13_low_latency_dram, "ChargeCache");
-smoke!(e14_renders, exp14_hybrid_memory, "RBLA");
-smoke!(e15_renders, exp15_perceptron, "perceptron");
-smoke!(e16_renders, exp16_ablation, "baseline");
-smoke!(e17_renders, exp17_prefetchers, "coverage");
-smoke!(e18_renders, exp18_noc, "deflections");
-smoke!(e19_renders, exp19_salp, "SALP");
-smoke!(e20_renders, exp20_eden, "refresh savings");
-smoke!(e21_renders, exp21_memscale, "energy saved");
-smoke!(e22_renders, exp22_runahead, "runahead");
-smoke!(e23_renders, exp23_gsdram, "traffic cut");
-smoke!(e24_renders, exp24_fault_injection, "uncorrected rate");
+smoke!(
+    e01_renders => 0,
+    e02_renders => 1,
+    e03_renders => 2,
+    e04_renders => 3,
+    e05_renders => 4,
+    e06_renders => 5,
+    e07_renders => 6,
+    e08_renders => 7,
+    e09_renders => 8,
+    e10_renders => 9,
+    e11_renders => 10,
+    e12_renders => 11,
+    e13_renders => 12,
+    e14_renders => 13,
+    e15_renders => 14,
+    e16_renders => 15,
+    e17_renders => 16,
+    e18_renders => 17,
+    e19_renders => 18,
+    e20_renders => 19,
+    e21_renders => 20,
+    e22_renders => 21,
+    e23_renders => 22,
+    e24_renders => 23,
+);
