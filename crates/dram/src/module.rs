@@ -285,10 +285,9 @@ impl DramModule {
     }
 
     /// Earliest cycle at which *the next command needed* to serve an
-    /// access to `loc` becomes issuable. This is the per-request
-    /// next-event hint the simulation engine aggregates over the request
-    /// queue: while the controller sits idle, no queued request can make
-    /// progress before the minimum of these.
+    /// access to `loc` becomes issuable — the controller's wake-up
+    /// bound for an in-order policy, which serves only the oldest
+    /// queued request.
     #[must_use]
     pub fn next_ready_for(&self, loc: &Location, kind: AccessKind) -> Cycle {
         self.ready_at(loc, &self.next_needed(loc, kind))

@@ -238,17 +238,6 @@ pub struct MemoryController {
     /// point costs one branch.
     tracer: Tracer,
     reliability: Option<ReliabilityPipeline>,
-    /// True when the last tick was provably idle (nothing retired, issued,
-    /// or refreshed) and nothing has been enqueued since. Gates the full
-    /// timing scan in `next_event_at`: while work is flowing, the next
-    /// event is simply "now", and computing anything more precise costs
-    /// more than it saves.
-    quiet: bool,
-    /// True when the most recent tick validated the queue's per-bank
-    /// tags (i.e. built a non-[`ViewMode::Skip`] view). Gates the
-    /// O(occupied-banks) timing bound in `next_event_at`; Skip-mode
-    /// schedulers fall back to the per-request scan.
-    tags_current: bool,
 }
 
 impl MemoryController {
@@ -279,8 +268,6 @@ impl MemoryController {
             trace: TraceBuffer::disabled(),
             tracer: Tracer::disabled(),
             reliability: None,
-            quiet: false,
-            tags_current: false,
         })
     }
 
@@ -451,7 +438,6 @@ impl MemoryController {
             },
             &self.dram,
         );
-        self.quiet = false;
         Ok(request.id)
     }
 
@@ -522,8 +508,12 @@ impl MemoryController {
         let mode = self.scheduler.view_mode();
         self.queue
             .build_view(&self.dram, self.now, mode, &mut self.view);
-        self.tags_current = mode != ViewMode::Skip;
         if let Some(h) = self.scheduler.select(&self.queue, &self.view) {
+            // `next_event_at` wakes a Skip-mode policy only for the head.
+            debug_assert!(
+                mode != ViewMode::Skip || self.queue.head() == Some(h),
+                "a ViewMode::Skip policy must serve only the queue head"
+            );
             if let Some(&p) = self.queue.get(h) {
                 let cmd = self.dram.next_needed(&p.loc, p.request.kind);
                 if self.dram.ready_at(&p.loc, &cmd) <= self.now {
@@ -563,10 +553,6 @@ impl MemoryController {
         if !issued_this_cycle && !self.queue.is_empty() {
             self.sched_idle += 1;
         }
-        // A tick that retired nothing, refreshed nothing, and issued
-        // nothing cannot have moved any event earlier: the timing scan in
-        // `next_event_at` is now worth its cost.
-        self.quiet = !issued_this_cycle && !refresh_fired && kept == had_inflight;
 
         // Cycle attribution: classify this cycle into exactly one phase
         // (highest-priority activity wins) so the per-phase totals
@@ -687,62 +673,39 @@ impl Clocked for MemoryController {
         MemoryController::tick_into(self, sink);
     }
 
-    /// Earliest cycle at which anything observable can happen: an
-    /// in-flight burst retiring, a refresh slot falling due, or a queued
-    /// request's next DRAM command becoming issuable. While the
-    /// controller idles, all three sources are static, so skipping
-    /// straight to this cycle is exact.
+    /// Exact next cycle at which a tick can do anything observable: an
+    /// in-flight burst retiring, a refresh slot falling due, or the
+    /// scheduler's view holding a command that can issue
+    /// ([`RequestQueue::next_issue_at`], which applies the open-page rule
+    /// and, for a [`ViewMode::Skip`] policy, gates on the queue head
+    /// alone). Every tick before it retires, refreshes and issues
+    /// nothing, so skipping straight to it is exact — after any tick,
+    /// busy or idle, and after any enqueue. Each source returns `now`
+    /// as soon as it is already due.
     fn next_event_at(&self) -> Option<Cycle> {
-        let refresh_on = !matches!(self.refresh.mode, RefreshMode::Disabled);
-        if self.inflight.is_empty() && self.queue.is_empty() && !refresh_on {
-            return None;
-        }
-        // While work is flowing (last tick did something observable, or a
-        // request arrived since), "now" is the conservative-early answer
-        // the contract allows — the engine simply ticks again, exactly as
-        // a per-cycle loop would, and the full timing scan below is saved
-        // for genuinely idle stretches where it pays for the skip.
-        if !self.quiet {
-            return Some(self.now);
-        }
-        // The result is clamped to `now`, so any candidate at or before
-        // `now` ends the scan immediately.
+        let now = self.now;
         let mut next: Option<Cycle> = None;
         for (_, ready) in &self.inflight {
-            if *ready <= self.now {
-                return Some(self.now);
+            if *ready <= now {
+                return Some(now);
             }
             next = Some(next.map_or(*ready, |n| n.min(*ready)));
         }
-        if refresh_on {
+        if !matches!(self.refresh.mode, RefreshMode::Disabled) {
             let at = self.refresh.next_at;
-            if at <= self.now {
-                return Some(self.now);
+            if at <= now {
+                return Some(now);
             }
             next = Some(next.map_or(at, |n| n.min(at)));
         }
-        if self.tags_current {
-            // The queue's (bank, class) buckets are current — the quiet
-            // tick that got us here validated them against this exact
-            // DRAM state — and timing gates ignore row/column operands,
-            // so the per-request minimum collapses to one bound per
-            // occupied bank class: identical value, O(occupied banks).
-            if let Some(at) = self.queue.next_ready_min(&self.dram) {
-                if at <= self.now {
-                    return Some(self.now);
-                }
-                next = Some(next.map_or(at, |n| n.min(at)));
+        let mode = self.scheduler.view_mode();
+        if let Some(at) = self.queue.next_issue_at(&self.dram, now, mode) {
+            if at <= now {
+                return Some(now);
             }
-        } else {
-            for (_, p) in &self.queue {
-                let at = self.dram.next_ready_for(&p.loc, p.request.kind);
-                if at <= self.now {
-                    return Some(self.now);
-                }
-                next = Some(next.map_or(at, |n| n.min(at)));
-            }
+            next = Some(next.map_or(at, |n| n.min(at)));
         }
-        next.map(|n| n.max(self.now))
+        next
     }
 
     /// Applies the bookkeeping the skipped idle ticks would have done, in

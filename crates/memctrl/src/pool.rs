@@ -25,6 +25,12 @@
 //! the legacy full scan for every policy whose sort key is constant
 //! within a class (FR-FCFS and all RL actions), at O(banks) instead of
 //! O(queue-depth) per decision.
+//!
+//! The same structure answers the simulation engine's wake-up question
+//! exactly: [`RequestQueue::next_issue_at`] is the first cycle at which
+//! a view would hold a candidate, one gate per non-empty class under the
+//! open-page rule. It needs no current tags: a bank whose open row moved
+//! since the last view build is classified afresh for the query alone.
 
 use ia_dram::{Cycle, DramModule};
 
@@ -41,6 +47,17 @@ const HIT_WRITE: usize = 1;
 const OTHER_READ: usize = 2;
 const OTHER_WRITE: usize = 3;
 
+/// Class-list index of `p` in a bank whose open row is `tag`.
+fn class_of(p: &Pending, tag: u64) -> usize {
+    let hit = tag != NO_ROW && p.loc.row == tag;
+    match (hit, p.request.kind.is_read()) {
+        (true, true) => HIT_READ,
+        (true, false) => HIT_WRITE,
+        (false, true) => OTHER_READ,
+        (false, false) => OTHER_WRITE,
+    }
+}
+
 /// Stable handle to a queued request (a slab slot index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(u32);
@@ -54,9 +71,16 @@ impl ReqId {
 }
 
 /// How much of a view a scheduler needs per decision.
+///
+/// The mode is also the controller's wake-up contract: the controller
+/// sleeps until [`RequestQueue::next_issue_at`] for this mode, so a
+/// policy must never pick a request the mode's bound does not cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewMode {
-    /// No view at all (FCFS reads the global list head directly).
+    /// No view at all. The policy serves only [`RequestQueue::head`]
+    /// (FCFS), and the controller wakes only when the head's next
+    /// command can issue; picking any other request is a contract
+    /// violation (a `debug_assert!` in the controller's tick).
     Skip,
     /// Class-list heads only — exact for policies whose key is constant
     /// within a (bank, class): FR-FCFS, all RL actions.
@@ -253,15 +277,8 @@ impl RequestQueue {
             self.banks[bank as usize].pos = self.occupied.len() as u32;
             self.occupied.push(bank);
         }
-        let tag = self.banks[bank as usize].tag;
+        let class = class_of(&p, self.banks[bank as usize].tag);
         let read = p.request.kind.is_read();
-        let hit = tag != NO_ROW && p.loc.row == tag;
-        let class = match (hit, read) {
-            (true, true) => HIT_READ,
-            (true, false) => HIT_WRITE,
-            (false, true) => OTHER_READ,
-            (false, false) => OTHER_WRITE,
-        };
 
         let slot = if self.free_head != NONE {
             let s = self.free_head;
@@ -467,15 +484,7 @@ impl RequestQueue {
         b.tag = tag;
         scratch.sort_unstable_by_key(|&s| self.order_key(s));
         for &slot in &scratch {
-            let p = &self.slots[slot as usize].p;
-            let read = p.request.kind.is_read();
-            let hit = tag != NO_ROW && p.loc.row == tag;
-            let class = match (hit, read) {
-                (true, true) => HIT_READ,
-                (true, false) => HIT_WRITE,
-                (false, true) => OTHER_READ,
-                (false, false) => OTHER_WRITE,
-            };
+            let class = class_of(&self.slots[slot as usize].p, tag);
             self.slots[slot as usize].class = class as u8;
             // Appending in sorted order keeps each list ordered; the
             // backward walk in link_bank terminates immediately.
@@ -549,41 +558,68 @@ impl RequestQueue {
         }
     }
 
-    /// Earliest cycle at which any queued request's next DRAM command
-    /// becomes issuable — the same minimum as folding
-    /// [`DramModule::next_ready_for`] over the whole queue, computed in
-    /// O(occupied banks). Timing gates depend on the command *kind*, not
-    /// its row/column operand, so every member of a `(bank, class)`
-    /// bucket shares one gate value and only the class heads need
-    /// querying.
+    /// Earliest cycle `>= now` at which a tick can issue a command for a
+    /// policy of view `mode`; `None` when the queue is empty.
     ///
-    /// Exact only while the per-bank tags are current, i.e. a
-    /// non-[`ViewMode::Skip`] [`RequestQueue::build_view`] ran against
-    /// this DRAM state with no intervening insert or DRAM command; the
-    /// controller guards the call accordingly.
+    /// For [`ViewMode::Frontier`] and [`ViewMode::Full`] this is the
+    /// first cycle at which [`RequestQueue::build_view`] would return a
+    /// non-empty view. A [`ViewMode::Skip`] policy serves only
+    /// [`RequestQueue::head`], so its bound is the head's
+    /// [`DramModule::next_ready_for`] alone.
+    ///
+    /// Exact in any tag state. A bank whose cached tag equals the live
+    /// open row answers from its class sizes; a stale bank (an insert, a
+    /// DRAM command, a refresh or a reliability action since the last
+    /// view build) classifies its members against the live row, in
+    /// O(bank members) and without rebucketing. Timing gates depend on
+    /// the command kind, not its row/column operand, so each class costs
+    /// one gate, and the open-page rule applies as in `build_view`: an
+    /// open bank with queued hits never folds its precharge gate. The
+    /// scan returns `now` at the first gate already due.
     #[must_use]
-    pub fn next_ready_min(&self, dram: &DramModule) -> Option<Cycle> {
+    pub fn next_issue_at(&self, dram: &DramModule, now: Cycle, mode: ViewMode) -> Option<Cycle> {
+        if mode == ViewMode::Skip {
+            let p = &self.slots[self.head()?.0 as usize].p;
+            return Some(dram.next_ready_for(&p.loc, p.request.kind).max(now));
+        }
         let mut next: Option<Cycle> = None;
-        let mut fold = |at: Cycle| next = Some(next.map_or(at, |n| n.min(at)));
         for &bank in &self.occupied {
             let b = &self.banks[bank as usize];
-            let loc = &self.slots[self.representative(bank) as usize].p.loc;
-            let gates = dram.bank_gates(loc);
-            if b.len[HIT_READ] > 0 {
-                fold(gates.read);
+            let gates = dram.bank_gates(&self.slots[self.representative(bank) as usize].p.loc);
+            let open = gates.open_row.unwrap_or(NO_ROW);
+            let len = if open == b.tag {
+                b.len
+            } else {
+                self.class_sizes(bank, open)
+            };
+            let at = match (len[HIT_READ] > 0, len[HIT_WRITE] > 0) {
+                (true, true) => gates.read.min(gates.write),
+                (true, false) => gates.read,
+                (false, true) => gates.write,
+                (false, false) if open != NO_ROW => gates.precharge,
+                (false, false) => gates.activate,
+            };
+            if at <= now {
+                return Some(now);
             }
-            if b.len[HIT_WRITE] > 0 {
-                fold(gates.write);
-            }
-            if b.len[OTHER_READ] > 0 || b.len[OTHER_WRITE] > 0 {
-                fold(if b.tag != NO_ROW {
-                    gates.precharge
-                } else {
-                    gates.activate
-                });
-            }
+            next = Some(next.map_or(at, |n| n.min(at)));
         }
         next
+    }
+
+    /// Class-list sizes of `bank` if its members were bucketed against
+    /// open row `tag`.
+    fn class_sizes(&self, bank: u32, tag: u64) -> [u32; 4] {
+        let mut len = [0; 4];
+        for &head in &self.banks[bank as usize].head {
+            let mut cur = head;
+            while cur != NONE {
+                let s = &self.slots[cur as usize];
+                len[class_of(&s.p, tag)] += 1;
+                cur = s.b_next;
+            }
+        }
+        len
     }
 
     fn emit(&self, out: &mut IssueView, mode: ViewMode, head: u32, hit: bool) {

@@ -44,7 +44,10 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// [`ViewMode::Frontier`] (class-list heads only) is exact for any
     /// policy whose sort key is constant within a (bank, row-hit/miss,
     /// read/write) class; thread-keyed fairness policies need
-    /// [`ViewMode::Full`].
+    /// [`ViewMode::Full`]. [`ViewMode::Skip`] builds no view and promises
+    /// that the policy serves only [`RequestQueue::head`]: the controller
+    /// then sleeps until the head alone can issue, so a Skip policy that
+    /// picked any other request would be woken late.
     fn view_mode(&self) -> ViewMode {
         ViewMode::Full
     }

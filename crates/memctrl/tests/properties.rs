@@ -1,11 +1,13 @@
 //! Property-based tests of the memory controller: liveness and latency
-//! bounds under every scheduler.
+//! bounds under every scheduler, and exact agreement of the
+//! event-skipping engine with the per-cycle oracle.
 
-use ia_dram::DramConfig;
+use ia_dram::{AddressMapping, DramConfig, Location};
+use ia_faults::FaultPlan;
 use ia_memctrl::{
     run_closed_loop, run_closed_loop_per_cycle, run_closed_loop_with, Atlas, Bliss, Fcfs, FrFcfs,
-    MemRequest, MemoryController, ParBs, RefreshMode, RlScheduler, RlSchedulerConfig, Scheduler,
-    Tcm,
+    MemRequest, MemoryController, Mitigation, ParBs, RefreshMode, ReliabilityConfig,
+    ReliabilityPipeline, RlScheduler, RlSchedulerConfig, Scheduler, Tcm,
 };
 use proptest::prelude::*;
 
@@ -207,6 +209,109 @@ proptest! {
                 fast.engine.events_processed <= slow.cycles + 1,
                 "engine did more ticks than cycles exist"
             );
+        }
+    }
+}
+
+/// Physical address of (bank, row, column 0) in channel 0, rank 0.
+fn row_addr(config: &DramConfig, bank: usize, row: u64) -> u64 {
+    let loc = Location {
+        channel: 0,
+        rank: 0,
+        bank_group: 0,
+        bank,
+        subarray: config.geometry.subarray_of_row(row),
+        row,
+        column: 0,
+    };
+    AddressMapping::RowInterleaved
+        .encode(&loc, &config.geometry)
+        .as_u64()
+}
+
+/// Two passes of a read-only row scan across the eight banks, a read of
+/// the victim row 1001, then `pairs` double-sided hammer pairs on its
+/// neighbours.
+fn hammer_trace(config: &DramConfig, scan: usize, pairs: usize) -> Vec<MemRequest> {
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        for i in 0..scan {
+            let row = 64 + (i as u64 / 8) * 4;
+            out.push(MemRequest::read(row_addr(config, i % 8, row), 0));
+        }
+        out.push(MemRequest::read(row_addr(config, 0, 1001), 0));
+        for _ in 0..pairs {
+            out.push(MemRequest::read(row_addr(config, 0, 1000), 0));
+            out.push(MemRequest::read(row_addr(config, 0, 1002), 0));
+        }
+    }
+    out
+}
+
+proptest! {
+    // Every case runs 3 tiers x 2 schedulers through the per-cycle oracle.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The engine matches the per-cycle oracle on the fault-injection
+    /// path: all-bank refresh, a seeded fault hook with transient,
+    /// retention, RowHammer and stuck-at faults, and every mitigation
+    /// tier, under FCFS (the head-only Skip view) and FR-FCFS.
+    #[test]
+    fn fault_injection_matches_per_cycle_oracle(
+        seed in any::<u64>(),
+        rate in 0usize..3,
+        scan in 16usize..96,
+        pairs in 150usize..300,
+    ) {
+        let config = DramConfig::ddr3_1600();
+        let rows = config.geometry.rows_per_bank;
+        let traces = vec![hammer_trace(&config, scan, pairs)];
+        let rate = [1.0, 4.0, 16.0][rate];
+        for mitigation in [Mitigation::None, Mitigation::EccOnly, Mitigation::Full] {
+            for frfcfs in [false, true] {
+                let ctrl = || {
+                    let sched: Box<dyn Scheduler> = if frfcfs {
+                        Box::new(FrFcfs::new())
+                    } else {
+                        Box::new(Fcfs::new())
+                    };
+                    let injector = FaultPlan::new(seed)
+                        .transient(0.004 * rate)
+                        .retention(0.02 * rate, 60_000, 8192)
+                        .rowhammer(128, (0.25 * rate).min(1.0))
+                        .stuck(0.000_2 * rate)
+                        .geometry(rows, 1)
+                        .spare_floor(rows - 8)
+                        .build();
+                    let reliability = ReliabilityConfig {
+                        mitigation,
+                        spare_rows_per_bank: 8,
+                        quarantine_threshold: if mitigation == Mitigation::Full { 256 } else { 0 },
+                    };
+                    MemoryController::new(config.clone(), sched)
+                        .unwrap()
+                        .with_refresh_mode(RefreshMode::AllBank)
+                        .with_reliability(ReliabilityPipeline::with_hook(
+                            reliability,
+                            Box::new(injector),
+                            rows,
+                        ))
+                };
+                let fast = run_closed_loop_with(ctrl(), &traces, 4, 50_000_000).unwrap();
+                let slow = run_closed_loop_per_cycle(ctrl(), &traces, 4, 50_000_000).unwrap();
+                let name = &fast.scheduler;
+                let injected = fast.reliability.as_ref().map_or(0, |r| r.faults.injected());
+                prop_assert!(injected > 0, "{} {:?}: no fault fired", name, mitigation);
+                prop_assert!(
+                    fast.same_results(&slow),
+                    "{} {:?} diverged under cycle skipping:\n event-driven: {:?}\n per-cycle:   {:?}",
+                    name, mitigation, fast, slow
+                );
+                prop_assert!(
+                    fast.engine.events_processed < slow.cycles,
+                    "{} {:?}: the engine skipped no cycle", name, mitigation
+                );
+            }
         }
     }
 }

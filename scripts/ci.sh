@@ -107,8 +107,14 @@ cargo test -q -p ia-sim watchdog
 echo "== event wheel vs per-cycle scan (order-equivalence property)"
 cargo test -q -p ia-sim --test wheel_equivalence
 
-echo "== indexed ready-lists vs linear scan (scheduler pick equivalence)"
+echo "== indexed ready-lists vs linear scan (scheduler pick equivalence, exact wake-up bound)"
 cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
+
+echo "== engine skip exactness (event-driven runs == per-cycle oracle, faults included)"
+cargo test -q -p ia-memctrl --test properties
+
+echo "== simulator benchmark gate self-tests (every job's digest against simbench/pins.txt)"
+cargo test --release --offline --manifest-path simbench/Cargo.toml
 
 echo "== microbench smoke (--iters 1 run + JSON schema check)"
 micro_dir="$(mktemp -d)"
