@@ -1,7 +1,7 @@
 //! Channel-level constraints: the shared command/data bus.
 
 use crate::error::{IssueError, IssueErrorReason};
-use crate::{AccessKind, BankGates, Command, Cycle, IssueOutcome, Rank, TimingParams};
+use crate::{AccessKind, BankGates, Command, Cycle, IssueOutcome, Rank, SharedGates, TimingParams};
 
 /// A channel: ranks sharing one command/address/data bus.
 ///
@@ -125,6 +125,23 @@ impl Channel {
             write,
             activate,
             precharge,
+        }
+    }
+
+    /// The gates every bank of `rank` shares: the rank's refresh
+    /// blackout and activate throttle, and this channel's data-bus gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is out of range.
+    #[must_use]
+    pub fn shared_gates(&self, rank: usize, timing: &TimingParams) -> SharedGates {
+        let r = &self.ranks[rank];
+        SharedGates {
+            refresh_until: r.busy_until(),
+            activate: r.activate_gate(timing),
+            read: self.bus_gate(&Command::Read { column: 0 }, timing),
+            write: self.next_col,
         }
     }
 

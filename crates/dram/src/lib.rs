@@ -68,4 +68,7 @@ pub use module::{AccessResult, CommandEvent, DramModule};
 pub use rank::Rank;
 pub use salp::{serve_stream, BankOrganization, SalpBank};
 pub use stats::DramStats;
-pub use types::{AccessKind, BankGates, Command, Cycle, Location, PhysAddr, RowBufferOutcome};
+pub use types::{
+    AccessKind, BankGates, Command, Cycle, LocalGates, Location, PhysAddr, RowBufferOutcome,
+    SharedGates,
+};

@@ -10,7 +10,8 @@ use crate::inject::{InjectEvent, InjectLog};
 use crate::latency::{ChargeCacheState, LatencyMode};
 use crate::{
     AccessKind, AddressMapping, BankGates, Channel, Command, Cycle, DramConfig, DramStats,
-    EnergyCounter, IssueOutcome, Location, PhysAddr, RowBufferOutcome, TimingParams,
+    EnergyCounter, IssueOutcome, LocalGates, Location, PhysAddr, RowBufferOutcome, SharedGates,
+    TimingParams,
 };
 
 /// One DRAM command as captured by the module's trace buffer.
@@ -282,6 +283,26 @@ impl DramModule {
     #[must_use]
     pub fn bank_gates(&self, loc: &Location) -> BankGates {
         self.channels[loc.channel].bank_gates(loc.rank, self.bank_index(loc), &self.config.timing)
+    }
+
+    /// The part of [`DramModule::bank_gates`] that only a command to
+    /// this bank changes: its open row and bank-local deadlines.
+    /// [`BankGates::combine`] with [`DramModule::shared_gates`] of its
+    /// (channel, rank) gives back exactly `bank_gates`.
+    #[must_use]
+    pub fn local_gates(&self, loc: &Location) -> LocalGates {
+        self.channels[loc.channel]
+            .rank(loc.rank)
+            .local_gates(self.bank_index(loc))
+    }
+
+    /// The part of [`DramModule::bank_gates`] that every bank of
+    /// `(channel, rank)` shares: refresh blackout, tRRD/tFAW, and the
+    /// channel's data-bus gates with tWTR. A command to any bank of the
+    /// channel, or a refresh of the rank, can change it.
+    #[must_use]
+    pub fn shared_gates(&self, channel: usize, rank: usize) -> SharedGates {
+        self.channels[channel].shared_gates(rank, &self.config.timing)
     }
 
     /// Earliest cycle at which *the next command needed* to serve an

@@ -2,7 +2,7 @@
 
 use crate::error::{IssueError, IssueErrorReason};
 use crate::flat::BankStates;
-use crate::{Bank, Command, Cycle, IssueOutcome, TimingParams};
+use crate::{Bank, Command, Cycle, IssueOutcome, LocalGates, TimingParams};
 
 /// Fixed-size ring of the most recent activate issue times, sized to the
 /// tFAW window (four activates). Replaces an unbounded `VecDeque`: the
@@ -178,6 +178,26 @@ impl Rank {
             pre.max(r),
             col.max(r),
         )
+    }
+
+    /// The open row and bank-local gates of `bank`: the part of its
+    /// gates no command to another bank can change.
+    #[must_use]
+    pub fn local_gates(&self, bank: usize) -> LocalGates {
+        let (activate, precharge, column) = self.banks.command_gates(bank);
+        LocalGates {
+            open_row: self.banks.open_row(bank),
+            activate,
+            precharge,
+            column,
+        }
+    }
+
+    /// The rank's activate throttle: tRRD after the last activate and
+    /// the tFAW window over the last four.
+    #[must_use]
+    pub fn activate_gate(&self, timing: &TimingParams) -> Cycle {
+        self.next_act_rrd.max(self.recent_acts.gate(timing))
     }
 
     /// True if `cmd` to `bank` is legal at `now`.

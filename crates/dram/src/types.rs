@@ -254,6 +254,57 @@ pub struct BankGates {
     pub precharge: Cycle,
 }
 
+impl BankGates {
+    /// Recombines a bank's own gates with the gates its (channel, rank)
+    /// shares with every other bank there. Equal, field for field, to
+    /// [`crate::DramModule::bank_gates`] on the same state.
+    #[must_use]
+    pub fn combine(local: &LocalGates, shared: &SharedGates) -> BankGates {
+        let column = local.column.max(shared.refresh_until);
+        BankGates {
+            open_row: local.open_row,
+            read: column.max(shared.read),
+            write: column.max(shared.write),
+            activate: local
+                .activate
+                .max(shared.refresh_until)
+                .max(shared.activate),
+            precharge: local.precharge.max(shared.refresh_until),
+        }
+    }
+}
+
+/// The part of a bank's [`BankGates`] that only a command to that bank
+/// changes (see [`crate::DramModule::local_gates`]): its open row and
+/// its bank-local activate, precharge and column deadlines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalGates {
+    /// The open row, `None` when the bank is closed.
+    pub open_row: Option<u64>,
+    /// Bank-local activate deadline (tRC, tRP).
+    pub activate: Cycle,
+    /// Bank-local precharge deadline (tRAS, tRTP, write recovery).
+    pub precharge: Cycle,
+    /// Bank-local column deadline (tRCD, tCCD).
+    pub column: Cycle,
+}
+
+/// The part of [`BankGates`] that every bank of one (channel, rank)
+/// shares (see [`crate::DramModule::shared_gates`]). A command anywhere
+/// on the channel can change it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharedGates {
+    /// The rank is refreshing until this cycle; no command issues before.
+    pub refresh_until: Cycle,
+    /// The rank's activate throttle: tRRD and the tFAW window.
+    pub activate: Cycle,
+    /// The channel's data-bus gate for a read, write-to-read turnaround
+    /// (tWTR) included.
+    pub read: Cycle,
+    /// The channel's data-bus gate for a write.
+    pub write: Cycle,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

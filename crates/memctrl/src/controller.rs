@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use ia_dram::{Command, ConfigError, Cycle, DramConfig, DramModule};
+use ia_dram::{Command, ConfigError, Cycle, DramConfig, DramModule, RowBufferOutcome};
 use ia_reliability::Raidr;
 use ia_sim::{Clocked, CompletionSink, EngineStats, SimLoop, StepOutcome};
 use ia_telemetry::{Histogram, MetricSource, Scope, TraceBuffer};
@@ -294,6 +294,9 @@ impl MemoryController {
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: Box<dyn Scheduler>) -> Self {
         self.scheduler = scheduler;
+        // The outgoing policy may have been a Skip one, which leaves the
+        // queue's gate cache unsynced.
+        self.queue.resync_all(&self.dram);
         self
     }
 
@@ -449,6 +452,10 @@ impl MemoryController {
     /// the heap.
     pub fn tick_into(&mut self, sink: &mut dyn CompletionSink<Completed>) {
         self.scheduler.on_tick(self.now);
+        // A Skip policy builds no view and reads no cached gates, so the
+        // queue's gate cache is resynced only for the other modes.
+        let mode = self.scheduler.view_mode();
+        let cached = mode != ViewMode::Skip;
 
         // 1. Retire in-flight requests whose data burst has finished,
         //    compacting in place so retirement order (= insertion order)
@@ -492,6 +499,9 @@ impl MemoryController {
                         let _ = self.dram.refresh_rank(ch, rk, self.now);
                     }
                 }
+                if cached {
+                    self.queue.resync_all(&self.dram);
+                }
                 self.stats.refreshes_issued += 1;
             } else {
                 self.stats.refreshes_skipped += 1;
@@ -500,14 +510,14 @@ impl MemoryController {
         }
 
         // 3. Scheduling: one command per cycle. The view is built from
-        //    the queue's indexed per-bank ready lists at the depth the
-        //    policy asks for — O(occupied banks), not O(queue depth).
+        //    the queue's indexed per-bank ready lists and gate cache at the
+        //    depth the policy asks for — O(occupied banks), not O(queue
+        //    depth), and no DRAM probe. The issued command resyncs the
+        //    cache for what it changed: its bank and its channel.
         self.scheduler.prepare(&mut self.queue);
         let mut issued_this_cycle = false;
         let mut column_issued = false;
-        let mode = self.scheduler.view_mode();
-        self.queue
-            .build_view(&self.dram, self.now, mode, &mut self.view);
+        self.queue.build_view(self.now, mode, &mut self.view);
         if let Some(h) = self.scheduler.select(&self.queue, &self.view) {
             // `next_event_at` wakes a Skip-mode policy only for the head.
             debug_assert!(
@@ -515,12 +525,21 @@ impl MemoryController {
                 "a ViewMode::Skip policy must serve only the queue head"
             );
             if let Some(&p) = self.queue.get(h) {
-                let cmd = self.dram.next_needed(&p.loc, p.request.kind);
-                if self.dram.ready_at(&p.loc, &cmd) <= self.now {
+                let (cmd, ready) = if cached {
+                    self.queue.next_command(h)
+                } else {
+                    let cmd = self.dram.next_needed(&p.loc, p.request.kind);
+                    (cmd, self.dram.ready_at(&p.loc, &cmd))
+                };
+                if ready <= self.now {
                     // Classify the row-buffer outcome once, when the
                     // request first makes progress.
                     if !p.started {
-                        let outcome = self.dram.row_buffer_outcome(&p.loc);
+                        let outcome = match cmd {
+                            Command::Read { .. } | Command::Write { .. } => RowBufferOutcome::Hit,
+                            Command::Activate { .. } => RowBufferOutcome::Miss,
+                            _ => RowBufferOutcome::Conflict,
+                        };
                         self.dram.stats_mut().record_outcome(outcome);
                         self.queue.set_started(h);
                     }
@@ -545,6 +564,9 @@ impl MemoryController {
                             let ready = out.data_ready.unwrap_or(self.now);
                             let p = self.queue.remove(h);
                             self.inflight.push((p, ready));
+                        }
+                        if cached {
+                            self.queue.resync(&self.dram, &p.loc);
                         }
                     }
                 }
@@ -619,6 +641,12 @@ impl MemoryController {
                 rel.process(&mut self.dram);
             }
         }
+        // The pipeline only drains the DRAM's injection log, so the gate
+        // cache still matches the DRAM at the end of every tick.
+        debug_assert!(
+            !cached || self.queue.cache_matches(&self.dram),
+            "request-queue gate cache out of sync with the DRAM at {now:?}"
+        );
 
         self.now += 1;
     }
@@ -680,8 +708,12 @@ impl Clocked for MemoryController {
     /// and, for a [`ViewMode::Skip`] policy, gates on the queue head
     /// alone). Every tick before it retires, refreshes and issues
     /// nothing, so skipping straight to it is exact — after any tick,
-    /// busy or idle, and after any enqueue. Each source returns `now`
-    /// as soon as it is already due.
+    /// busy or idle, and after any enqueue. Except for a Skip policy,
+    /// which probes its head, the issue bound is a minimum over the
+    /// queue's cached per-bank wake cycles, with no DRAM probe: every
+    /// enqueue, issued command and refresh resyncs that cache, so it is
+    /// current whenever the engine asks. Each source returns `now` as
+    /// soon as it is already due.
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now;
         let mut next: Option<Cycle> = None;

@@ -1,4 +1,5 @@
-//! Slab-backed request pool with per-bank indexed ready lists.
+//! Slab-backed request pool with per-bank indexed ready lists and a
+//! cache of every occupied bank's DRAM gates.
 //!
 //! [`RequestQueue`] replaces the controller's flat `Vec<Pending>` — and
 //! with it the O(queue-depth) scan every scheduler used to run every
@@ -12,27 +13,43 @@
 //! * per-bank **class lists** (`flat_bank` × {hit-read, hit-write,
 //!   other-read, other-write}), each in the same order.
 //!
-//! "Hit" is classified against the bank's cached `tag` — the open row
-//! the bucketing was computed against. Tags are validated **lazily**: a
-//! view build compares each occupied bank's tag with the live DRAM open
-//! row and rebuckets only the banks that changed (issue, refresh,
-//! reliability mutation — any source, no hooks required). Within a
-//! bank, every member of a class needs the same next command, and DRAM
-//! timing depends only on (channel, rank, bank, command kind), so a
-//! class is issuable as a whole and its head is the exact
+//! Within a bank, every member of a class needs the same next command,
+//! and DRAM timing depends only on (channel, rank, bank, command kind),
+//! so a class is issuable as a whole and its head is the exact
 //! `(arrival, id)` minimum. That is what makes the **frontier** view
 //! ([`ViewMode::Frontier`]) — class-list heads only — bit-identical to
 //! the legacy full scan for every policy whose sort key is constant
 //! within a class (FR-FCFS and all RL actions), at O(banks) instead of
 //! O(queue-depth) per decision.
 //!
-//! The same structure answers the simulation engine's wake-up question
-//! exactly: [`RequestQueue::next_issue_at`] is the first cycle at which
-//! a view would hold a candidate, one gate per non-empty class under the
-//! open-page rule. It needs no current tags: a bank whose open row moved
-//! since the last view build is classified afresh for the query alone.
+//! **Gate cache.** The queue keeps the DRAM gates the view and the
+//! wake-up bound are built from, so neither probes the DRAM:
+//!
+//! * per occupied bank, its [`LocalGates`] (open row plus bank-local
+//!   deadlines) — the open row is the tag its members are classified
+//!   against;
+//! * per (channel, rank), its [`SharedGates`] (refresh blackout,
+//!   tRRD/tFAW, data-bus gates with tWTR);
+//! * per occupied bank, its **wake** cycle — the first cycle a view
+//!   could emit from it under the open-page rule — split the same way:
+//!   the bank's own deadline for the command its classes wait on, plus
+//!   which of its rank's shared gates that command also waits on.
+//!
+//! A bank's own gates change only when a command goes to it; the shared
+//! gates change with a command anywhere on the channel, or a refresh.
+//! So the cache is kept **eagerly** in sync by the code that changes the
+//! DRAM: [`RequestQueue::insert`] probes a bank when it becomes
+//! occupied, [`RequestQueue::resync`] re-reads what one command changed
+//! (its bank, rebucketing the members if the open row moved, and its
+//! channel's shared gates — O(ranks), whatever the other banks wait
+//! on), and [`RequestQueue::resync_all`] re-reads everything after a
+//! refresh. Between those calls the cache answers for the DRAM state of
+//! the last resync: a caller that mutates the DRAM without resyncing
+//! gets views and wake-ups for the old state. A [`ViewMode::Skip`]
+//! policy reads no cached gate, so the controller skips the resyncs for
+//! it (see there).
 
-use ia_dram::{Cycle, DramModule};
+use ia_dram::{BankGates, Command, Cycle, DramModule, LocalGates, Location, SharedGates};
 
 use crate::request::Pending;
 
@@ -81,6 +98,12 @@ pub enum ViewMode {
     /// (FCFS), and the controller wakes only when the head's next
     /// command can issue; picking any other request is a contract
     /// violation (a `debug_assert!` in the controller's tick).
+    ///
+    /// A Skip policy reads no cached gates, so the controller does not
+    /// resync the queue's gate cache for it: it probes the DRAM for the
+    /// head alone, once to pick and once to wake up. Resyncing after
+    /// every command cost the FCFS fault-injection benchmark more than
+    /// those two probes.
     Skip,
     /// Class-list heads only — exact for policies whose key is constant
     /// within a (bank, class): FR-FCFS, all RL actions.
@@ -135,10 +158,17 @@ struct BankLists {
     head: [u32; 4],
     tail: [u32; 4],
     len: [u32; 4],
-    /// Open row the current bucketing assumed (`NO_ROW` = closed).
-    tag: u64,
     /// Position in `occupied`, `NONE` when the bank holds no requests.
     pos: u32,
+    /// Flat (channel, rank) key: the bank's index into `ranks`.
+    rank: u32,
+    /// Open row and bank-local gates as of the last probe; the open row
+    /// is the tag the class lists are bucketed against.
+    local: LocalGates,
+    /// The bank's own part of its wake cycle (see [`own_wake`]).
+    wake: Cycle,
+    /// Which [`RankGates::wake`] entry the wake cycle also waits on.
+    waits: u8,
 }
 
 impl BankLists {
@@ -146,8 +176,16 @@ impl BankLists {
         head: [NONE; 4],
         tail: [NONE; 4],
         len: [0; 4],
-        tag: NO_ROW,
         pos: NONE,
+        rank: 0,
+        local: LocalGates {
+            open_row: None,
+            activate: Cycle::ZERO,
+            precharge: Cycle::ZERO,
+            column: Cycle::ZERO,
+        },
+        wake: Cycle::ZERO,
+        waits: WAIT_ACTIVATE,
     };
 
     fn members(&self) -> u32 {
@@ -156,6 +194,60 @@ impl BankLists {
 
     fn hits(&self) -> u32 {
         self.len[HIT_READ] + self.len[HIT_WRITE]
+    }
+
+    fn tag(&self) -> u64 {
+        self.local.open_row.unwrap_or(NO_ROW)
+    }
+}
+
+// What a bank's next command waits on among its rank's shared gates:
+// indices into `RankGates::wake`.
+const WAIT_READ: u8 = 0;
+const WAIT_WRITE: u8 = 1;
+const WAIT_COLUMN: u8 = 2;
+const WAIT_PRECHARGE: u8 = 3;
+const WAIT_ACTIVATE: u8 = 4;
+
+/// The own part of `b`'s wake cycle, and what it waits on besides: the
+/// first cycle a view could emit a member is the own part joined with
+/// the rank's `wake[waits]`. Under the open-page rule an open bank with
+/// queued hits waits for a column command and never folds its precharge
+/// gate. Joining per kind equals [`BankGates::combine`] first: the
+/// refresh blackout bounds every kind, and `max` distributes over the
+/// `min` of the read and write gates.
+fn own_wake(b: &BankLists) -> (Cycle, u8) {
+    let l = &b.local;
+    match (b.len[HIT_READ] > 0, b.len[HIT_WRITE] > 0) {
+        (true, true) => (l.column, WAIT_COLUMN),
+        (true, false) => (l.column, WAIT_READ),
+        (false, true) => (l.column, WAIT_WRITE),
+        (false, false) if l.open_row.is_some() => (l.precharge, WAIT_PRECHARGE),
+        (false, false) => (l.activate, WAIT_ACTIVATE),
+    }
+}
+
+/// One (channel, rank)'s shared gates, with the part of a bank's wake
+/// cycle they contribute folded per `WAIT_*` kind.
+#[derive(Debug, Clone, Copy)]
+struct RankGates {
+    gates: SharedGates,
+    wake: [Cycle; 5],
+}
+
+impl RankGates {
+    fn new(gates: SharedGates) -> Self {
+        let r = gates.refresh_until;
+        RankGates {
+            gates,
+            wake: [
+                gates.read.max(r),
+                gates.write.max(r),
+                gates.read.min(gates.write).max(r),
+                r,
+                gates.activate.max(r),
+            ],
+        }
     }
 }
 
@@ -172,11 +264,14 @@ pub struct RequestQueue {
     /// Queued requests with the PAR-BS batch mark set.
     batched: usize,
     next_seq: u64,
+    /// Queued requests whose next command is a column command.
+    hits: usize,
     banks: Vec<BankLists>,
     /// Dense list of bank keys holding at least one request.
     occupied: Vec<u32>,
-    /// Reused rebucket scratch.
-    scratch: Vec<u32>,
+    /// Shared gates per flat (channel, rank) key, for every rank up to
+    /// the highest one a request has named.
+    ranks: Vec<RankGates>,
 }
 
 impl RequestQueue {
@@ -193,9 +288,10 @@ impl RequestQueue {
             writes: 0,
             batched: 0,
             next_seq: 0,
+            hits: 0,
             banks: Vec::new(),
             occupied: Vec::new(),
-            scratch: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 
@@ -263,21 +359,32 @@ impl RequestQueue {
         (s.p.arrival, s.p.request.id, s.seq)
     }
 
-    /// Inserts `p`, classifying it against the bank's current tag (or the
-    /// live DRAM open row when the bank was empty). Amortized O(1): the
-    /// ordered insertions walk backward from the tails, and arrivals/ids
-    /// are monotone in normal operation.
+    /// Inserts `p`, classifying it against its bank's cached open row.
+    /// A bank that becomes occupied is probed once
+    /// ([`DramModule::local_gates`]), and a (channel, rank) seen for the
+    /// first time once ([`DramModule::shared_gates`]). Amortized O(1):
+    /// the ordered insertions walk backward from the tails, and
+    /// arrivals/ids are monotone in normal operation.
     pub fn insert(&mut self, p: Pending, dram: &DramModule) -> ReqId {
-        let bank = p.loc.flat_bank(&dram.config().geometry) as u32;
+        let geo = &dram.config().geometry;
+        let bank = p.loc.flat_bank(geo) as u32;
         if bank as usize >= self.banks.len() {
             self.banks.resize(bank as usize + 1, BankLists::EMPTY);
         }
         if self.banks[bank as usize].pos == NONE {
-            self.banks[bank as usize].tag = dram.open_row(&p.loc).unwrap_or(NO_ROW);
-            self.banks[bank as usize].pos = self.occupied.len() as u32;
+            let rank = bank / geo.banks_per_rank() as u32;
+            while self.ranks.len() <= rank as usize {
+                let key = self.ranks.len();
+                let gates = dram.shared_gates(key / geo.ranks, key % geo.ranks);
+                self.ranks.push(RankGates::new(gates));
+            }
+            let b = &mut self.banks[bank as usize];
+            b.rank = rank;
+            b.local = dram.local_gates(&p.loc);
+            b.pos = self.occupied.len() as u32;
             self.occupied.push(bank);
         }
-        let class = class_of(&p, self.banks[bank as usize].tag);
+        let class = class_of(&p, self.banks[bank as usize].tag());
         let read = p.request.kind.is_read();
 
         let slot = if self.free_head != NONE {
@@ -316,6 +423,7 @@ impl RequestQueue {
         }
         self.link_global(slot);
         self.link_bank(slot, bank, class);
+        self.rewake(bank);
         ReqId(slot)
     }
 
@@ -338,6 +446,8 @@ impl RequestQueue {
                 let moved = self.occupied[pos as usize];
                 self.banks[moved as usize].pos = pos;
             }
+        } else {
+            self.rewake(s.bank);
         }
         let st = &mut self.slots[slot as usize];
         st.live = false;
@@ -444,6 +554,9 @@ impl RequestQueue {
             self.slots[next as usize].b_prev = slot;
         }
         self.banks[bank as usize].len[class] += 1;
+        if class <= HIT_WRITE {
+            self.hits += 1;
+        }
     }
 
     fn unlink_bank(&mut self, slot: u32, bank: u32, class: usize) {
@@ -462,97 +575,189 @@ impl RequestQueue {
             self.slots[next as usize].b_prev = prev;
         }
         self.banks[bank as usize].len[class] -= 1;
+        if class <= HIT_WRITE {
+            self.hits -= 1;
+        }
     }
 
-    /// Rebuckets every member of `bank` against the new open-row `tag`.
-    /// Called only when a view build finds the cached tag stale, so the
-    /// cost is O(bank members) per actual bank-state change.
-    fn rebucket(&mut self, bank: u32, tag: u64) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for class in 0..4 {
-            let mut cur = self.banks[bank as usize].head[class];
-            while cur != NONE {
-                scratch.push(cur);
-                cur = self.slots[cur as usize].b_next;
+    /// Re-reads occupied `bank`'s own gates (`loc` names the bank) and
+    /// rebuckets its members if the open row moved: the old row's hits
+    /// fall back to the other-row lists, then the new row's members move
+    /// up to the hit lists. Each move is an ordered re-link, so the cost
+    /// is O(bank members) per actual row change and nothing otherwise.
+    fn reprobe(&mut self, dram: &DramModule, bank: u32, loc: &Location) {
+        let b = &mut self.banks[bank as usize];
+        let old = b.local.open_row;
+        b.local = dram.local_gates(loc);
+        let new = b.local.open_row;
+        if new == old {
+            return;
+        }
+        if old.is_some() {
+            for hit in [HIT_READ, HIT_WRITE] {
+                loop {
+                    let slot = self.banks[bank as usize].head[hit];
+                    if slot == NONE {
+                        break;
+                    }
+                    self.relink(slot, bank, hit, hit + OTHER_READ);
+                }
             }
         }
-        let b = &mut self.banks[bank as usize];
-        b.head = [NONE; 4];
-        b.tail = [NONE; 4];
-        b.len = [0; 4];
-        b.tag = tag;
-        scratch.sort_unstable_by_key(|&s| self.order_key(s));
-        for &slot in &scratch {
-            let class = class_of(&self.slots[slot as usize].p, tag);
-            self.slots[slot as usize].class = class as u8;
-            // Appending in sorted order keeps each list ordered; the
-            // backward walk in link_bank terminates immediately.
-            self.link_bank(slot, bank, class);
+        if let Some(row) = new {
+            for other in [OTHER_READ, OTHER_WRITE] {
+                let mut cur = self.banks[bank as usize].head[other];
+                while cur != NONE {
+                    let next = self.slots[cur as usize].b_next;
+                    if self.slots[cur as usize].p.loc.row == row {
+                        // Walking in order appends in order: link_bank's
+                        // backward walk stops at once.
+                        self.relink(cur, bank, other, other - OTHER_READ);
+                    }
+                    cur = next;
+                }
+            }
         }
-        self.scratch = scratch;
     }
 
-    /// Builds the per-cycle [`IssueView`] into `out` (a reused scratch).
+    /// Moves `slot` from class list `from` of `bank` to class list `to`.
+    fn relink(&mut self, slot: u32, bank: u32, from: usize, to: usize) {
+        self.unlink_bank(slot, bank, from);
+        self.slots[slot as usize].class = to as u8;
+        self.link_bank(slot, bank, to);
+    }
+
+    /// The cached combined gates of an occupied bank.
+    fn gates(&self, b: &BankLists) -> BankGates {
+        BankGates::combine(&b.local, &self.ranks[b.rank as usize].gates)
+    }
+
+    /// The cached wake cycle of an occupied bank: the first cycle a view
+    /// could emit one of its members.
+    fn wake(&self, b: &BankLists) -> Cycle {
+        b.wake
+            .max(self.ranks[b.rank as usize].wake[usize::from(b.waits)])
+    }
+
+    /// Recomputes the own part of occupied `bank`'s wake cycle.
+    fn rewake(&mut self, bank: u32) {
+        let b = &mut self.banks[bank as usize];
+        (b.wake, b.waits) = own_wake(b);
+    }
+
+    /// Re-reads the gates a DRAM command to `loc` can have changed: the
+    /// bank's own gates (one probe, if the bank is occupied, rebucketing
+    /// its members if its open row moved) and the shared gates of every
+    /// rank on `loc.channel` (they share its data bus). Other banks' own
+    /// gates cannot change, and their wake cycles read the shared gates
+    /// afresh. The controller calls it once per issued command; a tick
+    /// that issues nothing resyncs nothing.
+    pub fn resync(&mut self, dram: &DramModule, loc: &Location) {
+        let geo = &dram.config().geometry;
+        let bank = loc.flat_bank(geo);
+        if self.banks.get(bank).is_some_and(|b| b.pos != NONE) {
+            self.reprobe(dram, bank as u32, loc);
+            self.rewake(bank as u32);
+        }
+        let lo = loc.channel * geo.ranks;
+        let hi = (lo + geo.ranks).min(self.ranks.len());
+        for key in lo..hi {
+            self.ranks[key] = RankGates::new(dram.shared_gates(loc.channel, key - lo));
+        }
+    }
+
+    /// Re-reads every cached gate: every (channel, rank)'s shared gates
+    /// and every occupied bank's own, rebucketing banks whose open row
+    /// moved. For DRAM changes that span ranks — the controller calls it
+    /// after a refresh, before the same tick's view build.
+    pub fn resync_all(&mut self, dram: &DramModule) {
+        let ranks = dram.config().geometry.ranks;
+        for key in 0..self.ranks.len() {
+            self.ranks[key] = RankGates::new(dram.shared_gates(key / ranks, key % ranks));
+        }
+        for idx in 0..self.occupied.len() {
+            let bank = self.occupied[idx];
+            let loc = self.slots[self.representative(bank) as usize].p.loc;
+            self.reprobe(dram, bank, &loc);
+            self.rewake(bank);
+        }
+    }
+
+    /// True when every occupied bank's cached gates and tag equal a
+    /// fresh [`DramModule::bank_gates`] probe and its members, wake
+    /// cycle and the hit count agree with them — the invariant every
+    /// resync restores (checked by the controller in debug builds).
+    pub(crate) fn cache_matches(&self, dram: &DramModule) -> bool {
+        let mut hits = 0;
+        for &bank in &self.occupied {
+            let b = &self.banks[bank as usize];
+            let gates = self.gates(b);
+            let loc = self.slots[self.representative(bank) as usize].p.loc;
+            let wake = match (b.len[HIT_READ] > 0, b.len[HIT_WRITE] > 0) {
+                (true, true) => gates.read.min(gates.write),
+                (true, false) => gates.read,
+                (false, true) => gates.write,
+                (false, false) if gates.open_row.is_some() => gates.precharge,
+                (false, false) => gates.activate,
+            };
+            if gates != dram.bank_gates(&loc)
+                || (b.wake, b.waits) != own_wake(b)
+                || self.wake(b) != wake
+            {
+                return false;
+            }
+            for &head in &b.head {
+                let mut cur = head;
+                while cur != NONE {
+                    let s = &self.slots[cur as usize];
+                    if usize::from(s.class) != class_of(&s.p, b.tag()) {
+                        return false;
+                    }
+                    cur = s.b_next;
+                }
+            }
+            hits += b.hits() as usize;
+        }
+        hits == self.hits
+    }
+
+    /// Builds the per-cycle [`IssueView`] into `out` (a reused scratch)
+    /// from the gate cache, without touching the DRAM.
     ///
-    /// Validates stale bank tags, then walks only the occupied banks: per
-    /// bank at most three `ready_at` queries (hit-read, hit-write, and
-    /// one shared gate for the activate/precharge classes) decide the
-    /// issuability of whole classes at once. The open-page rule —
-    /// never precharge a bank that still has queued row hits — is the
-    /// bank's own hit-list emptiness, O(1).
-    pub fn build_view(
-        &mut self,
-        dram: &DramModule,
-        now: Cycle,
-        mode: ViewMode,
-        out: &mut IssueView,
-    ) {
+    /// Walks the occupied banks and skips every one whose wake cycle is
+    /// still ahead. For the rest, the cached gates decide the
+    /// issuability of whole classes at once. The open-page rule — never
+    /// precharge a bank that still has queued row hits — is the bank's
+    /// own hit-list emptiness, O(1).
+    pub fn build_view(&self, now: Cycle, mode: ViewMode, out: &mut IssueView) {
         out.clear();
         if mode == ViewMode::Skip {
             return;
         }
-        // One hierarchy walk per occupied bank ([`DramModule::bank_gates`])
-        // fetches the open row and every command gate at once; the tag
-        // check, hit accounting, and candidate emission all run off that
-        // single probe. Banks are independent, so interleaving a bank's
-        // validation with its emission is identical to two passes.
-        for idx in 0..self.occupied.len() {
-            let bank = self.occupied[idx];
-            let rep = self.representative(bank);
-            let loc = self.slots[rep as usize].p.loc;
-            let gates = dram.bank_gates(&loc);
-            let cur = gates.open_row.unwrap_or(NO_ROW);
-            if cur != self.banks[bank as usize].tag {
-                self.rebucket(bank, cur);
+        out.row_hits = self.hits;
+        for &bank in &self.occupied {
+            let b = &self.banks[bank as usize];
+            if self.wake(b) > now {
+                continue;
             }
-            let b = self.banks[bank as usize];
-            out.row_hits += b.hits() as usize;
-            let open = b.tag != NO_ROW;
-            if b.len[HIT_READ] > 0 && gates.read <= now {
-                self.emit(out, mode, b.head[HIT_READ], true);
-            }
-            if b.len[HIT_WRITE] > 0 && gates.write <= now {
-                self.emit(out, mode, b.head[HIT_WRITE], true);
-            }
-            if b.len[OTHER_READ] > 0 || b.len[OTHER_WRITE] > 0 {
+            if b.hits() > 0 {
                 // Open-page rule: a bank with queued row hits is never
                 // closed just because its next burst is a few cycles away.
-                if open && b.hits() > 0 {
-                    continue;
+                let gates = self.gates(b);
+                if b.len[HIT_READ] > 0 && gates.read <= now {
+                    self.emit(out, mode, b.head[HIT_READ], true);
                 }
-                let gate = if open {
-                    gates.precharge
-                } else {
-                    gates.activate
-                };
-                if gate <= now {
-                    if b.len[OTHER_READ] > 0 {
-                        self.emit(out, mode, b.head[OTHER_READ], false);
-                    }
-                    if b.len[OTHER_WRITE] > 0 {
-                        self.emit(out, mode, b.head[OTHER_WRITE], false);
-                    }
+                if b.len[HIT_WRITE] > 0 && gates.write <= now {
+                    self.emit(out, mode, b.head[HIT_WRITE], true);
+                }
+            } else {
+                // The wake cycle is the bank's precharge (open) or
+                // activate (closed) gate, and it is due.
+                if b.len[OTHER_READ] > 0 {
+                    self.emit(out, mode, b.head[OTHER_READ], false);
+                }
+                if b.len[OTHER_WRITE] > 0 {
+                    self.emit(out, mode, b.head[OTHER_WRITE], false);
                 }
             }
         }
@@ -563,19 +768,12 @@ impl RequestQueue {
     ///
     /// For [`ViewMode::Frontier`] and [`ViewMode::Full`] this is the
     /// first cycle at which [`RequestQueue::build_view`] would return a
-    /// non-empty view. A [`ViewMode::Skip`] policy serves only
-    /// [`RequestQueue::head`], so its bound is the head's
-    /// [`DramModule::next_ready_for`] alone.
-    ///
-    /// Exact in any tag state. A bank whose cached tag equals the live
-    /// open row answers from its class sizes; a stale bank (an insert, a
-    /// DRAM command, a refresh or a reliability action since the last
-    /// view build) classifies its members against the live row, in
-    /// O(bank members) and without rebucketing. Timing gates depend on
-    /// the command kind, not its row/column operand, so each class costs
-    /// one gate, and the open-page rule applies as in `build_view`: an
-    /// open bank with queued hits never folds its precharge gate. The
-    /// scan returns `now` at the first gate already due.
+    /// non-empty view: the minimum of the occupied banks' cached wake
+    /// cycles, O(occupied banks) with no DRAM probe, exact for the DRAM
+    /// state of the last resync. A [`ViewMode::Skip`] policy serves only
+    /// [`RequestQueue::head`] and runs without the gate cache, so its
+    /// bound is one probe of `dram`: the head's
+    /// [`DramModule::next_ready_for`].
     #[must_use]
     pub fn next_issue_at(&self, dram: &DramModule, now: Cycle, mode: ViewMode) -> Option<Cycle> {
         if mode == ViewMode::Skip {
@@ -584,21 +782,7 @@ impl RequestQueue {
         }
         let mut next: Option<Cycle> = None;
         for &bank in &self.occupied {
-            let b = &self.banks[bank as usize];
-            let gates = dram.bank_gates(&self.slots[self.representative(bank) as usize].p.loc);
-            let open = gates.open_row.unwrap_or(NO_ROW);
-            let len = if open == b.tag {
-                b.len
-            } else {
-                self.class_sizes(bank, open)
-            };
-            let at = match (len[HIT_READ] > 0, len[HIT_WRITE] > 0) {
-                (true, true) => gates.read.min(gates.write),
-                (true, false) => gates.read,
-                (false, true) => gates.write,
-                (false, false) if open != NO_ROW => gates.precharge,
-                (false, false) => gates.activate,
-            };
+            let at = self.wake(&self.banks[bank as usize]);
             if at <= now {
                 return Some(now);
             }
@@ -607,19 +791,36 @@ impl RequestQueue {
         next
     }
 
-    /// Class-list sizes of `bank` if its members were bucketed against
-    /// open row `tag`.
-    fn class_sizes(&self, bank: u32, tag: u64) -> [u32; 4] {
-        let mut len = [0; 4];
-        for &head in &self.banks[bank as usize].head {
-            let mut cur = head;
-            while cur != NONE {
-                let s = &self.slots[cur as usize];
-                len[class_of(&s.p, tag)] += 1;
-                cur = s.b_next;
-            }
+    /// The next DRAM command `id` needs under open-page bank management
+    /// and the first cycle it can issue, from the gate cache: what
+    /// [`DramModule::next_needed`] and [`DramModule::ready_at`] answer
+    /// on the DRAM state of the last resync.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is stale.
+    #[must_use]
+    pub fn next_command(&self, id: ReqId) -> (Command, Cycle) {
+        let s = &self.slots[id.0 as usize];
+        assert!(s.live, "stale ReqId");
+        let b = &self.banks[s.bank as usize];
+        let gates = self.gates(b);
+        match usize::from(s.class) {
+            HIT_READ => (
+                Command::Read {
+                    column: s.p.loc.column,
+                },
+                gates.read,
+            ),
+            HIT_WRITE => (
+                Command::Write {
+                    column: s.p.loc.column,
+                },
+                gates.write,
+            ),
+            _ if gates.open_row.is_some() => (Command::Precharge, gates.precharge),
+            _ => (Command::Activate { row: s.p.loc.row }, gates.activate),
         }
-        len
     }
 
     fn emit(&self, out: &mut IssueView, mode: ViewMode, head: u32, hit: bool) {

@@ -500,9 +500,9 @@ mod tests {
         q
     }
 
-    fn full_view(q: &mut RequestQueue, d: &DramModule, now: Cycle) -> IssueView {
+    fn full_view(q: &RequestQueue, now: Cycle) -> IssueView {
         let mut v = IssueView::default();
-        q.build_view(d, now, ViewMode::Full, &mut v);
+        q.build_view(now, ViewMode::Full, &mut v);
         v
     }
 
@@ -523,7 +523,7 @@ mod tests {
         assert!(queue.iter().all(|(_, p)| p.batched));
         // Thread 1 has fewer requests → better rank.
         assert!(parbs.rank[1] < parbs.rank[0]);
-        let view = full_view(&mut queue, &d, Cycle::new(1000));
+        let view = full_view(&queue, Cycle::new(1000));
         let pick = parbs.select(&queue, &view).unwrap();
         assert_eq!(
             queue.req(pick).request.thread,
@@ -540,7 +540,7 @@ mod tests {
         parbs.maybe_form_batch(&mut queue);
         // A newer unbatched request from another thread arrives.
         queue.insert(pending(2, 1 << 20, 1, 50, &d), &d);
-        let view = full_view(&mut queue, &d, Cycle::new(1000));
+        let view = full_view(&queue, Cycle::new(1000));
         let pick = parbs.select(&queue, &view).unwrap();
         assert_eq!(
             queue.req(pick).request.id,
@@ -564,11 +564,11 @@ mod tests {
                 Cycle::new(10),
             );
         }
-        let mut queue = queue_of(
+        let queue = queue_of(
             &d,
             &[pending(1, 0, 0, 0, &d), pending(2, 1 << 20, 1, 90, &d)],
         );
-        let view = full_view(&mut queue, &d, Cycle::new(1000));
+        let view = full_view(&queue, Cycle::new(1000));
         let pick = atlas.select(&queue, &view).unwrap();
         assert_eq!(
             queue.req(pick).request.thread,
@@ -621,11 +621,11 @@ mod tests {
         tcm.on_tick(Cycle::new(150)); // epoch boundary → recluster
         assert!(tcm.latency_cluster[0]);
         assert!(!tcm.latency_cluster[1]);
-        let mut queue = queue_of(
+        let queue = queue_of(
             &d,
             &[pending(1, 0, 1, 0, &d), pending(2, 1 << 20, 0, 90, &d)],
         );
-        let view = full_view(&mut queue, &d, Cycle::new(1000));
+        let view = full_view(&queue, Cycle::new(1000));
         let pick = tcm.select(&queue, &view).unwrap();
         assert_eq!(queue.req(pick).request.thread, 0, "latency cluster wins");
     }
@@ -645,11 +645,11 @@ mod tests {
             );
         }
         assert!(bliss.blacklisted().contains(&0));
-        let mut queue = queue_of(
+        let queue = queue_of(
             &d,
             &[pending(1, 0, 0, 0, &d), pending(2, 1 << 20, 1, 90, &d)],
         );
-        let view = full_view(&mut queue, &d, Cycle::new(1000));
+        let view = full_view(&queue, Cycle::new(1000));
         let pick = bliss.select(&queue, &view).unwrap();
         assert_eq!(
             queue.req(pick).request.thread,

@@ -47,7 +47,10 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// [`ViewMode::Full`]. [`ViewMode::Skip`] builds no view and promises
     /// that the policy serves only [`RequestQueue::head`]: the controller
     /// then sleeps until the head alone can issue, so a Skip policy that
-    /// picked any other request would be woken late.
+    /// picked any other request would be woken late. The mode must not
+    /// change over the policy's life: the controller keeps the queue's
+    /// gate cache in sync only for non-Skip modes, and resyncs it only
+    /// when [`crate::MemoryController::with_scheduler`] swaps policies.
     fn view_mode(&self) -> ViewMode {
         ViewMode::Full
     }
@@ -306,21 +309,16 @@ mod tests {
         (dram, queue)
     }
 
-    fn view_of(
-        queue: &mut RequestQueue,
-        dram: &DramModule,
-        now: Cycle,
-        mode: ViewMode,
-    ) -> IssueView {
+    fn view_of(queue: &RequestQueue, now: Cycle, mode: ViewMode) -> IssueView {
         let mut v = IssueView::default();
-        queue.build_view(dram, now, mode, &mut v);
+        queue.build_view(now, mode, &mut v);
         v
     }
 
     #[test]
     fn fcfs_picks_oldest() {
-        let (dram, mut queue) = setup();
-        let view = view_of(&mut queue, &dram, Cycle::new(100), ViewMode::Skip);
+        let (_, queue) = setup();
+        let view = view_of(&queue, Cycle::new(100), ViewMode::Skip);
         let pick = Fcfs::new().select(&queue, &view).unwrap();
         assert_eq!(
             queue.req(pick).request.id,
@@ -331,8 +329,8 @@ mod tests {
 
     #[test]
     fn frfcfs_prefers_row_hit() {
-        let (dram, mut queue) = setup();
-        let view = view_of(&mut queue, &dram, Cycle::new(100), ViewMode::Frontier);
+        let (dram, queue) = setup();
+        let view = view_of(&queue, Cycle::new(100), ViewMode::Frontier);
         let pick = FrFcfs::new().select(&queue, &view).unwrap();
         let p = *queue.req(pick);
         assert_eq!(p.request.id, 2, "FR-FCFS serves the row hit first");
@@ -343,9 +341,8 @@ mod tests {
 
     #[test]
     fn empty_queue_selects_nothing() {
-        let (dram, _) = setup();
-        let mut empty = RequestQueue::new();
-        let view = view_of(&mut empty, &dram, Cycle::ZERO, ViewMode::Frontier);
+        let empty = RequestQueue::new();
+        let view = view_of(&empty, Cycle::ZERO, ViewMode::Frontier);
         assert!(Fcfs::new().select(&empty, &view).is_none());
         assert!(FrFcfs::new().select(&empty, &view).is_none());
     }
@@ -365,12 +362,12 @@ mod tests {
 
     #[test]
     fn indexed_view_matches_linear_scan() {
-        let (dram, mut queue) = setup();
+        let (dram, queue) = setup();
         let linear: Vec<Pending> = queue.iter().map(|(_, p)| *p).collect();
         for now in [0u64, 20, 100, 10_000] {
             let now = Cycle::new(now);
             let want = linear_issue_view(&linear, &dram, now);
-            let got = view_of(&mut queue, &dram, now, ViewMode::Full);
+            let got = view_of(&queue, now, ViewMode::Full);
             let mut got_ids: Vec<(u64, bool)> = got
                 .ready
                 .iter()

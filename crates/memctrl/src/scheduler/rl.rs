@@ -239,9 +239,9 @@ mod tests {
         q
     }
 
-    fn frontier(q: &mut RequestQueue, d: &DramModule, now: Cycle) -> IssueView {
+    fn frontier(q: &RequestQueue, now: Cycle) -> IssueView {
         let mut v = IssueView::default();
-        q.build_view(d, now, ViewMode::Frontier, &mut v);
+        q.build_view(now, ViewMode::Frontier, &mut v);
         v
     }
 
@@ -249,8 +249,8 @@ mod tests {
     fn selects_something_from_nonempty_queue() {
         let d = dram_with_open_row();
         let mut rl = RlScheduler::new(RlSchedulerConfig::default());
-        let mut queue = queue_of(&d, &[pending(1, 64, &d), pending(2, 128, &d)]);
-        let view = frontier(&mut queue, &d, Cycle::new(1000));
+        let queue = queue_of(&d, &[pending(1, 64, &d), pending(2, 128, &d)]);
+        let view = frontier(&queue, Cycle::new(1000));
         let pick = rl.select(&queue, &view);
         assert!(pick.is_some());
         assert_eq!(rl.decisions(), 1);
@@ -258,10 +258,9 @@ mod tests {
 
     #[test]
     fn empty_queue_is_none_and_costs_no_decision() {
-        let d = dram_with_open_row();
         let mut rl = RlScheduler::new(RlSchedulerConfig::default());
-        let mut empty = RequestQueue::new();
-        let view = frontier(&mut empty, &d, Cycle::ZERO);
+        let empty = RequestQueue::new();
+        let view = frontier(&empty, Cycle::ZERO);
         assert!(rl.select(&empty, &view).is_none());
         assert_eq!(rl.decisions(), 0);
     }
@@ -290,9 +289,9 @@ mod tests {
             },
             ..RlSchedulerConfig::default()
         });
-        let mut queue = queue_of(&d, &[pending(1, 64, &d), pending(2, 128, &d)]);
+        let queue = queue_of(&d, &[pending(1, 64, &d), pending(2, 128, &d)]);
         for _ in 0..2000 {
-            let view = frontier(&mut queue, &d, Cycle::new(10_000));
+            let view = frontier(&queue, Cycle::new(10_000));
             let state = rl.state_with_hits(&queue, view.row_hits);
             let _ = rl.select(&queue, &view);
             // Manually reward only when the last action was row-hit-first.

@@ -164,7 +164,10 @@ proptest! {
     /// The tentpole guarantee: the event-skipping engine produces a
     /// report identical (`same_results`) to the per-cycle oracle, for
     /// every scheduler, with refresh enabled and disabled, on arbitrary
-    /// seeded multi-threaded workloads.
+    /// seeded multi-threaded workloads — on DDR3 (one channel, one rank,
+    /// eight banks), DDR4 (four bank groups), LPDDR4 (two channels) and a
+    /// two-rank DDR3, so that the controller's debug gate-cache check
+    /// sees every way a gate can be shared.
     #[test]
     fn cycle_skipping_matches_per_cycle_oracle(
         traces in prop::collection::vec(
@@ -190,25 +193,28 @@ proptest! {
             .collect();
         let threads = traces.len();
         let mode = || if refresh { RefreshMode::AllBank } else { RefreshMode::Disabled };
-        for (fast_sched, slow_sched) in schedulers(threads).into_iter().zip(schedulers(threads)) {
-            let name = fast_sched.name();
-            let fast_ctrl = MemoryController::new(DramConfig::ddr3_1600(), fast_sched)
-                .unwrap()
-                .with_refresh_mode(mode());
-            let slow_ctrl = MemoryController::new(DramConfig::ddr3_1600(), slow_sched)
-                .unwrap()
-                .with_refresh_mode(mode());
-            let fast = run_closed_loop_with(fast_ctrl, &mem_traces, 4, 2_000_000).unwrap();
-            let slow = run_closed_loop_per_cycle(slow_ctrl, &mem_traces, 4, 2_000_000).unwrap();
-            prop_assert!(
-                fast.same_results(&slow),
-                "{} diverged under cycle skipping (refresh={}):\n event-driven: {:?}\n per-cycle:   {:?}",
-                name, refresh, fast, slow
-            );
-            prop_assert!(
-                fast.engine.events_processed <= slow.cycles + 1,
-                "engine did more ticks than cycles exist"
-            );
+        let two_rank = DramConfig::ddr3_1600().to_builder().ranks(2).name("DDR3-1600 2R").build().unwrap();
+        for config in [DramConfig::ddr3_1600(), DramConfig::ddr4_2400(), DramConfig::lpddr4_3200(), two_rank] {
+            for (fast_sched, slow_sched) in schedulers(threads).into_iter().zip(schedulers(threads)) {
+                let name = fast_sched.name();
+                let fast_ctrl = MemoryController::new(config.clone(), fast_sched)
+                    .unwrap()
+                    .with_refresh_mode(mode());
+                let slow_ctrl = MemoryController::new(config.clone(), slow_sched)
+                    .unwrap()
+                    .with_refresh_mode(mode());
+                let fast = run_closed_loop_with(fast_ctrl, &mem_traces, 4, 2_000_000).unwrap();
+                let slow = run_closed_loop_per_cycle(slow_ctrl, &mem_traces, 4, 2_000_000).unwrap();
+                prop_assert!(
+                    fast.same_results(&slow),
+                    "{} on {} diverged under cycle skipping (refresh={}):\n event-driven: {:?}\n per-cycle:   {:?}",
+                    name, config.name, refresh, fast, slow
+                );
+                prop_assert!(
+                    fast.engine.events_processed <= slow.cycles + 1,
+                    "engine did more ticks than cycles exist"
+                );
+            }
         }
     }
 }

@@ -1,14 +1,17 @@
 //! Differential property test: the indexed per-(bank, class) ready
-//! lists against the legacy linear scan.
+//! lists and their gate cache against the legacy linear scan.
 //!
 //! Drives a [`RequestQueue`] and a [`DramModule`] through random
-//! enqueue / issue / touch / cancel interleavings and checks, at every step,
-//! that the indexed [`RequestQueue::build_view`] agrees with the
-//! retired linear scan (kept as [`linear_issue_view`], the differential
-//! oracle) — same candidate set, same row-hit count, and the same pick
-//! from every scheduler policy — and that the wake-up bound
-//! [`RequestQueue::next_issue_at`], taken while the per-bank tags are
-//! stale, is exactly the first cycle at which a tick could issue.
+//! enqueue / issue / touch / cancel interleavings. Every DRAM access is
+//! followed by the [`RequestQueue::resync`] the controller makes after a
+//! command. At every step the test checks that the indexed
+//! [`RequestQueue::build_view`] agrees with the retired linear scan
+//! (kept as [`linear_issue_view`], the differential oracle) — same
+//! candidate set, same row-hit count, and the same pick from every
+//! scheduler policy — and that the wake-up bound
+//! [`RequestQueue::next_issue_at`] is exactly the first cycle at which a
+//! tick could issue. The queue is exact after a resync, not in any
+//! state: a self-test shows that skipping the resync is caught.
 
 use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
 use ia_memctrl::scheduler::linear_issue_view;
@@ -97,8 +100,6 @@ fn first_cycle(
 }
 
 /// The wake-up bound against per-cycle oracles, for every view mode.
-/// Called before any `build_view` of the step, so the per-bank tags
-/// still reflect the state before the step's insert or DRAM command.
 fn check_wakeup(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
     let (_, pendings) = flatten(queue);
     // Frontier and Full views are non-empty exactly when the linear
@@ -130,7 +131,7 @@ fn check_wakeup(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
 
 /// One differential step: indexed view vs linear oracle on the current
 /// queue and DRAM state.
-fn check_step(queue: &mut RequestQueue, dram: &DramModule, now: Cycle) {
+fn check_step(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
     check_wakeup(queue, dram, now);
     let (ids, pendings) = flatten(queue);
     let oracle = linear_issue_view(&pendings, dram, now);
@@ -140,7 +141,7 @@ fn check_step(queue: &mut RequestQueue, dram: &DramModule, now: Cycle) {
     };
 
     let mut full = IssueView::default();
-    queue.build_view(dram, now, ViewMode::Full, &mut full);
+    queue.build_view(now, ViewMode::Full, &mut full);
     prop_assert_eq!(
         as_set(&full, queue),
         as_set(&reference, queue),
@@ -158,7 +159,7 @@ fn check_step(queue: &mut RequestQueue, dram: &DramModule, now: Cycle) {
         let mut indexed_side = sched.clone_box();
         let mut oracle_side = sched;
         let mut view = IssueView::default();
-        queue.build_view(dram, now, indexed_side.view_mode(), &mut view);
+        queue.build_view(now, indexed_side.view_mode(), &mut view);
         let indexed_pick = indexed_side.select(queue, &view);
         let oracle_pick = oracle_side.select(queue, &reference);
         prop_assert_eq!(
@@ -171,6 +172,72 @@ fn check_step(queue: &mut RequestQueue, dram: &DramModule, now: Cycle) {
     }
 }
 
+/// Replays `ops` — `(addr, write, thread, op, gap)` tuples — through a
+/// queue and a DRAM module, running the differential check after every
+/// op. Each DRAM access is followed by the controller's resync unless
+/// `resync` is false.
+fn replay(ops: &[(u64, bool, usize, u8, u8)], resync: bool) {
+    let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
+    let mut queue = RequestQueue::new();
+    let mut now = Cycle::ZERO;
+    let mut next_id = 1u64;
+
+    for &(addr, write, thread, op, gap) in ops {
+        let addr = addr & !63;
+        match op {
+            // Enqueue (half the ops): a fresh request lands.
+            0 | 1 => {
+                let p = pending(&dram, next_id, addr, write, thread, now);
+                next_id += 1;
+                queue.insert(p, &dram);
+            }
+            // Issue: serve FR-FCFS's pick, mutating bank state the way a
+            // real command stream does.
+            2 => {
+                let mut view = IssueView::default();
+                queue.build_view(now, ViewMode::Frontier, &mut view);
+                if let Some(id) = FrFcfs::new().select(&queue, &view) {
+                    let p = queue.remove(id);
+                    dram.access(p.request.addr, p.request.kind, now).unwrap();
+                    if resync {
+                        queue.resync(&dram, &p.loc);
+                    }
+                }
+            }
+            // Touch: open an arbitrary queued request's row without
+            // serving it, so its bank's open row moves under it.
+            3 => {
+                let (_, pendings) = flatten(&queue);
+                if !pendings.is_empty() {
+                    let p = pendings[gap as usize % pendings.len()];
+                    dram.access(p.request.addr, p.request.kind, now).unwrap();
+                    if resync {
+                        queue.resync(&dram, &p.loc);
+                    }
+                }
+            }
+            // Cancel: drop an arbitrary queued request.
+            _ => {
+                let (ids, _) = flatten(&queue);
+                if !ids.is_empty() {
+                    queue.remove(ids[gap as usize % ids.len()]);
+                }
+            }
+        }
+        now += u64::from(gap);
+        check_step(&queue, &dram, now);
+    }
+}
+
+/// The comparison can fail: touching a queued request's bank without
+/// the resync leaves the queue classifying it against the old, closed
+/// row, and the wake-up check catches it on the next step.
+#[test]
+#[should_panic(expected = "wake-up bound")]
+fn skipped_resync_is_caught() {
+    replay(&[(0, false, 0, 0, 0), (0, false, 0, 3, 0)], false);
+}
+
 proptest! {
     // Every case replays the full differential check (7 policies) at
     // every step of the interleaving. 32 cases are needed for a bank
@@ -180,8 +247,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random enqueue/issue/touch/cancel interleavings: the indexed queue and
-    /// the linear oracle agree on the candidate set, the wake-up bound
-    /// (taken with stale tags), and every scheduler's pick at every step.
+    /// the linear oracle agree on the candidate set, the wake-up bound,
+    /// and every scheduler's pick at every step.
     #[test]
     fn indexed_queue_matches_linear_scan_under_interleavings(
         ops in prop::collection::vec(
@@ -189,50 +256,6 @@ proptest! {
             1..50,
         ),
     ) {
-        let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
-        let mut queue = RequestQueue::new();
-        let mut now = Cycle::ZERO;
-        let mut next_id = 1u64;
-
-        for &(addr, write, thread, op, gap) in &ops {
-            let addr = addr & !63;
-            match op {
-                // Enqueue (half the ops): a fresh request lands.
-                0 | 1 => {
-                    let p = pending(&dram, next_id, addr, write, thread, now);
-                    next_id += 1;
-                    queue.insert(p, &dram);
-                }
-                // Issue: serve FR-FCFS's pick, mutating bank state the
-                // way a real command stream does.
-                2 => {
-                    let mut view = IssueView::default();
-                    queue.build_view(&dram, now, ViewMode::Frontier, &mut view);
-                    if let Some(id) = FrFcfs::new().select(&queue, &view) {
-                        let p = queue.remove(id);
-                        dram.access(p.request.addr, p.request.kind, now)
-                            .unwrap();
-                    }
-                }
-                // Touch: open an arbitrary queued request's row without
-                // serving it, so its bank's tag goes stale under it.
-                3 => {
-                    let (_, pendings) = flatten(&queue);
-                    if !pendings.is_empty() {
-                        let p = pendings[gap as usize % pendings.len()];
-                        dram.access(p.request.addr, p.request.kind, now).unwrap();
-                    }
-                }
-                // Cancel: drop an arbitrary queued request.
-                _ => {
-                    let (ids, _) = flatten(&queue);
-                    if !ids.is_empty() {
-                        queue.remove(ids[gap as usize % ids.len()]);
-                    }
-                }
-            }
-            now += u64::from(gap);
-            check_step(&mut queue, &dram, now);
-        }
+        replay(&ops, true);
     }
 }

@@ -11,7 +11,11 @@
 //!   queue's promise is depth-independence: both depths should cost the
 //!   same per pick (the linear scan it replaced scaled 32×).
 //! * **dram-timing-check** — one [`DramModule::bank_gates`] probe, the
-//!   per-bank query `build_view` and `next_event_at` are built from.
+//!   full per-bank gate walk the queue's gate cache is checked against.
+//! * **bank-resync** — one [`RequestQueue::resync`], the gate-cache
+//!   refresh the controller runs after every issued command (a bank
+//!   probe, its channel's shared gates, the occupied banks' wake
+//!   cycles), plus the wake-up read it feeds.
 //! * **wheel-insert-pop** — an [`EventWheel`] schedule/pop cycle, the
 //!   engine's O(1) next-event machinery.
 //! * **noc-route-flit** — one [`RouteTable`] XY lookup plus a
@@ -139,7 +143,7 @@ fn queue_of(depth: u64, dram: &DramModule) -> RequestQueue {
 fn sched_pick(depth: u64, iters: u64) -> Sample {
     // lint: allow(P001, ddr3_1600 is a valid preset)
     let dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
-    let mut queue = queue_of(depth, &dram);
+    let queue = queue_of(depth, &dram);
     let mut view = IssueView::default();
     let mut sched = FrFcfs::new();
     let now = Cycle::new(1_000);
@@ -147,7 +151,7 @@ fn sched_pick(depth: u64, iters: u64) -> Sample {
     // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
     let start = Instant::now();
     for _ in 0..iters {
-        queue.build_view(&dram, now, ViewMode::Frontier, &mut view);
+        queue.build_view(now, ViewMode::Frontier, &mut view);
         checksum = fold(checksum, view.ready.len() as u64 + 1);
         if let Some(id) = sched.select(&queue, &view) {
             checksum = fold(checksum, u64::from(id.index()) + 1);
@@ -196,6 +200,39 @@ fn dram_timing_check(iters: u64) -> Sample {
         let gates = dram.bank_gates(&locs[(i % locs.len() as u64) as usize]);
         checksum = fold(checksum, gates.read.as_u64());
         checksum = fold(checksum, gates.activate.as_u64());
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// One post-command gate-cache resync per op, cycling over the banks of
+/// a 16-request queue with half its banks open, then the wake-up bound
+/// the resync keeps current.
+fn bank_resync(iters: u64) -> Sample {
+    // lint: allow(P001, ddr3_1600 is a valid preset)
+    let mut dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
+    for i in 0..4u64 {
+        let addr = i * dram.config().geometry.row_bytes;
+        let _ = dram.access(
+            PhysAddr::new(addr),
+            ia_dram::AccessKind::Read,
+            Cycle::new(i),
+        );
+    }
+    let mut queue = queue_of(16, &dram);
+    let locs: Vec<_> = queue.iter().map(|(_, p)| p.loc).collect();
+    let now = Cycle::new(10);
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        queue.resync(&dram, &locs[(i % locs.len() as u64) as usize]);
+        let wake = queue.next_issue_at(&dram, now, ViewMode::Frontier);
+        checksum = fold(checksum, wake.map_or(0, |c| c.as_u64() + 1));
     }
     let ns = start.elapsed().as_nanos();
     Sample {
@@ -332,6 +369,10 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "dram_timing_check",
             run: dram_timing_check,
+        },
+        Bench {
+            name: "bank_resync",
+            run: bank_resync,
         },
         Bench {
             name: "wheel_insert_pop",

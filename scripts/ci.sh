@@ -107,7 +107,10 @@ cargo test -q -p ia-sim watchdog
 echo "== event wheel vs per-cycle scan (order-equivalence property)"
 cargo test -q -p ia-sim --test wheel_equivalence
 
-echo "== indexed ready-lists vs linear scan (scheduler pick equivalence, exact wake-up bound)"
+echo "== split DRAM gates recombine exactly (DDR3, DDR4, LPDDR4, 2-rank)"
+cargo test -q -p ia-dram --test gate_split
+
+echo "== indexed ready-lists + gate cache vs linear scan (pick equivalence, exact wake-up bound after resync)"
 cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
 
 echo "== engine skip exactness (event-driven runs == per-cycle oracle, faults included)"
