@@ -1,7 +1,6 @@
 //! The injector: executes a [`FaultPlan`] against the stream of DRAM
 //! events and answers "which bits of this codeword are wrong right now?"
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::plan::{FaultKind, FaultPlan};
@@ -9,6 +8,7 @@ use crate::rng::{
     chance, fold, hash, unit, STREAM_DECAY, STREAM_HAMMER, STREAM_STUCK, STREAM_TRANSIENT,
     STREAM_WEAK,
 };
+use crate::site::SiteMap;
 
 /// Bits per protected word: 64 data + 8 SECDED check bits. Flip masks
 /// index the same 0..72 space as `ia_reliability::ecc::inject_error`.
@@ -196,21 +196,21 @@ pub struct FaultInjector {
     plan: FaultPlan,
     /// Soft (scrubbable) flips per codeword: RowHammer, retention,
     /// scripted soft faults.
-    soft: HashMap<WordKey, u128>,
+    soft: SiteMap<WordKey, u128>,
     /// Stuck-at masks per codeword, materialized lazily on first touch
     /// (`None` entries are never stored — absence means "not yet
     /// examined", zero means "examined, not stuck").
-    stuck: HashMap<WordKey, u128>,
+    stuck: SiteMap<WordKey, u128>,
     /// Aggressor activations absorbed per victim row since its last
     /// refresh.
-    exposure: HashMap<RowKey, u64>,
+    exposure: SiteMap<RowKey, u64>,
     /// Last cycle each row was individually restored (activate, write,
     /// or targeted refresh).
-    row_restored: HashMap<RowKey, u64>,
+    row_restored: SiteMap<RowKey, u64>,
     /// Last cycle a full refresh pass completed, per (channel, rank).
-    rank_epoch: HashMap<(usize, usize), u64>,
+    rank_epoch: SiteMap<(usize, usize), u64>,
     /// Rank-refresh commands seen so far, per (channel, rank).
-    refresh_calls: HashMap<(usize, usize), u64>,
+    refresh_calls: SiteMap<(usize, usize), u64>,
     /// Monotonic read counter — the transient-error decision key.
     reads: u64,
     /// Which scripted faults have manifested.
@@ -225,12 +225,12 @@ impl FaultInjector {
         let scripted_done = vec![false; plan.scripted.len()];
         FaultInjector {
             plan,
-            soft: HashMap::new(),
-            stuck: HashMap::new(),
-            exposure: HashMap::new(),
-            row_restored: HashMap::new(),
-            rank_epoch: HashMap::new(),
-            refresh_calls: HashMap::new(),
+            soft: SiteMap::default(),
+            stuck: SiteMap::default(),
+            exposure: SiteMap::default(),
+            row_restored: SiteMap::default(),
+            rank_epoch: SiteMap::default(),
+            refresh_calls: SiteMap::default(),
             reads: 0,
             scripted_done,
             stats: FaultStats::default(),

@@ -23,6 +23,9 @@
 //!   identity)` — no stateful RNG — so campaigns are order-independent
 //!   and reproduce bit-for-bit from a single seed, which is what keeps
 //!   `exp24_fault_injection` byte-identical across `--threads`.
+//! * Per-site state lives in [`SiteMap`]s: std maps hashed with the
+//!   fixed-seed [`SiteHasher`] instead of SipHash, because the keys are
+//!   simulator coordinates and the hash sits on every hook call.
 //!
 //! The crate is intentionally **zero-dependency** (std only): any layer
 //! of the stack can host an injector without dependency cycles.
@@ -33,6 +36,8 @@
 mod inject;
 mod plan;
 mod rng;
+mod site;
 
 pub use inject::{FaultInjector, FaultStats, FlipMask, Inject, NoFaults, RowSite, CODEWORD_BITS};
 pub use plan::{FaultKind, FaultPlan, ScriptedFault};
+pub use site::{SiteHasher, SiteMap};

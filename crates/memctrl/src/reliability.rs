@@ -26,10 +26,8 @@
 //!
 //! [`MemoryController::with_reliability`]: crate::MemoryController::with_reliability
 
-use std::collections::HashMap;
-
 use ia_dram::{Cycle, DramModule, Geometry, InjectEvent};
-use ia_faults::{FaultPlan, FaultStats, Inject, RowSite};
+use ia_faults::{FaultPlan, FaultStats, Inject, RowSite, SiteMap};
 use ia_reliability::{decode, encode, inject_error, DecodeOutcome, EccWord, RetentionBin};
 use ia_telemetry::{MetricSource, Scope};
 
@@ -168,18 +166,20 @@ pub struct ReliabilityPipeline {
     /// First spare row index: rows in `spare_floor..rows_per_bank`.
     spare_floor: u64,
     scratch: Vec<InjectEvent>,
+    /// Reused buffer for the escalated rows one rank refresh services.
+    due: Vec<RowKey>,
     /// Retired rows and the spare that replaced them.
-    remap: HashMap<RowKey, u64>,
+    remap: SiteMap<RowKey, u64>,
     /// Spares consumed per bank.
-    spare_used: HashMap<BankKey, u64>,
+    spare_used: SiteMap<BankKey, u64>,
     /// Escalated rows and their current (faster-than-nominal) bin.
-    bins: HashMap<RowKey, RetentionBin>,
+    bins: SiteMap<RowKey, RetentionBin>,
     /// Neighbor-activation exposure per potential victim row
     /// (CounterTRR-style, conservatively cumulative).
-    exposure: HashMap<RowKey, u64>,
+    exposure: SiteMap<RowKey, u64>,
     /// Rank-refresh events seen, per (channel, rank) — the escalated
     /// service cadence counter.
-    refresh_events: HashMap<(usize, usize), u64>,
+    refresh_events: SiteMap<(usize, usize), u64>,
     stats: ReliabilityStats,
 }
 
@@ -215,11 +215,12 @@ impl ReliabilityPipeline {
             rows_per_bank,
             spare_floor,
             scratch: Vec::new(),
-            remap: HashMap::new(),
-            spare_used: HashMap::new(),
-            bins: HashMap::new(),
-            exposure: HashMap::new(),
-            refresh_events: HashMap::new(),
+            due: Vec::new(),
+            remap: SiteMap::default(),
+            spare_used: SiteMap::default(),
+            bins: SiteMap::default(),
+            exposure: SiteMap::default(),
+            refresh_events: SiteMap::default(),
             stats: ReliabilityStats::default(),
         }
     }
@@ -484,22 +485,24 @@ impl ReliabilityPipeline {
         };
         // Sorted for a deterministic service order regardless of map
         // iteration order.
-        let mut due: Vec<RowKey> = self
-            .bins
-            .iter()
-            .filter(|(key, bin)| {
-                key.0 == channel
-                    && key.1 == rank
-                    && match bin {
-                        RetentionBin::Ms64 => true,
-                        RetentionBin::Ms128 => count % 2 == 0,
-                        RetentionBin::Ms256 => count % 4 == 0,
-                    }
-            })
-            .map(|(key, _)| *key)
-            .collect();
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        due.extend(
+            self.bins
+                .iter()
+                .filter(|(key, bin)| {
+                    key.0 == channel
+                        && key.1 == rank
+                        && match bin {
+                            RetentionBin::Ms64 => true,
+                            RetentionBin::Ms128 => count % 2 == 0,
+                            RetentionBin::Ms256 => count % 4 == 0,
+                        }
+                })
+                .map(|(key, _)| *key),
+        );
         due.sort_unstable();
-        for key in due {
+        for &key in &due {
             let site = RowSite {
                 channel: key.0,
                 rank: key.1,
@@ -509,6 +512,7 @@ impl ReliabilityPipeline {
             self.injector.on_row_refresh(&site, at.as_u64());
             self.stats.escalated_refreshes += 1;
         }
+        self.due = due;
     }
 }
 
@@ -569,6 +573,7 @@ fn corrupt(word: EccWord, mask: u128) -> EccWord {
 mod tests {
     use super::*;
     use ia_faults::FlipMask;
+    use std::sync::{Arc, Mutex};
 
     fn site0(row: u64) -> RowSite {
         RowSite {
@@ -579,12 +584,14 @@ mod tests {
         }
     }
 
-    /// A scripted hook that returns queued masks for reads in order.
+    /// A scripted hook that returns queued masks for reads in order and
+    /// logs targeted row refreshes where the test can still read them
+    /// once the pipeline owns the hook.
     #[derive(Debug, Clone, Default)]
     struct QueuedMasks {
         masks: std::collections::VecDeque<FlipMask>,
         writes: Vec<(u64, u64)>,
-        row_refreshes: Vec<u64>,
+        row_refreshes: Arc<Mutex<Vec<(u64, RowSite)>>>,
     }
 
     impl Inject for QueuedMasks {
@@ -596,8 +603,8 @@ mod tests {
             self.writes.push((site.row, word));
         }
         fn on_refresh(&mut self, _channel: usize, _rank: usize, _now: u64) {}
-        fn on_row_refresh(&mut self, site: &RowSite, _now: u64) {
-            self.row_refreshes.push(site.row);
+        fn on_row_refresh(&mut self, site: &RowSite, now: u64) {
+            self.row_refreshes.lock().unwrap().push((now, *site));
         }
         fn clone_box(&self) -> Box<dyn Inject> {
             Box::new(self.clone())
@@ -720,6 +727,69 @@ mod tests {
         assert_ne!(p.resolve(0, 0, 0, 49).row, 49);
         assert_ne!(p.resolve(0, 0, 0, 51).row, 51);
         assert_eq!(p.resolve(0, 0, 0, 50).row, 50, "aggressor not remapped");
+    }
+
+    /// Escalates `rows` in the given order — one correction moves a row
+    /// to Ms128, a second to Ms64 — then runs four refresh rounds over
+    /// both ranks and returns every targeted refresh the hook saw.
+    fn escalated_refresh_log(rows: &[(usize, usize, u64, bool)]) -> Vec<(u64, RowSite)> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let corrections = rows.iter().map(|r| 1 + usize::from(r.3)).sum();
+        let hook = QueuedMasks {
+            masks: vec![single_flip(); corrections].into(),
+            row_refreshes: Arc::clone(&log),
+            ..QueuedMasks::default()
+        };
+        let mut p = ReliabilityPipeline::with_hook(
+            ReliabilityConfig::tier(Mitigation::Full),
+            Box::new(hook),
+            1 << 10,
+        );
+        for &(rank, bank, row, twice) in rows {
+            p.handle_read(Cycle::new(1), 0, rank, bank, row, 0);
+            if twice {
+                p.handle_read(Cycle::new(2), 0, rank, bank, row, 0);
+            }
+        }
+        assert_eq!(p.stats().escalations, corrections as u64);
+        for round in 0..4u64 {
+            for rank in 0..2 {
+                p.handle_refresh(Cycle::new(100 + round * 10 + rank as u64), 0, rank);
+            }
+        }
+        let log = log.lock().unwrap().clone();
+        log
+    }
+
+    #[test]
+    fn escalated_refresh_order_ignores_bin_insertion_order() {
+        // 96 rows over two ranks and eight banks, every third one in the
+        // fastest bin: enough keys that the map's probe sequences collide.
+        let rows: Vec<(usize, usize, u64, bool)> = (0..96u64)
+            .map(|i| {
+                (
+                    (i % 2) as usize,
+                    (i / 2 % 8) as usize,
+                    40 + i * 5,
+                    i % 3 == 0,
+                )
+            })
+            .collect();
+        let reversed: Vec<_> = rows.iter().rev().copied().collect();
+        let forward = escalated_refresh_log(&rows);
+        assert_eq!(forward, escalated_refresh_log(&reversed));
+        // Ms64 rows every refresh, Ms128 rows every other one.
+        assert_eq!(forward.len(), 4 * 32 + 2 * 64);
+        // Within one rank refresh, rows are serviced in key order.
+        for pair in forward.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            if a.0 == b.0 {
+                assert!(
+                    (a.1.bank, a.1.row) < (b.1.bank, b.1.row),
+                    "{a:?} before {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!   comment-strip, item-parse) over a deterministic synthetic source
 //!   file: the per-file cost behind the `ia-lint --check` wall-time
 //!   budget in `scripts/ci.sh`.
+//! * **fault-hook** — one [`FaultInjector`] activate + read per request
+//!   over the simulator benchmark's `fault_ladder` stream (row scans plus
+//!   a double-sided hammer pair) at its ×4 fault rates: the per-request
+//!   cost of the fault hook behind the reliability pipeline.
 //!
 //! ## Determinism (lint D002)
 //!
@@ -56,6 +60,7 @@
 use std::time::Instant;
 
 use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
+use ia_faults::{FaultInjector, FaultPlan, Inject, RowSite};
 use ia_lint::context::FileContext;
 use ia_lint::lexer::tokenize;
 use ia_lint::parser::{parse_items, Item};
@@ -269,6 +274,85 @@ fn wheel_insert_pop(iters: u64) -> Sample {
     Sample { ops, checksum, ns }
 }
 
+/// The `fault_ladder` request stream as row sites: four passes, each a
+/// scan over 192 rows spread across the eight banks of rank 0, one read
+/// of victim row 1001, then 400 hammer pairs on rows 1000 and 1002.
+fn ladder_sites() -> Vec<RowSite> {
+    let site = |bank, row| RowSite {
+        channel: 0,
+        rank: 0,
+        bank,
+        row,
+    };
+    let mut out = Vec::new();
+    for _ in 0..4 {
+        for i in 0..192usize {
+            out.push(site(i % 8, 64 + (i as u64 / 8) * 4));
+        }
+        out.push(site(0, 1001));
+        for _ in 0..400 {
+            out.push(site(0, 1000));
+            out.push(site(0, 1002));
+        }
+    }
+    out
+}
+
+/// `fault_ladder`'s fault plan at its ×4 rate multiplier, on DDR3-1600
+/// rows with one word per row and eight spare rows per bank.
+fn ladder_injector() -> FaultInjector {
+    let rows = DramConfig::ddr3_1600().geometry.rows_per_bank;
+    FaultPlan::new(1)
+        .transient(0.016)
+        .retention(0.08, 60_000, 8192)
+        .rowhammer(128, 1.0)
+        .stuck(0.000_8)
+        .geometry(rows, 1)
+        .spare_floor(rows - 8)
+        .build()
+}
+
+/// Feeds `iters` requests of the ladder stream, one every 40 cycles,
+/// through `on_activate` + `on_read`, folding every read's flip mask.
+fn drive_ladder(injector: &mut FaultInjector, sites: &[RowSite], iters: u64) -> u64 {
+    let mut checksum = 0u64;
+    for i in 0..iters {
+        let site = &sites[(i % sites.len() as u64) as usize];
+        let now = i * 40;
+        injector.on_activate(site, now);
+        let mask = injector.on_read(site, 0, now + 11);
+        checksum = fold(checksum, (mask.bits as u64) ^ (mask.bits >> 64) as u64);
+    }
+    checksum
+}
+
+/// One [`FaultInjector`] `on_activate` + `on_read` per op over the
+/// `fault_ladder` stream. The checksum folds the read masks and the
+/// final [`ia_faults::FaultStats`].
+fn fault_hook(iters: u64) -> Sample {
+    let mut injector = ladder_injector();
+    let sites = ladder_sites();
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    let mut checksum = drive_ladder(&mut injector, &sites, iters);
+    let ns = start.elapsed().as_nanos();
+    let stats = injector.stats();
+    for count in [
+        stats.rowhammer_flips,
+        stats.retention_flips,
+        stats.transient_flips,
+        stats.stuck_cells,
+        stats.reads_faulted,
+    ] {
+        checksum = fold(checksum, count);
+    }
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
 /// One XY route lookup + productive-port query per op on an 8×8 mesh —
 /// the per-flit work of the NoC hot loop.
 fn noc_route_flit(iters: u64) -> Sample {
@@ -385,6 +469,10 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "lint_parse_workspace",
             run: lint_parse_workspace,
+        },
+        Bench {
+            name: "fault_hook",
+            run: fault_hook,
         },
     ]
 }
@@ -514,6 +602,21 @@ mod tests {
         let lp = r.iter().find(|x| x.name == "lint_parse_workspace").unwrap();
         assert_eq!(lp.ops, 4);
         assert_ne!(lp.checksum, 0);
+    }
+
+    #[test]
+    fn fault_hook_exercises_the_injector() {
+        // At the default 4096 iterations the stream covers one full pass
+        // and part of a second: the hammer pair trips RowHammer flips,
+        // revisited scan rows overrun their retention limits, and reads
+        // draw transient errors and a stuck cell.
+        let mut injector = ladder_injector();
+        let _ = drive_ladder(&mut injector, &ladder_sites(), 4096);
+        let stats = injector.stats();
+        assert!(stats.rowhammer_flips > 0, "{stats}");
+        assert!(stats.retention_flips > 0, "{stats}");
+        assert!(stats.transient_flips > 0, "{stats}");
+        assert!(stats.stuck_cells > 0, "{stats}");
     }
 
     #[test]

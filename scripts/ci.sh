@@ -119,7 +119,7 @@ cargo test -q -p ia-memctrl --test properties
 echo "== simulator benchmark gate self-tests (every job's digest against simbench/pins.txt)"
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 
-echo "== microbench smoke (--iters 1 run + JSON schema check)"
+echo "== microbench smoke (--iters 1 run + JSON schema check + bench set vs BENCH_MICRO.json)"
 micro_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir"' EXIT
 cargo run -q -p ia-microbench --bin microbench -- \
@@ -129,6 +129,14 @@ for key in bench iters ops checksum; do
     grep -q "\"$key\":" "$micro_dir/micro.json" \
         || { echo "BENCH_MICRO schema: missing key $key"; exit 1; }
 done
+# Every registered kernel has a checksum row in BENCH_MICRO.json, and
+# every row there belongs to a registered kernel.
+bench_names() { grep -o '"bench": *"[^"]*"' "$1" | sed 's/.*"\([^"]*\)"$/\1/' | sort; }
+if ! diff <(bench_names BENCH_MICRO.json) <(bench_names "$micro_dir/micro.json"); then
+    echo "BENCH_MICRO.json bench set differs from the registered kernels (< file, > run);"
+    echo "regenerate it with: cargo run --release -p ia-microbench -- --iters 4096 --k 5 --json BENCH_MICRO.json"
+    exit 1
+fi
 
 echo "== warm-fork vs cold construction (snapshot bit-identity)"
 cargo test -q -p ia-memctrl --test snapshot_fork
