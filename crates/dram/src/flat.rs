@@ -1,31 +1,27 @@
 //! Flat struct-of-arrays storage for per-bank protocol state.
 //!
-//! [`BankStates`] holds the open row, the per-command timing deadlines,
-//! and the activate counters of every bank in a rank as parallel arrays
-//! indexed by bank id. The hot controller queries (`row_buffer_outcome`,
-//! `ready_at`) walk contiguous memory instead of chasing one heap object
-//! per bank, and rank-wide predicates (`all_closed`, the refresh gate)
-//! reduce over a single cache line's worth of deadlines.
+//! [`BankStates`] holds the open row and the per-command timing
+//! deadlines of every bank in a rank as parallel arrays indexed by bank
+//! id. The hot controller queries (`row_buffer_outcome`, `local_gates`)
+//! walk contiguous memory instead of chasing one heap object per bank,
+//! and the rank-wide refresh eligibility (`all_closed`) is one counter.
 //!
-//! [`crate::Bank`] remains the public single-bank state machine; it is a
-//! thin view over a one-element `BankStates`, so the transition logic
-//! lives here exactly once.
+//! The store only applies transitions; whether a command is legal is
+//! decided once, by [`crate::DramModule`], from the gates.
 
-use crate::error::{IssueError, IssueErrorReason};
-use crate::{Command, Cycle, IssueOutcome, RowBufferOutcome, TimingParams};
+use crate::{Command, Cycle, IssueOutcome, LocalGates, RowBufferOutcome, TimingParams};
 
-/// Sentinel for "no row open". Row indices come from decoded physical
-/// addresses and are bounded by `rows_per_bank`, so `u64::MAX` is never a
+/// Sentinel for "no row open". Activates are range-checked against
+/// `rows_per_bank` before they reach the store, so `u64::MAX` is never a
 /// real row.
 const NO_ROW: u64 = u64::MAX;
 
 /// Per-bank protocol state for a whole rank, stored struct-of-arrays.
 ///
 /// Each array is indexed by the flat bank id within the rank. All
-/// methods taking a `bank` index panic if it is out of range, exactly as
-/// indexing a `Vec<Bank>` did before the flattening.
+/// methods taking a `bank` index panic if it is out of range.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankStates {
+pub(crate) struct BankStates {
     /// Open row per bank (`NO_ROW` = closed).
     open_row: Vec<u64>,
     /// Earliest legal activate (doubles as the refresh gate).
@@ -34,8 +30,6 @@ pub struct BankStates {
     next_pre: Vec<Cycle>,
     /// Earliest legal column command.
     next_col: Vec<Cycle>,
-    /// Lifetime activate count per bank (RowHammer accounting).
-    activations: Vec<u64>,
     /// Number of banks with an open row, kept in sync so rank-wide
     /// refresh eligibility is O(1) instead of a scan.
     open_banks: usize,
@@ -44,59 +38,30 @@ pub struct BankStates {
 impl BankStates {
     /// Creates state for `banks` freshly powered-up banks: idle,
     /// everything legal at cycle zero.
-    #[must_use]
-    pub fn new(banks: usize) -> Self {
+    pub(crate) fn new(banks: usize) -> Self {
         BankStates {
             open_row: vec![NO_ROW; banks],
             next_act: vec![Cycle::ZERO; banks],
             next_pre: vec![Cycle::ZERO; banks],
             next_col: vec![Cycle::ZERO; banks],
-            activations: vec![0; banks],
             open_banks: 0,
         }
     }
 
-    /// Number of banks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.open_row.len()
-    }
-
-    /// True if there are no banks (degenerate but well-defined).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.open_row.is_empty()
-    }
-
     /// The currently open row of `bank`, if any.
-    #[must_use]
-    pub fn open_row(&self, bank: usize) -> Option<u64> {
+    pub(crate) fn open_row(&self, bank: usize) -> Option<u64> {
         let row = self.open_row[bank];
         (row != NO_ROW).then_some(row)
     }
 
-    /// Lifetime activate count of `bank`.
-    #[must_use]
-    pub fn activations(&self, bank: usize) -> u64 {
-        self.activations[bank]
-    }
-
-    /// Per-bank lifetime activate counts, in bank order.
-    #[must_use]
-    pub fn activation_counts(&self) -> Vec<u64> {
-        self.activations.clone()
-    }
-
     /// True if no bank has an open row.
-    #[must_use]
-    pub fn all_closed(&self) -> bool {
+    pub(crate) fn all_closed(&self) -> bool {
         self.open_banks == 0
     }
 
     /// Classifies a prospective access to `row` of `bank` against the
     /// row buffer.
-    #[must_use]
-    pub fn row_buffer_outcome(&self, bank: usize, row: u64) -> RowBufferOutcome {
+    pub(crate) fn row_buffer_outcome(&self, bank: usize, row: u64) -> RowBufferOutcome {
         match self.open_row[bank] {
             open if open == row => RowBufferOutcome::Hit,
             NO_ROW => RowBufferOutcome::Miss,
@@ -104,192 +69,64 @@ impl BankStates {
         }
     }
 
-    /// Earliest cycle at which `cmd` satisfies `bank`'s local timing
-    /// (rank/channel constraints are layered on top by the callers).
-    #[must_use]
-    pub fn ready_at(&self, bank: usize, cmd: &Command) -> Cycle {
-        match cmd {
-            Command::Activate { .. } | Command::Refresh => self.next_act[bank],
-            Command::Precharge => self.next_pre[bank],
-            Command::Read { .. } | Command::Write { .. } => self.next_col[bank],
+    /// The open row and bank-local deadlines of `bank` in one indexed
+    /// load.
+    pub(crate) fn local_gates(&self, bank: usize) -> LocalGates {
+        LocalGates {
+            open_row: self.open_row(bank),
+            activate: self.next_act[bank],
+            precharge: self.next_pre[bank],
+            column: self.next_col[bank],
         }
     }
 
-    /// All three bank-local command gates of `bank` in one indexed
-    /// load: `(activate, precharge, column)`.
-    #[must_use]
-    pub fn command_gates(&self, bank: usize) -> (Cycle, Cycle, Cycle) {
-        (
-            self.next_act[bank],
-            self.next_pre[bank],
-            self.next_col[bank],
-        )
-    }
-
-    /// The latest per-bank refresh gate: no rank refresh may issue
-    /// before every bank is past its activate window.
-    #[must_use]
-    pub fn refresh_gate(&self) -> Cycle {
-        self.next_act
-            .iter()
-            .copied()
-            .fold(Cycle::ZERO, |acc, t| acc.max(t))
-    }
-
-    /// True if `cmd` is legal on `bank` at `now` with respect to
-    /// bank-local state and timing.
-    #[must_use]
-    pub fn can_issue(&self, bank: usize, cmd: &Command, now: Cycle) -> bool {
-        self.check(bank, cmd, now).is_ok()
-    }
-
-    pub(crate) fn check(
-        &self,
-        bank: usize,
-        cmd: &Command,
-        now: Cycle,
-    ) -> Result<(), IssueErrorReason> {
-        match cmd {
-            Command::Activate { .. } => {
-                if self.open_row[bank] != NO_ROW {
-                    return Err(IssueErrorReason::BankAlreadyOpen);
-                }
-                if now < self.next_act[bank] {
-                    return Err(IssueErrorReason::TooEarly(self.next_act[bank]));
-                }
-            }
-            Command::Precharge => {
-                if self.open_row[bank] == NO_ROW {
-                    return Err(IssueErrorReason::BankClosed);
-                }
-                if now < self.next_pre[bank] {
-                    return Err(IssueErrorReason::TooEarly(self.next_pre[bank]));
-                }
-            }
-            Command::Read { .. } | Command::Write { .. } => {
-                if self.open_row[bank] == NO_ROW {
-                    return Err(IssueErrorReason::BankClosed);
-                }
-                if now < self.next_col[bank] {
-                    return Err(IssueErrorReason::TooEarly(self.next_col[bank]));
-                }
-            }
-            Command::Refresh => {
-                if self.open_row[bank] != NO_ROW {
-                    return Err(IssueErrorReason::RankNotIdle);
-                }
-                if now < self.next_act[bank] {
-                    return Err(IssueErrorReason::TooEarly(self.next_act[bank]));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Issues `cmd` to `bank` at `now`, updating state and timing
-    /// windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IssueError`] if the command violates the protocol
-    /// (wrong bank state) or any bank-local timing constraint.
-    pub fn issue(
+    /// Applies the state transition of `cmd` to `bank` at `now`. The
+    /// caller has already checked that the command is legal. A
+    /// [`Command::Refresh`] is rank-wide: it closes every bank.
+    pub(crate) fn apply(
         &mut self,
         bank: usize,
         cmd: Command,
         now: Cycle,
         timing: &TimingParams,
-    ) -> Result<IssueOutcome, IssueError> {
-        if let Err(reason) = self.check(bank, &cmd, now) {
-            return Err(IssueError::new(cmd, now, reason));
-        }
+    ) -> IssueOutcome {
+        let mut out = IssueOutcome {
+            data_ready: None,
+            outcome: None,
+        };
         match cmd {
             Command::Activate { row } => {
-                let outcome = self.row_buffer_outcome(bank, row);
+                out.outcome = Some(self.row_buffer_outcome(bank, row));
                 self.open_row[bank] = row;
                 self.open_banks += 1;
-                self.activations[bank] += 1;
                 self.next_col[bank] = now + timing.t_rcd;
                 self.next_pre[bank] = now + timing.t_ras;
                 self.next_act[bank] = now + timing.t_rc();
-                Ok(IssueOutcome {
-                    data_ready: None,
-                    outcome: Some(outcome),
-                })
             }
             Command::Precharge => {
                 self.open_row[bank] = NO_ROW;
                 self.open_banks -= 1;
                 self.next_act[bank] = self.next_act[bank].max(now + timing.t_rp);
-                Ok(IssueOutcome {
-                    data_ready: None,
-                    outcome: None,
-                })
             }
             Command::Read { .. } => {
-                let data_ready = now + timing.t_cl + timing.t_bl;
+                out.data_ready = Some(now + timing.t_cl + timing.t_bl);
                 self.next_col[bank] = now + timing.t_ccd;
                 self.next_pre[bank] = self.next_pre[bank].max(now + timing.t_rtp);
-                Ok(IssueOutcome {
-                    data_ready: Some(data_ready),
-                    outcome: None,
-                })
             }
             Command::Write { .. } => {
                 let data_end = now + timing.t_cwl + timing.t_bl;
+                out.data_ready = Some(data_end);
                 self.next_col[bank] = now + timing.t_ccd;
                 self.next_pre[bank] = self.next_pre[bank].max(data_end + timing.t_wr);
-                Ok(IssueOutcome {
-                    data_ready: Some(data_end),
-                    outcome: None,
-                })
             }
             Command::Refresh => {
-                // Refresh is rank-scoped; at the bank level it simply
-                // blocks the bank for tRFC.
-                self.next_act[bank] = now + timing.t_rfc;
-                Ok(IssueOutcome {
-                    data_ready: None,
-                    outcome: None,
-                })
+                // The rank's blackout gates every command from here on
+                // (see `command_gate`); the banks just close.
+                self.open_row.fill(NO_ROW);
+                self.open_banks = 0;
             }
         }
-    }
-
-    /// Forces every bank closed and blocks activates until `until` (the
-    /// rank applies this while a rank-wide refresh is in flight).
-    pub(crate) fn block_all_until(&mut self, until: Cycle) {
-        for row in &mut self.open_row {
-            *row = NO_ROW;
-        }
-        self.open_banks = 0;
-        for t in &mut self.next_act {
-            *t = (*t).max(until);
-        }
-    }
-
-    /// Forces one bank closed and blocks its activates until `until`.
-    #[cfg(test)]
-    pub(crate) fn block_until(&mut self, bank: usize, until: Cycle) {
-        if self.open_row[bank] != NO_ROW {
-            self.open_row[bank] = NO_ROW;
-            self.open_banks -= 1;
-        }
-        self.next_act[bank] = self.next_act[bank].max(until);
-    }
-
-    /// Copies one bank's state out into a fresh single-bank store (the
-    /// backing representation of a [`crate::Bank`] view).
-    #[must_use]
-    pub(crate) fn extract(&self, bank: usize) -> BankStates {
-        BankStates {
-            open_row: vec![self.open_row[bank]],
-            next_act: vec![self.next_act[bank]],
-            next_pre: vec![self.next_pre[bank]],
-            next_col: vec![self.next_col[bank]],
-            activations: vec![self.activations[bank]],
-            open_banks: usize::from(self.open_row[bank] != NO_ROW),
-        }
+        out
     }
 }
 
@@ -307,44 +144,16 @@ mod tests {
         let timing = t();
         let mut s = BankStates::new(4);
         assert!(s.all_closed());
-        s.issue(0, Command::Activate { row: 1 }, Cycle::ZERO, &timing)
-            .unwrap();
-        s.issue(2, Command::Activate { row: 5 }, Cycle::ZERO, &timing)
-            .unwrap();
+        s.apply(0, Command::Activate { row: 1 }, Cycle::ZERO, &timing);
+        s.apply(2, Command::Activate { row: 5 }, Cycle::ZERO, &timing);
         assert!(!s.all_closed());
         assert_eq!(s.open_row(0), Some(1));
         assert_eq!(s.open_row(1), None);
-        let pre = s.ready_at(0, &Command::Precharge);
-        s.issue(0, Command::Precharge, pre, &timing).unwrap();
+        let pre = s.local_gates(0).precharge;
+        s.apply(0, Command::Precharge, pre, &timing);
         assert!(!s.all_closed());
-        s.block_all_until(Cycle::new(10_000));
+        s.apply(0, Command::Refresh, Cycle::new(10_000), &timing);
         assert!(s.all_closed());
-        assert_eq!(
-            s.ready_at(2, &Command::Activate { row: 0 }),
-            Cycle::new(10_000)
-        );
-    }
-
-    #[test]
-    fn refresh_gate_is_max_over_banks() {
-        let timing = t();
-        let mut s = BankStates::new(2);
-        s.issue(1, Command::Activate { row: 0 }, Cycle::new(7), &timing)
-            .unwrap();
-        assert_eq!(s.refresh_gate(), Cycle::new(7 + timing.t_rc()));
-    }
-
-    #[test]
-    fn extract_matches_per_bank_state() {
-        let timing = t();
-        let mut s = BankStates::new(3);
-        s.issue(1, Command::Activate { row: 9 }, Cycle::ZERO, &timing)
-            .unwrap();
-        let one = s.extract(1);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one.open_row(0), Some(9));
-        assert_eq!(one.activations(0), 1);
-        assert!(!one.all_closed());
-        assert!(s.extract(0).all_closed());
+        assert_eq!(s.open_row(2), None);
     }
 }

@@ -11,9 +11,9 @@
 use crate::Cycle;
 
 /// One injection-relevant DRAM event. Coordinates identify the physical
-/// row (flat bank index, as in [`CommandEvent`](crate::CommandEvent));
-/// `column` is the burst column, which the reliability pipeline treats
-/// as the protected-codeword index within the row.
+/// row (`bank` is the flat bank index within the rank); `column` is the
+/// burst column, which the reliability pipeline treats as the
+/// protected-codeword index within the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectEvent {
     /// A row was opened — the disturbance (RowHammer) and charge-restore

@@ -9,15 +9,22 @@
 //!
 //! ## Layering
 //!
-//! * [`BankStates`] — flat struct-of-arrays per-bank state (open rows,
-//!   timing deadlines, activate counters) walked by the hot timing checks.
-//! * [`Bank`] — open-row state machine, per-bank timing windows
-//!   (tRCD/tRAS/tRP/tWR/tRTP/tCCD); a single-bank view over the flat state.
-//! * [`Rank`] — activate throttling (tRRD, tFAW) and rank-wide refresh
-//!   (tRFC).
-//! * [`Channel`] — shared data-bus serialization and write→read turnaround.
+//! The timing rules are written once, as two kinds of gates, and every
+//! query is derived from them:
+//!
+//! * [`LocalGates`] — one bank's open row and its own deadlines
+//!   (tRCD/tRAS/tRP/tRC/tWR/tRTP/tCCD), kept struct-of-arrays per rank.
+//! * [`SharedGates`] — what every bank of one (channel, rank) shares:
+//!   the rank's refresh blackout (tRFC), its activate throttle (tRRD,
+//!   tFAW), and the channel's data-bus gates with the write-to-read
+//!   turnaround (tWTR).
+//! * [`BankGates`] — a bank's per-command gates. One function folds the
+//!   two kinds of gates together per command kind;
+//!   [`BankGates::combine`] and [`DramModule::ready_at`] are built on it,
+//!   and [`DramModule::issue`] accepts a command exactly when the bank's
+//!   protocol state allows it and `ready_at` has passed.
 //! * [`DramModule`] — address mapping, statistics, energy, and reduced
-//!   latency modes (AL-DRAM, ChargeCache).
+//!   latency modes (AL-DRAM, ChargeCache, TL-DRAM).
 //!
 //! ## Example
 //!
@@ -41,7 +48,6 @@
 #![warn(missing_debug_implementations)]
 
 mod address;
-mod bank;
 mod channel;
 mod config;
 mod energy;
@@ -56,19 +62,15 @@ mod stats;
 mod types;
 
 pub use address::AddressMapping;
-pub use bank::{Bank, IssueOutcome};
-pub use channel::Channel;
 pub use config::{DramConfig, DramConfigBuilder, EnergyParams, Geometry, TimingParams};
 pub use energy::EnergyCounter;
 pub use error::{ConfigError, IssueError, IssueErrorReason};
-pub use flat::BankStates;
 pub use inject::InjectEvent;
 pub use latency::{ChargeCacheState, LatencyMode};
-pub use module::{AccessResult, CommandEvent, DramModule};
-pub use rank::Rank;
+pub use module::{AccessResult, DramModule};
 pub use salp::{serve_stream, BankOrganization, SalpBank};
 pub use stats::DramStats;
 pub use types::{
-    AccessKind, BankGates, Command, Cycle, LocalGates, Location, PhysAddr, RowBufferOutcome,
-    SharedGates,
+    AccessKind, BankGates, Command, Cycle, IssueOutcome, LocalGates, Location, PhysAddr,
+    RowBufferOutcome, SharedGates,
 };

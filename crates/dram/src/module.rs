@@ -2,32 +2,18 @@
 //! Ramulator-style fine-grained command interface and an open-page
 //! convenience interface.
 
-use ia_telemetry::{MetricSource, Scope, TraceBuffer};
+use ia_telemetry::{MetricSource, Scope};
 use ia_trace::{ComponentTrace, Tracer};
 
-use crate::error::{ConfigError, IssueError};
+use crate::channel::Channel;
+use crate::error::{ConfigError, IssueError, IssueErrorReason};
 use crate::inject::{InjectEvent, InjectLog};
 use crate::latency::{ChargeCacheState, LatencyMode};
+use crate::types::command_gate;
 use crate::{
-    AccessKind, AddressMapping, BankGates, Channel, Command, Cycle, DramConfig, DramStats,
-    EnergyCounter, IssueOutcome, LocalGates, Location, PhysAddr, RowBufferOutcome, SharedGates,
-    TimingParams,
+    AccessKind, AddressMapping, BankGates, Command, Cycle, DramConfig, DramStats, EnergyCounter,
+    IssueOutcome, LocalGates, Location, PhysAddr, RowBufferOutcome, SharedGates, TimingParams,
 };
-
-/// One DRAM command as captured by the module's trace buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommandEvent {
-    /// Cycle at which the command was issued.
-    pub at: Cycle,
-    /// Channel index.
-    pub channel: usize,
-    /// Rank index within the channel.
-    pub rank: usize,
-    /// Flat bank index within the rank.
-    pub bank: usize,
-    /// The command itself.
-    pub cmd: Command,
-}
 
 /// Result of a full open-page access performed by [`DramModule::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +54,6 @@ pub struct DramModule {
     energy: EnergyCounter,
     latency: LatencyMode,
     charge_cache: ChargeCacheState,
-    trace: TraceBuffer<CommandEvent>,
     inject: InjectLog,
     tracer: Tracer,
 }
@@ -92,24 +77,9 @@ impl DramModule {
             energy: EnergyCounter::new(),
             latency: LatencyMode::Standard,
             charge_cache: ChargeCacheState::new(),
-            trace: TraceBuffer::disabled(),
             inject: InjectLog::default(),
             tracer: Tracer::disabled(),
         })
-    }
-
-    /// Enables command-level tracing into a bounded ring of `capacity`
-    /// events (older events are overwritten and counted as dropped).
-    /// Tracing is off by default and costs one branch per issued command.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::new(capacity);
-    }
-
-    /// The command trace buffer (empty unless
-    /// [`enable_trace`](DramModule::enable_trace) was called).
-    #[must_use]
-    pub fn trace(&self) -> &TraceBuffer<CommandEvent> {
-        &self.trace
     }
 
     /// Enables `ia-trace` instant recording of issued commands
@@ -264,31 +234,21 @@ impl DramModule {
         }
     }
 
-    /// Earliest cycle at which `cmd` for `loc` satisfies all timing.
-    #[must_use]
-    pub fn ready_at(&self, loc: &Location, cmd: &Command) -> Cycle {
-        self.channels[loc.channel].ready_at(
-            loc.rank,
-            self.bank_index(loc),
-            cmd,
-            &self.config.timing,
-        )
-    }
-
     /// The open row and every command gate of the bank addressed by
-    /// `loc`, in one walk of the channel/rank/bank hierarchy. Gate for
-    /// gate equal to [`DramModule::ready_at`] per command kind and to
-    /// [`DramModule::open_row`] — the scheduler's per-bank fast path:
-    /// one probe answers what would otherwise take four.
+    /// `loc`: [`BankGates::combine`] of its [`DramModule::local_gates`]
+    /// and its (channel, rank)'s [`DramModule::shared_gates`]. The
+    /// scheduler's per-bank fast path: one probe answers what would
+    /// otherwise take four [`DramModule::ready_at`] calls.
     #[must_use]
     pub fn bank_gates(&self, loc: &Location) -> BankGates {
-        self.channels[loc.channel].bank_gates(loc.rank, self.bank_index(loc), &self.config.timing)
+        BankGates::combine(
+            &self.local_gates(loc),
+            &self.shared_gates(loc.channel, loc.rank),
+        )
     }
 
     /// The part of [`DramModule::bank_gates`] that only a command to
     /// this bank changes: its open row and bank-local deadlines.
-    /// [`BankGates::combine`] with [`DramModule::shared_gates`] of its
-    /// (channel, rank) gives back exactly `bank_gates`.
     #[must_use]
     pub fn local_gates(&self, loc: &Location) -> LocalGates {
         self.channels[loc.channel]
@@ -302,7 +262,23 @@ impl DramModule {
     /// channel, or a refresh of the rank, can change it.
     #[must_use]
     pub fn shared_gates(&self, channel: usize, rank: usize) -> SharedGates {
-        self.channels[channel].shared_gates(rank, &self.config.timing)
+        self.channels[channel].shared_gates(rank)
+    }
+
+    /// Earliest cycle at which `cmd` for `loc` satisfies all timing: the
+    /// [`DramModule::bank_gates`] entry for the command's kind. A
+    /// refresh waits until every bank of the rank is past its activate
+    /// gate and the rank's refresh blackout.
+    #[must_use]
+    pub fn ready_at(&self, loc: &Location, cmd: &Command) -> Cycle {
+        let shared = self.shared_gates(loc.channel, loc.rank);
+        let rank = self.channels[loc.channel].rank(loc.rank);
+        match cmd {
+            Command::Refresh => (0..self.config.geometry.banks_per_rank())
+                .map(|bank| command_gate(&rank.local_gates(bank), &shared, cmd))
+                .fold(Cycle::ZERO, Cycle::max),
+            _ => command_gate(&rank.local_gates(self.bank_index(loc)), &shared, cmd),
+        }
     }
 
     /// Earliest cycle at which *the next command needed* to serve an
@@ -314,28 +290,75 @@ impl DramModule {
         self.ready_at(loc, &self.next_needed(loc, kind))
     }
 
+    /// Checks `loc`, and an activate's row, against the geometry.
+    fn check_range(&self, loc: &Location, cmd: Command, now: Cycle) -> Result<(), IssueError> {
+        let geo = &self.config.geometry;
+        let in_range = loc.channel < geo.channels
+            && loc.rank < geo.ranks
+            && loc.bank_group < geo.bank_groups
+            && loc.bank < geo.banks_per_group
+            && match cmd {
+                Command::Activate { row } => row < geo.rows_per_bank,
+                _ => true,
+            };
+        if in_range {
+            Ok(())
+        } else {
+            Err(IssueError::new(cmd, now, IssueErrorReason::OutOfRange))
+        }
+    }
+
+    /// Validates `cmd` for the in-range `loc` at `now` against the bank
+    /// and rank protocol state, then against [`DramModule::ready_at`],
+    /// and applies its state transition with `timing`. No statistics,
+    /// energy, trace or injection accounting.
+    fn commit(
+        &mut self,
+        loc: &Location,
+        cmd: Command,
+        now: Cycle,
+        timing: &TimingParams,
+    ) -> Result<IssueOutcome, IssueError> {
+        let bank = self.bank_index(loc);
+        let rank = self.channels[loc.channel].rank(loc.rank);
+        let open = rank.open_row(bank).is_some();
+        let protocol = match cmd {
+            Command::Activate { .. } if open => Err(IssueErrorReason::BankAlreadyOpen),
+            Command::Precharge | Command::Read { .. } | Command::Write { .. } if !open => {
+                Err(IssueErrorReason::BankClosed)
+            }
+            Command::Refresh if !rank.all_banks_closed() => Err(IssueErrorReason::RankNotIdle),
+            _ => Ok(()),
+        };
+        protocol.map_err(|reason| IssueError::new(cmd, now, reason))?;
+        let ready = self.ready_at(loc, &cmd);
+        if now < ready {
+            return Err(IssueError::new(cmd, now, IssueErrorReason::TooEarly(ready)));
+        }
+        Ok(self.channels[loc.channel].apply(loc.rank, bank, cmd, now, timing))
+    }
+
     /// Issues `cmd` for `loc` at `now`, updating stats and energy.
     ///
     /// # Errors
     ///
-    /// Returns [`IssueError`] on any protocol or timing violation.
+    /// Returns [`IssueError`] on any protocol or timing violation, and
+    /// [`IssueErrorReason::OutOfRange`] if `loc`'s bank or an activate's
+    /// row lies outside the geometry.
     pub fn issue(
         &mut self,
         loc: &Location,
         cmd: Command,
         now: Cycle,
     ) -> Result<IssueOutcome, IssueError> {
+        self.check_range(loc, cmd, now)?;
+        // Reduced-latency modes scale only tRCD/tRAS/tRP, which the
+        // transition stores as deadlines; the gates checked in `commit`
+        // use none of them at query time.
         let timing = self.effective_timing(loc, &cmd, now);
+        let open_before = self.open_row(loc);
+        let out = self.commit(loc, cmd, now, &timing)?;
         let bank_idx = self.bank_index(loc);
-        let open_before = self.channels[loc.channel].rank(loc.rank).open_row(bank_idx);
-        let out = self.channels[loc.channel].issue(loc.rank, bank_idx, cmd, now, &timing)?;
-        self.trace.record_with(|| CommandEvent {
-            at: now,
-            channel: loc.channel,
-            rank: loc.rank,
-            bank: bank_idx,
-            cmd,
-        });
         if self.tracer.is_enabled() {
             let name = match cmd {
                 Command::Activate { .. } => "bank.act",
@@ -461,44 +484,31 @@ impl DramModule {
         earliest: Cycle,
     ) -> Result<Cycle, IssueError> {
         let timing = self.config.timing;
-        let banks = self.config.geometry.banks_per_rank();
+        let geo = self.config.geometry;
+        let mut loc = Location {
+            channel,
+            rank,
+            ..Location::default()
+        };
+        self.check_range(&loc, Command::Refresh, earliest)?;
         // Close any open banks.
-        for bank in 0..banks {
-            if self.channels[channel].rank(rank).open_row(bank).is_some() {
-                let at = self.channels[channel]
-                    .ready_at(rank, bank, &Command::Precharge, &timing)
-                    .max(earliest);
-                self.channels[channel].issue(rank, bank, Command::Precharge, at, &timing)?;
+        for bank in 0..geo.banks_per_rank() {
+            loc.bank_group = bank / geo.banks_per_group;
+            loc.bank = bank % geo.banks_per_group;
+            if self.open_row(&loc).is_some() {
+                let at = self.ready_at(&loc, &Command::Precharge).max(earliest);
+                self.commit(&loc, Command::Precharge, at, &timing)?;
                 self.stats.precharges += 1;
             }
         }
-        let at = self.channels[channel]
-            .ready_at(rank, 0, &Command::Refresh, &timing)
-            .max(earliest);
-        self.channels[channel].issue(rank, 0, Command::Refresh, at, &timing)?;
+        let at = self.ready_at(&loc, &Command::Refresh).max(earliest);
+        self.commit(&loc, Command::Refresh, at, &timing)?;
         self.inject
             .record_with(|| InjectEvent::Refresh { at, channel, rank });
         self.stats.refreshes += 1;
         self.energy
             .record(&Command::Refresh, 0, &self.config.energy);
         Ok(at + timing.t_rfc)
-    }
-
-    /// Per-bank activation counts for one rank (RowHammer accounting).
-    #[must_use]
-    pub fn activation_counts(&self, channel: usize, rank: usize) -> Vec<u64> {
-        self.channels[channel].rank(rank).activation_counts()
-    }
-
-    /// Direct channel access for advanced callers (PUM command sequences).
-    #[must_use]
-    pub fn channel(&self, channel: usize) -> &Channel {
-        &self.channels[channel]
-    }
-
-    /// Mutable channel access for advanced callers.
-    pub fn channel_mut(&mut self, channel: usize) -> &mut Channel {
-        &mut self.channels[channel]
     }
 
     /// Mutable access to the energy counter (PUM operations account their
@@ -514,20 +524,19 @@ impl DramModule {
 }
 
 impl MetricSource for DramModule {
-    /// Publishes command/locality counters at this scope, energy under an
-    /// `energy` child scope, and the trace-buffer occupancy counters.
+    /// Publishes command/locality counters at this scope and energy
+    /// under an `energy` child scope.
     fn export_into(&self, scope: &mut Scope<'_>) {
         self.stats.export_into(scope);
         scope.collect("energy", &self.energy);
         scope.set_gauge("charge_cache_hit_rate", self.charge_cache.hit_rate());
-        scope.set_counter("trace_recorded", self.trace.recorded());
-        scope.set_counter("trace_dropped", self.trace.dropped());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ia_trace::TraceEvent;
 
     fn module() -> DramModule {
         DramModule::new(DramConfig::ddr3_1600()).expect("valid preset")
@@ -648,31 +657,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_command_sequence_when_enabled() {
+    fn cycle_trace_records_a_miss_as_act_then_rd() {
         let mut dram = module();
-        dram.enable_trace(16);
+        dram.enable_cycle_trace(16);
         dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
             .unwrap();
-        let cmds: Vec<Command> = dram.trace().iter().map(|e| e.cmd).collect();
-        assert_eq!(cmds.len(), 2, "miss = ACT then RD");
-        assert!(matches!(cmds[0], Command::Activate { .. }));
-        assert!(matches!(cmds[1], Command::Read { .. }));
-        assert_eq!(dram.trace().dropped(), 0);
-    }
-
-    #[test]
-    fn trace_is_off_by_default_and_bounded_when_on() {
-        let mut dram = module();
-        dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
-            .unwrap();
-        assert!(dram.trace().is_empty());
-        dram.enable_trace(2);
-        for i in 0..8u64 {
-            dram.access(PhysAddr::new(i * 64), AccessKind::Read, Cycle::ZERO)
-                .unwrap();
-        }
-        assert_eq!(dram.trace().len(), 2, "ring stays bounded");
-        assert!(dram.trace().dropped() > 0, "overwrites are counted");
+        let t = dram.config().timing;
+        let events: Vec<(&str, u64)> = dram
+            .take_cycle_trace()
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Instant { name, at, .. } => Some((name, at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            events,
+            [("bank.act", 0), ("bank.rd", t.t_rcd)],
+            "miss = ACT then RD"
+        );
     }
 
     #[test]
@@ -721,9 +725,8 @@ mod tests {
     }
 
     #[test]
-    fn module_exports_stats_energy_and_trace_counters() {
+    fn module_exports_stats_and_energy() {
         let mut dram = module();
-        dram.enable_trace(4);
         dram.access(PhysAddr::new(0), AccessKind::Write, Cycle::ZERO)
             .unwrap();
         let mut reg = ia_telemetry::Registry::new();
@@ -731,7 +734,6 @@ mod tests {
         let snap = reg.snapshot(0);
         assert_eq!(snap.counter("dram.writes"), Some(1));
         assert_eq!(snap.counter("dram.energy.bursts"), Some(1));
-        assert_eq!(snap.counter("dram.trace_recorded"), Some(2));
         assert!(snap.gauge("dram.energy.io_pj").unwrap() > 0.0);
     }
 
@@ -752,5 +754,154 @@ mod tests {
             .unwrap();
         assert!(a.data_ready > Cycle::ZERO);
         assert_eq!(dram.open_row(&loc), Some(loc.row));
+    }
+
+    /// Bank 0 of channel 0, rank 0.
+    fn bank0() -> Location {
+        Location::default()
+    }
+
+    fn reason(r: Result<IssueOutcome, IssueError>) -> IssueErrorReason {
+        r.unwrap_err().reason()
+    }
+
+    #[test]
+    fn double_activate_is_rejected() {
+        let mut dram = module();
+        dram.issue(&bank0(), Command::Activate { row: 1 }, Cycle::ZERO)
+            .unwrap();
+        let again = dram.issue(&bank0(), Command::Activate { row: 2 }, Cycle::new(1000));
+        assert_eq!(reason(again), IssueErrorReason::BankAlreadyOpen);
+    }
+
+    #[test]
+    fn column_command_or_precharge_to_a_closed_bank_is_rejected() {
+        let mut dram = module();
+        for cmd in [
+            Command::Read { column: 0 },
+            Command::Write { column: 0 },
+            Command::Precharge,
+        ] {
+            let r = dram.issue(&bank0(), cmd, Cycle::new(1000));
+            assert_eq!(reason(r), IssueErrorReason::BankClosed, "{cmd}");
+        }
+    }
+
+    #[test]
+    fn refresh_with_an_open_row_is_rejected() {
+        let mut dram = module();
+        dram.issue(&bank0(), Command::Activate { row: 1 }, Cycle::ZERO)
+            .unwrap();
+        let r = dram.issue(&bank0(), Command::Refresh, Cycle::new(1000));
+        assert_eq!(reason(r), IssueErrorReason::RankNotIdle);
+    }
+
+    #[test]
+    fn row_buffer_outcomes() {
+        let mut dram = module();
+        let at = |row| Location { row, ..bank0() };
+        assert_eq!(dram.row_buffer_outcome(&at(5)), RowBufferOutcome::Miss);
+        let out = dram
+            .issue(&at(5), Command::Activate { row: 5 }, Cycle::ZERO)
+            .unwrap();
+        assert_eq!(out.outcome, Some(RowBufferOutcome::Miss));
+        assert_eq!(dram.row_buffer_outcome(&at(5)), RowBufferOutcome::Hit);
+        assert_eq!(dram.row_buffer_outcome(&at(6)), RowBufferOutcome::Conflict);
+    }
+
+    #[test]
+    fn activation_count_increments() {
+        let mut dram = module();
+        for row in 0..3u64 {
+            let loc = Location { row, ..bank0() };
+            let act = Command::Activate { row };
+            dram.issue(&loc, act, dram.ready_at(&loc, &act)).unwrap();
+            let pre = dram.ready_at(&loc, &Command::Precharge);
+            dram.issue(&loc, Command::Precharge, pre).unwrap();
+        }
+        assert_eq!(dram.stats().activates, 3);
+        assert_eq!(dram.stats().precharges, 3);
+    }
+
+    #[test]
+    fn too_early_names_the_earliest_legal_cycle() {
+        let mut dram = module();
+        let t = dram.config().timing;
+        dram.issue(&bank0(), Command::Activate { row: 1 }, Cycle::ZERO)
+            .unwrap();
+        let early = dram.issue(
+            &bank0(),
+            Command::Read { column: 0 },
+            Cycle::new(t.t_rcd - 1),
+        );
+        assert_eq!(
+            reason(early),
+            IssueErrorReason::TooEarly(Cycle::new(t.t_rcd))
+        );
+        let out = dram
+            .issue(&bank0(), Command::Read { column: 0 }, Cycle::new(t.t_rcd))
+            .unwrap();
+        assert_eq!(out.data_ready, Some(Cycle::new(t.t_rcd + t.t_cl + t.t_bl)));
+    }
+
+    #[test]
+    fn out_of_range_coordinates_are_reported() {
+        let cfg = DramConfig::ddr4_2400();
+        let geo = cfg.geometry;
+        let mut dram = DramModule::new(cfg).unwrap();
+        let act = Command::Activate { row: 0 };
+        let cases = [
+            (
+                Location {
+                    channel: geo.channels,
+                    ..bank0()
+                },
+                act,
+            ),
+            (
+                Location {
+                    rank: geo.ranks,
+                    ..bank0()
+                },
+                act,
+            ),
+            (
+                Location {
+                    bank_group: geo.bank_groups,
+                    ..bank0()
+                },
+                act,
+            ),
+            (
+                Location {
+                    bank: geo.banks_per_group,
+                    ..bank0()
+                },
+                act,
+            ),
+            (
+                bank0(),
+                Command::Activate {
+                    row: geo.rows_per_bank,
+                },
+            ),
+            (bank0(), Command::Activate { row: u64::MAX }),
+        ];
+        for (loc, cmd) in cases {
+            let r = dram.issue(&loc, cmd, Cycle::ZERO);
+            assert_eq!(reason(r), IssueErrorReason::OutOfRange, "{cmd} at {loc}");
+        }
+        assert_eq!(dram.stats().activates, 0, "nothing was issued");
+        for bank in 0..geo.banks_per_rank() {
+            let loc = Location {
+                bank_group: bank / geo.banks_per_group,
+                bank: bank % geo.banks_per_group,
+                ..bank0()
+            };
+            assert_eq!(dram.open_row(&loc), None, "no bank was opened");
+        }
+        let r = dram.refresh_rank(0, geo.ranks, Cycle::ZERO);
+        assert_eq!(r.unwrap_err().reason(), IssueErrorReason::OutOfRange);
+        dram.refresh_rank(0, 0, Cycle::ZERO).unwrap();
     }
 }

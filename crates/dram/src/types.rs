@@ -230,16 +230,26 @@ impl fmt::Display for RowBufferOutcome {
     }
 }
 
-/// Every command gate of one bank plus its open row, gathered in a
-/// single walk of the channel/rank/bank hierarchy (see
+/// Result of successfully issuing a command (see
+/// [`crate::DramModule::issue`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssueOutcome {
+    /// For column commands, the cycle at which the data burst completes.
+    pub data_ready: Option<Cycle>,
+    /// Row-buffer classification for `Activate` (miss/conflict is decided
+    /// by the caller since a conflict requires an explicit precharge first).
+    pub outcome: Option<RowBufferOutcome>,
+}
+
+/// Every command gate of one bank plus its open row (see
 /// [`crate::DramModule::bank_gates`]).
 ///
 /// Each gate is the earliest legal issue cycle for that command kind at
 /// the bank, with every level's constraint already folded in: bank-local
 /// timing, the rank's refresh window and activate throttles (tRRD,
 /// tFAW), and the channel's bus serialization and write-to-read
-/// turnaround. Gate for gate equal to [`crate::DramModule::ready_at`] —
-/// timing depends on the command kind, never its row/column operand.
+/// turnaround. Timing depends on the command kind, never its row/column
+/// operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankGates {
     /// The open row, `None` when the bank is closed.
@@ -255,23 +265,39 @@ pub struct BankGates {
 }
 
 impl BankGates {
-    /// Recombines a bank's own gates with the gates its (channel, rank)
-    /// shares with every other bank there. Equal, field for field, to
-    /// [`crate::DramModule::bank_gates`] on the same state.
+    /// Combines a bank's own gates with the gates its (channel, rank)
+    /// shares with every other bank there, kind by kind, with the same
+    /// fold [`crate::DramModule::ready_at`] uses.
     #[must_use]
     pub fn combine(local: &LocalGates, shared: &SharedGates) -> BankGates {
-        let column = local.column.max(shared.refresh_until);
+        let gate = |cmd| command_gate(local, shared, &cmd);
         BankGates {
             open_row: local.open_row,
-            read: column.max(shared.read),
-            write: column.max(shared.write),
-            activate: local
-                .activate
-                .max(shared.refresh_until)
-                .max(shared.activate),
-            precharge: local.precharge.max(shared.refresh_until),
+            read: gate(Command::Read { column: 0 }),
+            write: gate(Command::Write { column: 0 }),
+            activate: gate(Command::Activate { row: 0 }),
+            precharge: gate(Command::Precharge),
         }
     }
+}
+
+/// The earliest cycle a command of `cmd`'s kind can issue to a bank
+/// whose own gates are `local` and whose (channel, rank) gates are
+/// `shared`. This is the one place the refresh blackout, the activate
+/// throttle (tRRD, tFAW) and the data-bus gates (tWTR included) are
+/// folded into a bank's gates; every timing query of
+/// [`crate::DramModule`] is derived from it. For a refresh it is the
+/// bank's part of the rank's refresh gate: the bank past its activate
+/// gate, without the activate throttle.
+pub(crate) fn command_gate(local: &LocalGates, shared: &SharedGates, cmd: &Command) -> Cycle {
+    let (own, throttle) = match cmd {
+        Command::Activate { .. } => (local.activate, shared.activate),
+        Command::Precharge => (local.precharge, Cycle::ZERO),
+        Command::Read { .. } => (local.column, shared.read),
+        Command::Write { .. } => (local.column, shared.write),
+        Command::Refresh => (local.activate, Cycle::ZERO),
+    };
+    own.max(throttle).max(shared.refresh_until)
 }
 
 /// The part of a bank's [`BankGates`] that only a command to that bank

@@ -1,9 +1,45 @@
 //! Property-based tests of the DRAM substrate's core invariants.
 
 use ia_dram::{
-    AccessKind, AddressMapping, Command, Cycle, DramConfig, DramModule, Geometry, PhysAddr,
+    AccessKind, AddressMapping, Command, Cycle, DramConfig, DramModule, Geometry, LatencyMode,
+    PhysAddr,
 };
 use proptest::prelude::*;
+
+/// DDR3 (one channel, one rank), DDR4 (bank groups), LPDDR4 (two
+/// channels) and a two-rank DDR3.
+fn configs() -> Vec<DramConfig> {
+    let two_ranks = DramConfig::ddr3_1600()
+        .to_builder()
+        .ranks(2)
+        .name("DDR3-1600 2R")
+        .build()
+        .unwrap();
+    vec![
+        DramConfig::ddr3_1600(),
+        DramConfig::ddr4_2400(),
+        DramConfig::lpddr4_3200(),
+        two_ranks,
+    ]
+}
+
+/// Every latency mode, with scales below and above nominal.
+fn modes() -> [LatencyMode; 4] {
+    [
+        LatencyMode::Standard,
+        LatencyMode::AlDram { scale: 0.7 },
+        LatencyMode::ChargeCache {
+            entries_per_bank: 8,
+            window: 100_000,
+            scale: 0.6,
+        },
+        LatencyMode::TieredLatency {
+            near_fraction: 0.25,
+            near_scale: 0.6,
+            far_scale: 1.1,
+        },
+    ]
+}
 
 proptest! {
     /// Address decode/encode is a bijection on line-aligned addresses in
@@ -23,17 +59,32 @@ proptest! {
 
     /// Whatever `ready_at` returns for an access's next command is
     /// actually issuable at that cycle — under any interleaving of random
-    /// accesses.
+    /// reads and writes, on every geometry and in every latency mode.
     #[test]
-    fn ready_at_is_always_issuable(addrs in prop::collection::vec(0u64..(1 << 24), 1..40)) {
-        let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
-        let mut now = Cycle::ZERO;
-        for a in addrs {
-            let loc = dram.decode(PhysAddr::new(a & !63));
-            let cmd = dram.next_needed(&loc, AccessKind::Read);
-            let at = dram.ready_at(&loc, &cmd).max(now);
-            prop_assert!(dram.issue(&loc, cmd, at).is_ok(), "cmd {cmd} at {at}");
-            now = at;
+    fn ready_at_is_always_issuable(
+        addrs in prop::collection::vec(0u64..(1 << 24), 1..40),
+        write_mask in 0u64..,
+    ) {
+        for config in configs() {
+            for mode in modes() {
+                let mut dram = DramModule::new(config.clone()).unwrap().with_latency_mode(mode);
+                let mut now = Cycle::ZERO;
+                for (i, &a) in addrs.iter().enumerate() {
+                    let kind = if write_mask >> (i % 64) & 1 == 1 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let loc = dram.decode(PhysAddr::new(a & !63));
+                    let cmd = dram.next_needed(&loc, kind);
+                    let at = dram.ready_at(&loc, &cmd).max(now);
+                    prop_assert!(
+                        dram.issue(&loc, cmd, at).is_ok(),
+                        "{} {:?}: cmd {} at {}", config.name, mode, cmd, at
+                    );
+                    now = at;
+                }
+            }
         }
     }
 

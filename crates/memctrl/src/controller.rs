@@ -4,15 +4,15 @@
 //! The controller implements [`ia_sim::Clocked`], so the event-driven
 //! [`SimLoop`] can cycle-skip over idle spans (refresh gaps, long DRAM
 //! timing waits) with results numerically identical to per-cycle polling
-//! — see `crates/sim/src/lib.rs` for the contract and
-//! [`run_closed_loop_per_cycle`] for the differential-testing oracle.
+//! — see `crates/sim/src/lib.rs` for the contract; the per-cycle oracle
+//! the engine is tested against lives in `tests/properties.rs`.
 
 use std::fmt;
 
 use ia_dram::{Command, ConfigError, Cycle, DramConfig, DramModule, RowBufferOutcome};
 use ia_reliability::Raidr;
 use ia_sim::{Clocked, CompletionSink, EngineStats, SimLoop, StepOutcome};
-use ia_telemetry::{Histogram, MetricSource, Scope, TraceBuffer};
+use ia_telemetry::{Histogram, MetricSource, Scope};
 use ia_trace::{TraceLog, Tracer};
 
 use crate::error::CtrlError;
@@ -20,19 +20,6 @@ use crate::pool::{IssueView, RequestQueue, ViewMode};
 use crate::reliability::{ReliabilityPipeline, ReliabilityReport};
 use crate::request::{Completed, MemRequest, Pending};
 use crate::scheduler::Scheduler;
-
-/// One scheduler decision as captured by the controller's trace buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedEvent {
-    /// Cycle of the decision.
-    pub at: Cycle,
-    /// Id of the request the command serves.
-    pub request: u64,
-    /// Thread that issued the request.
-    pub thread: usize,
-    /// The DRAM command issued on its behalf.
-    pub cmd: Command,
-}
 
 /// How the controller refreshes the devices.
 #[derive(Debug, Clone)]
@@ -231,7 +218,6 @@ pub struct MemoryController {
     sched_prep: u64,
     sched_idle: u64,
     engine: EngineStats,
-    trace: TraceBuffer<SchedEvent>,
     /// Cycle-attribution tracer (track `"ctrl"`): every simulated cycle
     /// is classified into exactly one phase, so the profile partition
     /// sums to the run's total cycles. Disabled by default — each trace
@@ -265,7 +251,6 @@ impl MemoryController {
             sched_prep: 0,
             sched_idle: 0,
             engine: EngineStats::default(),
-            trace: TraceBuffer::disabled(),
             tracer: Tracer::disabled(),
             reliability: None,
         })
@@ -365,19 +350,6 @@ impl MemoryController {
     #[must_use]
     pub fn queue_depth_histogram(&self) -> &Histogram {
         &self.queue_depth
-    }
-
-    /// Enables scheduler-decision tracing into a bounded ring of
-    /// `capacity` events. Off by default; one branch per issued command.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::new(capacity);
-    }
-
-    /// The scheduler-decision trace (empty unless
-    /// [`enable_trace`](MemoryController::enable_trace) was called).
-    #[must_use]
-    pub fn trace(&self) -> &TraceBuffer<SchedEvent> {
-        &self.trace
     }
 
     /// Enables cycle-attribution tracing on this controller (track
@@ -552,12 +524,6 @@ impl MemoryController {
                         } else {
                             self.sched_prep += 1;
                         }
-                        self.trace.record_with(|| SchedEvent {
-                            at: now,
-                            request: p.request.id,
-                            thread: p.request.thread,
-                            cmd,
-                        });
                         self.scheduler.on_issue(column, self.now);
                         if column {
                             self.stats.busy_cycles += 1;
@@ -797,8 +763,6 @@ impl MetricSource for MemoryController {
         scope.set_counter("sched_column", self.sched_column);
         scope.set_counter("sched_prep", self.sched_prep);
         scope.set_counter("sched_stalled", self.sched_idle);
-        scope.set_counter("trace_recorded", self.trace.recorded());
-        scope.set_counter("trace_dropped", self.trace.dropped());
         scope.collect("engine", &self.engine);
         scope.collect("dram", &self.dram);
         if let Some(rel) = &self.reliability {
@@ -864,8 +828,8 @@ impl RunReport {
     /// True if two runs produced identical simulated results — every
     /// field except [`RunReport::engine`], which describes how the
     /// simulation was driven rather than the simulated outcome. This is
-    /// the equality the event-driven engine guarantees against the
-    /// per-cycle oracle ([`run_closed_loop_per_cycle`]).
+    /// the equality the event-driven engine guarantees against ticking
+    /// every cycle.
     #[must_use]
     pub fn same_results(&self, other: &RunReport) -> bool {
         self.scheduler == other.scheduler
@@ -992,83 +956,8 @@ pub fn run_closed_loop_with(
             finish: finish[t],
         })
         .collect();
-    let mut report = report_of(&mut ctrl, threads);
-    if tracing {
-        let now = report.cycles;
-        engine.tracer_mut().end(now);
-        if let Some(log) = &mut report.trace {
-            log.components.insert(0, engine.take_trace());
-        }
-    }
-    Ok(report)
-}
-
-/// Per-cycle oracle for [`run_closed_loop_with`]: drives the controller
-/// with [`MemoryController::tick`] every single cycle instead of the
-/// event-skipping engine. Slow by design — kept public so differential
-/// tests (and skeptical users) can verify that the engine's reports are
-/// identical (`RunReport::same_results`).
-///
-/// # Errors
-///
-/// Returns [`CtrlError::EmptyTrace`] if any trace is empty.
-pub fn run_closed_loop_per_cycle(
-    ctrl: MemoryController,
-    traces: &[Vec<MemRequest>],
-    window: usize,
-    max_cycles: u64,
-) -> Result<RunReport, CtrlError> {
-    if traces.is_empty() || traces.iter().any(Vec::is_empty) {
-        return Err(CtrlError::EmptyTrace);
-    }
-    let mut ctrl = ctrl.with_queue_capacity(traces.len() * window.max(1) + 8);
-    let mut cursor = vec![0usize; traces.len()];
-    let mut outstanding = vec![0usize; traces.len()];
-    let mut completed = vec![0u64; traces.len()];
-    let mut latency = vec![0u64; traces.len()];
-    let mut finish = vec![0u64; traces.len()];
-
-    let all_done = |cursor: &[usize], outstanding: &[usize]| {
-        cursor.iter().zip(traces).all(|(&c, t)| c >= t.len()) && outstanding.iter().all(|&o| o == 0)
-    };
-
-    while !all_done(&cursor, &outstanding) && ctrl.now().as_u64() < max_cycles {
-        for (t, trace) in traces.iter().enumerate() {
-            while outstanding[t] < window && cursor[t] < trace.len() {
-                let mut req = trace[cursor[t]];
-                req.thread = t;
-                if ctrl.enqueue(req).is_err() {
-                    break;
-                }
-                cursor[t] += 1;
-                outstanding[t] += 1;
-            }
-        }
-        for c in ctrl.tick() {
-            let t = c.request.thread;
-            outstanding[t] -= 1;
-            completed[t] += 1;
-            latency[t] += c.latency();
-            finish[t] = c.finished.as_u64();
-        }
-    }
-    let threads = (0..traces.len())
-        .map(|t| ThreadReport {
-            completed: completed[t],
-            avg_latency: if completed[t] == 0 {
-                0.0
-            } else {
-                latency[t] as f64 / completed[t] as f64
-            },
-            finish: finish[t],
-        })
-        .collect();
-    Ok(report_of(&mut ctrl, threads))
-}
-
-fn report_of(ctrl: &mut MemoryController, threads: Vec<ThreadReport>) -> RunReport {
     let trace = ctrl.take_trace_log();
-    RunReport {
+    let mut report = RunReport {
         scheduler: ctrl.scheduler_name().to_owned(),
         cycles: ctrl.now().as_u64(),
         threads,
@@ -1080,7 +969,15 @@ fn report_of(ctrl: &mut MemoryController, threads: Vec<ThreadReport>) -> RunRepo
         engine: *ctrl.engine_stats(),
         reliability: ctrl.reliability().map(ReliabilityPipeline::report),
         trace,
+    };
+    if tracing {
+        let now = report.cycles;
+        engine.tracer_mut().end(now);
+        if let Some(log) = &mut report.trace {
+            log.components.insert(0, engine.take_trace());
+        }
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1409,49 +1306,26 @@ mod tests {
     }
 
     #[test]
-    fn cycle_trace_is_identical_between_engine_and_per_cycle_oracle() {
-        let traces: Vec<Vec<MemRequest>> =
-            vec![(0..32u64).map(|i| MemRequest::read(i * 64, 0)).collect()];
-        let run = |per_cycle: bool| {
-            let mut ctrl =
-                MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new())).unwrap();
-            ctrl.enable_cycle_tracing(4096);
-            if per_cycle {
-                run_closed_loop_per_cycle(ctrl, &traces, 4, 100_000).unwrap()
-            } else {
-                run_closed_loop_with(ctrl, &traces, 4, 100_000).unwrap()
-            }
-        };
-        let engine = run(false);
-        let oracle = run(true);
-        assert!(engine.same_results(&oracle));
-        let et = engine.trace.expect("engine run traced");
-        let ot = oracle.trace.expect("oracle run traced");
-        let phase_totals = |log: &TraceLog| {
-            log.components
-                .iter()
-                .find(|c| c.track == "ctrl")
-                .map(|c| c.marks.clone())
-                .expect("ctrl track")
-        };
-        assert_eq!(
-            phase_totals(&et),
-            phase_totals(&ot),
-            "skip bulk-marks must attribute exactly what per-cycle marks do"
-        );
-    }
-
-    #[test]
-    fn scheduler_trace_records_decisions_when_enabled() {
+    fn cycle_trace_records_a_miss_as_act_then_rd() {
         let mut ctrl =
             MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new())).unwrap();
-        ctrl.enable_trace(8);
+        ctrl.enable_cycle_tracing(64);
         ctrl.enqueue(MemRequest::read(0, 0)).unwrap();
         ctrl.run_until_drained(10_000);
-        let cmds: Vec<Command> = ctrl.trace().iter().map(|e| e.cmd).collect();
-        assert_eq!(cmds.len(), 2, "miss = ACT then RD");
-        assert!(matches!(cmds[0], Command::Activate { .. }));
-        assert!(matches!(cmds[1], Command::Read { .. }));
-        assert!(ctrl.trace().iter().all(|e| e.request == 1));
+        let log = ctrl.take_trace_log().expect("tracing was enabled");
+        let dram = log
+            .components
+            .iter()
+            .find(|c| c.track == "dram")
+            .expect("dram track present");
+        let cmds: Vec<&str> = dram
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                ia_trace::TraceEvent::Instant { name, .. } => Some(name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(cmds, ["bank.act", "bank.rd"], "miss = ACT then RD");
     }
 }

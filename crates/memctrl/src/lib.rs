@@ -50,8 +50,8 @@ mod request;
 pub mod scheduler;
 
 pub use controller::{
-    run_closed_loop, run_closed_loop_per_cycle, run_closed_loop_with, CtrlStats, MemoryController,
-    RefreshMode, RunReport, SchedEvent, ThreadReport,
+    run_closed_loop, run_closed_loop_with, CtrlStats, MemoryController, RefreshMode, RunReport,
+    ThreadReport,
 };
 pub use error::CtrlError;
 pub use hybrid::{HybridMemory, HybridTiming, PlacementPolicy};

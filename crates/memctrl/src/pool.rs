@@ -101,9 +101,10 @@ pub enum ViewMode {
     ///
     /// A Skip policy reads no cached gates, so the controller does not
     /// resync the queue's gate cache for it: it probes the DRAM for the
-    /// head alone, once to pick and once to wake up. Resyncing after
-    /// every command cost the FCFS fault-injection benchmark more than
-    /// those two probes.
+    /// head alone ([`DramModule::ready_at`], derived from the same split
+    /// gates the cache holds), once to pick and once to wake up.
+    /// Resyncing after every command cost the FCFS fault-injection
+    /// benchmark more than those two probes.
     Skip,
     /// Class-list heads only — exact for policies whose key is constant
     /// within a (bank, class): FR-FCFS, all RL actions.
@@ -114,9 +115,9 @@ pub enum ViewMode {
 }
 
 /// Per-cycle scheduling facts, computed from the indexed lists by
-/// [`RequestQueue::build_view`] — the successor of the linear-scan
-/// [`crate::scheduler::linear_issue_view`] (kept as the differential
-/// oracle).
+/// [`RequestQueue::build_view`] — the successor of a linear scan over
+/// the whole queue, which `tests/scheduler_queue_equivalence.rs` keeps
+/// as the differential oracle.
 #[derive(Debug, Clone, Default)]
 pub struct IssueView {
     /// Issuable candidates under the open-page rule, each with its

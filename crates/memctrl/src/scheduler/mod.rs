@@ -7,8 +7,8 @@
 //! [`RequestQueue`]'s per-bank ready lists (at the depth the policy's
 //! [`Scheduler::view_mode`] asks for) and the policy picks among the
 //! view's candidates by stable [`ReqId`] handle. The legacy linear scan
-//! survives as [`linear_issue_view`] — the differential oracle the
-//! queue-equivalence proptest replays both paths through.
+//! lives on only in test code: `tests/scheduler_queue_equivalence.rs`
+//! keeps it as the differential oracle both paths are replayed through.
 
 mod fairness;
 mod rl;
@@ -16,10 +16,10 @@ mod rl;
 pub use fairness::{Atlas, Bliss, ParBs, Tcm};
 pub use rl::{RlScheduler, RlSchedulerConfig};
 
-use ia_dram::{Command, Cycle, DramModule};
+use ia_dram::Cycle;
 
 use crate::pool::{IssueView, ReqId, RequestQueue, ViewMode};
-use crate::request::{Completed, Pending};
+use crate::request::Completed;
 
 /// A command scheduler for one memory channel.
 ///
@@ -88,105 +88,6 @@ pub trait Scheduler: std::fmt::Debug + Send {
             n += 1;
         }
     }
-}
-
-/// Indices of queued requests whose next command can issue at `now`.
-#[must_use]
-pub fn issuable_now(queue: &[Pending], dram: &DramModule, now: Cycle) -> Vec<usize> {
-    queue
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| {
-            let cmd = dram.next_needed(&p.loc, p.request.kind);
-            dram.ready_at(&p.loc, &cmd) <= now
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Whether the request's next command is a column command (row-buffer hit).
-#[must_use]
-pub fn is_row_hit(p: &Pending, dram: &DramModule) -> bool {
-    matches!(
-        dram.next_needed(&p.loc, p.request.kind),
-        Command::Read { .. } | Command::Write { .. }
-    )
-}
-
-/// Per-cycle scheduling facts for one queue as a flat slice, computed by
-/// the legacy linear scan ([`linear_issue_view`]).
-///
-/// Superseded in the hot path by [`IssueView`] built from the indexed
-/// [`RequestQueue`]; retained as the reference implementation that the
-/// `scheduler_queue_equivalence` proptest checks the indexed path
-/// against, decision by decision.
-#[derive(Debug, Clone)]
-pub struct LinearIssueView {
-    /// Issuable request indices under the open-page rule (ascending),
-    /// each with its row-hit flag.
-    pub ready: Vec<(usize, bool)>,
-    /// Number of queued requests (issuable or not) whose next command is
-    /// a column command — the occupancy signal RL-class policies use.
-    pub row_hits: usize,
-}
-
-/// Builds the [`LinearIssueView`] for `queue` at `now`: [`issuable_now`]
-/// minus row-closing precharges to banks that still have pending row hits
-/// in the queue — the open-page rule every locality-respecting scheduler
-/// follows (a row with outstanding hits is not closed just because its
-/// next burst is a few cycles away).
-#[must_use]
-pub fn linear_issue_view(queue: &[Pending], dram: &DramModule, now: Cycle) -> LinearIssueView {
-    let geo = &dram.config().geometry;
-    let mut ready: Vec<(usize, bool)> = Vec::with_capacity(queue.len());
-    // Flat bank keys with at least one queued row hit; a handful of
-    // entries at most, so a linear `contains` beats any hashing.
-    let mut hit_banks: Vec<usize> = Vec::new();
-    let mut row_hits = 0usize;
-    // Pass 1: classify every entry once (issuable? hit? precharge?).
-    let mut pending_pre: Vec<(usize, usize)> = Vec::new(); // (index, flat bank)
-    for (i, p) in queue.iter().enumerate() {
-        let cmd = dram.next_needed(&p.loc, p.request.kind);
-        let issuable = dram.ready_at(&p.loc, &cmd) <= now;
-        match cmd {
-            Command::Read { .. } | Command::Write { .. } => {
-                row_hits += 1;
-                let bank = p.loc.flat_bank(geo);
-                if !hit_banks.contains(&bank) {
-                    hit_banks.push(bank);
-                }
-                if issuable {
-                    ready.push((i, true));
-                }
-            }
-            Command::Precharge if issuable => pending_pre.push((i, p.loc.flat_bank(geo))),
-            _ => {
-                if issuable {
-                    ready.push((i, false));
-                }
-            }
-        }
-    }
-    // Pass 2: closing a bank is allowed only if no queued request hits
-    // its currently-open row.
-    for (i, bank) in pending_pre {
-        if !hit_banks.contains(&bank) {
-            ready.push((i, false));
-        }
-    }
-    ready.sort_unstable_by_key(|&(i, _)| i);
-    LinearIssueView { ready, row_hits }
-}
-
-/// [`linear_issue_view`]'s issuable indices alone, for callers that do
-/// not need the row-hit flags.
-#[must_use]
-pub fn issuable_open_page(queue: &[Pending], dram: &DramModule, now: Cycle) -> Vec<usize> {
-    linear_issue_view(queue, dram, now)
-        .ready
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Strict in-order first-come first-served: always serves the oldest
@@ -277,8 +178,8 @@ impl Scheduler for FrFcfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::MemRequest;
-    use ia_dram::{AccessKind, DramConfig, PhysAddr};
+    use crate::request::{MemRequest, Pending};
+    use ia_dram::{AccessKind, DramConfig, DramModule, PhysAddr};
 
     fn mk(dram: &DramModule, id: u64, addr: u64, arrival: u64) -> Pending {
         Pending {
@@ -293,7 +194,7 @@ mod tests {
         }
     }
 
-    fn setup() -> (DramModule, RequestQueue) {
+    fn setup() -> RequestQueue {
         let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
         // Open row 0 of bank 0 by accessing address 0.
         dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
@@ -306,7 +207,7 @@ mod tests {
         let mut queue = RequestQueue::new();
         queue.insert(mk(&dram, 1, row_stride, 0), &dram);
         queue.insert(mk(&dram, 2, 128, 5), &dram);
-        (dram, queue)
+        queue
     }
 
     fn view_of(queue: &RequestQueue, now: Cycle, mode: ViewMode) -> IssueView {
@@ -317,7 +218,7 @@ mod tests {
 
     #[test]
     fn fcfs_picks_oldest() {
-        let (_, queue) = setup();
+        let queue = setup();
         let view = view_of(&queue, Cycle::new(100), ViewMode::Skip);
         let pick = Fcfs::new().select(&queue, &view).unwrap();
         assert_eq!(
@@ -329,14 +230,19 @@ mod tests {
 
     #[test]
     fn frfcfs_prefers_row_hit() {
-        let (dram, queue) = setup();
+        let queue = setup();
         let view = view_of(&queue, Cycle::new(100), ViewMode::Frontier);
         let pick = FrFcfs::new().select(&queue, &view).unwrap();
-        let p = *queue.req(pick);
-        assert_eq!(p.request.id, 2, "FR-FCFS serves the row hit first");
-        assert!(is_row_hit(&p, &dram));
-        let other = queue.iter().find(|(_, q)| q.request.id == 1).unwrap();
-        assert!(!is_row_hit(other.1, &dram));
+        assert_eq!(
+            queue.req(pick).request.id,
+            2,
+            "FR-FCFS serves the row hit first"
+        );
+        assert!(
+            view.ready.contains(&(pick, true)),
+            "the view flags the pick as a row hit"
+        );
+        assert_eq!(view.row_hits, 1, "the conflicting request is no row hit");
     }
 
     #[test]
@@ -345,43 +251,5 @@ mod tests {
         let view = view_of(&empty, Cycle::ZERO, ViewMode::Frontier);
         assert!(Fcfs::new().select(&empty, &view).is_none());
         assert!(FrFcfs::new().select(&empty, &view).is_none());
-    }
-
-    #[test]
-    fn issuable_now_respects_timing() {
-        let (dram, _) = setup();
-        let geo = dram.config().geometry;
-        let row_stride = geo.row_bytes
-            * (geo.banks_per_group * geo.bank_groups * geo.ranks * geo.channels) as u64;
-        let queue = vec![mk(&dram, 1, row_stride, 0), mk(&dram, 2, 128, 5)];
-        // Immediately after the warm-up access, the bank is still within
-        // tRAS/tRTP windows; at a late cycle everything is issuable.
-        let late = issuable_now(&queue, &dram, Cycle::new(10_000));
-        assert_eq!(late.len(), 2);
-    }
-
-    #[test]
-    fn indexed_view_matches_linear_scan() {
-        let (dram, queue) = setup();
-        let linear: Vec<Pending> = queue.iter().map(|(_, p)| *p).collect();
-        for now in [0u64, 20, 100, 10_000] {
-            let now = Cycle::new(now);
-            let want = linear_issue_view(&linear, &dram, now);
-            let got = view_of(&queue, now, ViewMode::Full);
-            let mut got_ids: Vec<(u64, bool)> = got
-                .ready
-                .iter()
-                .map(|&(h, hit)| (queue.req(h).request.id, hit))
-                .collect();
-            got_ids.sort_unstable();
-            let mut want_ids: Vec<(u64, bool)> = want
-                .ready
-                .iter()
-                .map(|&(i, hit)| (linear[i].request.id, hit))
-                .collect();
-            want_ids.sort_unstable();
-            assert_eq!(got_ids, want_ids, "candidate sets diverge at {now:?}");
-            assert_eq!(got.row_hits, want.row_hits);
-        }
     }
 }

@@ -5,11 +5,83 @@
 use ia_dram::{AddressMapping, DramConfig, Location};
 use ia_faults::FaultPlan;
 use ia_memctrl::{
-    run_closed_loop, run_closed_loop_per_cycle, run_closed_loop_with, Atlas, Bliss, Fcfs, FrFcfs,
-    MemRequest, MemoryController, Mitigation, ParBs, RefreshMode, ReliabilityConfig,
-    ReliabilityPipeline, RlScheduler, RlSchedulerConfig, Scheduler, Tcm,
+    run_closed_loop, run_closed_loop_with, Atlas, Bliss, CtrlError, Fcfs, FrFcfs, MemRequest,
+    MemoryController, Mitigation, ParBs, RefreshMode, ReliabilityConfig, ReliabilityPipeline,
+    RlScheduler, RlSchedulerConfig, RunReport, Scheduler, Tcm, ThreadReport,
 };
+use ia_trace::TraceLog;
 use proptest::prelude::*;
+
+/// Per-cycle oracle for [`run_closed_loop_with`]: the same closed-loop
+/// drive, but ticking the controller every single cycle
+/// ([`MemoryController::tick`]) instead of letting the event-skipping
+/// engine jump over idle spans. Slow by design; the engine's report
+/// must equal it (`RunReport::same_results`).
+fn run_closed_loop_per_cycle(
+    ctrl: MemoryController,
+    traces: &[Vec<MemRequest>],
+    window: usize,
+    max_cycles: u64,
+) -> Result<RunReport, CtrlError> {
+    if traces.is_empty() || traces.iter().any(Vec::is_empty) {
+        return Err(CtrlError::EmptyTrace);
+    }
+    let mut ctrl = ctrl.with_queue_capacity(traces.len() * window.max(1) + 8);
+    let mut cursor = vec![0usize; traces.len()];
+    let mut outstanding = vec![0usize; traces.len()];
+    let mut completed = vec![0u64; traces.len()];
+    let mut latency = vec![0u64; traces.len()];
+    let mut finish = vec![0u64; traces.len()];
+
+    let all_done = |cursor: &[usize], outstanding: &[usize]| {
+        cursor.iter().zip(traces).all(|(&c, t)| c >= t.len()) && outstanding.iter().all(|&o| o == 0)
+    };
+
+    while !all_done(&cursor, &outstanding) && ctrl.now().as_u64() < max_cycles {
+        for (t, trace) in traces.iter().enumerate() {
+            while outstanding[t] < window && cursor[t] < trace.len() {
+                let mut req = trace[cursor[t]];
+                req.thread = t;
+                if ctrl.enqueue(req).is_err() {
+                    break;
+                }
+                cursor[t] += 1;
+                outstanding[t] += 1;
+            }
+        }
+        for c in ctrl.tick() {
+            let t = c.request.thread;
+            outstanding[t] -= 1;
+            completed[t] += 1;
+            latency[t] += c.latency();
+            finish[t] = c.finished.as_u64();
+        }
+    }
+    let threads = (0..traces.len())
+        .map(|t| ThreadReport {
+            completed: completed[t],
+            avg_latency: if completed[t] == 0 {
+                0.0
+            } else {
+                latency[t] as f64 / completed[t] as f64
+            },
+            finish: finish[t],
+        })
+        .collect();
+    Ok(RunReport {
+        scheduler: ctrl.scheduler_name().to_owned(),
+        cycles: ctrl.now().as_u64(),
+        threads,
+        stats: ctrl.stats().clone(),
+        row_hit_rate: ctrl.dram().stats().row_hit_rate(),
+        charge_cache_hit_rate: ctrl.dram().charge_cache_hit_rate(),
+        dynamic_energy_pj: ctrl.dram().energy().dynamic_pj(),
+        io_energy_pj: ctrl.dram().energy().io_pj,
+        engine: *ctrl.engine_stats(),
+        reliability: ctrl.reliability().map(ReliabilityPipeline::report),
+        trace: ctrl.take_trace_log(),
+    })
+}
 
 fn schedulers(threads: usize) -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -320,4 +392,40 @@ proptest! {
             }
         }
     }
+}
+
+/// The cycle-attribution trace is part of what the engine must
+/// reproduce: skipped spans are bulk-marked with exactly the phases the
+/// per-cycle ticks would have marked one by one.
+#[test]
+fn cycle_trace_is_identical_between_engine_and_per_cycle_oracle() {
+    let traces: Vec<Vec<MemRequest>> =
+        vec![(0..32u64).map(|i| MemRequest::read(i * 64, 0)).collect()];
+    let run = |per_cycle: bool| {
+        let mut ctrl =
+            MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new())).unwrap();
+        ctrl.enable_cycle_tracing(4096);
+        if per_cycle {
+            run_closed_loop_per_cycle(ctrl, &traces, 4, 100_000).unwrap()
+        } else {
+            run_closed_loop_with(ctrl, &traces, 4, 100_000).unwrap()
+        }
+    };
+    let engine = run(false);
+    let oracle = run(true);
+    assert!(engine.same_results(&oracle));
+    let et = engine.trace.expect("engine run traced");
+    let ot = oracle.trace.expect("oracle run traced");
+    let phase_totals = |log: &TraceLog| {
+        log.components
+            .iter()
+            .find(|c| c.track == "ctrl")
+            .map(|c| c.marks.clone())
+            .expect("ctrl track")
+    };
+    assert_eq!(
+        phase_totals(&et),
+        phase_totals(&ot),
+        "skip bulk-marks must attribute exactly what per-cycle marks do"
+    );
 }

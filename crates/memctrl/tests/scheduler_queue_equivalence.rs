@@ -6,15 +6,15 @@
 //! followed by the [`RequestQueue::resync`] the controller makes after a
 //! command. At every step the test checks that the indexed
 //! [`RequestQueue::build_view`] agrees with the retired linear scan
-//! (kept as [`linear_issue_view`], the differential oracle) — same
+//! (kept here as [`linear_issue_view`], the differential oracle) — same
 //! candidate set, same row-hit count, and the same pick from every
 //! scheduler policy — and that the wake-up bound
 //! [`RequestQueue::next_issue_at`] is exactly the first cycle at which a
-//! tick could issue. The queue is exact after a resync, not in any
-//! state: a self-test shows that skipping the resync is caught.
+//! tick could issue, on DDR3, DDR4, LPDDR4 and a two-rank DDR3. The
+//! queue is exact after a resync, not in any state: a self-test shows
+//! that skipping the resync is caught.
 
-use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
-use ia_memctrl::scheduler::linear_issue_view;
+use ia_dram::{AccessKind, Command, Cycle, DramConfig, DramModule, PhysAddr};
 use ia_memctrl::{
     Atlas, Bliss, Fcfs, FrFcfs, IssueView, MemRequest, ParBs, Pending, ReqId, RequestQueue,
     RlScheduler, RlSchedulerConfig, Scheduler, Tcm, ViewMode,
@@ -61,6 +61,64 @@ fn pending(
         batched: false,
         started: false,
     }
+}
+
+/// Per-cycle scheduling facts for a flat slice of requests, computed
+/// by [`linear_issue_view`].
+#[derive(Debug, Clone)]
+struct LinearIssueView {
+    /// Issuable request indices under the open-page rule (ascending),
+    /// each with its row-hit flag.
+    ready: Vec<(usize, bool)>,
+    /// Number of queued requests (issuable or not) whose next command is
+    /// a column command.
+    row_hits: usize,
+}
+
+/// The linear scan the indexed queue replaced: probes the DRAM for
+/// every request's next command, and keeps those issuable at `now`
+/// minus row-closing precharges to banks that still have queued row
+/// hits — the open-page rule (a row with outstanding hits is not closed
+/// just because its next burst is a few cycles away).
+fn linear_issue_view(queue: &[Pending], dram: &DramModule, now: Cycle) -> LinearIssueView {
+    let geo = &dram.config().geometry;
+    let mut ready: Vec<(usize, bool)> = Vec::with_capacity(queue.len());
+    // Flat bank keys with at least one queued row hit.
+    let mut hit_banks: Vec<usize> = Vec::new();
+    let mut row_hits = 0usize;
+    // Pass 1: classify every entry once (issuable? hit? precharge?).
+    let mut pending_pre: Vec<(usize, usize)> = Vec::new(); // (index, flat bank)
+    for (i, p) in queue.iter().enumerate() {
+        let cmd = dram.next_needed(&p.loc, p.request.kind);
+        let issuable = dram.ready_at(&p.loc, &cmd) <= now;
+        match cmd {
+            Command::Read { .. } | Command::Write { .. } => {
+                row_hits += 1;
+                let bank = p.loc.flat_bank(geo);
+                if !hit_banks.contains(&bank) {
+                    hit_banks.push(bank);
+                }
+                if issuable {
+                    ready.push((i, true));
+                }
+            }
+            Command::Precharge if issuable => pending_pre.push((i, p.loc.flat_bank(geo))),
+            _ => {
+                if issuable {
+                    ready.push((i, false));
+                }
+            }
+        }
+    }
+    // Pass 2: closing a bank is allowed only if no queued request hits
+    // its currently-open row.
+    for (i, bank) in pending_pre {
+        if !hit_banks.contains(&bank) {
+            ready.push((i, false));
+        }
+    }
+    ready.sort_unstable_by_key(|&(i, _)| i);
+    LinearIssueView { ready, row_hits }
 }
 
 /// Snapshot of the queue in iteration order, for the linear oracle.
@@ -173,11 +231,11 @@ fn check_step(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
 }
 
 /// Replays `ops` — `(addr, write, thread, op, gap)` tuples — through a
-/// queue and a DRAM module, running the differential check after every
-/// op. Each DRAM access is followed by the controller's resync unless
-/// `resync` is false.
-fn replay(ops: &[(u64, bool, usize, u8, u8)], resync: bool) {
-    let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
+/// queue and a `config` DRAM module, running the differential check
+/// after every op. Each DRAM access is followed by the controller's
+/// resync unless `resync` is false.
+fn replay(config: &DramConfig, ops: &[(u64, bool, usize, u8, u8)], resync: bool) {
+    let mut dram = DramModule::new(config.clone()).unwrap();
     let mut queue = RequestQueue::new();
     let mut now = Cycle::ZERO;
     let mut next_id = 1u64;
@@ -235,7 +293,73 @@ fn replay(ops: &[(u64, bool, usize, u8, u8)], resync: bool) {
 #[test]
 #[should_panic(expected = "wake-up bound")]
 fn skipped_resync_is_caught() {
-    replay(&[(0, false, 0, 0, 0), (0, false, 0, 3, 0)], false);
+    replay(
+        &DramConfig::ddr3_1600(),
+        &[(0, false, 0, 0, 0), (0, false, 0, 3, 0)],
+        false,
+    );
+}
+
+/// A fixed case: with row 0 of bank 0 open, an older request to
+/// another row of that bank and a newer row hit. At every cycle the
+/// indexed full view holds the linear scan's candidates, hit flags
+/// included, and the same row-hit count.
+#[test]
+fn indexed_view_matches_linear_scan_on_a_fixed_queue() {
+    let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
+    dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
+        .unwrap();
+    let geo = dram.config().geometry;
+    let row_stride = geo.row_bytes * geo.total_banks() as u64;
+    let mut queue = RequestQueue::new();
+    queue.insert(pending(&dram, 1, row_stride, false, 0, Cycle::ZERO), &dram);
+    queue.insert(pending(&dram, 2, 128, false, 0, Cycle::new(5)), &dram);
+    let (ids, pendings) = flatten(&queue);
+    for now in [0u64, 20, 100, 10_000] {
+        let now = Cycle::new(now);
+        let want = linear_issue_view(&pendings, &dram, now);
+        let reference = IssueView {
+            ready: want.ready.iter().map(|&(i, hit)| (ids[i], hit)).collect(),
+            row_hits: want.row_hits,
+        };
+        let mut got = IssueView::default();
+        queue.build_view(now, ViewMode::Full, &mut got);
+        assert_eq!(
+            as_set(&got, &queue),
+            as_set(&reference, &queue),
+            "candidate sets diverge at {now:?}"
+        );
+        assert_eq!(got.row_hits, want.row_hits);
+    }
+    let mut late = IssueView::default();
+    queue.build_view(Cycle::new(10_000), ViewMode::Full, &mut late);
+    assert_eq!(
+        as_set(&late, &queue),
+        [(2, true)],
+        "the open-page rule holds back the conflict's precharge"
+    );
+}
+
+fn two_ranks() -> DramConfig {
+    DramConfig::ddr3_1600()
+        .to_builder()
+        .ranks(2)
+        .name("DDR3-1600 2R")
+        .build()
+        .unwrap()
+}
+
+fn ops() -> impl Strategy<Value = Vec<(u64, bool, usize, u8, u8)>> {
+    prop::collection::vec(
+        (
+            0u64..(1 << 22),
+            any::<bool>(),
+            0usize..THREADS,
+            0u8..5,
+            0u8..12,
+        ),
+        1..50,
+    )
 }
 
 proptest! {
@@ -248,14 +372,28 @@ proptest! {
 
     /// Random enqueue/issue/touch/cancel interleavings: the indexed queue and
     /// the linear oracle agree on the candidate set, the wake-up bound,
-    /// and every scheduler's pick at every step.
+    /// and every scheduler's pick at every step. One channel, one rank,
+    /// eight banks.
     #[test]
-    fn indexed_queue_matches_linear_scan_under_interleavings(
-        ops in prop::collection::vec(
-            (0u64..(1 << 22), any::<bool>(), 0usize..THREADS, 0u8..5, 0u8..12),
-            1..50,
-        ),
-    ) {
-        replay(&ops, true);
+    fn indexed_queue_matches_linear_scan_on_ddr3(ops in ops()) {
+        replay(&DramConfig::ddr3_1600(), &ops, true);
+    }
+
+    /// Four bank groups.
+    #[test]
+    fn indexed_queue_matches_linear_scan_on_ddr4(ops in ops()) {
+        replay(&DramConfig::ddr4_2400(), &ops, true);
+    }
+
+    /// Two channels: a command resyncs only its own channel's ranks.
+    #[test]
+    fn indexed_queue_matches_linear_scan_on_lpddr4(ops in ops()) {
+        replay(&DramConfig::lpddr4_3200(), &ops, true);
+    }
+
+    /// Two ranks sharing one data bus.
+    #[test]
+    fn indexed_queue_matches_linear_scan_on_two_ranks(ops in ops()) {
+        replay(&two_ranks(), &ops, true);
     }
 }

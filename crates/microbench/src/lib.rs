@@ -182,7 +182,7 @@ fn sched_pick_depth256(iters: u64) -> Sample {
 }
 
 /// One `bank_gates` probe per op: the open row plus all four command
-/// gates in a single hierarchy walk.
+/// gates, from one bank-local and one shared-gate read.
 fn dram_timing_check(iters: u64) -> Sample {
     // lint: allow(P001, ddr3_1600 is a valid preset)
     let mut dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");

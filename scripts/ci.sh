@@ -107,7 +107,7 @@ cargo test -q -p ia-sim watchdog
 echo "== event wheel vs per-cycle scan (order-equivalence property)"
 cargo test -q -p ia-sim --test wheel_equivalence
 
-echo "== split DRAM gates recombine exactly (DDR3, DDR4, LPDDR4, 2-rank)"
+echo "== DRAM gates vs an independent per-command JEDEC reference (DDR3, DDR4, LPDDR4, 2-rank)"
 cargo test -q -p ia-dram --test gate_split
 
 echo "== indexed ready-lists + gate cache vs linear scan (pick equivalence, exact wake-up bound after resync)"
@@ -150,5 +150,16 @@ cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
     --quick --json "$fork_dir/b.json" > /dev/null
 diff "$fork_dir/a.json" "$fork_dir/b.json"
+
+echo "== reports unchanged (fresh BENCH_PR.json and BENCH_MICRO.json vs the committed files)"
+# Written into a temp dir: with no previous BENCH_WALL.json beside the
+# output, the snapshot's wall-regression warning cannot fire here.
+snap_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir" "$snap_dir"' EXIT
+scripts/bench_snapshot.sh "$snap_dir/BENCH_PR.json" > /dev/null
+cmp "$snap_dir/BENCH_PR.json" BENCH_PR.json \
+    || { echo "BENCH_PR.json changed: a report byte moved"; exit 1; }
+cmp "$snap_dir/BENCH_MICRO.json" BENCH_MICRO.json \
+    || { echo "BENCH_MICRO.json changed: a microbench checksum or row moved"; exit 1; }
 
 echo "CI gate passed."
