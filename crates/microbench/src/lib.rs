@@ -20,6 +20,10 @@
 //!   engine's O(1) next-event machinery.
 //! * **noc-route-flit** — one [`RouteTable`] XY lookup plus a
 //!   productive-port query, the per-flit work of the mesh hot loop.
+//! * **noc-mesh-cycle** — one whole 8×8 mesh cycle, buffered and
+//!   bufferless alternately, at uniform load 0.4: the injection draws,
+//!   lane and arrival-slot routing and ejection that `noc_route_flit`'s
+//!   table lookup is only a part of.
 //! * **lint-parse-workspace** — one full ia-lint front-end pass (lex,
 //!   comment-strip, item-parse) over a deterministic synthetic source
 //!   file: the per-file cost behind the `ia-lint --check` wall-time
@@ -65,8 +69,8 @@ use ia_lint::context::FileContext;
 use ia_lint::lexer::tokenize;
 use ia_lint::parser::{parse_items, Item};
 use ia_memctrl::{FrFcfs, IssueView, MemRequest, Pending, RequestQueue, Scheduler, ViewMode};
-use ia_noc::{MeshConfig, RouteTable};
-use ia_sim::EventWheel;
+use ia_noc::{BufferedMeshSim, BufferlessMeshSim, Delivered, MeshConfig, RouteTable, Traffic};
+use ia_sim::{Clocked, EventWheel, FnSink};
 use ia_telemetry::JsonValue;
 
 /// One timed repetition: deterministic op count and checksum, plus the
@@ -379,6 +383,47 @@ fn noc_route_flit(iters: u64) -> Sample {
     }
 }
 
+/// Cycles each mesh of [`noc_mesh_cycle`] runs before the timed loop, so
+/// it is measured loaded rather than while it fills from empty.
+const NOC_WARMUP_CYCLES: u64 = 500;
+
+/// One 8×8 mesh cycle per op, alternating a buffered and a bufferless
+/// mesh under uniform traffic at 0.4 packets per node per cycle — the
+/// busiest load of the simulator benchmark's `noc_mesh` workload. The
+/// checksum folds the delivered, latency, hop and deflection totals.
+fn noc_mesh_cycle(iters: u64) -> Sample {
+    // lint: allow(P001, 8x8 is a valid mesh)
+    let mesh = MeshConfig::new(8, 8).expect("valid mesh");
+    let horizon = NOC_WARMUP_CYCLES + iters;
+    let traffic = Traffic::UniformRandom;
+    let mut buffered = BufferedMeshSim::new(mesh, traffic, 0.4, horizon, 1);
+    let mut bufferless = BufferlessMeshSim::new(mesh, traffic, 0.4, horizon, 1);
+    let mut totals = [0u64; 4];
+    let mut sink = FnSink(|d: Delivered| {
+        totals[0] += 1;
+        totals[1] += d.latency;
+        totals[2] += u64::from(d.hops);
+        totals[3] += u64::from(d.deflections);
+    });
+    for _ in 0..NOC_WARMUP_CYCLES {
+        buffered.tick_into(&mut sink);
+        bufferless.tick_into(&mut sink);
+    }
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for _ in 0..iters {
+        buffered.tick_into(&mut sink);
+        bufferless.tick_into(&mut sink);
+    }
+    let ns = start.elapsed().as_nanos();
+    let checksum = totals.iter().fold(0, |acc, &t| fold(acc, t));
+    Sample {
+        ops: 2 * iters,
+        checksum,
+        ns,
+    }
+}
+
 /// One synthetic source file for the lint-parse kernel: Rust-like items
 /// exercising the parser's shapes — impls, traits, modules, nested
 /// generics, raw identifiers, doc comments — sized like a mid-size
@@ -465,6 +510,10 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "noc_route_flit",
             run: noc_route_flit,
+        },
+        Bench {
+            name: "noc_mesh_cycle",
+            run: noc_mesh_cycle,
         },
         Bench {
             name: "lint_parse_workspace",

@@ -51,6 +51,14 @@ impl Port {
     }
 }
 
+/// Number of set bits in a 4-bit port mask, read from a table of
+/// nibbles packed into one word: the baseline x86-64 target has no
+/// POPCNT instruction, and this needs no loop.
+#[inline]
+pub(crate) fn port_count(mask: u8) -> usize {
+    ((0x4332_3221_3221_2110u64 >> (4 * (mask & 0xF))) & 0xF) as usize
+}
+
 /// A small set of ports, packed into one bit per port. A mesh router has
 /// at most four, so this is a single byte — the routing hot loops query
 /// port sets every cycle and must not allocate or scan.
@@ -69,7 +77,7 @@ impl Ports {
     #[must_use]
     #[inline]
     pub fn len(&self) -> usize {
-        self.mask.count_ones() as usize
+        port_count(self.mask)
     }
 
     /// True when the set holds no ports.
@@ -488,6 +496,13 @@ mod tests {
         s.remove(Port::East);
         assert_eq!(s.len(), 1);
         assert_eq!(s.into_iter().collect::<Vec<_>>(), vec![Port::South]);
+    }
+
+    #[test]
+    fn port_count_is_the_popcount_of_every_mask() {
+        for mask in 0..16u8 {
+            assert_eq!(port_count(mask), mask.count_ones() as usize, "{mask:#06b}");
+        }
     }
 
     #[test]

@@ -15,14 +15,33 @@
 //! cycle, so — unlike the memory controller — there are no idle gaps to
 //! skip; the port buys the uniform component model and sink-based
 //! delivery, which lets a mesh be composed into larger clocked systems.
+//!
+//! ## Hot-loop layout
+//!
+//! Flits live in a slab arena and routers hold `u32` handles. A buffered
+//! router keeps one lane per output port, each ordered by flit id (id
+//! order is age order), plus a short eject list: a visit pops at most one
+//! flit per busy lane and ejects everything that arrived, so it never
+//! scans a whole queue. A bufferless router holds at most four flits, one
+//! per input link, in fixed arrival slots ordered by sender index (south,
+//! west, east, north), which is the order arrivals were appended in when
+//! each router held a list; it reads all four slots, orders ages with a
+//! sorting network and picks ports by mask arithmetic, so its busy path
+//! branches little on the data. Neither mesh counts hops per move (see
+//! [`Packet`]), and injection compares the raw draw with an integer
+//! threshold (see [`inject_threshold`]). Every RNG draw, routing decision
+//! and delivery order is the same as in the list-based loops;
+//! `tests/mesh_reference.rs` keeps those loops as the reference.
+
+use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use ia_sim::{Clocked, CompletionSink, Cycle, FnSink, SimLoop};
 use ia_trace::{ComponentTrace, TraceLog, Tracer};
 
-use crate::mesh::{MeshConfig, Port, Ports, RouteTable};
+use crate::mesh::{port_count, MeshConfig, Port, RouteTable};
 use crate::NocError;
 
 /// Router microarchitecture under test.
@@ -52,6 +71,11 @@ pub enum Traffic {
 
 /// A single-flit packet. The destination is a flat node index so the
 /// routing hot loops index the precomputed [`RouteTable`] directly.
+///
+/// Neither mesh counts hops as a flit moves. XY routes are minimal, so a
+/// buffered flit's `hops` is its Manhattan distance, set at injection. A
+/// bufferless flit moves on every cycle it is in flight, so its hop count
+/// is its latency and `hops` stays 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Packet {
     id: u64,
@@ -98,21 +122,73 @@ impl FlitArena {
     }
 }
 
-/// One input-queue slot of a buffered router: the flit's handle plus two
-/// facts that are invariant while it waits here — its age-ordering id and
-/// its routing class at THIS node (output port, or "eject"). Caching them
-/// means the per-cycle allocation pass reads only this 16-byte entry for
-/// flits that stay put; the arena is touched just when a flit ejects or
-/// moves.
-#[derive(Debug, Clone, Copy)]
-struct QEntry {
-    id: u64,
-    h: u32,
-    class: u8,
+/// The injection test `gen::<f64>() < rate` as an integer threshold on
+/// the same draw. `gen::<f64>()` is exactly `(x >> 11) · 2⁻⁵³` for the
+/// raw word `x`, so it is below `rate` iff the integer `x >> 11` is below
+/// `ceil(rate · 2⁵³)`; scaling by a power of two is exact, so this holds
+/// for every rate, not only representable multiples of 2⁻⁵³. The cast
+/// saturates: NaN and negative rates give 0 (never inject), rates of 1 or
+/// more give at least 2⁵³ (always inject), as the float compare does.
+fn inject_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
-/// [`QEntry::class`] value for "this node is the destination".
-const CLASS_EJECT: u8 = 4;
+/// One injection draw against a threshold from [`inject_threshold`].
+#[inline]
+fn injects(rng: &mut SmallRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
+/// A flit waiting in a buffered router: its handle plus its destination,
+/// so routing it onward never touches the arena. Its age (id) stays in
+/// the arena, which keeps lanes at eight bytes a flit.
+#[derive(Debug, Clone, Copy)]
+struct QEntry {
+    h: u32,
+    dst: u32,
+}
+
+/// A flit on its way to a neighbouring buffered router, with the lane it
+/// joins there (`None`: that router is its destination).
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    node: u32,
+    lane: Option<Port>,
+    e: QEntry,
+}
+
+/// The per-node state of a buffered router besides its lanes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Router {
+    /// Bit `p` set while the lane of output port `p` holds flits.
+    busy: u8,
+    /// Live entries of `eject`.
+    ejects: u8,
+    /// Handles of the flits that reached this node on the last cycle. At
+    /// most one arrives per input link per cycle, all leave at the next
+    /// visit and an injected flit never ejects at its source, so four
+    /// slots do.
+    eject: [u32; 4],
+}
+
+/// Empty bufferless arrival slot.
+const NO_FLIT: u32 = u32::MAX;
+
+/// What an empty arrival slot reads: a packet bound for no node.
+const NO_PACKET: Packet = Packet {
+    id: u64::MAX,
+    dst: u32::MAX,
+    injected_at: 0,
+    hops: 0,
+    deflections: 0,
+};
+
+/// Arrival slot, at the next router, of a flit leaving through port `p`
+/// (by [`Port`] discriminant). Slots are ordered by sender index: a flit
+/// sent North comes from the south neighbour (index `node − width`), one
+/// sent East from the west neighbour (`node − 1`), one sent West from the
+/// east (`node + 1`) and one sent South from the north (`node + width`).
+const ARRIVAL_SLOT: [usize; 4] = [1, 2, 0, 3];
 
 /// A packet leaving the network: the [`Clocked::Completion`] type of both
 /// mesh simulators.
@@ -328,32 +404,40 @@ impl Tally {
 
 /// An input-queued XY-routed mesh as a [`Clocked`] component.
 ///
+/// Each router buffers its flits in four lanes, one per output port, each
+/// in id (age) order, plus an eject list for flits that have arrived. A
+/// visit ejects the arrivals oldest first and forwards the head of every
+/// busy lane: the oldest flit bound for each port, which is what an
+/// age-ordered scan of one input queue picks.
+///
 /// `rate` must already be validated to [0, 1] (done by [`simulate`]).
 #[derive(Debug)]
 pub struct BufferedMeshSim {
     mesh: MeshConfig,
     traffic: Traffic,
-    rate: f64,
+    /// [`inject_threshold`] of the injection rate.
+    threshold: u64,
     horizon: u64,
     rng: SmallRng,
     now: u64,
     table: RouteTable,
     arena: FlitArena,
-    queues: Vec<Vec<QEntry>>,
-    /// One bit per node, set while its input queue is non-empty: the
-    /// routing loop visits only occupied routers instead of scanning the
-    /// whole mesh every cycle.
+    /// `lanes[node * 4 + port]`: the flits at `node` routed out of `port`,
+    /// in id order.
+    lanes: Vec<VecDeque<QEntry>>,
+    routers: Vec<Router>,
+    /// One bit per node, set while its router holds a flit: the routing
+    /// loop visits only occupied routers instead of scanning the whole
+    /// mesh every cycle.
     occupied: Vec<u64>,
-    /// Live total queue occupancy (maintained incrementally; equals the
-    /// per-cycle sum the former code recomputed).
+    /// Live total buffer occupancy, lanes and eject lists together.
     occupancy: usize,
     next_id: u64,
     injected: u64,
     peak: usize,
-    // Scratch buffers reused across ticks so the steady-state routing
-    // loop never allocates. Behaviorally inert: each is cleared before
-    // (or fully drained by) every use.
-    moves: Vec<(u32, u32)>,
+    /// This cycle's link traversals, applied once every router has been
+    /// visited so no flit moves twice in a cycle. Drained every tick.
+    moves: Vec<Hop>,
     tracer: Tracer,
 }
 
@@ -364,13 +448,14 @@ impl BufferedMeshSim {
         BufferedMeshSim {
             mesh,
             traffic,
-            rate,
+            threshold: inject_threshold(rate),
             horizon,
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
             table: RouteTable::new(mesh),
             arena: FlitArena::default(),
-            queues: vec![Vec::new(); mesh.nodes()],
+            lanes: vec![VecDeque::new(); mesh.nodes() * 4],
+            routers: vec![Router::default(); mesh.nodes()],
             occupied: vec![0; mesh.nodes().div_ceil(64)],
             occupancy: 0,
             next_id: 0,
@@ -418,27 +503,28 @@ impl Clocked for BufferedMeshSim {
         let now = self.now;
         let n = self.mesh.nodes();
         // Inject. Every node draws injection randomness every cycle, so
-        // this loop cannot skip nodes without changing the RNG stream.
+        // this loop cannot skip nodes without changing the RNG stream. A
+        // new flit is the youngest, so it joins the back of its lane.
         for src in 0..n {
-            if self.rng.gen::<f64>() < self.rate {
+            if injects(&mut self.rng, self.threshold) {
                 let dst = pick_destination(self.mesh, self.traffic, src, &mut self.rng) as u32;
+                let hops = self
+                    .mesh
+                    .distance(self.table.coord(src), self.table.coord(dst as usize));
                 let h = self.arena.alloc(Packet {
                     id: self.next_id,
                     dst,
                     injected_at: now,
-                    hops: 0,
+                    hops,
                     deflections: 0,
                 });
-                let class = self
+                let port = self
                     .table
                     .xy_port(src, dst as usize)
                     // lint: allow(P001, pick_destination never picks the source)
-                    .expect("injected packets are never local") as u8;
-                self.queues[src].push(QEntry {
-                    id: self.next_id,
-                    h,
-                    class,
-                });
+                    .expect("injected packets are never local") as usize;
+                self.lanes[src * 4 + port].push_back(QEntry { h, dst });
+                self.routers[src].busy |= 1 << port;
                 self.occupied[src / 64] |= 1 << (src % 64);
                 self.occupancy += 1;
                 self.next_id += 1;
@@ -455,65 +541,71 @@ impl Clocked for BufferedMeshSim {
             self.tracer.mark(phase, now);
         }
 
-        // Route: each output port of each router carries one packet,
-        // oldest first. Queues are kept in age order (flit ids are
-        // allocated monotonically, so id order IS age order: injections
-        // append, arrivals binary-insert below), which lets ejection and
-        // port allocation share one in-place compaction pass with no
-        // per-cycle sort. Only occupied routers are visited; an empty
-        // router has nothing to eject or forward.
+        // Route: each router ejects everything that has arrived, oldest
+        // first, and each output port carries the oldest flit bound for
+        // it — the head of that port's lane. Only occupied routers are
+        // visited; an empty router has nothing to eject or forward.
         let arena = &mut self.arena;
         for w in 0..self.occupied.len() {
             let mut word = self.occupied[w];
             while word != 0 {
                 let node = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let q = &mut self.queues[node];
-                let mut used = Ports::default();
-                let mut write = 0;
-                for read in 0..q.len() {
-                    let e = q[read];
-                    // Eject everything that has arrived.
-                    if e.class == CLASS_EJECT {
-                        let p = &arena.slots[e.h as usize];
-                        sink.complete(p.delivered(now));
-                        arena.free.push(e.h);
-                        self.occupancy -= 1;
-                        continue;
-                    }
-                    let port = Port::from_index(e.class);
-                    if used.contains(port) {
-                        // Port taken by an older packet: wait in place.
-                        q[write] = e;
-                        write += 1;
-                        continue;
-                    }
-                    used.push(port);
-                    arena.slots[e.h as usize].hops += 1;
+                let r = &mut self.routers[node];
+                let ejects = &mut r.eject[..usize::from(r.ejects)];
+                ejects.sort_unstable_by_key(|&h| arena.slots[h as usize].id);
+                for &h in ejects.iter() {
+                    sink.complete(arena.slots[h as usize].delivered(now));
+                    arena.release(h);
+                }
+                self.occupancy -= usize::from(r.ejects);
+                r.ejects = 0;
+                let mut busy = r.busy;
+                while busy != 0 {
+                    let port = busy.trailing_zeros() as usize;
+                    busy &= busy - 1;
+                    let lane = &mut self.lanes[node * 4 + port];
+                    // lint: allow(P001, a busy bit marks a non-empty lane)
+                    let e = lane.pop_front().expect("busy lanes hold a flit");
+                    r.busy &= !(u8::from(lane.is_empty()) << port);
                     let next = self
                         .table
-                        .neighbor_index(node, port)
+                        .neighbor_index(node, Port::from_index(port as u8))
                         // lint: allow(P001, xy_route only returns in-mesh ports)
                         .expect("xy routes stay in mesh");
-                    self.moves.push((next as u32, e.h));
+                    self.moves.push(Hop {
+                        node: next as u32,
+                        lane: self.table.xy_port(next, e.dst as usize),
+                        e,
+                    });
                 }
-                q.truncate(write);
-                if q.is_empty() {
+                if r.busy == 0 {
                     self.occupied[w] &= !(1 << (node % 64));
                 }
             }
         }
-        for (node, h) in self.moves.drain(..) {
-            let p = &arena.slots[h as usize];
-            let class = match self.table.xy_port(node as usize, p.dst as usize) {
-                Some(port) => port as u8,
-                None => CLASS_EJECT,
-            };
-            let e = QEntry { id: p.id, h, class };
-            let q = &mut self.queues[node as usize];
-            let pos = q.partition_point(|&e2| e2.id < e.id);
-            q.insert(pos, e);
-            self.occupied[node as usize / 64] |= 1 << (node % 64);
+        for hop in self.moves.drain(..) {
+            let node = hop.node as usize;
+            let r = &mut self.routers[node];
+            match hop.lane {
+                Some(port) => {
+                    let lane = &mut self.lanes[node * 4 + port as usize];
+                    let id = |e: &QEntry| arena.slots[e.h as usize].id;
+                    let new = id(&hop.e);
+                    if lane.back().is_none_or(|b| id(b) < new) {
+                        lane.push_back(hop.e);
+                    } else {
+                        let pos = lane.partition_point(|e| id(e) < new);
+                        lane.insert(pos, hop.e);
+                    }
+                    r.busy |= 1 << port as u8;
+                }
+                None => {
+                    r.eject[usize::from(r.ejects)] = hop.e.h;
+                    r.ejects += 1;
+                }
+            }
+            self.occupied[node / 64] |= 1 << (node % 64);
         }
         self.now += 1;
     }
@@ -527,25 +619,35 @@ impl Clocked for BufferedMeshSim {
 
 /// A BLESS-style bufferless deflection mesh as a [`Clocked`] component.
 ///
+/// A router holds at most one flit per input link, so each node has four
+/// fixed arrival slots, written by its neighbours as flits leave them and
+/// read on the next cycle in slot (sender index) order.
+///
 /// `rate` must already be validated to [0, 1] (done by [`simulate`]).
 #[derive(Debug)]
 pub struct BufferlessMeshSim {
     mesh: MeshConfig,
     traffic: Traffic,
-    rate: f64,
+    /// [`inject_threshold`] of the injection rate.
+    threshold: u64,
     horizon: u64,
     rng: SmallRng,
     now: u64,
     table: RouteTable,
     arena: FlitArena,
-    at_router: Vec<Vec<u32>>,
+    /// `arrivals[node][slot]`: the flits at each router this cycle, by
+    /// [`ARRIVAL_SLOT`]; [`NO_FLIT`] marks an empty slot. Every slot is
+    /// emptied as its router is visited.
+    arrivals: Vec<[u32; 4]>,
+    /// Next cycle's arrivals. Each (node, slot) pair has one sender, so
+    /// leaving flits land here directly; swapped with `arrivals` at the
+    /// end of every tick.
+    next: Vec<[u32; 4]>,
+    /// `exits[node][port]`: `neighbour * 4 + slot`, the arrival slot a
+    /// flit leaving `node` through `port` lands in (`u32::MAX` off-mesh).
+    exits: Vec<[u32; 4]>,
     next_id: u64,
     injected: u64,
-    // Scratch buffers reused across ticks so the steady-state routing
-    // loop never allocates. `flits` swaps with each router's vec (both
-    // keep their capacity); `moves` is drained every tick.
-    moves: Vec<(u32, u32)>,
-    flits: Vec<u32>,
     tracer: Tracer,
 }
 
@@ -553,20 +655,29 @@ impl BufferlessMeshSim {
     /// Creates a mesh that will accept injections for `horizon` cycles.
     #[must_use]
     pub fn new(mesh: MeshConfig, traffic: Traffic, rate: f64, horizon: u64, seed: u64) -> Self {
+        let table = RouteTable::new(mesh);
+        let exits = (0..mesh.nodes())
+            .map(|node| {
+                Port::all().map(|port| match table.neighbor_index(node, port) {
+                    Some(nb) => (nb * 4 + ARRIVAL_SLOT[port as usize]) as u32,
+                    None => u32::MAX,
+                })
+            })
+            .collect();
         BufferlessMeshSim {
             mesh,
             traffic,
-            rate,
+            threshold: inject_threshold(rate),
             horizon,
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
-            table: RouteTable::new(mesh),
+            table,
             arena: FlitArena::default(),
-            at_router: vec![Vec::new(); mesh.nodes()],
+            arrivals: vec![[NO_FLIT; 4]; mesh.nodes()],
+            next: vec![[NO_FLIT; 4]; mesh.nodes()],
+            exits,
             next_id: 0,
             injected: 0,
-            moves: Vec::new(),
-            flits: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -588,6 +699,14 @@ impl BufferlessMeshSim {
     pub fn take_cycle_trace(&mut self) -> ComponentTrace {
         self.tracer.take()
     }
+
+    /// Sends flit `h` out of `node` through port `port_bit` (a one-bit
+    /// port mask) into the next cycle's arrival slot of the neighbour.
+    #[inline]
+    fn send(&mut self, node: usize, port_bit: u8, h: u32) {
+        let exit = self.exits[node][port_bit.trailing_zeros() as usize];
+        self.next[(exit / 4) as usize][(exit % 4) as usize] = h;
+    }
 }
 
 impl Clocked for BufferlessMeshSim {
@@ -602,8 +721,8 @@ impl Clocked for BufferlessMeshSim {
         let now = self.now;
         let n = self.mesh.nodes();
         if self.tracer.is_enabled() {
-            let occupancy: usize = self.at_router.iter().map(Vec::len).sum();
-            let phase = if occupancy > 0 {
+            let occupancy = self.arrivals.iter().flatten().filter(|&&h| h != NO_FLIT);
+            let phase = if occupancy.count() > 0 {
                 "noc.active"
             } else {
                 "noc.idle"
@@ -611,82 +730,117 @@ impl Clocked for BufferlessMeshSim {
             self.tracer.mark(phase, now);
         }
         let mut deflected_this_cycle = 0u64;
-        let arena = &mut self.arena;
         // Every node is visited: the injection gate below conditions the
         // RNG draw on local occupancy, so even idle nodes participate in
-        // the random stream. Idle nodes fall through in a few branches.
+        // the random stream.
         for node in 0..n {
-            // Swap rather than take: the router keeps the scratch's old
-            // (empty) buffer, so capacities circulate instead of being
-            // freed and re-grown every cycle.
-            std::mem::swap(&mut self.flits, &mut self.at_router[node]);
-
-            // Ejection: one flit per cycle may leave the network.
-            if let Some(pos) = self
-                .flits
+            let slots = std::mem::replace(&mut self.arrivals[node], [NO_FLIT; 4]);
+            let valid = self.table.valid_ports(node);
+            let mut live = slots
                 .iter()
-                .position(|&h| arena.slots[h as usize].dst == node as u32)
-            {
-                let h = self.flits.remove(pos);
-                sink.complete(arena.slots[h as usize].delivered(now));
-                arena.release(h);
+                .enumerate()
+                .fold(0u8, |m, (i, &h)| m | u8::from(h != NO_FLIT) << i);
+            if live == 0 {
+                // An empty router always has a free port, so it draws;
+                // a lone new flit takes its first productive port.
+                if injects(&mut self.rng, self.threshold) {
+                    let dst = pick_destination(self.mesh, self.traffic, node, &mut self.rng);
+                    let h = self.arena.alloc(Packet {
+                        id: self.next_id,
+                        dst: dst as u32,
+                        injected_at: now,
+                        hops: 0,
+                        deflections: 0,
+                    });
+                    self.next_id += 1;
+                    self.injected += 1;
+                    let good = self.table.productive_ports(node, dst).mask();
+                    self.send(node, good & good.wrapping_neg(), h);
+                }
+                continue;
+            }
+
+            // Read all four slots without branching on which are live:
+            // an empty one reads a packet bound for no node.
+            let mut flits = [(0u64, 0u32); 4];
+            let mut bound = 0u8;
+            for (i, (&h, flit)) in slots.iter().zip(&mut flits).enumerate() {
+                let p = self.arena.slots.get(h as usize).unwrap_or(&NO_PACKET);
+                *flit = (p.id, p.dst);
+                bound |= u8::from(p.dst == node as u32) << i;
+            }
+            let mut handles = slots;
+
+            // Ejection: the first arrival bound here, in slot order, may
+            // leave the network.
+            if bound != 0 {
+                let i = bound.trailing_zeros() as usize;
+                let p = &self.arena.slots[handles[i] as usize];
+                let latency = now - p.injected_at;
+                sink.complete(Delivered {
+                    latency,
+                    hops: latency as u32,
+                    deflections: p.deflections,
+                });
+                self.arena.release(handles[i]);
+                live &= !(1 << i);
             }
 
             // Injection: allowed only if a free output slot will remain.
-            let valid = self.table.valid_ports(node);
-            if self.flits.len() < valid.len() && self.rng.gen::<f64>() < self.rate {
+            // The new flit takes any slot left free.
+            let mut k = port_count(live);
+            if k < valid.len() && injects(&mut self.rng, self.threshold) {
                 let dst = pick_destination(self.mesh, self.traffic, node, &mut self.rng) as u32;
-                let h = arena.alloc(Packet {
+                let i = (!live).trailing_zeros() as usize;
+                handles[i] = self.arena.alloc(Packet {
                     id: self.next_id,
                     dst,
                     injected_at: now,
                     hops: 0,
                     deflections: 0,
                 });
-                self.flits.push(h);
+                flits[i] = (self.next_id, dst);
+                live |= 1 << i;
+                k += 1;
                 self.next_id += 1;
                 self.injected += 1;
             }
-            if self.flits.is_empty() {
-                continue;
-            }
 
             // Age-ordered port allocation: oldest picks first (BLESS
-            // "oldest-first" guarantees livelock freedom).
-            // Ids are allocated monotonically, so id order is age order.
-            self.flits
-                .sort_unstable_by_key(|&h| arena.slots[h as usize].id);
-            let mut free = valid;
-            for k in 0..self.flits.len() {
-                let h = self.flits[k];
-                let productive = self
-                    .table
-                    .productive_ports(node, arena.slots[h as usize].dst as usize);
-                let port = productive
-                    .iter()
-                    .find(|&pp| free.contains(pp))
-                    .or_else(|| free.first())
-                    // lint: allow(P001, bufferless injection caps flits at the port count)
-                    .expect("flit count never exceeds port count");
-                let p = &mut arena.slots[h as usize];
-                if !productive.contains(port) {
-                    p.deflections += 1;
-                    deflected_this_cycle += 1;
+            // "oldest-first" guarantees livelock freedom). Ids are
+            // allocated monotonically, so id order is age order. A sort
+            // key packs the id (far below 2⁶², so the shift loses no
+            // bit) above the flit's slot; a five-comparator network
+            // orders four keys without branches, free slots (all ones)
+            // sorting last.
+            let mut keys = [u64::MAX; 4];
+            for (i, key) in keys.iter_mut().enumerate() {
+                if live & (1 << i) != 0 {
+                    *key = flits[i].0 << 2 | i as u64;
                 }
-                free.remove(port);
-                p.hops += 1;
-                let next = self
-                    .table
-                    .neighbor_index(node, port)
-                    // lint: allow(P001, the free-port set only holds valid mesh ports)
-                    .expect("free ports are valid");
-                self.moves.push((next as u32, h));
             }
-            self.flits.clear();
+            for (a, b) in [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)] {
+                let (lo, hi) = (keys[a].min(keys[b]), keys[a].max(keys[b]));
+                keys[a] = lo;
+                keys[b] = hi;
+            }
+            let mut free = valid.mask();
+            for &key in &keys[..k] {
+                let i = (key & 3) as usize;
+                let (h, dst) = (handles[i], flits[i].1);
+                // The oldest flit takes its first free productive port;
+                // with none free, it is deflected to the first free port.
+                let good = self.table.productive_ports(node, dst as usize).mask() & free;
+                let pick = if good != 0 { good } else { free };
+                let bit = pick & pick.wrapping_neg();
+                free &= !bit;
+                let deflected = u32::from(good == 0);
+                self.arena.slots[h as usize].deflections += deflected;
+                deflected_this_cycle += u64::from(deflected);
+                self.send(node, bit, h);
+            }
         }
-        for (node, h) in self.moves.drain(..) {
-            self.at_router[node as usize].push(h);
-        }
+        std::mem::swap(&mut self.arrivals, &mut self.next);
         if self.tracer.is_enabled() && deflected_this_cycle > 0 {
             self.tracer
                 .instant_value("noc.deflect", now, deflected_this_cycle as f64);
@@ -707,6 +861,58 @@ mod tests {
 
     fn mesh() -> MeshConfig {
         MeshConfig::new(4, 4).unwrap()
+    }
+
+    /// An RNG whose every word is `x`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// At the draws around each threshold, and at both ends of the draw
+    /// range, the integer test decides exactly as `gen::<f64>() < rate`,
+    /// including for rates the constructors do not reject.
+    #[test]
+    fn injection_threshold_matches_the_float_compare() {
+        const TOP: u64 = (1 << 53) - 1;
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        for rate in [
+            0.0,
+            tiny,
+            0.02,
+            0.1,
+            0.4,
+            1.0 - tiny,
+            1.0,
+            f64::NAN,
+            -0.5,
+            1.5,
+        ] {
+            let thr = inject_threshold(rate);
+            let draws = [thr.wrapping_sub(1), thr, thr.wrapping_add(1), 0, TOP];
+            for m in draws.into_iter().filter(|&m| m <= TOP) {
+                // Low bits below the 53 the float keeps must not matter.
+                for low in [0, 0x7FF] {
+                    let x = m << 11 | low;
+                    assert_eq!(
+                        (x >> 11) < thr,
+                        Fixed(x).gen::<f64>() < rate,
+                        "rate {rate}, threshold {thr}, draw {m}"
+                    );
+                }
+            }
+        }
+        assert_eq!(inject_threshold(0.0), 0);
+        assert_eq!(inject_threshold(f64::NAN), 0);
+        assert_eq!(inject_threshold(-0.5), 0);
+        assert_eq!(inject_threshold(1.0), 1 << 53);
+        assert!(inject_threshold(1.5) > TOP);
     }
 
     #[test]

@@ -110,6 +110,9 @@ cargo test -q -p ia-sim --test wheel_equivalence
 echo "== DRAM gates vs an independent per-command JEDEC reference (DDR3, DDR4, LPDDR4, 2-rank)"
 cargo test -q -p ia-dram --test gate_split
 
+echo "== NoC meshes vs reference loops (ordered deliveries, traces, 2×2…9×9)"
+cargo test -q -p ia-noc --test mesh_reference
+
 echo "== indexed ready-lists + gate cache vs linear scan (pick equivalence, exact wake-up bound after resync)"
 cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
 
