@@ -27,6 +27,10 @@ impl AddressMapping {
     /// Addresses beyond the module capacity wrap (the simulator treats the
     /// address space as the module, mirroring trace-driven methodology).
     ///
+    /// Every radix that is a power of two — all of them in the presets —
+    /// splits off with a mask and a shift; any other radix divides. The
+    /// coordinates are the same either way.
+    ///
     /// # Examples
     ///
     /// ```
@@ -38,7 +42,7 @@ impl AddressMapping {
     /// ```
     #[must_use]
     pub fn decode(self, addr: PhysAddr, geo: &Geometry) -> Location {
-        let line = addr.as_u64() / geo.column_bytes;
+        let line = div(addr.as_u64(), geo.column_bytes);
         let (channel, rest) = split(line, geo.channels as u64);
         match self {
             AddressMapping::RowInterleaved => {
@@ -46,7 +50,7 @@ impl AddressMapping {
                 let (bank, rest) = split(rest, geo.banks_per_group as u64);
                 let (bank_group, rest) = split(rest, geo.bank_groups as u64);
                 let (rank, rest) = split(rest, geo.ranks as u64);
-                let row = rest % geo.rows_per_bank;
+                let row = split(rest, geo.rows_per_bank).0;
                 Location {
                     channel: channel as usize,
                     rank: rank as usize,
@@ -62,7 +66,7 @@ impl AddressMapping {
                 let (bank_group, rest) = split(rest, geo.bank_groups as u64);
                 let (rank, rest) = split(rest, geo.ranks as u64);
                 let (column, rest) = split(rest, geo.columns_per_row());
-                let row = rest % geo.rows_per_bank;
+                let row = split(rest, geo.rows_per_bank).0;
                 Location {
                     channel: channel as usize,
                     rank: rank as usize,
@@ -103,8 +107,25 @@ impl AddressMapping {
     }
 }
 
-fn split(value: u64, modulus: u64) -> (u64, u64) {
-    (value % modulus, value / modulus)
+/// `(value % radix, value / radix)`, by mask and shift when `radix` is
+/// a power of two.
+#[inline]
+fn split(value: u64, radix: u64) -> (u64, u64) {
+    if radix.is_power_of_two() {
+        (value & (radix - 1), value >> radix.trailing_zeros())
+    } else {
+        (value % radix, value / radix)
+    }
+}
+
+/// `value / radix`, by shift when `radix` is a power of two.
+#[inline]
+pub(crate) fn div(value: u64, radix: u64) -> u64 {
+    if radix.is_power_of_two() {
+        value >> radix.trailing_zeros()
+    } else {
+        value / radix
+    }
 }
 
 #[cfg(test)]

@@ -50,19 +50,19 @@ impl Geometry {
     /// Columns (bursts) per row.
     #[must_use]
     pub fn columns_per_row(&self) -> u64 {
-        self.row_bytes / self.column_bytes
+        crate::address::div(self.row_bytes, self.column_bytes)
     }
 
     /// Rows per subarray.
     #[must_use]
     pub fn rows_per_subarray(&self) -> u64 {
-        self.rows_per_bank / self.subarrays_per_bank as u64
+        crate::address::div(self.rows_per_bank, self.subarrays_per_bank as u64)
     }
 
     /// Subarray index holding the given row.
     #[must_use]
     pub fn subarray_of_row(&self, row: u64) -> usize {
-        (row / self.rows_per_subarray()) as usize
+        crate::address::div(row, self.rows_per_subarray()) as usize
     }
 
     /// Total capacity in bytes.

@@ -2,7 +2,7 @@
 
 use ia_dram::{
     AccessKind, AddressMapping, Command, Cycle, DramConfig, DramModule, Geometry, LatencyMode,
-    PhysAddr,
+    Location, PhysAddr,
 };
 use proptest::prelude::*;
 
@@ -39,6 +39,117 @@ fn modes() -> [LatencyMode; 4] {
             far_scale: 1.1,
         },
     ]
+}
+
+/// `AddressMapping::decode` with a division and a remainder for every
+/// radix: the reference the shift-and-mask decode must equal.
+fn decode_by_division(mapping: AddressMapping, addr: u64, geo: &Geometry) -> Location {
+    let split = |v: u64, radix: u64| (v % radix, v / radix);
+    let columns = geo.row_bytes / geo.column_bytes;
+    let (channel, rest) = split(addr / geo.column_bytes, geo.channels as u64);
+    let (column, bank, bank_group, rank, rest) = match mapping {
+        AddressMapping::RowInterleaved => {
+            let (column, rest) = split(rest, columns);
+            let (bank, rest) = split(rest, geo.banks_per_group as u64);
+            let (bank_group, rest) = split(rest, geo.bank_groups as u64);
+            let (rank, rest) = split(rest, geo.ranks as u64);
+            (column, bank, bank_group, rank, rest)
+        }
+        AddressMapping::BankInterleaved => {
+            let (bank, rest) = split(rest, geo.banks_per_group as u64);
+            let (bank_group, rest) = split(rest, geo.bank_groups as u64);
+            let (rank, rest) = split(rest, geo.ranks as u64);
+            let (column, rest) = split(rest, columns);
+            (column, bank, bank_group, rank, rest)
+        }
+    };
+    let row = rest % geo.rows_per_bank;
+    Location {
+        channel: channel as usize,
+        rank: rank as usize,
+        bank_group: bank_group as usize,
+        bank: bank as usize,
+        subarray: (row / (geo.rows_per_bank / geo.subarrays_per_bank as u64)) as usize,
+        row,
+        column,
+    }
+}
+
+/// Every preset, and geometries whose channel, rank, bank-group, bank
+/// and subarray counts are not powers of two. The last one `validate()`
+/// rejects (three subarrays do not divide a power-of-two row count); the
+/// decode is defined for it all the same.
+fn decode_geometries() -> Vec<Geometry> {
+    let ddr4 = DramConfig::ddr4_2400().geometry;
+    let odd = Geometry {
+        channels: 3,
+        ranks: 3,
+        bank_groups: 3,
+        banks_per_group: 5,
+        ..ddr4
+    };
+    let geos = vec![
+        Geometry::default(),
+        DramConfig::ddr3_1600().geometry,
+        ddr4,
+        DramConfig::lpddr4_3200().geometry,
+        odd,
+        Geometry {
+            channels: 6,
+            ranks: 1,
+            bank_groups: 1,
+            banks_per_group: 7,
+            ..odd
+        },
+        Geometry {
+            channels: 2,
+            ranks: 5,
+            bank_groups: 2,
+            banks_per_group: 12,
+            subarrays_per_bank: 1,
+            row_bytes: 2048,
+            column_bytes: 32,
+            ..odd
+        },
+        Geometry {
+            subarrays_per_bank: 3,
+            ..odd
+        },
+    ];
+    for g in &geos[..geos.len() - 1] {
+        g.validate().unwrap();
+    }
+    assert!(geos[geos.len() - 1].validate().is_err());
+    geos
+}
+
+#[test]
+fn decode_by_division_is_the_reference_on_the_default_geometry() {
+    // The reference itself must agree with the documented example.
+    let geo = Geometry::default();
+    let loc = decode_by_division(AddressMapping::RowInterleaved, 64, &geo);
+    assert_eq!((loc.row, loc.column), (0, 1));
+}
+
+proptest! {
+    /// The shift-and-mask decode equals the division-only one, and the
+    /// geometry helpers equal their divisions, for both mappings on
+    /// addresses below 2^48.
+    #[test]
+    fn decode_matches_division(addrs in prop::collection::vec(0u64..(1 << 48), 64)) {
+        for geo in decode_geometries() {
+            prop_assert_eq!(geo.columns_per_row(), geo.row_bytes / geo.column_bytes);
+            let per_subarray = geo.rows_per_bank / geo.subarrays_per_bank as u64;
+            prop_assert_eq!(geo.rows_per_subarray(), per_subarray);
+            for mapping in [AddressMapping::RowInterleaved, AddressMapping::BankInterleaved] {
+                for &addr in &addrs {
+                    let loc = mapping.decode(PhysAddr::new(addr), &geo);
+                    prop_assert_eq!(loc, decode_by_division(mapping, addr, &geo));
+                    prop_assert_eq!(geo.subarray_of_row(loc.row), (loc.row / per_subarray) as usize);
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -52,11 +52,14 @@ impl FeatureQuantizer {
     }
 
     /// Maps a value to its bin, clamping out-of-range inputs.
+    ///
+    /// The float-to-integer cast saturates: it truncates toward zero and
+    /// sends negatives, NaN and −∞ to 0 and +∞ to `usize::MAX`, so it
+    /// gives the same bin as `floor` followed by clamping at zero.
     #[must_use]
     pub fn quantize(&self, value: f64) -> usize {
         let t = (value - self.lo) / (self.hi - self.lo);
-        let idx = (t * self.bins as f64).floor();
-        (idx.max(0.0) as usize).min(self.bins - 1)
+        ((t * self.bins as f64) as usize).min(self.bins - 1)
     }
 
     /// Quantizes with a fractional offset of a bin width (for CMAC tilings).
@@ -119,6 +122,9 @@ pub struct QAgent {
     tables: Vec<Vec<f64>>,
     /// Pending (tiled state indices, action) awaiting its reward.
     pending: Option<(Vec<usize>, usize)>,
+    /// Bit patterns of the state the pending tiles were computed from:
+    /// a `select_action` on the same bits reuses the tiles.
+    pending_state: Vec<u64>,
     /// Recycled tile-index buffer: `select_action`/`observe` sit on the
     /// memory controller's per-cycle path, so steady-state calls must
     /// not allocate. Retired `pending` buffers return here.
@@ -162,6 +168,7 @@ impl QAgent {
             config,
             tables,
             pending: None,
+            pending_state: Vec::new(),
             scratch: Vec::with_capacity(tilings),
             updates: 0,
         })
@@ -177,6 +184,13 @@ impl QAgent {
     #[must_use]
     pub fn updates(&self) -> u64 {
         self.updates
+    }
+
+    /// The value table of `tiling`, indexed `state_index * actions +
+    /// action`, for inspection; `None` past the last tiling.
+    #[must_use]
+    pub fn table(&self, tiling: usize) -> Option<&[f64]> {
+        self.tables.get(tiling).map(Vec::as_slice)
     }
 
     /// Seeds every state's value for `action` with an initial prior —
@@ -252,14 +266,36 @@ impl QAgent {
         sum / self.config.tilings as f64
     }
 
+    /// The action of highest value, each value evaluated once. Ties go
+    /// to the last maximum and a NaN compares equal to anything, as in
+    /// `max_by` over `partial_cmp(..).unwrap_or(Equal)`: a later action
+    /// takes over unless the best so far is strictly greater.
     fn best_action_at(&self, tiled: &[usize]) -> usize {
-        (0..self.actions)
-            .max_by(|&a, &b| {
-                self.value_at(tiled, a)
-                    .partial_cmp(&self.value_at(tiled, b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(0)
+        let mut best = 0;
+        let mut best_value = self.value_at(tiled, 0);
+        for a in 1..self.actions {
+            let v = self.value_at(tiled, a);
+            if best_value.partial_cmp(&v) != Some(std::cmp::Ordering::Greater) {
+                best = a;
+                best_value = v;
+            }
+        }
+        best
+    }
+
+    /// Records `state` as the state the pending tiles belong to.
+    fn set_pending_state(&mut self, state: &[f64]) {
+        self.pending_state.clear();
+        self.pending_state.extend(state.iter().map(|v| v.to_bits()));
+    }
+
+    /// True when `state` has the exact bits of the pending tiles' state.
+    fn is_pending_state(&self, state: &[f64]) -> bool {
+        state.len() == self.pending_state.len()
+            && state
+                .iter()
+                .zip(&self.pending_state)
+                .all(|(v, &bits)| v.to_bits() == bits)
     }
 
     /// Greedy action for `state` (no exploration, no learning).
@@ -273,7 +309,9 @@ impl QAgent {
     }
 
     /// Selects an ε-greedy action and remembers `(state, action)` for the
-    /// next [`QAgent::observe`] call.
+    /// next [`QAgent::observe`] call. When the pending transition is for
+    /// a state with the same bits (an `observe` on `state` just before),
+    /// its tiles are reused instead of tiling `state` again.
     ///
     /// # Errors
     ///
@@ -283,8 +321,16 @@ impl QAgent {
         state: &[f64],
         rng: &mut R,
     ) -> Result<usize, LearnError> {
-        let mut tiled = std::mem::take(&mut self.scratch);
-        self.fill_tiled(state, &mut tiled)?;
+        let tiled = match self.pending.take() {
+            Some((tiled, _)) if self.is_pending_state(state) => tiled,
+            pending => {
+                self.pending = pending;
+                let mut tiled = std::mem::take(&mut self.scratch);
+                self.fill_tiled(state, &mut tiled)?;
+                self.set_pending_state(state);
+                tiled
+            }
+        };
         let action = if rng.gen::<f64>() < self.config.epsilon {
             rng.gen_range(0..self.actions)
         } else {
@@ -331,6 +377,7 @@ impl QAgent {
         }
         self.updates += 1;
         self.pending = Some((next_tiled, next_action));
+        self.set_pending_state(next_state);
         self.scratch = tiled; // recycle the retired buffer
         Ok(())
     }
@@ -367,6 +414,50 @@ mod tests {
         assert_eq!(q.quantize(7.99), 3);
         assert_eq!(q.quantize(100.0), 3, "clamps high");
         assert_eq!(q.quantize(-5.0), 0, "clamps low");
+    }
+
+    #[test]
+    fn quantize_equals_the_floor_formula_on_edge_values() {
+        let floor_bin = |q: &FeatureQuantizer, lo: f64, hi: f64, v: f64| {
+            let t = (v - lo) / (hi - lo);
+            ((t * q.bins() as f64).floor().max(0.0) as usize).min(q.bins() - 1)
+        };
+        for (lo, hi, bins) in [
+            (0.0, 1.0, 4),
+            (0.0, 1.0, 1),
+            (-3.0, 5.0, 7),
+            (1e-9, 2e-9, 3),
+        ] {
+            let q = FeatureQuantizer::new(lo, hi, bins).unwrap();
+            let width = (hi - lo) / bins as f64;
+            let mut values = vec![
+                lo,
+                hi,
+                -0.0,
+                0.0,
+                -1.0,
+                -1e300,
+                1e300,
+                lo - width,
+                hi + width,
+                lo + 0.5 * width,
+                hi - f64::EPSILON,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+            ];
+            values.extend((0..=bins).map(|b| lo + b as f64 * width));
+            for v in values {
+                assert_eq!(
+                    q.quantize(v),
+                    floor_bin(&q, lo, hi, v),
+                    "{v} on [{lo}, {hi}) / {bins}"
+                );
+            }
+        }
     }
 
     #[test]

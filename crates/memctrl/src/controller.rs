@@ -203,6 +203,9 @@ impl MetricSource for CtrlStats {
 pub struct MemoryController {
     dram: DramModule,
     scheduler: Box<dyn Scheduler>,
+    /// The installed policy's [`Scheduler::view_mode`], read once when
+    /// the policy is installed: the trait forbids it from changing.
+    mode: ViewMode,
     queue: RequestQueue,
     /// Reused per-cycle scheduling view (capacity persists across ticks).
     view: IssueView,
@@ -236,6 +239,7 @@ impl MemoryController {
         let refresh = RefreshEngine::new(RefreshMode::Disabled, &config);
         Ok(MemoryController {
             dram: DramModule::new(config)?,
+            mode: scheduler.view_mode(),
             scheduler,
             queue: RequestQueue::new(),
             view: IssueView::default(),
@@ -278,6 +282,7 @@ impl MemoryController {
     /// built fresh with that scheduler.
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: Box<dyn Scheduler>) -> Self {
+        self.mode = scheduler.view_mode();
         self.scheduler = scheduler;
         // The outgoing policy may have been a Skip one, which leaves the
         // queue's gate cache unsynced.
@@ -426,7 +431,7 @@ impl MemoryController {
         self.scheduler.on_tick(self.now);
         // A Skip policy builds no view and reads no cached gates, so the
         // queue's gate cache is resynced only for the other modes.
-        let mode = self.scheduler.view_mode();
+        let mode = self.mode;
         let cached = mode != ViewMode::Skip;
 
         // 1. Retire in-flight requests whose data burst has finished,
@@ -696,8 +701,7 @@ impl Clocked for MemoryController {
             }
             next = Some(next.map_or(at, |n| n.min(at)));
         }
-        let mode = self.scheduler.view_mode();
-        if let Some(at) = self.queue.next_issue_at(&self.dram, now, mode) {
+        if let Some(at) = self.queue.next_issue_at(&self.dram, now, self.mode) {
             if at <= now {
                 return Some(now);
             }
@@ -892,17 +896,27 @@ pub fn run_closed_loop_with(
     let mut completed = vec![0u64; traces.len()];
     let mut latency = vec![0u64; traces.len()];
     let mut finish = vec![0u64; traces.len()];
-
-    let all_done = |cursor: &[usize], outstanding: &[usize]| {
-        cursor.iter().zip(traces).all(|(&c, t)| c >= t.len()) && outstanding.iter().all(|&o| o == 0)
-    };
+    // Requests not yet fed, and fed but not yet completed: the run is
+    // done when both reach zero.
+    let mut unfed: usize = traces.iter().map(Vec::len).sum();
+    let mut unfinished = 0usize;
+    // One bit per thread that may take new work, every thread at the
+    // start. A thread leaves the set once its window is full or its
+    // trace has run out, and only a completion of its own brings it
+    // back; a thread whose enqueue was refused stays in it.
+    let mut hungry = vec![0u64; traces.len().div_ceil(64)];
+    for t in 0..traces.len() {
+        hungry[t / 64] |= 1 << (t % 64);
+    }
 
     // Event-driven drive: feed, process exactly one event, account. The
     // scratch buffer is reused across steps, so the steady-state loop
     // performs no heap allocation. Feeding opportunities only arise after
     // completions (the queue never rejects: capacity covers every
     // window), so feeding once per processed event sees exactly the
-    // states the per-cycle loop would feed in.
+    // states the per-cycle loop would feed in, and feeding only the
+    // hungry threads, in ascending order, makes exactly the enqueues a
+    // pass over every thread would.
     let mut engine = SimLoop::new();
     if tracing {
         engine.enable_tracing(ia_trace::DEFAULT_EVENT_CAPACITY);
@@ -910,17 +924,27 @@ pub fn run_closed_loop_with(
     }
     let deadline = Cycle::new(max_cycles);
     let mut scratch: Vec<Completed> = Vec::new();
-    while !all_done(&cursor, &outstanding) && ctrl.now().as_u64() < max_cycles {
-        // Feed each thread up to its window.
-        for (t, trace) in traces.iter().enumerate() {
-            while outstanding[t] < window && cursor[t] < trace.len() {
-                let mut req = trace[cursor[t]];
-                req.thread = t;
-                if ctrl.enqueue(req).is_err() {
-                    break;
+    while (unfed > 0 || unfinished > 0) && ctrl.now().as_u64() < max_cycles {
+        for (w, word) in hungry.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let t = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let trace = &traces[t];
+                while outstanding[t] < window && cursor[t] < trace.len() {
+                    let mut req = trace[cursor[t]];
+                    req.thread = t;
+                    if ctrl.enqueue(req).is_err() {
+                        break;
+                    }
+                    cursor[t] += 1;
+                    outstanding[t] += 1;
+                    unfed -= 1;
+                    unfinished += 1;
                 }
-                cursor[t] += 1;
-                outstanding[t] += 1;
+                if outstanding[t] >= window || cursor[t] >= trace.len() {
+                    *word &= !(1 << (t % 64));
+                }
             }
         }
         scratch.clear();
@@ -939,9 +963,11 @@ pub fn run_closed_loop_with(
         for c in &scratch {
             let t = c.request.thread;
             outstanding[t] -= 1;
+            unfinished -= 1;
             completed[t] += 1;
             latency[t] += c.latency();
             finish[t] = c.finished.as_u64();
+            hungry[t / 64] |= 1 << (t % 64);
         }
     }
     ctrl.merge_engine_stats(engine.stats());

@@ -471,14 +471,23 @@ impl RequestQueue {
         s.p.started = true;
     }
 
+    /// Upper bound on the flat bank keys ([`Location::flat_bank`]) the
+    /// queue has seen: every key [`RequestQueue::mark_batch`] offers is
+    /// below it.
+    #[must_use]
+    pub(crate) fn bank_count(&self) -> usize {
+        self.banks.len()
+    }
+
     /// Walks the queue in global order, setting the PAR-BS batch mark on
     /// every request for which `mark` returns true. Only unmarked
-    /// requests are offered.
-    pub fn mark_batch(&mut self, mut mark: impl FnMut(&Pending) -> bool) {
+    /// requests are offered, each with its flat bank key
+    /// ([`Location::flat_bank`]).
+    pub fn mark_batch(&mut self, mut mark: impl FnMut(&Pending, usize) -> bool) {
         let mut cur = self.g_head;
         while cur != NONE {
             let s = &mut self.slots[cur as usize];
-            if !s.p.batched && mark(&s.p) {
+            if !s.p.batched && mark(&s.p, s.bank as usize) {
                 s.p.batched = true;
                 self.batched += 1;
             }

@@ -11,8 +11,6 @@
 //!
 //! [`ViewMode::Full`]: crate::pool::ViewMode::Full
 
-use std::collections::HashSet;
-
 use ia_dram::Cycle;
 
 use super::Scheduler;
@@ -48,6 +46,16 @@ pub struct ParBs {
     /// Thread ranking for the current batch (rank[thread] = priority,
     /// lower is better).
     rank: Vec<usize>,
+    /// Batch-formation scratch, reused across batches: requests marked
+    /// per (thread, flat bank) at `thread * banks + bank`, grown on
+    /// demand to the highest thread id queued (ids are dense indices,
+    /// as the closed loop assigns them) and emptied at the start of
+    /// every batch.
+    marked: Vec<usize>,
+    /// Marked requests per ranked thread.
+    per_thread: Vec<usize>,
+    /// Ranked threads in shortest-job-first order.
+    order: Vec<usize>,
 }
 
 impl ParBs {
@@ -57,6 +65,9 @@ impl ParBs {
         ParBs {
             batch_cap: 5,
             rank: vec![0; threads],
+            marked: Vec::new(),
+            per_thread: vec![0; threads],
+            order: Vec::with_capacity(threads),
         }
     }
 
@@ -64,27 +75,29 @@ impl ParBs {
         // Mark up to batch_cap oldest requests per (thread, bank). The
         // queue's global list is already in (arrival, id) order, so the
         // marking walk needs no sort and is independent of slab layout.
-        let mut marked: std::collections::HashMap<(usize, usize, usize), usize> =
-            std::collections::HashMap::new();
-        let mut per_thread = vec![0usize; self.rank.len()];
-        let cap = self.batch_cap;
-        queue.mark_batch(|p| {
-            let key = (p.request.thread, p.loc.channel, p.loc.flat_bank_key());
-            let count = marked.entry(key).or_insert(0);
-            if *count < cap {
-                *count += 1;
-                if p.request.thread < per_thread.len() {
-                    per_thread[p.request.thread] += 1;
-                }
-                true
-            } else {
-                false
+        let banks = queue.bank_count();
+        self.marked.clear();
+        self.per_thread.fill(0);
+        queue.mark_batch(|p, bank| {
+            let key = p.request.thread * banks + bank;
+            if key >= self.marked.len() {
+                self.marked.resize(key + 1, 0);
             }
+            if self.marked[key] >= self.batch_cap {
+                return false;
+            }
+            self.marked[key] += 1;
+            if let Some(n) = self.per_thread.get_mut(p.request.thread) {
+                *n += 1;
+            }
+            true
         });
-        // Shortest job first: fewest marked requests → best (lowest) rank.
-        let mut threads: Vec<usize> = (0..self.rank.len()).collect();
-        threads.sort_by_key(|&t| per_thread[t]);
-        for (priority, &t) in threads.iter().enumerate() {
+        // Shortest job first: fewest marked requests → best (lowest) rank,
+        // ties kept in thread order (a stable sort).
+        self.order.clear();
+        self.order.extend(0..self.rank.len());
+        self.order.sort_by_key(|&t| self.per_thread[t]);
+        for (priority, &t) in self.order.iter().enumerate() {
             self.rank[t] = priority;
         }
     }
@@ -354,7 +367,10 @@ impl Scheduler for Tcm {
 /// fairness at low cost" with two counters.
 #[derive(Debug, Clone)]
 pub struct Bliss {
-    blacklist: HashSet<usize>,
+    /// Blacklist flag per thread id, grown on demand to the highest id
+    /// blacklisted (ids are dense indices, as the closed loop assigns
+    /// them).
+    blacklist: Vec<bool>,
     last_thread: Option<usize>,
     streak: u32,
     /// Streak length triggering blacklisting (paper: 4).
@@ -369,7 +385,7 @@ impl Bliss {
     #[must_use]
     pub fn new() -> Self {
         Bliss {
-            blacklist: HashSet::new(),
+            blacklist: Vec::new(),
             last_thread: None,
             streak: 0,
             threshold: 4,
@@ -378,10 +394,10 @@ impl Bliss {
         }
     }
 
-    /// Currently blacklisted threads (for inspection).
+    /// True while `thread` is blacklisted.
     #[must_use]
-    pub fn blacklisted(&self) -> &HashSet<usize> {
-        &self.blacklist
+    pub fn is_blacklisted(&self, thread: usize) -> bool {
+        self.blacklist.get(thread).copied().unwrap_or(false)
     }
 }
 
@@ -407,7 +423,7 @@ impl Scheduler for Bliss {
             .min_by_key(|&&(h, hit)| {
                 let p = queue.req(h);
                 (
-                    self.blacklist.contains(&p.request.thread),
+                    self.is_blacklisted(p.request.thread),
                     !hit,
                     p.arrival,
                     p.request.id,
@@ -421,7 +437,10 @@ impl Scheduler for Bliss {
         if self.last_thread == Some(t) {
             self.streak += 1;
             if self.streak >= self.threshold {
-                self.blacklist.insert(t);
+                if t >= self.blacklist.len() {
+                    self.blacklist.resize(t + 1, false);
+                }
+                self.blacklist[t] = true;
             }
         } else {
             self.last_thread = Some(t);
@@ -433,7 +452,7 @@ impl Scheduler for Bliss {
         let window = now.as_u64() / self.clear_interval;
         if window > self.last_clear {
             self.last_clear = window;
-            self.blacklist.clear();
+            self.blacklist.fill(false);
             self.streak = 0;
         }
     }
@@ -448,23 +467,9 @@ impl Scheduler for Bliss {
             // Clearing twice is clearing once: nothing repopulates the
             // blacklist mid-skip.
             self.last_clear = last;
-            self.blacklist.clear();
+            self.blacklist.fill(false);
             self.streak = 0;
         }
-    }
-}
-
-/// Extension trait giving [`Pending`]'s location a flat per-channel bank
-/// key for batching maps.
-///
-/// [`Pending`]: crate::request::Pending
-trait FlatBankKey {
-    fn flat_bank_key(&self) -> usize;
-}
-
-impl FlatBankKey for ia_dram::Location {
-    fn flat_bank_key(&self) -> usize {
-        (self.rank << 16) | (self.bank_group << 8) | self.bank
     }
 }
 
@@ -644,7 +649,8 @@ mod tests {
                 Cycle::new(i),
             );
         }
-        assert!(bliss.blacklisted().contains(&0));
+        assert!(bliss.is_blacklisted(0));
+        assert!(!bliss.is_blacklisted(1));
         let queue = queue_of(
             &d,
             &[pending(1, 0, 0, 0, &d), pending(2, 1 << 20, 1, 90, &d)],
@@ -658,7 +664,7 @@ mod tests {
         );
         // Clearing interval resets the blacklist.
         bliss.on_tick(Cycle::new(20_000));
-        assert!(bliss.blacklisted().is_empty());
+        assert!(!bliss.is_blacklisted(0));
     }
 
     #[test]

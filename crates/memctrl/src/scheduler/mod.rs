@@ -48,9 +48,10 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// that the policy serves only [`RequestQueue::head`]: the controller
     /// then sleeps until the head alone can issue, so a Skip policy that
     /// picked any other request would be woken late. The mode must not
-    /// change over the policy's life: the controller keeps the queue's
-    /// gate cache in sync only for non-Skip modes, and resyncs it only
-    /// when [`crate::MemoryController::with_scheduler`] swaps policies.
+    /// change over the policy's life: the controller reads it once, when
+    /// the policy is installed, keeps the queue's gate cache in sync only
+    /// for non-Skip modes, and resyncs it only when
+    /// [`crate::MemoryController::with_scheduler`] swaps policies.
     fn view_mode(&self) -> ViewMode {
         ViewMode::Full
     }

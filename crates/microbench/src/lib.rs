@@ -32,6 +32,13 @@
 //!   over the simulator benchmark's `fault_ladder` stream (row scans plus
 //!   a double-sided hammer pair) at its ×4 fault rates: the per-request
 //!   cost of the fault hook behind the reliability pipeline.
+//! * **sched-pick-policies** — one `build_view` + `select` for each of
+//!   the seven policies (FCFS, FR-FCFS, PAR-BS, ATLAS, TCM, BLISS, RL)
+//!   on one fixed queue, each at the [`ViewMode`] it declares: the pick
+//!   the `sched_pick_*` kernels measure for FR-FCFS alone.
+//! * **addr-decode** — one [`AddressMapping::decode`] per op, both
+//!   mappings alternately on DDR4 geometry: the per-enqueue address
+//!   split.
 //!
 //! ## Determinism (lint D002)
 //!
@@ -63,12 +70,15 @@
 // lint: allow(D002, a microbenchmark harness times the host by definition; checksums, not times, are the stable output)
 use std::time::Instant;
 
-use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
+use ia_dram::{AddressMapping, Cycle, DramConfig, DramModule, PhysAddr};
 use ia_faults::{FaultInjector, FaultPlan, Inject, RowSite};
 use ia_lint::context::FileContext;
 use ia_lint::lexer::tokenize;
 use ia_lint::parser::{parse_items, Item};
-use ia_memctrl::{FrFcfs, IssueView, MemRequest, Pending, RequestQueue, Scheduler, ViewMode};
+use ia_memctrl::{
+    Atlas, Bliss, Fcfs, FrFcfs, IssueView, MemRequest, ParBs, Pending, RequestQueue, RlScheduler,
+    RlSchedulerConfig, Scheduler, Tcm, ViewMode,
+};
 use ia_noc::{BufferedMeshSim, BufferlessMeshSim, Delivered, MeshConfig, RouteTable, Traffic};
 use ia_sim::{Clocked, EventWheel, FnSink};
 use ia_telemetry::JsonValue;
@@ -183,6 +193,104 @@ fn sched_pick_depth8(iters: u64) -> Sample {
 /// cost must match depth 8 up to the occupied-bank ratio.
 fn sched_pick_depth256(iters: u64) -> Sample {
     sched_pick(256, iters)
+}
+
+/// The seven policies over a 64-request queue spread across all eight
+/// banks, half of them open on a queued row, after each policy's
+/// `prepare` (PAR-BS forms its batch).
+fn policy_pick_setup() -> (RequestQueue, Vec<Box<dyn Scheduler>>) {
+    // lint: allow(P001, ddr3_1600 is a valid preset)
+    let mut dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
+    for i in 0..4u64 {
+        let addr = i * dram.config().geometry.row_bytes;
+        let _ = dram.access(
+            PhysAddr::new(addr),
+            ia_dram::AccessKind::Read,
+            Cycle::new(i),
+        );
+    }
+    let mut queue = queue_of(64, &dram);
+    let mut policies: Vec<Box<dyn Scheduler>> = vec![
+        Box::new(Fcfs::new()),
+        Box::new(FrFcfs::new()),
+        Box::new(ParBs::new(8)),
+        Box::new(Atlas::new(8, 100_000)),
+        Box::new(Tcm::new(8, 50_000, 5_000)),
+        Box::new(Bliss::new()),
+        Box::new(RlScheduler::new(RlSchedulerConfig::default())),
+    ];
+    for p in &mut policies {
+        p.prepare(&mut queue);
+    }
+    (queue, policies)
+}
+
+/// One pick per op: `build_view` at the policy's declared view mode and
+/// `select`, for each of the seven policies of [`policy_pick_setup`] in
+/// turn.
+fn sched_pick_policies(iters: u64) -> Sample {
+    let (queue, mut policies) = policy_pick_setup();
+    let modes: Vec<ViewMode> = policies.iter().map(|p| p.view_mode()).collect();
+    let mut view = IssueView::default();
+    let now = Cycle::new(1_000);
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for _ in 0..iters {
+        for (p, &mode) in policies.iter_mut().zip(&modes) {
+            queue.build_view(now, mode, &mut view);
+            let pick = p.select(&queue, &view);
+            checksum = fold(checksum, pick.map_or(0, |id| u64::from(id.index()) + 1));
+        }
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters * policies.len() as u64,
+        checksum,
+        ns,
+    }
+}
+
+/// Addresses [`addr_decode`] cycles through: a fixed splitmix sequence
+/// below 2^40.
+fn decode_addresses() -> Vec<u64> {
+    let mut x = 0x243F_6A88_85A3_08D3u64;
+    (0..1024)
+        .map(|_| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            fold(x, x >> 29) >> 24
+        })
+        .collect()
+}
+
+/// One [`AddressMapping::decode`] per op on DDR4-2400 geometry (bank
+/// groups, power-of-two radices), row- and bank-interleaved in turn.
+fn addr_decode(iters: u64) -> Sample {
+    let geo = DramConfig::ddr4_2400().geometry;
+    let addrs = decode_addresses();
+    let mappings = [
+        AddressMapping::RowInterleaved,
+        AddressMapping::BankInterleaved,
+    ];
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        let addr = addrs[(i % addrs.len() as u64) as usize];
+        let loc = mappings[(i & 1) as usize].decode(PhysAddr::new(addr), &geo);
+        let bank = (loc.channel << 24) | (loc.rank << 16) | (loc.bank_group << 8) | loc.bank;
+        checksum = fold(checksum, bank as u64);
+        checksum = fold(
+            checksum,
+            (loc.row << 20) ^ (loc.column << 8) ^ loc.subarray as u64,
+        );
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
 }
 
 /// One `bank_gates` probe per op: the open row plus all four command
@@ -523,6 +631,14 @@ pub fn benches() -> Vec<Bench> {
             name: "fault_hook",
             run: fault_hook,
         },
+        Bench {
+            name: "sched_pick_policies",
+            run: sched_pick_policies,
+        },
+        Bench {
+            name: "addr_decode",
+            run: addr_decode,
+        },
     ]
 }
 
@@ -666,6 +782,30 @@ mod tests {
         assert!(stats.retention_flips > 0, "{stats}");
         assert!(stats.transient_flips > 0, "{stats}");
         assert!(stats.stuck_cells > 0, "{stats}");
+    }
+
+    #[test]
+    fn sched_pick_policies_picks_for_every_policy() {
+        let (queue, mut policies) = policy_pick_setup();
+        let mut view = IssueView::default();
+        for p in &mut policies {
+            queue.build_view(Cycle::new(1_000), p.view_mode(), &mut view);
+            assert!(p.select(&queue, &view).is_some(), "{} picks", p.name());
+        }
+        let sample = sched_pick_policies(3);
+        assert_eq!(sample.ops, 21);
+        assert_ne!(sample.checksum, 0);
+    }
+
+    #[test]
+    fn addr_decode_spans_every_bank() {
+        let geo = DramConfig::ddr4_2400().geometry;
+        let mut banks = std::collections::BTreeSet::new();
+        for addr in decode_addresses() {
+            let loc = AddressMapping::BankInterleaved.decode(PhysAddr::new(addr), &geo);
+            banks.insert((loc.bank_group, loc.bank));
+        }
+        assert_eq!(banks.len(), geo.banks_per_rank());
     }
 
     #[test]

@@ -113,6 +113,12 @@ cargo test -q -p ia-dram --test gate_split
 echo "== NoC meshes vs reference loops (ordered deliveries, traces, 2×2…9×9)"
 cargo test -q -p ia-noc --test mesh_reference
 
+echo "== BLISS, PAR-BS and the closed-loop feed vs reference copies (4-thread mixes, 70 threads)"
+cargo test -q -p ia-memctrl --test scheduler_reference
+
+echo "== Q-agent vs reference copy (seeded streams, 1–4 tilings, ties, NaN/±inf features)"
+cargo test -q -p ia-learn --test qagent_reference
+
 echo "== indexed ready-lists + gate cache vs linear scan (pick equivalence, exact wake-up bound after resync)"
 cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
 
