@@ -15,31 +15,26 @@ use ia_sim::SnapshotState;
 use crate::mixes::interference_mix;
 use crate::report::{Error, ExperimentReport};
 
-/// Result per scheduler for assertions.
+/// Result per scheduler.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Row {
+struct Row {
     /// Scheduler name.
-    pub name: String,
+    name: String,
     /// Weighted speedup (higher better).
-    pub weighted_speedup: f64,
+    weighted_speedup: f64,
     /// Maximum slowdown (lower better).
-    pub max_slowdown: f64,
+    max_slowdown: f64,
     /// Requests per kilo-cycle.
-    pub throughput: f64,
+    throughput: f64,
     /// Total simulated cycles of the shared run.
-    pub cycles: u64,
+    cycles: u64,
     /// Event-driven engine counters for the shared run.
-    pub engine: ia_sim::EngineStats,
+    engine: ia_sim::EngineStats,
 }
 
 /// Runs every scheduler over the mix and returns the rows [`report`]
-/// renders. Public so the trace-attribution test can sum the runs'
-/// simulated cycles, which the report does not carry.
-///
-/// # Errors
-///
-/// The mix or a controller fails to build, or a run fails.
-pub fn rows(quick: bool) -> Result<Vec<Row>, Error> {
+/// renders.
+fn rows(quick: bool) -> Result<Vec<Row>, Error> {
     let n = if quick { 300 } else { 3000 };
     let traces = interference_mix(n, 11)?;
 
@@ -101,6 +96,9 @@ pub fn rows(quick: bool) -> Result<Vec<Row>, Error> {
 
 /// Runs the scheduler lineage: weighted speedup, maximum slowdown and
 /// throughput per scheduler, plus the event-driven engine's counters.
+/// The runtime section carries `sim_cycles`, the seven shared runs'
+/// total simulated cycles, which a cycle-attribution profile of the
+/// run must account for exactly.
 pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let mut rep = ExperimentReport::new("exp05_scheduler_suite", quick)
         .columns(&[
@@ -114,9 +112,11 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
              (paper shape: FR-FCFS beats FCFS on throughput; fairness schedulers cut max slowdown)",
         );
     let mut engine = ia_sim::EngineStats::default();
+    let mut cycles = 0u64;
     for r in rows(quick)? {
         let key = r.name.to_lowercase().replace([' ', '-'], "_");
         engine.merge(&r.engine);
+        cycles += r.cycles;
         rep = rep
             .metric(&format!("{key}_weighted_speedup"), r.weighted_speedup)
             .row(&[
@@ -132,7 +132,8 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
         .metric("engine_events_processed", engine.events_processed as f64)
         .metric("engine_cycles_skipped", engine.cycles_skipped as f64)
         .metric("engine_skips", engine.skips as f64)
-        .metric("engine_sink_high_water", engine.sink_high_water as f64))
+        .metric("engine_sink_high_water", engine.sink_high_water as f64)
+        .runtime_metric("sim_cycles", cycles as f64))
 }
 
 #[cfg(test)]

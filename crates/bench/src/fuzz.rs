@@ -27,7 +27,7 @@
 use std::path::PathBuf;
 
 use ia_core::SchedulerKind;
-use ia_dram::DramConfig;
+use ia_dram::{AccessKind, DramConfig};
 use ia_faults::{FaultPlan, FaultStats, FlipMask, Inject, RowSite};
 use ia_memctrl::{
     run_closed_loop_with, MemRequest, MemoryController, Mitigation, RefreshMode, ReliabilityConfig,
@@ -176,7 +176,7 @@ fn make_case(opts: &FuzzOptions, idx: u32) -> (Case, Vec<Vec<MemRequest>>) {
     if opts.inject_violation {
         // The saboteur fires on the first read; make sure there is one.
         if let Some(first) = workload.first_mut().and_then(|t| t.first_mut()) {
-            *first = MemRequest::read(first.addr.as_u64(), first.thread);
+            first.kind = AccessKind::Read;
         }
     }
     (

@@ -58,7 +58,7 @@ mod tests {
         assert_eq!(mix.len(), 4);
         for (t, trace) in mix.iter().enumerate() {
             assert_eq!(trace.len(), 100);
-            assert!(trace.iter().all(|r| r.thread == t));
+            assert!(trace.iter().all(|r| r.thread as usize == t));
         }
         // Thread regions must not overlap.
         let max0 = mix[0].iter().map(|r| r.addr.as_u64()).max().unwrap();

@@ -9,15 +9,13 @@ use std::sync::Mutex;
 // trace-capturing tests serialize on one lock.
 static CAPTURE_GUARD: Mutex<()> = Mutex::new(());
 
-fn captured_exp05() -> (
-    Vec<ia_bench::exp05_scheduler_suite::Row>,
-    ia_trace::TraceLog,
-) {
+/// exp05's quick report and the trace its capture recorded.
+fn captured_exp05() -> (ia_bench::report::ExperimentReport, ia_trace::TraceLog) {
     let _ = ia_trace::session::take();
     ia_trace::set_capture(true);
-    let rows = ia_bench::exp05_scheduler_suite::rows(true).expect("exp05 runs");
+    let report = ia_bench::exp05_scheduler_suite::report(true).expect("exp05 runs");
     ia_trace::set_capture(false);
-    (rows, ia_trace::session::take())
+    (report, ia_trace::session::take())
 }
 
 #[test]
@@ -25,13 +23,20 @@ fn exp05_profile_attributes_every_simulated_cycle() {
     let _guard = CAPTURE_GUARD
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (rows, log) = captured_exp05();
+    let (report, log) = captured_exp05();
     let profile = ia_trace::Profile::from_log(&log);
 
     // Each shared run's controller track partitions that run's cycles
     // into phases; across the suite the ctrl tracks must therefore sum
-    // to exactly the total simulated cycles of the seven runs.
-    let total_cycles: u64 = rows.iter().map(|r| r.cycles).sum();
+    // to exactly the total simulated cycles of the seven runs, which
+    // the report's runtime section carries.
+    let total_cycles = report
+        .runtime
+        .iter()
+        .find(|(k, _)| k == "sim_cycles")
+        .map(|&(_, v)| v as u64)
+        .expect("exp05 reports its simulated cycles");
+    assert!(total_cycles > 0);
     let ctrl_attributed: u64 = log
         .components
         .iter()

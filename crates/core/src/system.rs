@@ -226,11 +226,12 @@ impl IntelligentSystem {
         }
         let cfg = &self.config;
         let p = cfg.principles;
-        let threads = trace.iter().map(|r| r.thread).max().unwrap_or(0) + 1;
+        let threads = trace.iter().map(|r| r.thread as usize).max().unwrap_or(0) + 1;
 
         // ---- Cache stage (data-aware / data-driven choose the policy) ----
         let mut miss_traces: Vec<Vec<MemRequest>> = vec![Vec::new(); threads];
-        let push = |addr: u64, op: Op, thread: usize, traces: &mut Vec<Vec<MemRequest>>| {
+        let push = |addr: u64, op: Op, thread: u32, traces: &mut Vec<Vec<MemRequest>>| {
+            let thread = thread as usize;
             let req = match op {
                 Op::Read => MemRequest::read(addr, thread),
                 Op::Write => MemRequest::write(addr, thread),

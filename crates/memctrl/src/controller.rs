@@ -18,7 +18,7 @@ use ia_trace::{TraceLog, Tracer};
 use crate::error::CtrlError;
 use crate::pool::{IssueView, RequestQueue, ViewMode};
 use crate::reliability::{ReliabilityPipeline, ReliabilityReport};
-use crate::request::{Completed, MemRequest, Pending};
+use crate::request::{thread_index, Completed, MemRequest, Pending};
 use crate::scheduler::Scheduler;
 
 /// How the controller refreshes the devices.
@@ -209,8 +209,11 @@ pub struct MemoryController {
     queue: RequestQueue,
     /// Reused per-cycle scheduling view (capacity persists across ticks).
     view: IssueView,
-    inflight: Vec<(Pending, Cycle)>,
+    /// Requests whose column command has issued, as the [`Completed`]
+    /// each delivers once its `finished` cycle comes, in issue order.
+    inflight: Vec<Completed>,
     now: Cycle,
+    /// The id the next enqueued request receives.
     next_id: u64,
     queue_capacity: usize,
     refresh: RefreshEngine,
@@ -394,22 +397,23 @@ impl MemoryController {
         self.scheduler.name()
     }
 
-    /// Enqueues a request, assigning it an id.
+    /// Enqueues a request and returns the id assigned to it: ids start
+    /// at 1 and rise by one per accepted request, and the request
+    /// retires with the same id on its [`Completed`].
     ///
     /// # Errors
     ///
-    /// Returns [`CtrlError::QueueFull`] when at capacity.
-    pub fn enqueue(&mut self, mut request: MemRequest) -> Result<u64, CtrlError> {
+    /// Returns [`CtrlError::QueueFull`] when at capacity; no id is used.
+    pub fn enqueue(&mut self, request: MemRequest) -> Result<u64, CtrlError> {
         if self.queue.len() >= self.queue_capacity {
             return Err(CtrlError::QueueFull);
         }
-        if request.id == 0 {
-            request.id = self.next_id;
-            self.next_id += 1;
-        }
+        let id = self.next_id;
+        self.next_id += 1;
         let loc = self.dram.decode(request.addr);
         self.queue.insert(
             Pending {
+                id,
                 request,
                 loc,
                 arrival: self.now,
@@ -418,7 +422,7 @@ impl MemoryController {
             },
             &self.dram,
         );
-        Ok(request.id)
+        Ok(id)
     }
 
     /// Advances one cycle, delivering any completed requests into `sink`.
@@ -441,13 +445,8 @@ impl MemoryController {
         let had_inflight = self.inflight.len();
         let mut kept = 0;
         for i in 0..self.inflight.len() {
-            if self.inflight[i].1 <= now {
-                let (p, ready) = self.inflight[i];
-                let c = Completed {
-                    request: p.request,
-                    arrival: p.arrival,
-                    finished: ready,
-                };
+            if self.inflight[i].finished <= now {
+                let c = self.inflight[i];
                 self.stats.completed += 1;
                 self.stats.total_latency += c.latency();
                 self.latency.record(c.latency());
@@ -534,7 +533,12 @@ impl MemoryController {
                             self.stats.busy_cycles += 1;
                             let ready = out.data_ready.unwrap_or(self.now);
                             let p = self.queue.remove(h);
-                            self.inflight.push((p, ready));
+                            self.inflight.push(Completed {
+                                id: p.id,
+                                request: p.request,
+                                arrival: p.arrival,
+                                finished: ready,
+                            });
                         }
                         if cached {
                             self.queue.resync(&self.dram, &p.loc);
@@ -688,11 +692,12 @@ impl Clocked for MemoryController {
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now;
         let mut next: Option<Cycle> = None;
-        for (_, ready) in &self.inflight {
-            if *ready <= now {
+        for c in &self.inflight {
+            let ready = c.finished;
+            if ready <= now {
                 return Some(now);
             }
-            next = Some(next.map_or(*ready, |n| n.min(*ready)));
+            next = Some(next.map_or(ready, |n| n.min(ready)));
         }
         if !matches!(self.refresh.mode, RefreshMode::Disabled) {
             let at = self.refresh.next_at;
@@ -933,7 +938,7 @@ pub fn run_closed_loop_with(
                 let trace = &traces[t];
                 while outstanding[t] < window && cursor[t] < trace.len() {
                     let mut req = trace[cursor[t]];
-                    req.thread = t;
+                    req.thread = thread_index(t);
                     if ctrl.enqueue(req).is_err() {
                         break;
                     }
@@ -961,7 +966,7 @@ pub fn run_closed_loop_with(
             _ => {}
         }
         for c in &scratch {
-            let t = c.request.thread;
+            let t = c.request.thread as usize;
             outstanding[t] -= 1;
             unfinished -= 1;
             completed[t] += 1;
@@ -1035,6 +1040,53 @@ mod tests {
             ctrl.enqueue(MemRequest::read(128, 0)),
             Err(CtrlError::QueueFull)
         ));
+    }
+
+    #[test]
+    fn enqueue_ids_rise_and_retire_with_their_requests() {
+        let mut ctrl = MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new()))
+            .unwrap()
+            .with_queue_capacity(12);
+        // Rows far apart in one bank, interleaved with row hits, so
+        // FR-FCFS retires them out of enqueue order.
+        let mut sent = Vec::new();
+        for i in 0..12u64 {
+            let addr = if i % 3 == 0 { i << 22 } else { i * 64 };
+            let req = if i % 4 == 1 {
+                MemRequest::write(addr, (i % 3) as usize)
+            } else {
+                MemRequest::read(addr, (i % 3) as usize)
+            };
+            sent.push((ctrl.enqueue(req).unwrap(), req));
+        }
+        // A refused request takes no id.
+        assert!(matches!(
+            ctrl.enqueue(MemRequest::read(0, 0)),
+            Err(CtrlError::QueueFull)
+        ));
+        let ids: Vec<u64> = sent.iter().map(|&(id, _)| id).collect();
+        assert_eq!(
+            ids,
+            (1..=12).collect::<Vec<u64>>(),
+            "ids rise in enqueue order"
+        );
+
+        let done = ctrl.run_until_drained(1_000_000);
+        assert_eq!(done.len(), sent.len());
+        let order: Vec<u64> = done.iter().map(|c| c.id).collect();
+        assert_ne!(order, ids, "the mix must retire out of enqueue order");
+        for c in &done {
+            let (id, req) = sent[(c.id - 1) as usize];
+            assert_eq!(
+                (c.id, c.request),
+                (id, req),
+                "a request retires with its id"
+            );
+        }
+        let mut retired = order.clone();
+        retired.sort_unstable();
+        assert_eq!(retired, ids, "every id retires exactly once");
+        assert_eq!(ctrl.enqueue(MemRequest::read(0, 0)).unwrap(), 13);
     }
 
     #[test]

@@ -357,7 +357,7 @@ impl RequestQueue {
 
     fn order_key(&self, slot: u32) -> (Cycle, u64, u64) {
         let s = &self.slots[slot as usize];
-        (s.p.arrival, s.p.request.id, s.seq)
+        (s.p.arrival, s.p.id, s.seq)
     }
 
     /// Inserts `p`, classifying it against its bank's cached open row.

@@ -15,6 +15,7 @@ use std::sync::{Mutex, PoisonError};
 use ia_dram::AccessKind;
 use ia_tracefmt::{TraceOp, TraceRecord, TraceWriter};
 
+use crate::request::thread_index;
 use crate::MemRequest;
 
 /// What is driving the current run, for error attribution.
@@ -93,7 +94,12 @@ pub fn record_workload(traces: &[Vec<MemRequest>], at: u64, w: &mut TraceWriter)
                 AccessKind::Read => TraceOp::Read,
                 AccessKind::Write => TraceOp::Write,
             };
-            w.push(&TraceRecord::new(req.addr.as_u64(), op, thread as u32, at));
+            w.push(&TraceRecord::new(
+                req.addr.as_u64(),
+                op,
+                thread_index(thread),
+                at,
+            ));
         }
     }
 }

@@ -79,7 +79,7 @@ impl ParBs {
         self.marked.clear();
         self.per_thread.fill(0);
         queue.mark_batch(|p, bank| {
-            let key = p.request.thread * banks + bank;
+            let key = p.request.thread as usize * banks + bank;
             if key >= self.marked.len() {
                 self.marked.resize(key + 1, 0);
             }
@@ -87,7 +87,7 @@ impl ParBs {
                 return false;
             }
             self.marked[key] += 1;
-            if let Some(n) = self.per_thread.get_mut(p.request.thread) {
+            if let Some(n) = self.per_thread.get_mut(p.request.thread as usize) {
                 *n += 1;
             }
             true
@@ -132,10 +132,10 @@ impl Scheduler for ParBs {
                 let p = queue.req(h);
                 let rank = self
                     .rank
-                    .get(p.request.thread)
+                    .get(p.request.thread as usize)
                     .copied()
                     .unwrap_or(usize::MAX);
-                (!p.batched, !hit, rank, p.arrival, p.request.id)
+                (!p.batched, !hit, rank, p.arrival, p.id)
             })
             .map(|&(h, _)| h)
     }
@@ -187,16 +187,16 @@ impl Scheduler for Atlas {
                 // then row hit, then age.
                 let attained = self
                     .attained
-                    .get(p.request.thread)
+                    .get(p.request.thread as usize)
                     .copied()
                     .unwrap_or(f64::MAX);
-                ((attained * 1000.0) as u64, !hit, p.arrival, p.request.id)
+                ((attained * 1000.0) as u64, !hit, p.arrival, p.id)
             })
             .map(|&(h, _)| h)
     }
 
     fn on_complete(&mut self, completed: &Completed, _now: Cycle) {
-        if let Some(a) = self.attained.get_mut(completed.request.thread) {
+        if let Some(a) = self.attained.get_mut(completed.request.thread as usize) {
             *a += 1.0;
         }
     }
@@ -305,20 +305,23 @@ impl Scheduler for Tcm {
             .iter()
             .min_by_key(|&&(h, hit)| {
                 let p = queue.req(h);
-                let t = p.request.thread;
+                let t = p.request.thread as usize;
                 let latency = self.latency_cluster.get(t).copied().unwrap_or(false);
                 let rank = self
                     .shuffle
                     .iter()
                     .position(|&x| x == t)
                     .unwrap_or(usize::MAX);
-                (!latency, rank, !hit, p.arrival, p.request.id)
+                (!latency, rank, !hit, p.arrival, p.id)
             })
             .map(|&(h, _)| h)
     }
 
     fn on_complete(&mut self, completed: &Completed, _now: Cycle) {
-        if let Some(r) = self.epoch_requests.get_mut(completed.request.thread) {
+        if let Some(r) = self
+            .epoch_requests
+            .get_mut(completed.request.thread as usize)
+        {
             *r += 1;
         }
     }
@@ -423,17 +426,17 @@ impl Scheduler for Bliss {
             .min_by_key(|&&(h, hit)| {
                 let p = queue.req(h);
                 (
-                    self.is_blacklisted(p.request.thread),
+                    self.is_blacklisted(p.request.thread as usize),
                     !hit,
                     p.arrival,
-                    p.request.id,
+                    p.id,
                 )
             })
             .map(|&(h, _)| h)
     }
 
     fn on_complete(&mut self, completed: &Completed, _now: Cycle) {
-        let t = completed.request.thread;
+        let t = completed.request.thread as usize;
         if self.last_thread == Some(t) {
             self.streak += 1;
             if self.streak >= self.threshold {
@@ -486,10 +489,8 @@ mod tests {
 
     fn pending(id: u64, addr: u64, thread: usize, arrival: u64, dram: &DramModule) -> Pending {
         Pending {
-            request: MemRequest {
-                id,
-                ..MemRequest::read(addr, thread)
-            },
+            id,
+            request: MemRequest::read(addr, thread),
             loc: dram.decode(PhysAddr::new(addr)),
             arrival: Cycle::new(arrival),
             batched: false,
@@ -547,11 +548,7 @@ mod tests {
         queue.insert(pending(2, 1 << 20, 1, 50, &d), &d);
         let view = full_view(&queue, Cycle::new(1000));
         let pick = parbs.select(&queue, &view).unwrap();
-        assert_eq!(
-            queue.req(pick).request.id,
-            1,
-            "batched request outranks unbatched"
-        );
+        assert_eq!(queue.req(pick).id, 1, "batched request outranks unbatched");
     }
 
     #[test]
@@ -562,6 +559,7 @@ mod tests {
         for _ in 0..50 {
             atlas.on_complete(
                 &Completed {
+                    id: 1,
                     request: MemRequest::read(0, 0),
                     arrival: Cycle::ZERO,
                     finished: Cycle::new(10),
@@ -587,6 +585,7 @@ mod tests {
         let mut atlas = Atlas::new(1, 100);
         atlas.on_complete(
             &Completed {
+                id: 1,
                 request: MemRequest::read(0, 0),
                 arrival: Cycle::ZERO,
                 finished: Cycle::new(1),
@@ -606,6 +605,7 @@ mod tests {
         for i in 0..100 {
             tcm.on_complete(
                 &Completed {
+                    id: 1,
                     request: MemRequest::read(0, 1),
                     arrival: Cycle::ZERO,
                     finished: Cycle::new(i),
@@ -616,6 +616,7 @@ mod tests {
         for i in 0..3 {
             tcm.on_complete(
                 &Completed {
+                    id: 1,
                     request: MemRequest::read(0, 0),
                     arrival: Cycle::ZERO,
                     finished: Cycle::new(i),
@@ -642,6 +643,7 @@ mod tests {
         for i in 0..4 {
             bliss.on_complete(
                 &Completed {
+                    id: 1,
                     request: MemRequest::read(0, 0),
                     arrival: Cycle::ZERO,
                     finished: Cycle::new(i),

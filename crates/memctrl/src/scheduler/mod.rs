@@ -168,7 +168,7 @@ impl Scheduler for FrFcfs {
             .iter()
             .min_by_key(|&&(h, hit)| {
                 let p = queue.req(h);
-                (!hit, p.arrival, p.request.id)
+                (!hit, p.arrival, p.id)
             })
             .map(|&(h, _)| h)
     }
@@ -184,10 +184,8 @@ mod tests {
 
     fn mk(dram: &DramModule, id: u64, addr: u64, arrival: u64) -> Pending {
         Pending {
-            request: MemRequest {
-                id,
-                ..MemRequest::read(addr, 0)
-            },
+            id,
+            request: MemRequest::read(addr, 0),
             loc: dram.decode(PhysAddr::new(addr)),
             arrival: Cycle::new(arrival),
             batched: false,
@@ -223,7 +221,7 @@ mod tests {
         let view = view_of(&queue, Cycle::new(100), ViewMode::Skip);
         let pick = Fcfs::new().select(&queue, &view).unwrap();
         assert_eq!(
-            queue.req(pick).request.id,
+            queue.req(pick).id,
             1,
             "FCFS serves the older conflicting request first"
         );
@@ -234,11 +232,7 @@ mod tests {
         let queue = setup();
         let view = view_of(&queue, Cycle::new(100), ViewMode::Frontier);
         let pick = FrFcfs::new().select(&queue, &view).unwrap();
-        assert_eq!(
-            queue.req(pick).request.id,
-            2,
-            "FR-FCFS serves the row hit first"
-        );
+        assert_eq!(queue.req(pick).id, 2, "FR-FCFS serves the row hit first");
         assert!(
             view.ready.contains(&(pick, true)),
             "the view flags the pick as a row hit"

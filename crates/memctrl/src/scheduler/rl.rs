@@ -185,10 +185,10 @@ impl Scheduler for RlScheduler {
                 let p = queue.req(h);
                 let read = p.request.kind.is_read();
                 match action {
-                    Action::RowHitFirst => (!hit, p.arrival, p.request.id),
-                    Action::OldestFirst => (false, p.arrival, p.request.id),
-                    Action::ReadsFirst => (!read, p.arrival, p.request.id),
-                    Action::WritesFirst => (read, p.arrival, p.request.id),
+                    Action::RowHitFirst => (!hit, p.arrival, p.id),
+                    Action::OldestFirst => (false, p.arrival, p.id),
+                    Action::ReadsFirst => (!read, p.arrival, p.id),
+                    Action::WritesFirst => (read, p.arrival, p.id),
                 }
             })
             .map(|&(h, _)| h)
@@ -220,10 +220,8 @@ mod tests {
 
     fn pending(id: u64, addr: u64, dram: &DramModule) -> Pending {
         Pending {
-            request: MemRequest {
-                id,
-                ..MemRequest::read(addr, 0)
-            },
+            id,
+            request: MemRequest::read(addr, 0),
             loc: dram.decode(PhysAddr::new(addr)),
             arrival: Cycle::new(id),
             batched: false,

@@ -41,7 +41,7 @@ fn run_closed_loop_per_cycle(
         for (t, trace) in traces.iter().enumerate() {
             while outstanding[t] < window && cursor[t] < trace.len() {
                 let mut req = trace[cursor[t]];
-                req.thread = t;
+                req.thread = t as u32;
                 if ctrl.enqueue(req).is_err() {
                     break;
                 }
@@ -50,7 +50,7 @@ fn run_closed_loop_per_cycle(
             }
         }
         for c in ctrl.tick() {
-            let t = c.request.thread;
+            let t = c.request.thread as usize;
             outstanding[t] -= 1;
             completed[t] += 1;
             latency[t] += c.latency();

@@ -44,17 +44,12 @@ fn pending(
     now: Cycle,
 ) -> Pending {
     let request = if write {
-        MemRequest {
-            id,
-            ..MemRequest::write(addr, thread)
-        }
+        MemRequest::write(addr, thread)
     } else {
-        MemRequest {
-            id,
-            ..MemRequest::read(addr, thread)
-        }
+        MemRequest::read(addr, thread)
     };
     Pending {
+        id,
         loc: dram.decode(PhysAddr::new(addr)),
         request,
         arrival: now,
@@ -131,7 +126,7 @@ fn as_set(view: &IssueView, queue: &RequestQueue) -> Vec<(u64, bool)> {
     let mut v: Vec<(u64, bool)> = view
         .ready
         .iter()
-        .map(|&(h, hit)| (queue.req(h).request.id, hit))
+        .map(|&(h, hit)| (queue.req(h).id, hit))
         .collect();
     v.sort_unstable();
     v
@@ -221,8 +216,8 @@ fn check_step(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
         let indexed_pick = indexed_side.select(queue, &view);
         let oracle_pick = oracle_side.select(queue, &reference);
         prop_assert_eq!(
-            indexed_pick.map(|h| queue.req(h).request.id),
-            oracle_pick.map(|h| queue.req(h).request.id),
+            indexed_pick.map(|h| queue.req(h).id),
+            oracle_pick.map(|h| queue.req(h).id),
             "{} picks diverge at {:?}",
             name,
             now

@@ -56,17 +56,17 @@ impl Scheduler for RefBliss {
             .min_by_key(|&&(h, hit)| {
                 let p = queue.req(h);
                 (
-                    self.blacklist.contains(&p.request.thread),
+                    self.blacklist.contains(&(p.request.thread as usize)),
                     !hit,
                     p.arrival,
-                    p.request.id,
+                    p.id,
                 )
             })
             .map(|&(h, _)| h)
     }
 
     fn on_complete(&mut self, completed: &Completed, _now: Cycle) {
-        let t = completed.request.thread;
+        let t = completed.request.thread as usize;
         if self.last_thread == Some(t) {
             self.streak += 1;
             if self.streak >= BLISS_THRESHOLD {
@@ -111,12 +111,12 @@ impl RefParBs {
         queue.mark_batch(|p, _bank| {
             let bank = (p.loc.rank << 16) | (p.loc.bank_group << 8) | p.loc.bank;
             let count = marked
-                .entry((p.request.thread, p.loc.channel, bank))
+                .entry((p.request.thread as usize, p.loc.channel, bank))
                 .or_insert(0);
             if *count < PARBS_CAP {
                 *count += 1;
-                if p.request.thread < per_thread.len() {
-                    per_thread[p.request.thread] += 1;
+                if (p.request.thread as usize) < per_thread.len() {
+                    per_thread[p.request.thread as usize] += 1;
                 }
                 true
             } else {
@@ -153,10 +153,10 @@ impl Scheduler for RefParBs {
                 let p = queue.req(h);
                 let rank = self
                     .rank
-                    .get(p.request.thread)
+                    .get(p.request.thread as usize)
                     .copied()
                     .unwrap_or(usize::MAX);
-                (!p.batched, !hit, rank, p.arrival, p.request.id)
+                (!p.batched, !hit, rank, p.arrival, p.id)
             })
             .map(|&(h, _)| h)
     }
@@ -189,7 +189,7 @@ fn run_closed_loop_reference(
         for (t, trace) in traces.iter().enumerate() {
             while outstanding[t] < window && cursor[t] < trace.len() {
                 let mut req = trace[cursor[t]];
-                req.thread = t;
+                req.thread = t as u32;
                 if ctrl.enqueue(req).is_err() {
                     break;
                 }
@@ -207,7 +207,7 @@ fn run_closed_loop_reference(
             _ => {}
         }
         for c in &scratch {
-            let t = c.request.thread;
+            let t = c.request.thread as usize;
             outstanding[t] -= 1;
             completed[t] += 1;
             latency[t] += c.latency();

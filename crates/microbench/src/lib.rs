@@ -39,6 +39,12 @@
 //! * **addr-decode** — one [`AddressMapping::decode`] per op, both
 //!   mappings alternately on DDR4 geometry: the per-enqueue address
 //!   split.
+//! * **workload-gen** — one request per op of the experiments'
+//!   four-thread interference mix (stream, random, zipf, and a pointer
+//!   chase over 64 k nodes, generated by `ia-workloads`), at the
+//!   simulator benchmark's 2,500 requests per thread, converted to
+//!   [`MemRequest`]s: the set-up layer every trace-driven run pays
+//!   before its first simulated cycle.
 //!
 //! ## Determinism (lint D002)
 //!
@@ -70,6 +76,7 @@
 // lint: allow(D002, a microbenchmark harness times the host by definition; checksums, not times, are the stable output)
 use std::time::Instant;
 
+use ia_bench::mixes::interference_mix;
 use ia_dram::{AddressMapping, Cycle, DramConfig, DramModule, PhysAddr};
 use ia_faults::{FaultInjector, FaultPlan, Inject, RowSite};
 use ia_lint::context::FileContext;
@@ -140,12 +147,9 @@ fn queue_of(depth: u64, dram: &DramModule) -> RequestQueue {
         // Stride one row-buffer's worth so consecutive requests land in
         // different banks under the row-interleaved mapping.
         let addr = i * dram.config().geometry.row_bytes;
-        let request = MemRequest {
-            id: i + 1,
-            ..MemRequest::read(addr, (i % 8) as usize)
-        };
         let p = Pending {
-            request,
+            id: i + 1,
+            request: MemRequest::read(addr, (i % 8) as usize),
             loc: dram.decode(PhysAddr::new(addr)),
             arrival: Cycle::new(i),
             batched: false,
@@ -532,6 +536,43 @@ fn noc_mesh_cycle(iters: u64) -> Sample {
     }
 }
 
+/// Requests per thread of a [`workload_gen`] mix, as in the simulator
+/// benchmark's `sched_sweep`.
+const GEN_PER_THREAD: usize = 2_500;
+
+/// The four-thread interference mix for `seed`, built by
+/// [`ia_bench::mixes::interference_mix`] with the simulator benchmark's
+/// parameters.
+fn sweep_mix(seed: u64) -> Vec<Vec<MemRequest>> {
+    // lint: allow(P001, the mix's generator parameters are fixed and valid)
+    interference_mix(GEN_PER_THREAD, seed).expect("valid interference mix")
+}
+
+/// One request per op. The loop builds whole interference mixes, seeds
+/// 0, 1, …, until it has made `iters` requests, so `ops` rounds `iters`
+/// up to a multiple of a mix's 10,000 requests: at the default 4096
+/// iterations it builds exactly one. Generation and conversion are both
+/// timed. The checksum folds every request's address, kind and thread.
+fn workload_gen(iters: u64) -> Sample {
+    let mix_requests = 4 * GEN_PER_THREAD as u64;
+    let mut ops = 0u64;
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for seed in 0..iters.div_ceil(mix_requests) {
+        for r in sweep_mix(seed).iter().flatten() {
+            let kind = u64::from(r.kind.is_read());
+            checksum = fold(
+                checksum,
+                r.addr.as_u64() ^ kind << 63 ^ u64::from(r.thread) << 48,
+            );
+            ops += 1;
+        }
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample { ops, checksum, ns }
+}
+
 /// One synthetic source file for the lint-parse kernel: Rust-like items
 /// exercising the parser's shapes — impls, traits, modules, nested
 /// generics, raw identifiers, doc comments — sized like a mid-size
@@ -638,6 +679,10 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "addr_decode",
             run: addr_decode,
+        },
+        Bench {
+            name: "workload_gen",
+            run: workload_gen,
         },
     ]
 }
@@ -806,6 +851,16 @@ mod tests {
             banks.insert((loc.bank_group, loc.bank));
         }
         assert_eq!(banks.len(), geo.banks_per_rank());
+    }
+
+    #[test]
+    fn workload_gen_builds_whole_mixes() {
+        let one = workload_gen(1);
+        assert_eq!(one.ops, 10_000, "one request asks for a whole mix");
+        assert_eq!(workload_gen(10_000).checksum, one.checksum);
+        let two = workload_gen(10_001);
+        assert_eq!(two.ops, 20_000);
+        assert_ne!(two.checksum, one.checksum);
     }
 
     #[test]

@@ -19,15 +19,16 @@ pub enum Op {
     Write,
 }
 
-/// One request of a memory trace.
+/// One request of a memory trace: 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRequest {
     /// Byte address.
     pub addr: u64,
     /// Load or store.
     pub op: Op,
-    /// Originating thread (for multi-programmed interference studies).
-    pub thread: usize,
+    /// Originating thread (for multi-programmed interference studies),
+    /// the same width as an `ia-tracefmt` record's `stream`.
+    pub thread: u32,
 }
 
 impl TraceRequest {
@@ -52,9 +53,17 @@ impl TraceRequest {
     }
 
     /// Returns the same request attributed to `thread`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` is 2³² or more: no silent truncation.
     #[must_use]
     pub fn on_thread(mut self, thread: usize) -> Self {
-        self.thread = thread;
+        self.thread = match u32::try_from(thread) {
+            Ok(t) => t,
+            // lint: allow(P002, a thread index beyond u32 is a caller bug, never truncated)
+            Err(_) => panic!("thread index {thread} does not fit in 32 bits"),
+        };
         self
     }
 }
@@ -340,10 +349,7 @@ pub fn record_trace(requests: &[TraceRequest], w: &mut ia_tracefmt::TraceWriter)
             Op::Write => ia_tracefmt::TraceOp::Write,
         };
         w.push(&ia_tracefmt::TraceRecord::new(
-            r.addr,
-            op,
-            r.thread as u32,
-            i as u64,
+            r.addr, op, r.thread, i as u64,
         ));
     }
 }
@@ -363,7 +369,7 @@ pub fn trace_from_records(records: &[ia_tracefmt::TraceRecord]) -> Vec<TraceRequ
             TraceRequest {
                 addr: rec.addr,
                 op,
-                thread: rec.stream as usize,
+                thread: rec.stream,
             }
         })
         .collect()
@@ -469,6 +475,23 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(0x7EA5)
+    }
+
+    #[test]
+    fn requests_are_compact() {
+        assert_eq!(std::mem::size_of::<TraceRequest>(), 16);
+    }
+
+    #[test]
+    fn largest_thread_index_fits() {
+        let max = u32::MAX as usize;
+        assert_eq!(TraceRequest::read(0).on_thread(max).thread, u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread index 4294967296 does not fit in 32 bits")]
+    fn thread_index_beyond_u32_panics() {
+        let _ = TraceRequest::read(0).on_thread(1 << 32);
     }
 
     #[test]

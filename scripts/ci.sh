@@ -25,30 +25,6 @@ echo "ia-lint --check: ${lint_ms} ms"
 if [ "$lint_ms" -ge 2000 ]; then
     echo "ia-lint --check blew its 2 s wall budget (${lint_ms} ms)"; exit 1
 fi
-# Fold the lint wall time into BENCH_WALL.json as its own row, replacing
-# any previous ia_lint_check entry and keeping the suite rows intact
-# (bench_snapshot.sh owns the file and rewrites it wholesale on its runs).
-wall="BENCH_WALL.json"
-wall_rows=()
-if [ -f "$wall" ]; then
-    while IFS=' ' read -r bin ms; do
-        [ "$bin" = "ia_lint_check" ] && continue
-        wall_rows+=("$bin $ms")
-    done < <(sed -n 's/.*"bin": "\([^"]*\)", "wall_ms": \([0-9]*\).*/\1 \2/p' "$wall")
-fi
-wall_rows+=("ia_lint_check $lint_ms")
-{
-    echo "["
-    sep=""
-    for r in "${wall_rows[@]}"; do
-        printf '%s  {"bin": "%s", "wall_ms": %d}' "$sep" "${r% *}" "${r#* }"
-        sep=",
-"
-    done
-    echo ""
-    echo "]"
-} > "$wall.tmp"
-mv "$wall.tmp" "$wall"
 
 echo "== cargo test"
 cargo test -q --workspace
