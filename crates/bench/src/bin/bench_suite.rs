@@ -20,10 +20,11 @@
 //! bench_suite [--quick] [--threads N] --json-dir DIR
 //! ```
 
-use ia_bench::report::attach_par_diagnostics;
+use ia_bench::RunCtx;
 
 fn main() {
     let mut quick = false;
+    let mut threads = ia_bench::ctx::host_threads();
     let mut json_dir: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -37,7 +38,7 @@ fn main() {
             "--quick" => quick = true,
             "--threads" => {
                 let v = value("--threads");
-                let n = v
+                threads = v
                     .parse::<usize>()
                     .ok()
                     .filter(|&n| n > 0)
@@ -45,7 +46,6 @@ fn main() {
                         eprintln!("error: --threads expects a positive integer, got `{v}`");
                         std::process::exit(2);
                     });
-                ia_par::set_threads(n);
             }
             "--json-dir" => json_dir = Some(value("--json-dir")),
             "--help" | "-h" => {
@@ -64,16 +64,12 @@ fn main() {
     };
 
     for (name, report) in ia_bench::EXPERIMENTS {
-        // Drain the ia-par ledger per experiment, exactly as each
-        // standalone binary's entry point does, so the (JSON-excluded)
-        // runtime diagnostics stay per-experiment.
-        let _ = ia_par::ledger::take();
         // lint: allow(D002, per-bin wall rows are host diagnostics on stdout; the report JSON carries no timing)
         let start = std::time::Instant::now();
-        let rep = attach_par_diagnostics(report(quick).unwrap_or_else(|e| {
+        let rep = report(quick, &RunCtx::new(threads)).unwrap_or_else(|e| {
             eprintln!("error: {name}: {e}");
             std::process::exit(1);
-        }));
+        });
         let mut text = rep.to_json().render();
         text.push('\n');
         let path = format!("{dir}/{name}.json");

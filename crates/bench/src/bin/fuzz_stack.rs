@@ -26,10 +26,7 @@ fn parse_u64(s: &str) -> Option<u64> {
 }
 
 fn parse(args: &[String]) -> Result<FuzzOptions, String> {
-    let mut opts = FuzzOptions {
-        annotate_errors: true,
-        ..FuzzOptions::default()
-    };
+    let mut opts = FuzzOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {

@@ -9,10 +9,11 @@ use ia_workloads::{energy_breakdown, energy_with_pim, MobileWorkload, SystemEner
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Runs the experiment: the per-workload energy table plus the
 /// suite-wide movement share and 80%-offload PIM energy reduction.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let scale = if quick { 1 } else { 100 };
     let model = SystemEnergyModel::default();
     let mut rep = ExperimentReport::new("exp01_data_movement", quick).columns(&[
@@ -60,7 +61,7 @@ mod tests {
 
     #[test]
     fn movement_share_matches_paper_shape() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let movement = rep.metric_value("movement_fraction").unwrap();
         assert!(
             (0.55..0.80).contains(&movement),
@@ -79,7 +80,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_workloads() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         for name in [
             "tensorflow-inference",
             "video-playback",

@@ -9,6 +9,7 @@ use ia_pum::{bulk_copy, CopyMode, CopyReport};
 
 use crate::ratio;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Copies `bytes` from row 0 with `mode` on a fresh DDR3-1600 module:
 /// to the next row of the same subarray (FPM, CPU), a different bank
@@ -34,7 +35,7 @@ fn copy(mode: CopyMode, bytes: u64) -> Result<CopyReport, Error> {
 
 /// Runs every copy mechanism over a size sweep; the headline ratios are
 /// the 1 MiB row (64 KiB in quick mode).
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let sizes: &[u64] = if quick {
         &[4 << 10, 64 << 10]
     } else {
@@ -93,7 +94,7 @@ mod tests {
 
     #[test]
     fn fpm_reproduces_paper_shape() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let m = |k| rep.metric_value(k).unwrap();
         assert!(
             m("fpm_speedup") > 8.0,
@@ -110,7 +111,7 @@ mod tests {
 
     #[test]
     fn table_contains_all_modes() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         for m in ["CPU", "FPM", "LISA", "PSM"] {
             assert!(s.contains(m));
         }

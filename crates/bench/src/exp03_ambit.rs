@@ -9,10 +9,11 @@ use ia_pum::{cpu_bitwise_baseline, AmbitEngine, BitwiseOp};
 
 use crate::ratio;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Runs the seven operations on 8 MiB vectors (1 MiB in quick mode);
 /// the headline is the geometric-mean throughput and energy gain.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let bytes: u64 = if quick { 1 << 20 } else { 8 << 20 };
     let cfg = DramConfig::ddr3_1600();
     let engine = AmbitEngine::new(&cfg);
@@ -65,7 +66,7 @@ mod tests {
 
     #[test]
     fn gains_match_paper_shape() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let tp = rep.metric_value("mean_throughput_gain").unwrap();
         assert!(
             tp > 10.0,
@@ -76,7 +77,7 @@ mod tests {
 
     #[test]
     fn table_lists_all_ops() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         for op in BitwiseOp::all() {
             assert!(s.contains(op.name()));
         }

@@ -17,6 +17,7 @@ use ia_sim::SnapshotState;
 use crate::mixes::interference_mix;
 use crate::ratio;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Runs FCFS, FR-FCFS and the RL scheduler over one interference mix,
 /// then the RL learning curve: one agent (shared Q-table) across
@@ -24,10 +25,10 @@ use crate::report::{Error, ExperimentReport};
 /// controller ([`SnapshotState`]); a fork with a swapped policy is
 /// bit-identical to a cold-built controller (see
 /// [`MemoryController::with_scheduler`]).
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let n = if quick { 400 } else { 4000 };
     let warm = MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new()))?;
-    let traces = interference_mix(n, 7)?;
+    let traces = ctx.intercept(7, || interference_mix(n, 7))?;
     let throughput_of = |scheduler: Box<dyn Scheduler>, traces: &[Vec<_>]| {
         run_closed_loop_with(
             warm.fork().with_scheduler(scheduler),
@@ -60,7 +61,7 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let agent = Arc::new(Mutex::new(RlScheduler::new(RlSchedulerConfig::default())));
     let segments = if quick { 3 } else { 6 };
     for seg in 0..segments {
-        let segment = interference_mix(n / 2, 100 + seg)?;
+        let segment = ctx.intercept(100 + seg, || interference_mix(n / 2, 100 + seg))?;
         let tp = throughput_of(Box::new(SharedRl(agent.clone())), &segment)?;
         rep = rep.row(&[
             format!("RL segment {seg}"),
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn rl_beats_fcfs_and_tracks_frfcfs() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let vs_fcfs = rep.metric_value("rl_vs_fcfs").unwrap();
         let vs_frfcfs = rep.metric_value("rl_vs_frfcfs").unwrap();
         assert!(vs_fcfs > 1.02, "RL must beat naive FCFS, got {vs_fcfs:.3}");
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("FR-FCFS"));
         assert!(s.contains("learning curve"));
         assert!(s.contains("RL segment 2"));

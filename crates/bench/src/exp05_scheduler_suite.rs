@@ -9,11 +9,11 @@
 use ia_core::SchedulerKind;
 use ia_dram::DramConfig;
 use ia_memctrl::{max_slowdown, run_closed_loop_with, weighted_speedup, MemoryController};
-use ia_par::{auto_threads, par_map};
 use ia_sim::SnapshotState;
 
 use crate::mixes::interference_mix;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Result per scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,9 +34,9 @@ struct Row {
 
 /// Runs every scheduler over the mix and returns the rows [`report`]
 /// renders.
-fn rows(quick: bool) -> Result<Vec<Row>, Error> {
+fn rows(quick: bool, ctx: &RunCtx) -> Result<Vec<Row>, Error> {
     let n = if quick { 300 } else { 3000 };
-    let traces = interference_mix(n, 11)?;
+    let traces = ctx.intercept(11, || interference_mix(n, 11))?;
 
     // Warm-fork: build the DRAM substrate and controller scaffolding
     // exactly once, then fork every run in the sweep from the same warm
@@ -54,23 +54,28 @@ fn rows(quick: bool) -> Result<Vec<Row>, Error> {
         .iter()
         .map(|t| (warm.fork(), vec![t.clone()]))
         .collect();
-    let alone = par_map(auto_threads(), alone_jobs, |(ctrl, solo)| {
-        run_closed_loop_with(ctrl, &solo, 8, 200_000_000).map(|r| r.threads[0].finish)
-    })
-    .into_iter()
-    .collect::<Result<Vec<u64>, _>>()?;
+    let alone = ctx
+        .par_map(alone_jobs, |(ctrl, solo)| {
+            run_closed_loop_with(ctrl, &solo, 8, 200_000_000).map(|r| r.threads[0].finish)
+        })
+        .into_iter()
+        .collect::<Result<Vec<u64>, _>>()?;
 
     // The seven shared runs are likewise independent; `par_map` returns
     // rows in `SchedulerKind::all()` order, so the table and every
     // metric reduction downstream match the serial run byte-for-byte.
-    // Each run carries its `ia-trace` log (when capture is on) back to
-    // this thread, where the logs are submitted in input order — the
-    // session trace is therefore byte-identical across `--threads`.
+    // When the run captures a trace, each shared run's controller is
+    // traced and carries its `ia-trace` log back to this thread, where
+    // the logs are submitted in input order — the run's trace is
+    // therefore byte-identical across `--threads`.
     let shared_jobs: Vec<(SchedulerKind, MemoryController)> = SchedulerKind::all()
         .iter()
-        .map(|&kind| (kind, warm.fork().with_scheduler(kind.build(traces.len()))))
+        .map(|&kind| {
+            let ctrl = warm.fork().with_scheduler(kind.build(traces.len()));
+            (kind, ctx.traced(ctrl))
+        })
         .collect();
-    let runs = par_map(auto_threads(), shared_jobs, |(kind, ctrl)| {
+    let runs = ctx.par_map(shared_jobs, |(kind, ctrl)| {
         let mut report = run_closed_loop_with(ctrl, &traces, 8, 500_000_000)?;
         let trace = report.trace.take();
         let row = Row {
@@ -87,7 +92,7 @@ fn rows(quick: bool) -> Result<Vec<Row>, Error> {
         .map(|run| {
             let (row, trace) = run?;
             if let Some(log) = trace {
-                ia_trace::submit(log.prefixed(&row.name));
+                ctx.submit(log.prefixed(&row.name));
             }
             Ok(row)
         })
@@ -99,7 +104,7 @@ fn rows(quick: bool) -> Result<Vec<Row>, Error> {
 /// The runtime section carries `sim_cycles`, the seven shared runs'
 /// total simulated cycles, which a cycle-attribution profile of the
 /// run must account for exactly.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let mut rep = ExperimentReport::new("exp05_scheduler_suite", quick)
         .columns(&[
             "scheduler",
@@ -113,7 +118,7 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
         );
     let mut engine = ia_sim::EngineStats::default();
     let mut cycles = 0u64;
-    for r in rows(quick)? {
+    for r in rows(quick, ctx)? {
         let key = r.name.to_lowercase().replace([' ', '-'], "_");
         engine.merge(&r.engine);
         cycles += r.cycles;
@@ -142,7 +147,7 @@ mod tests {
 
     #[test]
     fn frfcfs_outperforms_fcfs_on_throughput() {
-        let rows = rows(true).unwrap();
+        let rows = rows(true, &RunCtx::default()).unwrap();
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("present").clone();
         let fcfs = get("FCFS");
         let frfcfs = get("FR-FCFS");
@@ -156,7 +161,7 @@ mod tests {
 
     #[test]
     fn fairness_schedulers_bound_slowdown() {
-        let rows = rows(true).unwrap();
+        let rows = rows(true, &RunCtx::default()).unwrap();
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("present").clone();
         let frfcfs = get("FR-FCFS");
         let best_fair = ["PAR-BS", "ATLAS", "TCM", "BLISS"]
@@ -173,7 +178,7 @@ mod tests {
 
     #[test]
     fn all_schedulers_complete_the_mix() {
-        let rows = rows(true).unwrap();
+        let rows = rows(true, &RunCtx::default()).unwrap();
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| r.weighted_speedup > 0.0));
     }

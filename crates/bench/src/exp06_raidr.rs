@@ -11,10 +11,11 @@ use rand::SeedableRng;
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Profiles each device density with its own `SmallRng(23)` and bins
 /// the rows RAIDR-style; the headline is the largest density's row.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let densities: &[(u64, &str)] = if quick {
         &[(32 * 1024, "4Gb-class"), (64 * 1024, "8Gb-class")]
     } else {
@@ -65,7 +66,7 @@ mod tests {
 
     #[test]
     fn reduction_approaches_three_quarters() {
-        let reduction = report(true)
+        let reduction = report(true, &RunCtx::default())
             .unwrap()
             .metric_value("refresh_reduction")
             .unwrap();
@@ -77,7 +78,10 @@ mod tests {
 
     #[test]
     fn storage_stays_in_kilobits() {
-        let bits = report(true).unwrap().metric_value("storage_bits").unwrap();
+        let bits = report(true, &RunCtx::default())
+            .unwrap()
+            .metric_value("storage_bits")
+            .unwrap();
         assert!(
             bits < f64::from(1 << 20),
             "storage {bits} bits should be small"
@@ -86,7 +90,7 @@ mod tests {
 
     #[test]
     fn report_renders_densities() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let s = rep.to_text();
         assert!(s.contains("4Gb-class"));
         assert!(s.contains("refresh reduction"));

@@ -11,6 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 fn pattern_block(kind: &str, rng: &mut SmallRng) -> [u8; 64] {
     let mut b = [0u8; 64];
@@ -52,7 +53,7 @@ fn pattern_ratio(kind: &str, blocks: usize, rng: &mut SmallRng) -> Result<f64, E
 /// Compresses each data pattern with BDI, then replays a pointer-heavy
 /// working set 2x the capacity of a compressed and a plain cache of
 /// equal bytes; the headline is the mean ratio and the hit-rate gain.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let blocks = if quick { 50 } else { 1000 };
     let mut rng = SmallRng::seed_from_u64(31);
     let mut rep = ExperimentReport::new("exp07_bdi", quick)
@@ -98,7 +99,7 @@ mod tests {
 
     #[test]
     fn mean_ratio_matches_paper_band() {
-        let ratio = report(true)
+        let ratio = report(true, &RunCtx::default())
             .unwrap()
             .metric_value("mean_compression_ratio")
             .unwrap();
@@ -107,13 +108,16 @@ mod tests {
 
     #[test]
     fn compression_enlarges_effective_cache() {
-        let gain = report(true).unwrap().metric_value("hit_rate_gain").unwrap();
+        let gain = report(true, &RunCtx::default())
+            .unwrap()
+            .metric_value("hit_rate_gain")
+            .unwrap();
         assert!(gain > 0.1, "hit-rate gain {gain:.3} should be substantial");
     }
 
     #[test]
     fn report_lists_patterns() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         for k in ["zeros", "pointers", "random"] {
             assert!(s.contains(k));
         }

@@ -13,11 +13,12 @@ use rand::SeedableRng;
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Runs PageRank on one R-MAT graph at 1, 4, 16 and 32 vaults; the
 /// graph is built once and shared read-only, and each vault count is an
 /// independent PNM simulation on the worker pool.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let (v, e) = if quick {
         (2048, 32 * 1024)
     } else {
@@ -26,7 +27,7 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let mut rng = SmallRng::seed_from_u64(41);
     let g = Graph::rmat(v, e, &mut rng)?;
     let iterations = 10;
-    let runs = ia_par::par_map(ia_par::auto_threads(), vec![1usize, 4, 16, 32], |vaults| {
+    let runs = ctx.par_map(vec![1usize, 4, 16, 32], |vaults| {
         let stack = StackConfig::hmc_like().with_vaults(vaults)?;
         let (ranks, report) = PnmGraphEngine::new(stack, &g)?.pagerank(0.85, iterations);
         // Sanity: functional result matches the host reference.
@@ -67,7 +68,7 @@ mod tests {
     use super::*;
 
     fn speedups() -> Vec<(usize, f64)> {
-        report(true)
+        report(true, &RunCtx::default())
             .unwrap()
             .rows
             .iter()
@@ -94,7 +95,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("vaults"));
         assert!(s.contains("speedup"));
         assert!(s.contains("remote edges"));

@@ -11,11 +11,12 @@ use rand::SeedableRng;
 
 use crate::ratio;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Walks one 64Ki-node chain with 1, 4, 16 and 64 concurrent streams
 /// on the host and in memory; the headline is the 1- and 64-stream
 /// speedups.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let hops = if quick { 2_000 } else { 100_000 };
     let stack = StackConfig::hmc_like();
     let mut rng = SmallRng::seed_from_u64(43);
@@ -68,7 +69,7 @@ mod tests {
     use super::*;
 
     fn speedups() -> (f64, f64) {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         (
             rep.metric_value("single_stream_speedup").unwrap(),
             rep.metric_value("multi_stream_speedup").unwrap(),
@@ -94,6 +95,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("streams"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("streams"));
     }
 }

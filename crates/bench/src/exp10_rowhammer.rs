@@ -13,6 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// One independent attack configuration.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +31,7 @@ enum Attack {
 /// attack owns a seeded RNG derived from the base seed and its task
 /// index, so the five configurations are independent and fan out on the
 /// worker pool with results identical at any `--threads` setting.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let hammers = if quick { 300_000 } else { 2_000_000 };
     let rows = 1 << 14;
     let victim = 5000;
@@ -41,7 +42,7 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
     let mut tasks: Vec<Attack> = generations.into_iter().map(Attack::Unmitigated).collect();
     tasks.push(Attack::Para);
     tasks.push(Attack::Trr);
-    let flips = ia_par::par_map_indexed(ia_par::auto_threads(), tasks, |i, attack| {
+    let flips = ctx.par_map_indexed(tasks, |i, attack| {
         let mut rng = SmallRng::seed_from_u64(53 + i as u64);
         match attack {
             Attack::Unmitigated(g) => {
@@ -112,7 +113,7 @@ mod tests {
 
     #[test]
     fn newer_devices_flip_more() {
-        let flips = flips(&report(true).unwrap());
+        let flips = flips(&report(true, &RunCtx::default()).unwrap());
         assert!(
             flips[2] > flips[1],
             "2020 device must flip more than 2017: {flips:?}"
@@ -125,7 +126,7 @@ mod tests {
 
     #[test]
     fn mitigations_suppress_flips() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let unmitigated = flips(&rep).last().copied().unwrap_or(0);
         let para = rep.metric_value("para_flips").unwrap();
         assert!(unmitigated > 0);
@@ -142,7 +143,7 @@ mod tests {
 
     #[test]
     fn report_renders_generations() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("DDR3 (2013)"));
         assert!(s.contains("PARA"));
     }

@@ -13,6 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 use crate::{pct, ratio};
 
 /// Nanoseconds to verify one candidate with banded edit distance on the
@@ -24,7 +25,7 @@ fn verify_cost_ns(read_len: usize, band: usize) -> f64 {
 /// Maps sampled reads against a random genome twice — verifying every
 /// seed candidate, and verifying only the candidates whose bins pass
 /// the in-DRAM GRIM-Filter — and compares the work.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let (genome_len, read_count) = if quick {
         (64 * 1024, 40)
     } else {
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn filter_eliminates_most_candidates_without_losing_mappings() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let eliminated = rep.metric_value("candidates_eliminated").unwrap();
         assert!(
             eliminated > 0.3,
@@ -177,7 +178,7 @@ mod tests {
 
     #[test]
     fn filtering_speeds_up_mapping() {
-        let speedup = report(true)
+        let speedup = report(true, &RunCtx::default())
             .unwrap()
             .metric_value("mapping_speedup")
             .unwrap();
@@ -186,6 +187,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("eliminated"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("eliminated"));
     }
 }

@@ -13,6 +13,7 @@ use rand::SeedableRng;
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 const HOT_REGION: u64 = 0;
 const HOT_BYTES: u64 = 32 * 1024;
@@ -63,7 +64,7 @@ fn retention(contains: impl Fn(u64) -> bool) -> f64 {
 
 /// Replays one hot-structure + streaming-scan trace through a
 /// semantics-oblivious cache and an X-Mem data-aware one.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let trace = workload(quick)?;
     let to_op = |op: Op| match op {
         Op::Read => CacheOp::Read,
@@ -111,7 +112,7 @@ mod tests {
 
     #[test]
     fn data_awareness_improves_hit_rate() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let aware = rep.metric_value("aware_hit_rate").unwrap();
         let oblivious = rep.metric_value("oblivious_hit_rate").unwrap();
         assert!(
@@ -122,7 +123,7 @@ mod tests {
 
     #[test]
     fn data_awareness_protects_the_hot_set() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let aware = rep.metric_value("aware_retention").unwrap();
         let oblivious = rep.metric_value("oblivious_retention").unwrap();
         assert!(
@@ -134,6 +135,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("X-Mem"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("X-Mem"));
     }
 }

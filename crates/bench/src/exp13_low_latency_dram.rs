@@ -12,16 +12,17 @@ use ia_sim::SnapshotState;
 use crate::mixes::interference_mix;
 use crate::ratio;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Runs one interference mix under standard timing, AL-DRAM,
 /// ChargeCache and TL-DRAM. Every mode forks one warm controller:
 /// `with_latency_mode` applies to future commands only, so a fork with a
 /// mode swapped in is bit-identical to a cold-built controller with that
 /// mode.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let n = if quick { 400 } else { 4000 };
     let warm = MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new()))?;
-    let traces = interference_mix(n, 77)?;
+    let traces = ctx.intercept(77, || interference_mix(n, 77))?;
     let run_mode = |mode: Option<LatencyMode>| -> Result<RunReport, Error> {
         let mut ctrl = warm.fork();
         if let Some(mode) = mode {
@@ -79,7 +80,7 @@ mod tests {
 
     #[test]
     fn aldram_reduces_latency() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let (al, std) = (
             metric(&rep, "aldram_latency"),
             metric(&rep, "standard_latency"),
@@ -89,7 +90,7 @@ mod tests {
 
     #[test]
     fn chargecache_is_no_worse_than_standard() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let (cc, std) = (
             metric(&rep, "chargecache_latency"),
             metric(&rep, "standard_latency"),
@@ -99,7 +100,10 @@ mod tests {
 
     #[test]
     fn chargecache_hit_rate_is_a_real_fraction() {
-        let hit_rate = metric(&report(true).unwrap(), "chargecache_hit_rate");
+        let hit_rate = metric(
+            &report(true, &RunCtx::default()).unwrap(),
+            "chargecache_hit_rate",
+        );
         assert!(hit_rate.is_finite(), "hit rate must be measured, not NaN");
         assert!(
             (0.0..=1.0).contains(&hit_rate),
@@ -113,7 +117,7 @@ mod tests {
 
     #[test]
     fn report_renders_modes() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("AL-DRAM"));
         assert!(s.contains("ChargeCache"));
         assert!(s.contains("TL-DRAM"));

@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 fn run_policy(
     policy: PlacementPolicy,
@@ -39,7 +40,7 @@ fn run_policy(
 
 /// Replays one Zipf trace on all-PCM, on hybrids with a 1/16 DRAM tier
 /// under LRU caching and RBLA placement, and on all-DRAM.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let dram_pages = 256;
     // "All-PCM": a 1-page DRAM tier with promotion disabled.
     let all_pcm = run_policy(
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn hybrid_beats_all_pcm() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let m = |k| rep.metric_value(k).unwrap();
         assert!(
             m("lru_avg_cost") < m("all_pcm_avg_cost"),
@@ -108,7 +109,7 @@ mod tests {
 
     #[test]
     fn rbla_migrates_less_than_lru() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let m = |k| rep.metric_value(k).unwrap();
         assert!(
             m("rbla_migrations") < m("lru_migrations"),
@@ -120,7 +121,7 @@ mod tests {
 
     #[test]
     fn report_renders_configurations() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("all-PCM"));
         assert!(s.contains("RBLA"));
     }

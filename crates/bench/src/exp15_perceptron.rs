@@ -10,6 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// A classic bimodal (2-bit saturating counter) predictor baseline.
 #[derive(Debug, Clone)]
@@ -106,7 +107,7 @@ fn rows(quick: bool) -> Result<Vec<(String, f64, f64)>, Error> {
 
 /// Runs a bimodal and a perceptron predictor over four branch streams
 /// of different predictability.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let data = rows(quick)?;
     let n = data.len().max(1) as f64;
     let mean_bim = data.iter().map(|(_, b, _)| b).sum::<f64>() / n;
@@ -173,6 +174,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("perceptron"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("perceptron"));
     }
 }

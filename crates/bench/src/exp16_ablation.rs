@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 // The hot structure is 4x the experiment's 64 KiB LLC: plain LRU
 // thrashes under the streaming pollution, giving the cache-policy
@@ -71,8 +72,9 @@ fn registry() -> Result<AtomRegistry, Error> {
 
 /// Climbs the ladder baseline → +data-centric → +data-driven →
 /// +data-aware on one workload; the headline is each rung's speedup.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
-    let rows = run_ablation(&config(), &registry()?, &workload(quick)?)?;
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+    let (rows, ledger) = run_ablation(&config(), &registry()?, &workload(quick)?, ctx.threads())?;
+    ctx.record_ledger(&ledger);
     let mut side = Table::new(&[
         "configuration",
         "cycles",
@@ -109,7 +111,7 @@ mod tests {
     use super::*;
 
     fn speedups() -> Vec<f64> {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         [
             "baseline_speedup",
             "data_centric_speedup",
@@ -167,7 +169,7 @@ mod tests {
 
     #[test]
     fn report_renders_ladder() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("processor-centric baseline"));
         assert!(s.contains("data-centric+data-driven+data-aware"));
     }

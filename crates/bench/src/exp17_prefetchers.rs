@@ -18,6 +18,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 fn prefetchers() -> Vec<Box<dyn Prefetcher>> {
     vec![
@@ -66,7 +67,7 @@ type MatrixRow = (String, Vec<(String, PrefetchMetrics)>);
 
 /// Metrics per (workload, prefetcher) cell over `n` demand accesses
 /// per workload.
-fn matrix(n: usize) -> Result<Vec<MatrixRow>, Error> {
+fn matrix(n: usize, ctx: &RunCtx) -> Result<Vec<MatrixRow>, Error> {
     // Trace generation shares one RNG stream and stays serial; the 4×5
     // (workload, prefetcher) harness runs are independent, so flatten
     // the grid into tasks for the worker pool. `par_map` preserves the
@@ -77,17 +78,18 @@ fn matrix(n: usize) -> Result<Vec<MatrixRow>, Error> {
     let tasks: Vec<(usize, usize)> = (0..workloads.len())
         .flat_map(|wi| (0..lanes).map(move |pi| (wi, pi)))
         .collect();
-    let cells = ia_par::par_map(ia_par::auto_threads(), tasks, |(wi, pi)| {
-        let p = prefetchers().swap_remove(pi);
-        let name = p.name().to_owned();
-        let mut h = PrefetchHarness::new(64 * 1024, 64, 8, p)?;
-        for &a in &workloads[wi].1 {
-            h.demand(a);
-        }
-        Ok((name, *h.metrics()))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, Error>>()?;
+    let cells = ctx
+        .par_map(tasks, |(wi, pi)| {
+            let p = prefetchers().swap_remove(pi);
+            let name = p.name().to_owned();
+            let mut h = PrefetchHarness::new(64 * 1024, 64, 8, p)?;
+            for &a in &workloads[wi].1 {
+                h.demand(a);
+            }
+            Ok((name, *h.metrics()))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, Error>>()?;
     Ok(workloads
         .iter()
         .zip(cells.chunks(lanes))
@@ -97,7 +99,7 @@ fn matrix(n: usize) -> Result<Vec<MatrixRow>, Error> {
 
 /// Runs five prefetchers over four workload classes; the headline is
 /// the best coverage any prefetcher reaches.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let n = if quick { 3_000 } else { 30_000 };
     let mut rep = ExperimentReport::new("exp17_prefetchers", quick)
         .columns(&["workload", "prefetcher", "coverage", "accuracy", "issued"])
@@ -107,7 +109,7 @@ pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
              feedback/learning recover accuracy by throttling or filtering)"
         ));
     let mut best_coverage = 0.0f64;
-    for (workload, cells) in matrix(n)? {
+    for (workload, cells) in matrix(n, ctx)? {
         for (prefetcher, m) in cells {
             best_coverage = best_coverage.max(m.coverage());
             rep = rep.row(&[
@@ -139,7 +141,7 @@ mod tests {
 
     #[test]
     fn stride_covers_regular_streams() {
-        let m = matrix(3_000).unwrap();
+        let m = matrix(3_000, &RunCtx::default()).unwrap();
         assert!(cell(&m, "stream", "stride").coverage() > 0.7);
         assert!(cell(&m, "strided", "stride").coverage() > 0.7);
         assert!(cell(&m, "stream", "GHB").coverage() > 0.5);
@@ -147,7 +149,7 @@ mod tests {
 
     #[test]
     fn nothing_covers_pointer_chasing() {
-        let m = matrix(3_000).unwrap();
+        let m = matrix(3_000, &RunCtx::default()).unwrap();
         for p in ["next-line", "stride", "GHB"] {
             assert!(
                 cell(&m, "pointer-chase", p).coverage() < 0.1,
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn feedback_throttles_where_accuracy_dies() {
-        let m = matrix(3_000).unwrap();
+        let m = matrix(3_000, &RunCtx::default()).unwrap();
         let naive = cell(&m, "pointer-chase", "stride");
         let fd = cell(&m, "pointer-chase", "feedback");
         let naive_rate = naive.issued as f64 / naive.demands.max(1) as f64;
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("stride"));
         assert!(s.contains("pointer-chase"));
     }

@@ -10,20 +10,21 @@ use ia_core::Table;
 use ia_noc::{simulate, simulate_traced, MeshConfig, NocReport, RouterKind, Traffic};
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Latency-vs-load series `(rate, buffered, bufferless)`.
-fn sweep(quick: bool) -> Result<Vec<(f64, NocReport, NocReport)>, Error> {
+fn sweep(quick: bool, ctx: &RunCtx) -> Result<Vec<(f64, NocReport, NocReport)>, Error> {
     let mesh = MeshConfig::new(8, 8)?;
     let cycles = if quick { 2_000 } else { 20_000 };
     let rates = [0.02f64, 0.05, 0.10, 0.20, 0.30];
     // 5 rates × 2 router kinds = 10 independent simulations, each with
     // its own seeded RNG inside `simulate`; fan them out and zip the
-    // order-preserved results back into per-rate rows. When the bench
-    // CLI's `--trace`/`--profile` session capture is on, each task also
-    // records a mesh-activity trace; the logs ride back with the
-    // results and are submitted here in input order, keeping the
-    // session trace byte-identical across `--threads`.
-    let tracing = ia_trace::capture_enabled();
+    // order-preserved results back into per-rate rows. When the run
+    // captures a trace (`--trace`/`--profile`), each task also records
+    // a mesh-activity trace; the logs ride back with the results and
+    // are submitted here in input order, keeping the run's trace
+    // byte-identical across `--threads`.
+    let tracing = ctx.tracing();
     let tasks: Vec<(f64, RouterKind)> = rates
         .iter()
         .flat_map(|&rate| {
@@ -33,7 +34,7 @@ fn sweep(quick: bool) -> Result<Vec<(f64, NocReport, NocReport)>, Error> {
             ]
         })
         .collect();
-    let runs = ia_par::par_map(ia_par::auto_threads(), tasks, |(rate, kind)| {
+    let runs = ctx.par_map(tasks, |(rate, kind)| {
         if tracing {
             simulate_traced(kind, mesh, Traffic::UniformRandom, rate, cycles, 11)
                 .map(|(report, log)| (report, Some(log), rate, kind))
@@ -51,7 +52,7 @@ fn sweep(quick: bool) -> Result<Vec<(f64, NocReport, NocReport)>, Error> {
                     RouterKind::Buffered => format!("buffered@{rate:.2}"),
                     RouterKind::BufferlessDeflection => format!("bufferless@{rate:.2}"),
                 };
-                ia_trace::submit(log.prefixed(&label));
+                ctx.submit(log.prefixed(&label));
             }
             Ok(report)
         })
@@ -65,8 +66,8 @@ fn sweep(quick: bool) -> Result<Vec<(f64, NocReport, NocReport)>, Error> {
 
 /// Sweeps the injection rate on an 8x8 mesh under uniform-random
 /// traffic, buffered XY against bufferless deflection routing.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
-    let data = sweep(quick)?;
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+    let data = sweep(quick, ctx)?;
     let mut side = Table::new(&["inj. rate", "peak buffers (buffered)"]);
     let mut rep = ExperimentReport::new("exp18_noc", quick).columns(&[
         "injection_rate",
@@ -106,7 +107,7 @@ mod tests {
 
     #[test]
     fn bufferless_is_competitive_at_low_load() {
-        let s = sweep(true).unwrap();
+        let s = sweep(true, &RunCtx::default()).unwrap();
         let (_, b, d) = &s[0];
         assert!(
             d.avg_latency < b.avg_latency + 3.0,
@@ -118,7 +119,7 @@ mod tests {
 
     #[test]
     fn deflections_grow_with_load() {
-        let s = sweep(true).unwrap();
+        let s = sweep(true, &RunCtx::default()).unwrap();
         let low = s[0].2.deflections as f64 / s[0].2.delivered.max(1) as f64;
         let high = s.last().expect("non-empty").2.deflections as f64
             / s.last().expect("non-empty").2.delivered.max(1) as f64;
@@ -130,13 +131,13 @@ mod tests {
 
     #[test]
     fn buffered_queues_grow_with_load() {
-        let s = sweep(true).unwrap();
+        let s = sweep(true, &RunCtx::default()).unwrap();
         assert!(s.last().expect("non-empty").1.peak_buffering > s[0].1.peak_buffering);
     }
 
     #[test]
     fn report_renders() {
-        let out = report(true).unwrap().to_text();
+        let out = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(out.contains("deflections"));
         assert!(out.contains("0.02"));
     }

@@ -11,6 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Per-workload cycle counts `(name, conventional, salp)`.
 fn rows(quick: bool) -> Vec<(String, u64, u64)> {
@@ -55,7 +56,7 @@ fn rows(quick: bool) -> Vec<(String, u64, u64)> {
 
 /// Serves five row streams on one bank, conventional against
 /// SALP/MASA; one speedup metric per stream.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     let mut rep = ExperimentReport::new("exp19_salp", quick)
         .columns(&[
             "row_stream",
@@ -130,6 +131,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("SALP"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("SALP"));
     }
 }

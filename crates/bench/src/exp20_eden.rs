@@ -12,32 +12,29 @@ use ia_reliability::{
 };
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// One sweep row: `(multiplier, savings, row error rate, robust-layer
 /// loss, sensitive-layer loss)`.
 type Point = (u32, f64, f64, f64, f64);
 
 /// The refresh-interval sweep.
-fn sweep() -> Result<Vec<Point>, Error> {
+fn sweep(ctx: &RunCtx) -> Result<Vec<Point>, Error> {
     let model = RetentionModel::typical();
     // Each refresh-interval point is an independent evaluation of the
     // retention model; fan the grid out on the worker pool.
-    ia_par::par_map(
-        ia_par::auto_threads(),
-        vec![1u32, 2, 4, 8, 16, 32],
-        |multiplier| {
-            let p = sweep_refresh_multipliers(&model, &[multiplier])
-                .pop()
-                .ok_or("the refresh sweep returned no point")?;
-            Ok::<_, Error>((
-                p.multiplier,
-                p.refresh_savings,
-                p.row_error_rate,
-                dnn_accuracy_loss(p.row_error_rate, 0.05),
-                dnn_accuracy_loss(p.row_error_rate, 1e-5),
-            ))
-        },
-    )
+    ctx.par_map(vec![1u32, 2, 4, 8, 16, 32], |multiplier| {
+        let p = sweep_refresh_multipliers(&model, &[multiplier])
+            .pop()
+            .ok_or("the refresh sweep returned no point")?;
+        Ok::<_, Error>((
+            p.multiplier,
+            p.refresh_savings,
+            p.row_error_rate,
+            dnn_accuracy_loss(p.row_error_rate, 0.05),
+            dnn_accuracy_loss(p.row_error_rate, 1e-5),
+        ))
+    })
     .into_iter()
     .collect()
 }
@@ -45,8 +42,8 @@ fn sweep() -> Result<Vec<Point>, Error> {
 /// Sweeps the refresh interval of DNN data: refresh savings, row error
 /// exposure and the accuracy loss of a robust and a sensitive layer,
 /// plus the interval each layer picks under a 1% accuracy budget.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
-    let data = sweep()?;
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+    let data = sweep(ctx)?;
     let max_savings = data.iter().fold(0.0f64, |a, &(_, s, ..)| a.max(s));
     let model = RetentionModel::typical();
     let robust_pick = select_multiplier(&model, 0.05, 0.01);
@@ -85,7 +82,7 @@ mod tests {
 
     #[test]
     fn robust_layers_save_most_refreshes_for_free() {
-        let s = sweep().unwrap();
+        let s = sweep(&RunCtx::default()).unwrap();
         let at16 = s.iter().find(|r| r.0 == 16).expect("16x present");
         assert!(at16.1 > 0.9, "16x interval saves >90% of refreshes");
         assert!(
@@ -97,7 +94,7 @@ mod tests {
 
     #[test]
     fn sensitive_layers_degrade_past_nominal() {
-        let s = sweep().unwrap();
+        let s = sweep(&RunCtx::default()).unwrap();
         let at8 = s.iter().find(|r| r.0 == 8).expect("8x present");
         assert!(
             at8.4 > at8.3,
@@ -114,7 +111,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("refresh savings"));
         assert!(s.contains("selected intervals"));
     }

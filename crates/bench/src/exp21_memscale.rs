@@ -11,30 +11,27 @@ use ia_memctrl::{epoch_outcome, standard_points, MemScaleGovernor};
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Sweep rows `(avg utilization, energy vs full-speed, slowdown)`.
-fn sweep(quick: bool) -> Result<Vec<(f64, f64, f64)>, Error> {
+fn sweep(quick: bool, ctx: &RunCtx) -> Result<Vec<(f64, f64, f64)>, Error> {
     let epochs = if quick { 100 } else { 2000 };
     // Each utilization level owns its trace and governor — independent
     // tasks for the worker pool, returned in grid order.
-    ia_par::par_map(
-        ia_par::auto_threads(),
-        vec![0.05f64, 0.15, 0.30, 0.50, 0.95],
-        |base| {
-            // Bursty trace around the base utilization.
-            let trace: Vec<f64> = (0..epochs)
-                .map(|i| {
-                    if i % 10 == 0 {
-                        (base * 2.5).min(0.95)
-                    } else {
-                        base * 0.8
-                    }
-                })
-                .collect();
-            let o = MemScaleGovernor::new(standard_points().to_vec(), 0.10)?.run(&trace)?;
-            Ok::<_, Error>((base, o.energy, o.slowdown))
-        },
-    )
+    ctx.par_map(vec![0.05f64, 0.15, 0.30, 0.50, 0.95], |base| {
+        // Bursty trace around the base utilization.
+        let trace: Vec<f64> = (0..epochs)
+            .map(|i| {
+                if i % 10 == 0 {
+                    (base * 2.5).min(0.95)
+                } else {
+                    base * 0.8
+                }
+            })
+            .collect();
+        let o = MemScaleGovernor::new(standard_points().to_vec(), 0.10)?.run(&trace)?;
+        Ok::<_, Error>((base, o.energy, o.slowdown))
+    })
     .into_iter()
     .collect()
 }
@@ -42,8 +39,8 @@ fn sweep(quick: bool) -> Result<Vec<(f64, f64, f64)>, Error> {
 /// Runs the MemScale governor over bursty traces at five utilization
 /// levels; the caption adds the energy saved per level and the static
 /// operating points the governor picks from.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
-    let data = sweep(quick)?;
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+    let data = sweep(quick, ctx)?;
     let best_saving = data.iter().fold(0.0f64, |a, &(_, e, _)| a.max(1.0 - e));
     let mut saved = Table::new(&["avg utilization", "energy saved"]);
     let mut rep = ExperimentReport::new("exp21_memscale", quick)
@@ -80,7 +77,7 @@ mod tests {
 
     #[test]
     fn savings_shrink_with_utilization() {
-        let s = sweep(true).unwrap();
+        let s = sweep(true, &RunCtx::default()).unwrap();
         for w in s.windows(2) {
             assert!(
                 w[1].1 >= w[0].1 - 1e-9,
@@ -97,7 +94,7 @@ mod tests {
 
     #[test]
     fn slowdown_budget_is_respected_everywhere() {
-        for (u, _, slowdown) in sweep(true).unwrap() {
+        for (u, _, slowdown) in sweep(true, &RunCtx::default()).unwrap() {
             assert!(
                 slowdown <= 1.10 + 1e-9,
                 "budget violated at {u}: {slowdown}"
@@ -107,7 +104,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = report(true).unwrap().to_text();
+        let s = report(true, &RunCtx::default()).unwrap().to_text();
         assert!(s.contains("energy saved"));
         assert!(s.contains("operating point"));
     }

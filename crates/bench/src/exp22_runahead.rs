@@ -9,9 +9,10 @@
 use ia_prefetch::runahead::{build_trace, execute, CoreModel};
 
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Matrix rows `(dependence ‰, window, stall cycles, runahead cycles)`.
-fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
+fn matrix(quick: bool, ctx: &RunCtx) -> Vec<(u32, usize, u64, u64)> {
     let loads = if quick { 500 } else { 5000 };
     // The 3×3 (dependence, window) grid: every cell builds its own
     // trace and runs two core models — independent tasks for the
@@ -20,7 +21,7 @@ fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
         .into_iter()
         .flat_map(|dep| [16usize, 64, 256].into_iter().map(move |w| (dep, w)))
         .collect();
-    ia_par::par_map(ia_par::auto_threads(), grid, |(dep, window)| {
+    ctx.par_map(grid, |(dep, window)| {
         let trace = build_trace(loads, 5, dep);
         let stall = execute(
             &trace,
@@ -42,8 +43,8 @@ fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
 
 /// Runs stall-on-miss and runahead cores over a (dependent-load
 /// fraction × runahead window) grid; the headline is the best speedup.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
-    let data = matrix(quick);
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+    let data = matrix(quick, ctx);
     let max_speedup = data.iter().fold(0.0f64, |a, &(_, _, stall, ra)| {
         a.max(stall as f64 / ra.max(1) as f64)
     });
@@ -79,7 +80,7 @@ mod tests {
 
     #[test]
     fn independent_misses_speed_up_with_window() {
-        let m = matrix(true);
+        let m = matrix(true, &RunCtx::default());
         let at = |dep: u32, w: usize| {
             m.iter()
                 .find(|r| r.0 == dep && r.1 == w)
@@ -96,7 +97,7 @@ mod tests {
 
     #[test]
     fn dependent_chains_gain_nothing() {
-        let m = matrix(true);
+        let m = matrix(true, &RunCtx::default());
         for r in m.iter().filter(|r| r.0 == 1000) {
             assert_eq!(r.2, r.3, "fully dependent chain must not speed up");
         }
@@ -104,7 +105,7 @@ mod tests {
 
     #[test]
     fn half_dependent_sits_between() {
-        let m = matrix(true);
+        let m = matrix(true, &RunCtx::default());
         let s = |dep: u32| {
             m.iter()
                 .find(|r| r.0 == dep && r.1 == 64)
@@ -117,6 +118,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("runahead_window"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("runahead_window"));
     }
 }

@@ -11,10 +11,11 @@ use ia_pum::{conventional_gather, gather_elements, gs_dram_gather};
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Gathers 8-byte elements at strides from 8 B to 256 B, conventionally
 /// and through GS-DRAM; the headline is the largest traffic cut.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
+pub fn report(quick: bool, _ctx: &RunCtx) -> Result<ExperimentReport, Error> {
     // Functional sanity: the hardware paths compute the same gather.
     let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
     if gather_elements(&data, 64, 8, 64)?.len() != 512 {
@@ -63,7 +64,7 @@ mod tests {
 
     /// `(stride, traffic cut, energy cut)` per table row.
     fn cuts() -> Vec<(u64, f64, f64)> {
-        report(true)
+        report(true, &RunCtx::default())
             .unwrap()
             .rows
             .iter()
@@ -103,6 +104,9 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        assert!(report(true).unwrap().to_text().contains("traffic cut"));
+        assert!(report(true, &RunCtx::default())
+            .unwrap()
+            .to_text()
+            .contains("traffic cut"));
     }
 }

@@ -30,11 +30,11 @@ use ia_memctrl::{
     run_closed_loop_with, Fcfs, MemRequest, MemoryController, Mitigation, RefreshMode,
     ReliabilityConfig, ReliabilityPipeline,
 };
-use ia_par::{auto_threads, par_map};
 use ia_sim::SnapshotState;
 
 use crate::pct;
 use crate::report::{Error, ExperimentReport};
+use crate::RunCtx;
 
 /// Aggressor rows (bank 0): double-sided hammer around the victim.
 const AGGRESSOR_LOW: u64 = 1000;
@@ -136,10 +136,9 @@ fn plan(rate: f64, rate_idx: usize) -> FaultPlan {
 }
 
 /// Runs one sweep cell from a warm-forked base controller and the
-/// shared workload trace. The optional `ia-trace` log (captured when
-/// the bench CLI's `--trace`/`--profile` session is on) rides back with
-/// the cell so [`cells`] can submit it on the calling thread in input
-/// order.
+/// shared workload trace. The `ia-trace` log of a traced controller
+/// (the run's `--trace`/`--profile` capture) rides back with the cell
+/// so [`cells`] can submit it on the calling thread in input order.
 fn cell(
     base: MemoryController,
     config: &DramConfig,
@@ -190,7 +189,7 @@ fn cell(
 /// Runs the full sweep. Cells are independent simulations; `par_map`
 /// returns them in input order, so results — and any submitted traces —
 /// are identical at any thread count.
-fn cells(quick: bool) -> Result<Vec<Cell>, Error> {
+fn cells(quick: bool, ctx: &RunCtx) -> Result<Vec<Cell>, Error> {
     // Warm-fork: the DRAM config, the workload trace, and the base
     // controller (scheduler + refresh mode) are identical across every
     // cell — build and decode them once, snapshot the warm controller,
@@ -200,28 +199,23 @@ fn cells(quick: bool) -> Result<Vec<Cell>, Error> {
     let config = DramConfig::ddr3_1600();
     let base = MemoryController::new(config.clone(), Box::new(Fcfs::new()))?
         .with_refresh_mode(RefreshMode::AllBank);
-    // Routed through the record/replay session so `--record-trace` /
-    // `--replay-trace` cover the fault-injection workload too.
-    let shared_trace =
-        crate::replay::intercept(0xE24, || Ok::<_, Error>(vec![trace(&config, quick)]))?;
+    // Intercepted so `--record-trace` / `--replay-trace` cover the
+    // fault-injection workload too.
+    let shared_trace = ctx.intercept(0xE24, || Ok::<_, Error>(vec![trace(&config, quick)]))?;
     let jobs: Vec<(usize, f64, Mitigation, MemoryController)> = rates(quick)
         .iter()
         .enumerate()
         .flat_map(|(i, &r)| TIERS.iter().map(move |&m| (i, r, m)))
-        .map(|(i, r, m)| (i, r, m, base.fork()))
+        .map(|(i, r, m)| (i, r, m, ctx.traced(base.fork())))
         .collect();
-    let runs = par_map(auto_threads(), jobs, |(i, r, m, ctrl)| {
+    let runs = ctx.par_map(jobs, |(i, r, m, ctrl)| {
         cell(ctrl, &config, &shared_trace, r, i, m)
     });
     runs.into_iter()
         .map(|run| {
             let (cell, log) = run?;
             if let Some(log) = log {
-                ia_trace::submit(log.prefixed(&format!(
-                    "{:.0}x-{}",
-                    cell.rate,
-                    cell.mitigation.label()
-                )));
+                ctx.submit(log.prefixed(&format!("{:.0}x-{}", cell.rate, cell.mitigation.label())));
             }
             Ok(cell)
         })
@@ -240,8 +234,8 @@ fn at_max_rate(cells: &[Cell], m: Mitigation) -> Result<f64, Error> {
 
 /// Runs the fault-rate × mitigation-tier sweep; the headline compares
 /// the unprotected and the full tier at the highest fault rate.
-pub fn report(quick: bool) -> Result<ExperimentReport, Error> {
-    let cells = cells(quick)?;
+pub fn report(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+    let cells = cells(quick, ctx)?;
     let mut rep = ExperimentReport::new("exp24_fault_injection", quick)
         .param("rates", format!("{:?}", rates(quick)))
         .param("hammer_threshold", HAMMER_THRESHOLD)
@@ -313,7 +307,7 @@ mod tests {
 
     #[test]
     fn intelligent_mitigation_beats_baseline_by_10x() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         let baseline = rep.metric_value("baseline_uncorrected_rate").unwrap();
         let mitigated = rep.metric_value("mitigated_uncorrected_rate").unwrap();
         assert!(
@@ -329,7 +323,7 @@ mod tests {
 
     #[test]
     fn ladder_is_monotone_at_the_highest_rate() {
-        let cells = cells(true).unwrap();
+        let cells = cells(true, &RunCtx::default()).unwrap();
         let at = |m| at_max_rate(&cells, m).unwrap();
         assert!(at(Mitigation::EccOnly) < at(Mitigation::None));
         assert!(at(Mitigation::Full) <= at(Mitigation::EccOnly));
@@ -337,7 +331,7 @@ mod tests {
 
     #[test]
     fn full_tier_actually_degrades_gracefully() {
-        let cells = cells(true).unwrap();
+        let cells = cells(true, &RunCtx::default()).unwrap();
         let full: Vec<&Cell> = cells
             .iter()
             .filter(|c| c.mitigation == Mitigation::Full)
@@ -354,7 +348,7 @@ mod tests {
 
     #[test]
     fn report_carries_the_ladder() {
-        let rep = report(true).unwrap();
+        let rep = report(true, &RunCtx::default()).unwrap();
         assert!(rep.metric_value("baseline_uncorrected_rate").is_some());
         assert!(rep.metric_value("mitigated_uncorrected_rate").is_some());
         assert_eq!(rep.rows.len(), rates(true).len() * TIERS.len());

@@ -9,7 +9,7 @@
 //! 1. **no-silent-corruption** — under the full ladder the SECDED
 //!    miscorrection counter stays 0: the pipeline never delivers wrong
 //!    data while claiming success.
-//! 2. **no-stall** — the run completes; a watchdog [`CtrlError`] (or any
+//! 2. **no-stall** — the run completes; a watchdog [`CtrlError`](ia_memctrl::CtrlError) (or any
 //!    other controller error) is a violation.
 //! 3. **conservation** — requests in == completions: quarantined rows
 //!    are *remapped*, never dropped, so every submitted request must
@@ -22,7 +22,8 @@
 //! A failing case is shrunk by a built-in ddmin-style minimizer to a
 //! minimal workload that still trips the *same* oracle, written as an
 //! `ia-tracefmt` repro artifact (header seed = the fault-plan seed), and
-//! reported with the full seed tuple so the exact case can be re-run.
+//! reported with the full seed tuple so the exact case can be re-run;
+//! the violation's detail message cites the case's fault seed.
 
 use std::path::PathBuf;
 
@@ -73,10 +74,6 @@ pub struct FuzzOptions {
     /// Self-test mode: wrap every injector in a saboteur that forces a
     /// miscorrection, proving the oracle + minimizer pipeline works.
     pub inject_violation: bool,
-    /// Publish each case's fault seed to the process-wide replay
-    /// context so controller errors carry it (the `fuzz_stack` binary
-    /// turns this on; library tests leave the global alone).
-    pub annotate_errors: bool,
 }
 
 impl Default for FuzzOptions {
@@ -86,7 +83,6 @@ impl Default for FuzzOptions {
             seed: 0xF022_5EED,
             repro_dir: PathBuf::from("."),
             inject_violation: false,
-            annotate_errors: false,
         }
     }
 }
@@ -490,7 +486,8 @@ fn write_repro(
 }
 
 /// Runs the fuzz campaign: derives and checks cases in order, stopping
-/// at (and minimizing) the first violation.
+/// at (and minimizing) the first violation, whose detail cites the
+/// case's fault seed.
 ///
 /// # Errors
 ///
@@ -501,18 +498,8 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzOutcome, String> {
     let mut cases_run = 0u32;
     for idx in 0..opts.cases {
         let (case, workload) = make_case(opts, idx);
-        if opts.annotate_errors {
-            ia_memctrl::set_replay_context(ia_memctrl::ReplayContext {
-                trace_path: None,
-                fault_seed: Some(case.fault_seed),
-            });
-        }
-        let checked = check_oracles(&case, &workload);
-        if opts.annotate_errors {
-            ia_memctrl::clear_replay_context();
-        }
         cases_run += 1;
-        if let Some((oracle, detail)) = checked? {
+        if let Some((oracle, detail)) = check_oracles(&case, &workload)? {
             let minimized = minimize(&case, &workload, oracle);
             let repro_path = write_repro(opts, &case, &minimized)?;
             return Ok(FuzzOutcome {
@@ -520,7 +507,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzOutcome, String> {
                 violation: Some(Violation {
                     case_idx: idx,
                     oracle,
-                    detail,
+                    detail: format!("{detail} [fault seed: {:#x}]", case.fault_seed),
                     scheduler: case.scheduler.name(),
                     mitigation: case.mitigation.label(),
                     fault_seed: case.fault_seed,
@@ -576,6 +563,12 @@ mod tests {
             .violation
             .unwrap_or_else(|| panic!("saboteur must trip an oracle"));
         assert_eq!(v.oracle, "no-silent-corruption", "{}", v.detail);
+        assert!(
+            v.detail
+                .ends_with(&format!("[fault seed: {:#x}]", v.fault_seed)),
+            "the detail cites the case's fault seed: {}",
+            v.detail
+        );
         assert_eq!(v.case_idx, 0, "the very first case must already trip");
         assert_eq!(v.mitigation, "ecc+remap+quarantine");
         assert!(

@@ -1,16 +1,19 @@
 //! # ia-bench — experiment harness
 //!
 //! One module per experiment in DESIGN.md's index (E1–E24). Each module
-//! exposes one entry point, `report(quick) -> Result<ExperimentReport,
-//! Error>`, that runs the experiment once and returns its params,
-//! metrics, result table and caption; the table is the one recorded in
-//! `EXPERIMENTS.md`. [`EXPERIMENTS`] maps every binary name to its
-//! report function. The `expNN_*` binaries route it through
-//! [`report::cli`] (`--quick`, `--threads <n>`, `--json <path>`,
-//! `--csv <path>`), and the integration tests assert the qualitative
-//! shape on `report(true)`. Independent-configuration sweeps fan out on
-//! the `ia-par` worker pool; reports are byte-identical at every
-//! `--threads` setting (see `tests/parallel_determinism.rs`).
+//! exposes one entry point, `report(quick, &RunCtx) ->
+//! Result<ExperimentReport, Error>`, that runs the experiment once and
+//! returns its params, metrics, result table and caption; the table is
+//! the one recorded in `EXPERIMENTS.md`. [`EXPERIMENTS`] maps every
+//! binary name to its report function. The [`RunCtx`] carries the run's
+//! settings — worker count, trace capture, workload record/replay —
+//! so no process-wide state exists and runs in one process are
+//! independent. The `expNN_*` binaries route through [`report::cli`]
+//! (its module docs list the flags), and the integration tests assert
+//! the qualitative shape on `report(true, &RunCtx::default())`.
+//! Independent-configuration sweeps fan out on the run's `ia-par`
+//! workers; reports are byte-identical at every `--threads` setting
+//! (see `tests/parallel_determinism.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,10 +43,12 @@ pub mod exp22_runahead;
 pub mod exp23_gsdram;
 pub mod exp24_fault_injection;
 
+pub mod ctx;
 pub mod fuzz;
 pub mod mixes;
-pub mod replay;
 pub mod report;
+
+pub use ctx::RunCtx;
 
 /// Every experiment, keyed by its standalone binary name (the names
 /// `scripts/bench_snapshot.sh` derives from `crates/bench/src/bin/exp*.rs`).

@@ -1,10 +1,15 @@
 //! Machine-readable experiment reports and the shared CLI runner.
 //!
 //! Every experiment module exposes one entry point,
-//! `report(quick) -> Result<ExperimentReport, Error>`: the run's params,
-//! metrics and result table, plus a human caption. The `expNN_*`
-//! binaries route it through [`cli`], which prints
-//! [`ExperimentReport::to_text`] and understands:
+//! `report(quick, &RunCtx) -> Result<ExperimentReport, Error>`: the
+//! run's params, metrics and result table, plus a human caption.
+//!
+//! ## Command-line flags
+//!
+//! This is the one place the flags are documented. The `expNN_*`
+//! binaries route their report through [`cli`], which builds one
+//! [`RunCtx`] from the flags, prints [`ExperimentReport::to_text`] and
+//! understands:
 //!
 //! * `--quick` — run the reduced-size configuration;
 //! * `--threads <n>` — worker count for parallel sweeps (`ia-par`);
@@ -14,17 +19,31 @@
 //! * `--csv <path>` — write the report's table as CSV;
 //! * `--trace <path>` — write an `ia-trace` Chrome trace-event JSON
 //!   file of the run (cycle-exact, byte-identical across `--threads`);
+//! * `--profile` — print the cycle-attribution profile and a `trace.*`
+//!   telemetry snapshot to stderr;
 //! * `--record-trace <path>` — record the run's generated workloads as
 //!   an `ia-tracefmt` artifact (see `crates/tracefmt/FORMAT.md`);
 //! * `--replay-trace <path>` — drive the run from a recorded artifact
 //!   instead of generating workloads (mutually exclusive with
-//!   `--record-trace`);
-//! * `--profile` — print the cycle-attribution profile and a `trace.*`
-//!   telemetry snapshot to stderr.
+//!   `--record-trace`). A failure in a replayed run names the artifact.
 //!
-//! Unknown flags and flags missing their value are rejected with exit
-//! status `2`, so sweep scripts fail loudly instead of silently running
-//! a default configuration.
+//! Only experiments that generate memory-request workloads (exp04,
+//! exp05, exp13, exp24) can record or replay; on any other experiment
+//! either flag is a usage error. Unknown flags, flags missing their
+//! value, a non-positive `--threads`, an unreadable replay artifact and
+//! an unwritable output path all exit with status `2` and a message on
+//! stderr, so sweep scripts fail loudly instead of silently running a
+//! default configuration. A failing experiment exits `1` after
+//! `error: <experiment>: <cause>`, followed by ` [trace: <path>]` when
+//! the run replayed an artifact.
+//!
+//! Two more binaries take flags:
+//! `bench_suite [--quick] [--threads <n>] --json-dir <dir>` runs all 24
+//! reports in one process, each on a fresh [`RunCtx`], and writes
+//! `<dir>/<bin-name>.json` for each;
+//! `fuzz_stack [--cases <n>] [--seed <n|0xHEX>] [--repro-dir <dir>]
+//! [--inject-violation]` runs the full-stack fault-plan fuzzer (see
+//! [`crate::fuzz`]), citing each failing case's fault seed.
 //!
 //! Reports round-trip through `ia-telemetry`'s own JSON parser — see
 //! [`ExperimentReport::from_json`] — so downstream tooling can consume
@@ -42,12 +61,15 @@
 
 use ia_telemetry::{csv, JsonValue};
 
+use crate::RunCtx;
+
 /// The error an experiment's report returns: whatever failed in the
 /// crates it drives, boxed.
 pub type Error = Box<dyn std::error::Error + Send + Sync>;
 
-/// One experiment's single entry point, parameterized by `--quick`.
-pub type ReportFn = fn(bool) -> Result<ExperimentReport, Error>;
+/// One experiment's single entry point, parameterized by `--quick` and
+/// the run's context.
+pub type ReportFn = fn(bool, &RunCtx) -> Result<ExperimentReport, Error>;
 
 /// A structured record of one experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,93 +345,86 @@ fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
     Ok(opts)
 }
 
-/// Shared experiment-binary entry point: runs `report` once, prints
-/// its [text](ExperimentReport::to_text) and, when `--json <path>` /
-/// `--csv <path>` are given, writes the machine-readable report.
-/// `--quick` selects the reduced configuration; `--threads <n>` sets
-/// the `ia-par` worker count for the whole process (`1` = the exact
-/// serial path, default = available parallelism). `--trace <path>`
-/// records an `ia-trace` session during the run and writes it as
-/// Chrome trace-event JSON; `--profile` additionally prints the
-/// cycle-attribution profile to stderr. `--record-trace <path>`
-/// captures the run's workloads as an `ia-tracefmt` artifact and
-/// `--replay-trace <path>` drives the run from one (mutually exclusive
-/// — rejected with exit status `2`). Parallel-execution diagnostics for
-/// the invocation are printed to stderr and attached to the report as
-/// [runtime metrics](ExperimentReport::runtime_metric).
+/// Shared experiment-binary entry point: builds the run's [`RunCtx`]
+/// from the flags (see the module docs), runs `report` once, prints its
+/// [text](ExperimentReport::to_text), writes the requested artifacts,
+/// and prints the run's parallel-execution diagnostics to stderr.
 ///
 /// # Exits
 ///
-/// Exits with status `2` (after a message on stderr, no backtrace) if
-/// an argument is not recognized, `--threads` is not a positive
-/// integer, or a requested output file cannot be written — an
-/// experiment binary has nothing sensible to do with any of those, and
-/// callers (CI, sweep scripts) key off the exit code. Exits with status
-/// `1` after `error: <experiment>: <cause>` if the experiment fails.
+/// With status `2` on a usage error or an unwritable output, and with
+/// status `1` after `error: <experiment>: <cause>` if the experiment
+/// fails; a replayed run's cause names the artifact.
 pub fn cli(report: ReportFn) {
     let args: Vec<String> = std::env::args().collect();
-    let opts = parse_cli(&args).unwrap_or_else(|msg| {
+    let usage_error = |msg: &str| -> ! {
         eprintln!("error: {msg}");
         std::process::exit(2);
-    });
-    if let Some(t) = &opts.threads {
-        let n = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("error: --threads expects a positive integer, got `{t}`");
-                std::process::exit(2);
-            });
-        ia_par::set_threads(n);
+    };
+    let opts = parse_cli(&args).unwrap_or_else(|msg| usage_error(&msg));
+    let bin = std::path::Path::new(args.first().map_or("", String::as_str));
+    let name = bin.file_stem().unwrap_or_default().to_string_lossy();
+    let threads = opts
+        .threads
+        .as_ref()
+        .map_or_else(crate::ctx::host_threads, |t| {
+            t.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| {
+                    usage_error(&format!("--threads expects a positive integer, got `{t}`"))
+                })
+        });
+    let mut ctx = RunCtx::new(threads);
+    if opts.trace.is_some() || opts.profile {
+        ctx = ctx.with_trace();
     }
     if let Some(path) = &opts.replay_trace {
-        if let Err(e) = crate::replay::start_replay(path) {
-            eprintln!("error: loading replay trace {path}: {e}");
-            std::process::exit(2);
-        }
+        let artifact = ia_tracefmt::TraceReader::from_path(path)
+            .unwrap_or_else(|e| usage_error(&format!("loading replay trace {path}: {e}")));
+        ctx = ctx.replaying(&artifact);
     }
     if opts.record_trace.is_some() {
-        crate::replay::start_record();
+        ctx = ctx.recording();
     }
-    let tracing = opts.trace.is_some() || opts.profile;
-    let _ = ia_par::ledger::take();
-    if tracing {
-        let _ = ia_trace::session::take();
-        ia_trace::set_capture(true);
-    }
-    let rep = report(opts.quick).unwrap_or_else(|e| {
-        let bin = std::path::Path::new(args.first().map_or("", String::as_str));
-        let name = bin.file_stem().unwrap_or_default().to_string_lossy();
-        eprintln!("error: {name}: {e}");
+    let rep = report(opts.quick, &ctx).unwrap_or_else(|e| {
+        let trace = opts.replay_trace.as_ref();
+        let cite = trace.map_or_else(String::new, |path| format!(" [trace: {path}]"));
+        eprintln!("error: {name}: {e}{cite}");
         std::process::exit(1);
     });
-    if let Some(path) = &opts.record_trace {
-        if let Err(e) = crate::replay::finish_record(path) {
-            eprintln!("error: writing recorded trace {path}: {e}");
-            std::process::exit(2);
+    for (flag, path) in [
+        ("--record-trace", &opts.record_trace),
+        ("--replay-trace", &opts.replay_trace),
+    ] {
+        if path.is_some() && ctx.intercepted() == 0 {
+            usage_error(&format!(
+                "{flag}: {name} generates no memory-request workload to record or replay"
+            ));
         }
     }
-    if tracing {
-        ia_trace::set_capture(false);
-        let log = ia_trace::session::take();
+    if let Some(path) = &opts.record_trace {
+        write_or_exit(path, ctx.recorded_artifact());
+    }
+    if ctx.tracing() {
+        let log = ctx.take_trace();
         if let Some(path) = &opts.trace {
-            write_or_exit(path, &ia_trace::chrome::render_chrome(&log));
+            write_or_exit(path, ia_trace::chrome::render_chrome(&log));
         }
         if opts.profile {
             eprint!("{}", profile_text(&log));
         }
     }
-    let rep = attach_par_diagnostics(rep);
+    let rep = attach_par_diagnostics(rep, &ctx);
     print!("{}", rep.to_text());
     eprintln!("{}", par_diagnostics_from(&rep));
     if let Some(path) = opts.json {
         let mut text = rep.to_json().render();
         text.push('\n');
-        write_or_exit(&path, &text);
+        write_or_exit(&path, text);
     }
     if let Some(path) = opts.csv {
-        write_or_exit(&path, &rep.to_csv());
+        write_or_exit(&path, rep.to_csv());
     }
 }
 
@@ -426,31 +441,31 @@ fn profile_text(log: &ia_trace::TraceLog) -> String {
     out
 }
 
-/// Writes `text` to `path`, or reports the failure on stderr and exits
+/// Writes `bytes` to `path`, or reports the failure on stderr and exits
 /// with status `2` — a clean error for callers instead of a panic
 /// backtrace.
-fn write_or_exit(path: &str, text: &str) {
-    if let Err(e) = std::fs::write(path, text) {
+fn write_or_exit(path: &str, bytes: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, bytes) {
         eprintln!("error: writing {path}: {e}");
         std::process::exit(2);
     }
 }
 
-/// Drains the `ia-par` ledger into the report's runtime section:
-/// `par_threads` (configured workers), `par_tasks` (tasks executed this
-/// invocation), `par_imbalance` (worst max/mean worker busy time, `1` =
+/// Drains `ctx`'s `ia-par` ledger into the report's runtime section:
+/// `par_threads` (configured workers), `par_tasks` (tasks executed since
+/// the last drain), `par_imbalance` (worst max/mean worker busy time, `1` =
 /// balanced or serial), `par_busy_ms` (total worker busy time) and
 /// `par_slowest_ms` (longest single task — the wall-clock floor of the
 /// sweep no matter how many workers are added).
 #[must_use]
-pub fn attach_par_diagnostics(rep: ExperimentReport) -> ExperimentReport {
-    let ledger = ia_par::ledger::take();
+fn attach_par_diagnostics(rep: ExperimentReport, ctx: &RunCtx) -> ExperimentReport {
+    let ledger = ctx.take_ledger();
     let imbalance = if ledger.parallel_invocations == 0 {
         1.0
     } else {
         ledger.worst_imbalance.max(1.0)
     };
-    rep.runtime_metric("par_threads", ia_par::auto_threads() as f64)
+    rep.runtime_metric("par_threads", ctx.threads() as f64)
         .runtime_metric("par_tasks", ledger.tasks as f64)
         .runtime_metric("par_imbalance", imbalance)
         .runtime_metric("par_busy_ms", ledger.busy_total.as_secs_f64() * 1e3)

@@ -7,15 +7,35 @@
 
 use std::process::{Command, Output};
 
-fn exp05(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_exp05_scheduler_suite"))
+use ia_tracefmt::{TraceOp, TraceRecord, TraceWriter};
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("spawn exp05: {e}"))
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
+}
+
+fn exp05(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_exp05_scheduler_suite"), args)
+}
+
+/// `exp02_rowclone` generates no memory-request workload.
+fn exp02(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_exp02_rowclone"), args)
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ia-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir: {e}"));
+    dir
 }
 
 fn assert_usage_error(args: &[&str], needle: &str) {
-    let out = exp05(args);
+    assert_usage_failure(&exp05(args), args, needle);
+}
+
+fn assert_usage_failure(out: &Output, args: &[&str], needle: &str) {
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -112,6 +132,58 @@ fn recorded_trace_replays_byte_identically() {
     let reader = ia_tracefmt::TraceReader::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("recorded artifact must decode: {e}"));
     assert!(!reader.records().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn record_or_replay_on_an_experiment_without_workloads_is_a_usage_error() {
+    let dir = temp_dir("no-workload");
+    let path = dir.join("exp02.trace");
+    let path = path.to_str().unwrap_or("bad-path");
+    let args = ["--quick", "--record-trace", path];
+    assert_usage_failure(
+        &exp02(&args),
+        &args,
+        "--record-trace: exp02_rowclone generates no memory-request workload",
+    );
+    assert!(
+        !std::path::Path::new(path).exists(),
+        "no empty artifact may be written"
+    );
+    // A valid artifact from an experiment that has workloads is still
+    // refused, not silently ignored.
+    let rec = exp05(&["--quick", "--record-trace", path]);
+    assert!(rec.status.success(), "record run failed: {:?}", rec.status);
+    let args = ["--quick", "--replay-trace", path];
+    assert_usage_failure(
+        &exp02(&args),
+        &args,
+        "--replay-trace: exp02_rowclone generates no memory-request workload",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_replayed_run_names_its_artifact() {
+    // Streams 0 and 2 but none for thread 1: the replayed workload has
+    // an empty thread, which the closed-loop runner rejects.
+    let dir = temp_dir("bad-replay");
+    let path = dir.join("holey.trace");
+    let path = path.to_str().unwrap_or("bad-path");
+    let mut w = TraceWriter::new(11);
+    w.push(&TraceRecord::new(0x40, TraceOp::Read, 0, 0));
+    w.push(&TraceRecord::new(0x80, TraceOp::Read, 2, 0));
+    w.write_to_path(path)
+        .unwrap_or_else(|e| panic!("write artifact: {e}"));
+    let out = exp05(&["--quick", "--replay-trace", path]);
+    assert_eq!(out.status.code(), Some(1), "got {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "error: exp05_scheduler_suite: trace must contain at least one request [trace: {path}]"
+        )),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

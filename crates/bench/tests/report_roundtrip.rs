@@ -9,7 +9,8 @@ use ia_telemetry::JsonValue;
 
 #[test]
 fn exp02_report_round_trips_through_json_on_disk() {
-    let rep = ia_bench::exp02_rowclone::report(true).expect("exp02 runs");
+    let rep =
+        ia_bench::exp02_rowclone::report(true, &ia_bench::RunCtx::default()).expect("exp02 runs");
 
     // Write exactly what the binary's `--json <path>` flag writes.
     let mut text = rep.to_json().render();
@@ -47,7 +48,8 @@ fn every_experiment_report_names_itself_and_records_quick() {
     // recorded and every report carries its table, so BENCH_PR.json
     // entries are self-describing.
     for (bin, report) in ia_bench::EXPERIMENTS {
-        let rep = report(true).unwrap_or_else(|e| panic!("{bin}: {e}"));
+        let rep =
+            report(true, &ia_bench::RunCtx::default()).unwrap_or_else(|e| panic!("{bin}: {e}"));
         assert_eq!(rep.name[..6], bin[..6], "{bin} reports as {}", rep.name);
         assert!(
             rep.params

@@ -3,26 +3,17 @@
 //! controller tracks sum exactly to the runs' simulated cycles, name
 //! the hottest components, and render byte-stably.
 
-use std::sync::Mutex;
+use ia_bench::RunCtx;
 
-// Session capture and the ambient thread count are process-global, so
-// trace-capturing tests serialize on one lock.
-static CAPTURE_GUARD: Mutex<()> = Mutex::new(());
-
-/// exp05's quick report and the trace its capture recorded.
+/// exp05's quick report and the trace its own context captured.
 fn captured_exp05() -> (ia_bench::report::ExperimentReport, ia_trace::TraceLog) {
-    let _ = ia_trace::session::take();
-    ia_trace::set_capture(true);
-    let report = ia_bench::exp05_scheduler_suite::report(true).expect("exp05 runs");
-    ia_trace::set_capture(false);
-    (report, ia_trace::session::take())
+    let ctx = RunCtx::new(2).with_trace();
+    let report = ia_bench::exp05_scheduler_suite::report(true, &ctx).expect("exp05 runs");
+    (report, ctx.take_trace())
 }
 
 #[test]
 fn exp05_profile_attributes_every_simulated_cycle() {
-    let _guard = CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (report, log) = captured_exp05();
     let profile = ia_trace::Profile::from_log(&log);
 
@@ -62,9 +53,6 @@ fn exp05_profile_attributes_every_simulated_cycle() {
 
 #[test]
 fn exp05_trace_renders_byte_stably_and_parses() {
-    let _guard = CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (_, first_log) = captured_exp05();
     let first = ia_trace::chrome::render_chrome(&first_log);
     let (_, second_log) = captured_exp05();

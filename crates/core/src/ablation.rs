@@ -2,6 +2,7 @@
 //! added to the processor-centric baseline should independently improve
 //! the system, and the three compose.
 
+use ia_par::ParLedger;
 use ia_workloads::TraceRequest;
 use ia_xmem::AtomRegistry;
 
@@ -21,12 +22,13 @@ pub struct AblationRow {
 }
 
 /// Runs the ablation ladder (baseline → +centric → +driven → all) over the
-/// same trace and registry, returning one row per rung.
+/// same trace and registry, returning one row per rung and the fan-out's
+/// [`ParLedger`] for the caller's parallel-work accounting.
 ///
 /// The four rungs are independent full-system simulations, so they fan
-/// out on the `ia-par` worker pool (ambient `--threads` setting); the
-/// pool returns reports in ladder order, so speedups — all relative to
-/// the rung-0 baseline — are identical to the serial run.
+/// out on `threads` `ia-par` workers; the pool returns reports in
+/// ladder order, so speedups — all relative to the rung-0 baseline —
+/// are identical to the serial run (`threads = 1`).
 ///
 /// # Errors
 ///
@@ -36,33 +38,31 @@ pub fn run_ablation(
     base_config: &SystemConfig,
     registry: &AtomRegistry,
     trace: &[TraceRequest],
-) -> Result<Vec<AblationRow>, CoreError> {
-    let reports = ia_par::par_map(
-        ia_par::auto_threads(),
-        PrincipleSet::ladder().to_vec(),
-        |principles| {
+    threads: usize,
+) -> Result<(Vec<AblationRow>, ParLedger), CoreError> {
+    let (reports, ledger) =
+        ia_par::par_map_recorded(threads, PrincipleSet::ladder().to_vec(), |_, principles| {
             let config = SystemConfig {
                 principles,
                 ..base_config.clone()
             };
             let system = IntelligentSystem::new(config).with_registry(registry.clone());
             system.run(trace).map(|report| (principles, report))
-        },
-    )
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+        });
+    let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let baseline_cycles = reports
         .first()
         .map_or(1, |(_, report)| report.cycles().max(1));
-    Ok(reports
+    let rows = reports
         .into_iter()
         .map(|(principles, report)| AblationRow {
             principles,
             speedup: baseline_cycles as f64 / report.cycles().max(1) as f64,
             report,
         })
-        .collect())
+        .collect();
+    Ok((rows, ledger))
 }
 
 #[cfg(test)]
@@ -78,8 +78,10 @@ mod tests {
         let trace = ZipfGen::new(0, 2048, 4096, 1.1, 0.2)
             .unwrap()
             .generate(2500, &mut rng);
-        let rows = run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &trace).unwrap();
+        let (rows, ledger) =
+            run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &trace, 2).unwrap();
         assert_eq!(rows.len(), 4);
+        assert_eq!(ledger.tasks, 4, "one task per rung");
         assert!((rows[0].speedup - 1.0).abs() < 1e-12);
         assert_eq!(rows[0].principles.count(), 0);
         assert_eq!(rows[3].principles.count(), 3);
@@ -93,6 +95,6 @@ mod tests {
 
     #[test]
     fn ablation_rejects_empty_trace() {
-        assert!(run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &[]).is_err());
+        assert!(run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &[], 1).is_err());
     }
 }

@@ -31,7 +31,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
 //! let trace = ZipfGen::new(0, 1024, 4096, 1.1, 0.2)?.generate(1500, &mut rng);
-//! let rows = run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &trace)?;
+//! let (rows, _ledger) = run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &trace, 1)?;
 //! assert_eq!(rows.len(), 4);
 //! # Ok(())
 //! # }

@@ -6,7 +6,8 @@
 //!
 //! * `free(x)` — edges to free functions named `free`, preferring
 //!   same-file definitions (an unqualified call cannot leave its
-//!   module).
+//!   module), and otherwise only in the caller's own crate or a crate
+//!   it depends on ([`CrateDeps`], read from the workspace manifests).
 //! * `recv.method(x)` — the receiver's type comes from a best-effort
 //!   type environment: fn parameters, `let x: T` annotations,
 //!   `let x = Type::ctor(..)` constructors, and — for
@@ -15,9 +16,12 @@
 //!   its traits' default bodies, and (when the receiver *is* a trait)
 //!   every implementor's method. A known type *without* the method is a
 //!   std/derived call — no edge. An unknown receiver over-approximates
-//!   to every workspace method of that name, except ubiquitous std
-//!   names (`map`, `iter`, `len`, …) which would drown the graph in
-//!   false edges and are dropped instead.
+//!   to every workspace method of that name the caller's crate can
+//!   see — its own and its dependencies' methods, plus trait-impl
+//!   methods of traits it can see (a generic call dispatches
+//!   downstream) — except ubiquitous std names (`map`, `iter`, `len`,
+//!   …) which would drown the graph in false edges and are dropped
+//!   instead.
 //! * `Type::method(x)` — the same typed lookup; falls back to free
 //!   functions (`module::helper(..)` paths), then — for unknown
 //!   non-std qualifiers such as generic parameters — to every method
@@ -60,6 +64,8 @@ pub struct FnNode {
     pub body: Range<usize>,
     /// Enclosing impl type, when the fn is a method.
     pub self_type: Option<String>,
+    /// The trait the method implements or provides a default body for.
+    pub of_trait: Option<String>,
     /// The fn sits under a hot-path marker comment.
     pub is_hot: bool,
 }
@@ -85,18 +91,20 @@ struct TypeInfo {
     implementors: BTreeMap<String, Vec<String>>,
     /// Every workspace-declared type and trait name.
     known: BTreeSet<String>,
+    /// Trait name → crates declaring a trait of that name.
+    trait_crates: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl TypeInfo {
     fn collect(files: &[(String, FileContext, Vec<Item>)]) -> TypeInfo {
         let mut info = TypeInfo::default();
-        for (_, ctx, items) in files {
-            info.walk(items, &ctx.code);
+        for (path, ctx, items) in files {
+            info.walk(items, &ctx.code, &crate_of(path));
         }
         info
     }
 
-    fn walk(&mut self, items: &[Item], code: &[Tok]) {
+    fn walk(&mut self, items: &[Item], code: &[Tok], krate: &str) {
         for it in items {
             match it.kind {
                 ItemKind::Struct => {
@@ -110,7 +118,11 @@ impl TypeInfo {
                 }
                 ItemKind::Trait => {
                     self.known.insert(it.name.clone());
-                    self.walk(&it.children, code);
+                    self.trait_crates
+                        .entry(it.name.clone())
+                        .or_default()
+                        .insert(krate.to_owned());
+                    self.walk(&it.children, code, krate);
                 }
                 ItemKind::Impl => {
                     if it.name != "?" {
@@ -126,9 +138,9 @@ impl TypeInfo {
                                 .push(it.name.clone());
                         }
                     }
-                    self.walk(&it.children, code);
+                    self.walk(&it.children, code, krate);
                 }
-                ItemKind::Mod => self.walk(&it.children, code),
+                ItemKind::Mod => self.walk(&it.children, code, krate),
                 ItemKind::Fn | ItemKind::Use => {}
             }
         }
@@ -161,12 +173,161 @@ impl TypeInfo {
     }
 }
 
-impl CallGraph {
-    /// Builds the graph for a set of parsed files. `files` must be in
-    /// sorted path order (the scan guarantees it) so node ids — and
-    /// witness chains — are deterministic.
+/// Which crates each crate's code can call into: itself, its direct
+/// dependencies (normal, dev and build), and their normal dependencies,
+/// transitively. Read from the workspace manifests (`Cargo.toml` and
+/// `crates/*/Cargo.toml`); crates are keyed as [`crate_of`] keys them.
+/// A crate without a manifest sees every crate, which keeps the call
+/// graph an over-approximation when manifests are not supplied.
+#[derive(Debug, Default)]
+pub struct CrateDeps {
+    visible: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// One dependency line of a manifest.
+#[derive(Debug)]
+struct Dep {
+    key: String,
+    path: Option<String>,
+    package: Option<String>,
+    /// From `[dependencies]` (or a target-specific one): transitive.
+    normal: bool,
+}
+
+/// What the lint needs from one manifest: the package name, its
+/// dependencies, and the `[workspace.dependencies]` table.
+#[derive(Debug, Default)]
+struct Manifest {
+    package: Option<String>,
+    deps: Vec<Dep>,
+    workspace_deps: Vec<Dep>,
+}
+
+/// The quoted value of `field = "…"` inside `text`, if present.
+fn quoted_field(text: &str, field: &str) -> Option<String> {
+    let at = text.find(&format!("{field} = \""))? + field.len() + 4;
+    let len = text[at..].find('"')?;
+    Some(text[at..at + len].to_owned())
+}
+
+impl Manifest {
+    /// A line-based reading of the manifest subset the workspace uses:
+    /// `[package] name`, and `key = …` / `key.workspace = true` lines in
+    /// the dependency tables, with their `path` and `package` fields.
+    fn parse(text: &str) -> Manifest {
+        let mut m = Manifest::default();
+        let mut section = String::new();
+        for line in text.lines().map(str::trim) {
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            if let Some(name) = line.strip_prefix('[') {
+                section = name.trim_end_matches(']').trim().to_owned();
+                continue;
+            }
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            let key = key.split('.').next().unwrap_or(key).trim().to_owned();
+            if section == "package" && key == "name" {
+                m.package = Some(value.trim().trim_matches('"').to_owned());
+            } else if section.ends_with("dependencies") {
+                let dep = Dep {
+                    key,
+                    path: quoted_field(value, "path"),
+                    package: quoted_field(value, "package"),
+                    normal: section == "dependencies" || section.ends_with(".dependencies"),
+                };
+                if section == "workspace.dependencies" {
+                    m.workspace_deps.push(dep);
+                } else {
+                    m.deps.push(dep);
+                }
+            }
+        }
+        m
+    }
+}
+
+/// The crate key of a dependency's `path`: its last path component
+/// (`crates/rand` → `rand`).
+fn path_crate(path: &str) -> String {
+    path.trim_end_matches('/')
+        .rsplit('/')
+        .next()
+        .unwrap_or(path)
+        .to_owned()
+}
+
+impl CrateDeps {
+    /// Reads `(path, text)` manifests. A dependency resolves to a
+    /// workspace crate through its own `path`, the workspace table's
+    /// `path` for its key, or a manifest's package name; anything else
+    /// is external and ignored.
     #[must_use]
-    pub fn build(files: &[(String, FileContext, Vec<Item>)]) -> CallGraph {
+    pub fn from_manifests(manifests: &[(&str, &str)]) -> CrateDeps {
+        let parsed: Vec<(String, Manifest)> = manifests
+            .iter()
+            .map(|(path, text)| (crate_of(path), Manifest::parse(text)))
+            .collect();
+        let workspace: BTreeMap<&str, String> = parsed
+            .iter()
+            .flat_map(|(_, m)| &m.workspace_deps)
+            .filter_map(|d| Some((d.key.as_str(), path_crate(d.path.as_deref()?))))
+            .collect();
+        let packages: BTreeMap<&str, &str> = parsed
+            .iter()
+            .filter_map(|(krate, m)| Some((m.package.as_deref()?, krate.as_str())))
+            .collect();
+        let resolve = |d: &Dep| -> Option<String> {
+            if let Some(path) = &d.path {
+                return Some(path_crate(path));
+            }
+            workspace.get(d.key.as_str()).cloned().or_else(|| {
+                let name = d.package.as_deref().unwrap_or(&d.key);
+                packages.get(name).map(|&k| k.to_owned())
+            })
+        };
+        let deps_of: BTreeMap<&str, Vec<(String, bool)>> = parsed
+            .iter()
+            .map(|(krate, m)| {
+                let deps = m
+                    .deps
+                    .iter()
+                    .filter_map(|d| Some((resolve(d)?, d.normal)))
+                    .collect();
+                (krate.as_str(), deps)
+            })
+            .collect();
+        let mut visible = BTreeMap::new();
+        for (&krate, direct) in &deps_of {
+            let mut seen: BTreeSet<String> = BTreeSet::from([krate.to_owned()]);
+            let mut queue: Vec<String> = direct.iter().map(|(d, _)| d.clone()).collect();
+            while let Some(d) = queue.pop() {
+                if seen.insert(d.clone()) {
+                    let normal = deps_of.get(d.as_str()).into_iter().flatten();
+                    queue.extend(normal.filter(|(_, n)| *n).map(|(dd, _)| dd.clone()));
+                }
+            }
+            visible.insert(krate.to_owned(), seen);
+        }
+        CrateDeps { visible }
+    }
+
+    /// Whether code in crate `from` can call into crate `to`.
+    #[must_use]
+    pub fn sees(&self, from: &str, to: &str) -> bool {
+        self.visible.get(from).is_none_or(|v| v.contains(to))
+    }
+}
+
+impl CallGraph {
+    /// Builds the graph for a set of parsed files, limiting by-name
+    /// call resolution to the crates `deps` makes visible. `files` must
+    /// be in sorted path order (the scan guarantees it) so node ids —
+    /// and witness chains — are deterministic.
+    #[must_use]
+    pub fn build(files: &[(String, FileContext, Vec<Item>)], deps: &CrateDeps) -> CallGraph {
         let mut g = CallGraph::default();
         for (file_idx, (path, ctx, items)) in files.iter().enumerate() {
             let stem = file_stem(path);
@@ -174,9 +335,9 @@ impl CallGraph {
             if !matches!(stem.as_str(), "lib" | "main" | "mod") {
                 prefix.push(stem);
             }
-            collect_fns(&mut g, path, file_idx, ctx, items, &prefix, None);
+            collect_fns(&mut g, path, file_idx, ctx, items, &prefix, (None, None));
         }
-        g.resolve_edges(files);
+        g.resolve_edges(files, deps);
         g
     }
 
@@ -243,7 +404,7 @@ impl CallGraph {
 
     /// Resolves call edges for every node (see module docs for the
     /// heuristic).
-    fn resolve_edges(&mut self, files: &[(String, FileContext, Vec<Item>)]) {
+    fn resolve_edges(&mut self, files: &[(String, FileContext, Vec<Item>)], deps: &CrateDeps) {
         // Name → node-id indices. Free functions and methods resolve
         // through different maps; `(type, name)` pins `Type::method`.
         let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -259,9 +420,24 @@ impl CallGraph {
             }
         }
         let info = TypeInfo::collect(files);
+        let crates: Vec<String> = self.nodes.iter().map(|n| crate_of(&n.file)).collect();
         self.edges = vec![Vec::new(); self.nodes.len()];
         for n in 0..self.nodes.len() {
             let node = &self.nodes[n];
+            // By-name candidates the caller's crate can reach: its own
+            // and its dependencies' fns, plus impls of traits it sees.
+            let sees = |m: &usize| {
+                deps.sees(&crates[n], &crates[*m])
+                    || self.nodes[*m].of_trait.as_ref().is_some_and(|tr| {
+                        info.trait_crates
+                            .get(tr)
+                            .is_none_or(|cs| cs.iter().any(|c| deps.sees(&crates[n], c)))
+                    })
+            };
+            let by_name = |map: &BTreeMap<&str, Vec<usize>>, name: &str| -> Vec<usize> {
+                map.get(name)
+                    .map_or_else(Vec::new, |v| v.iter().copied().filter(sees).collect())
+            };
             let ctx = &files[node.file_idx].1;
             let code = &ctx.code;
             let env = type_env(node, code);
@@ -290,16 +466,12 @@ impl CallGraph {
                                 // (std, generic): fall back by name. A
                                 // *known* type without the method is a
                                 // std/derived call — no edge.
-                                if let Some(ms) = methods.get(name) {
-                                    out.extend(ms);
-                                }
+                                out.extend(by_name(&methods, name));
                             }
                         }
                         None => {
                             if !is_std_method(name) {
-                                if let Some(ms) = methods.get(name) {
-                                    out.extend(ms);
-                                }
+                                out.extend(by_name(&methods, name));
                             }
                         }
                     }
@@ -321,16 +493,14 @@ impl CallGraph {
                         let resolved = info.lookup(&typed, &q, name);
                         if !resolved.is_empty() {
                             out.extend(resolved);
-                        } else if let Some(fs) = free.get(name) {
+                        } else if free.contains_key(name) {
                             // `module::helper(` — the qualifier is a
                             // module path segment.
-                            out.extend(fs);
+                            out.extend(by_name(&free, name));
                         } else if !info.known.contains(&q) && !is_std_method(name) {
                             // `C::method(x)` through a generic
                             // parameter — over-approximate by name.
-                            if let Some(ms) = methods.get(name) {
-                                out.extend(ms);
-                            }
+                            out.extend(by_name(&methods, name));
                         }
                     }
                 } else if !p1.is_some_and(|p| p.is_ident("fn") || p.kind == TokKind::Ident) {
@@ -339,14 +509,13 @@ impl CallGraph {
                     // Same-file definitions shadow the global namespace:
                     // every experiment module defines its own `outcome`,
                     // and an unqualified call cannot leave the module.
-                    if let Some(fs) = free.get(name) {
-                        let local: Vec<usize> = fs
-                            .iter()
-                            .copied()
-                            .filter(|&m| self.nodes[m].file_idx == node.file_idx)
-                            .collect();
-                        out.extend(if local.is_empty() { fs } else { &local });
-                    }
+                    let fs = by_name(&free, name);
+                    let local: Vec<usize> = fs
+                        .iter()
+                        .copied()
+                        .filter(|&m| self.nodes[m].file_idx == node.file_idx)
+                        .collect();
+                    out.extend(if local.is_empty() { fs } else { local });
                 }
             }
             out.sort_unstable();
@@ -795,7 +964,9 @@ fn is_std_method(name: &str) -> bool {
     STD_METHOD_NAMES.binary_search(&name).is_ok()
 }
 
-/// Recursively collects `fn` items into graph nodes.
+/// Recursively collects `fn` items into graph nodes. `owner` is the
+/// enclosing impl or trait: the method's self type and the trait it
+/// belongs to.
 fn collect_fns(
     g: &mut CallGraph,
     path: &str,
@@ -803,8 +974,9 @@ fn collect_fns(
     ctx: &FileContext,
     items: &[Item],
     prefix: &[String],
-    self_type: Option<&str>,
+    owner: (Option<&str>, Option<&str>),
 ) {
+    let (self_type, of_trait) = owner;
     for it in items {
         match it.kind {
             ItemKind::Fn => {
@@ -836,6 +1008,7 @@ fn collect_fns(
                     sig: it.toks.start..body.start,
                     body,
                     self_type: self_type.map(str::to_owned),
+                    of_trait: of_trait.map(str::to_owned),
                 });
             }
             ItemKind::Mod => {
@@ -843,7 +1016,7 @@ fn collect_fns(
                 if it.name != "?" {
                     p.push(it.name.clone());
                 }
-                collect_fns(g, path, file_idx, ctx, &it.children, &p, self_type);
+                collect_fns(g, path, file_idx, ctx, &it.children, &p, owner);
             }
             ItemKind::Impl => {
                 let ty = if it.name == "?" {
@@ -851,7 +1024,8 @@ fn collect_fns(
                 } else {
                     Some(it.name.as_str())
                 };
-                collect_fns(g, path, file_idx, ctx, &it.children, prefix, ty);
+                let owner = (ty, it.of_trait.as_deref());
+                collect_fns(g, path, file_idx, ctx, &it.children, prefix, owner);
             }
             ItemKind::Trait => {
                 // Default method bodies are real code; qualify by trait.
@@ -860,7 +1034,7 @@ fn collect_fns(
                 } else {
                     Some(it.name.as_str())
                 };
-                collect_fns(g, path, file_idx, ctx, &it.children, prefix, ty);
+                collect_fns(g, path, file_idx, ctx, &it.children, prefix, (ty, ty));
             }
             ItemKind::Struct | ItemKind::Use => {}
         }
@@ -891,7 +1065,7 @@ mod tests {
                 ((*p).to_owned(), ctx, items)
             })
             .collect();
-        CallGraph::build(&loaded)
+        CallGraph::build(&loaded, &CrateDeps::default())
     }
 
     fn edge(g: &CallGraph, from: &str, to: &str) -> bool {

@@ -303,7 +303,7 @@ mod tests {
                 ((*p).to_owned(), ctx, items)
             })
             .collect();
-        let graph = CallGraph::build(&loaded);
+        let graph = CallGraph::build(&loaded, &crate::graph::CrateDeps::default());
         check_graph(&loaded, &graph)
     }
 

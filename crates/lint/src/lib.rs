@@ -25,8 +25,9 @@
 //!   `crate.section.name` convention (M001) and never collide across
 //!   crates (M002).
 //! * **S-series — safety.** Every crate root forbids `unsafe_code`
-//!   (S001) and every experiment binary routes through
-//!   `ia_bench::report::cli` (S002).
+//!   (S001), every experiment binary routes through
+//!   `ia_bench::report::cli` (S002), and shipped code declares no
+//!   process-wide mutable `static` or `thread_local!` (S003).
 //! * **W-series — waiver hygiene.** `// lint: allow` comments that no
 //!   longer silence anything are themselves findings (W001).
 //!

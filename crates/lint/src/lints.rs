@@ -1,5 +1,6 @@
 //! The lint catalog: D-series (determinism), P-series (panic policy),
-//! M-series (metric naming), S-series (safety / CLI routing).
+//! M-series (metric naming), S-series (safety / CLI routing / run
+//! isolation).
 //!
 //! Every lint is identified by a stable `X000` ID. Findings print as
 //! `file:line:col: LINT-ID: message`; the catalog with rationale and
@@ -129,6 +130,15 @@ pub const CATALOG: &[LintInfo] = &[
         version: 1,
     },
     LintInfo {
+        id: "S003",
+        name: "process-wide-mutable-static",
+        summary: "shipped code declares a `static` with interior mutability (Atomic*, \
+                  Mutex, RwLock, Cell, RefCell, OnceLock, LazyLock), a `static mut`, or a \
+                  `thread_local!` — process-wide state couples runs; put it in the \
+                  run's context instead",
+        version: 1,
+    },
+    LintInfo {
         id: "W001",
         name: "dead-waiver",
         summary: "a `// lint: allow(ID, …)` comment no longer silences any finding — \
@@ -221,6 +231,39 @@ const WALL_CLOCK_EXEMPT: &[&str] = &["crates/par/"];
 /// The in-tree `rand` shim defines the seeding API itself.
 const RNG_EXEMPT: &[&str] = &["crates/rand/"];
 
+/// Types whose values can change behind a shared reference: a `static`
+/// of one of them is process-wide mutable state (S003). `Atomic*` is
+/// matched by prefix.
+const INTERIOR_MUTABLE: &[&str] = &[
+    "Cell", "LazyLock", "Mutex", "OnceCell", "OnceLock", "RefCell", "RwLock",
+];
+
+/// True for shipped code — `src/` and `crates/<name>/src/` — as opposed
+/// to tests, examples and benches.
+fn is_shipped(path: &str) -> bool {
+    path.starts_with("src/")
+        || matches!(
+            path.split('/').collect::<Vec<_>>().as_slice(),
+            ["crates", _, "src", ..]
+        )
+}
+
+/// S003: the type of the `static` item whose keyword is `code[i]`
+/// names an interior-mutable type (or the item is `static mut`).
+fn static_is_mutable(code: &[Tok], i: usize) -> bool {
+    if code.get(i + 1).is_some_and(|t| t.is_ident("mut")) {
+        return true;
+    }
+    code[i + 1..]
+        .iter()
+        .skip_while(|t| !t.is_punct(':'))
+        .take_while(|t| !t.is_punct('=') && !t.is_punct(';'))
+        .any(|t| {
+            t.kind == TokKind::Ident
+                && (t.text.starts_with("Atomic") || INTERIOR_MUTABLE.contains(&t.text.as_str()))
+        })
+}
+
 /// Extracts the crate name from a workspace-relative path.
 #[must_use]
 pub fn crate_of(path: &str) -> String {
@@ -250,6 +293,7 @@ pub fn check_file(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) 
     };
 
     let in_report_path = starts_with_any(path, REPORT_PATHS);
+    let shipped = is_shipped(path);
     let wall_clock_exempt = starts_with_any(path, WALL_CLOCK_EXEMPT);
     let rng_exempt = starts_with_any(path, RNG_EXEMPT);
 
@@ -352,6 +396,20 @@ pub fn check_file(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) 
                 "P002",
                 t,
                 format!("`{}!` in non-test code — return an error instead", t.text),
+            ),
+            "static" if shipped && static_is_mutable(code, i) => push(
+                "S003",
+                t,
+                "process-wide mutable `static` — it couples every run in the process; \
+                 keep the state in the run's context and pass it explicitly"
+                    .to_owned(),
+            ),
+            "thread_local" if shipped && next_is_bang => push(
+                "S003",
+                t,
+                "`thread_local!` is process-wide state per thread — keep it in the run's \
+                 context and pass it explicitly"
+                    .to_owned(),
             ),
             "counter" | "gauge" | "histogram" if prev_is_dot && next_is_open => {
                 if let Some(lit) = code.get(i + 2).filter(|l| l.kind == TokKind::Str) {

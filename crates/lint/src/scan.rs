@@ -1,10 +1,11 @@
 //! Workspace traversal and the analysis pipeline: load every `.rs`
-//! source, run per-file lints *raw*, build the call graph, run the
+//! source and the workspace manifests, run per-file lints *raw*, build
+//! the call graph (call resolution limited by crate dependencies), run the
 //! interprocedural passes, then apply `// lint: allow` waivers centrally
 //! — which is what lets W001 flag the waivers that silenced nothing.
 
 use crate::context::{path_is_testlike, FileContext};
-use crate::graph::CallGraph;
+use crate::graph::{CallGraph, CrateDeps};
 use crate::ipa::{check_graph, ParsedFile};
 use crate::lexer::tokenize;
 use crate::lints::{
@@ -51,14 +52,25 @@ pub fn is_bench_bin(path: &str) -> bool {
     path.starts_with("crates/bench/src/bin/") && path.ends_with(".rs")
 }
 
-/// Recursively collects workspace-relative `.rs` paths, sorted so the
-/// scan (and therefore every report) is order-deterministic.
+/// True for a workspace manifest path (`Cargo.toml`,
+/// `crates/<name>/Cargo.toml`): it feeds the call graph's crate
+/// dependencies instead of being linted.
+fn is_manifest(path: &str) -> bool {
+    path == "Cargo.toml" || path.ends_with("/Cargo.toml")
+}
+
+/// Recursively collects workspace-relative `.rs` paths plus the
+/// workspace manifests, sorted so the scan (and therefore every report)
+/// is order-deterministic.
 ///
 /// # Errors
 ///
 /// Propagates directory-read failures.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
+    if root.join("Cargo.toml").is_file() {
+        out.push("Cargo.toml".to_owned());
+    }
     for dir in SCAN_DIRS {
         let d = root.join(dir);
         if d.is_dir() {
@@ -80,7 +92,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
         }
         if path.is_dir() {
             walk(root, &path, out)?;
-        } else if rel.ends_with(".rs") {
+        } else if rel.ends_with(".rs") || is_manifest(&rel) {
             out.push(rel);
         }
     }
@@ -124,10 +136,16 @@ fn file_raw(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) -> Vec
 
 /// Runs the **full** pipeline — per-file lints, call graph,
 /// interprocedural passes, central waiver filtering, W001 — over a set
-/// of in-memory sources. This is what [`analyze`] uses; fixture tests
-/// call it directly with synthetic multi-crate workspaces.
+/// of in-memory sources. Sources named `Cargo.toml` are manifests: they
+/// limit call resolution to each crate's dependencies (see
+/// [`CrateDeps`]). This is what [`analyze`] uses; fixture tests call it
+/// directly with synthetic multi-crate workspaces.
 #[must_use]
 pub fn analyze_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
+    let (manifests, sources): (Vec<_>, Vec<_>) = sources
+        .iter()
+        .copied()
+        .partition(|(path, _)| is_manifest(path));
     let mut files: Vec<ParsedFile> = sources
         .iter()
         .map(|(path, src)| {
@@ -149,7 +167,7 @@ pub fn analyze_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
     // Phase 2: call graph + interprocedural lints (these pre-exclude
     // cross-lint-waived sites themselves; their own waivers are applied
     // by the central filter below, like everyone else's).
-    let graph = CallGraph::build(&files);
+    let graph = CallGraph::build(&files, &CrateDeps::from_manifests(&manifests));
     raw.extend(check_graph(&files, &graph));
 
     // Phase 3: central waiver filter. A waiver that suppresses at least
@@ -229,7 +247,7 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
         .collect();
     Ok(Analysis {
         findings: analyze_sources(&refs),
-        files_scanned: sources.len(),
+        files_scanned: sources.iter().filter(|p| !is_manifest(p)).count(),
     })
 }
 

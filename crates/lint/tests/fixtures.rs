@@ -11,13 +11,16 @@ fn fixture_dir() -> PathBuf {
 }
 
 /// Loads a fixture, returning its pretend workspace path and source.
+/// Rust fixtures start with `// path: <path>`, manifest fixtures with
+/// `# path: <path>`.
 fn load(name: &str) -> (String, String) {
     let src = std::fs::read_to_string(fixture_dir().join(name))
         .unwrap_or_else(|e| panic!("reading fixture {name}: {e}"));
     let header = src.lines().next().unwrap_or_default();
     let path = header
         .strip_prefix("// path: ")
-        .unwrap_or_else(|| panic!("fixture {name} must start with `// path: <path>`"))
+        .or_else(|| header.strip_prefix("# path: "))
+        .unwrap_or_else(|| panic!("fixture {name} must start with a `path: <path>` header"))
         .trim()
         .to_owned();
     (path, src)
@@ -38,7 +41,7 @@ fn lint_ids(name: &str, metrics: &mut Vec<MetricSite>) -> Vec<&'static str> {
 /// IDs exercised by plain single-file fixture pairs (M002 is cross-file
 /// and has its own test below).
 const PAIRED_IDS: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "M001", "P001", "P002", "S001", "S002",
+    "D001", "D002", "D003", "D004", "D005", "M001", "P001", "P002", "S001", "S002", "S003",
 ];
 
 /// IDs whose fixtures need the full pipeline — call graph plus waiver
@@ -157,6 +160,62 @@ fn cross_crate_call_graph_resolves_a_three_crate_witness() {
     // The chain is shortest-path deterministic: a second run over the
     // same sources reproduces every finding byte for byte.
     assert_eq!(findings, pipeline(&files));
+}
+
+/// The workspace and crate manifests the `deps_*` fixtures share.
+const DEP_MANIFESTS: [&str; 4] = [
+    "deps_root.toml",
+    "deps_bench.toml",
+    "deps_util.toml",
+    "deps_other.toml",
+];
+
+/// P003 witness chains of the full pipeline over `files`, with or
+/// without the dependency manifests.
+fn p003_witnesses(files: &[&str], manifests: bool) -> Vec<Vec<String>> {
+    let mut names: Vec<&str> = files.to_vec();
+    if manifests {
+        names.extend(DEP_MANIFESTS);
+    }
+    pipeline(&names)
+        .into_iter()
+        .filter(|f| f.id == "P003")
+        .map(|f| f.witness)
+        .collect()
+}
+
+#[test]
+fn same_named_helpers_in_unrelated_crates_draw_no_edge() {
+    let files = [
+        "deps_entry_unrelated.rs",
+        "deps_bench_local.rs",
+        "deps_other.rs",
+    ];
+    assert_eq!(
+        p003_witnesses(&files, true),
+        Vec::<Vec<String>>::new(),
+        "`bench` does not depend on `other`"
+    );
+    // Without manifests every crate sees every other: the fixture does
+    // catch a resolver that ignores dependencies.
+    assert_eq!(
+        p003_witnesses(&files, false),
+        [["bench::exp93_fake::report", "other::fake_helpers::helper"]]
+    );
+}
+
+#[test]
+fn a_dependency_fn_reached_through_use_draws_an_edge() {
+    for (entry, report) in [
+        ("deps_entry_use.rs", "bench::exp94_fake::report"),
+        ("deps_entry_glob.rs", "bench::exp95_fake::report"),
+    ] {
+        assert_eq!(
+            p003_witnesses(&[entry, "deps_util.rs"], true),
+            [[report, "util::fake_pick::pick"]],
+            "{entry}"
+        );
+    }
 }
 
 #[test]

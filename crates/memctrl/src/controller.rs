@@ -372,6 +372,13 @@ impl MemoryController {
         self.dram.enable_cycle_trace(capacity);
     }
 
+    /// Whether [`enable_cycle_tracing`](Self::enable_cycle_tracing) was
+    /// called on this controller.
+    #[must_use]
+    pub fn is_cycle_tracing(&self) -> bool {
+        self.tracer.is_enabled()
+    }
+
     /// Drains the controller's and DRAM module's cycle traces into a
     /// [`TraceLog`]; `None` if cycle tracing was never enabled.
     #[must_use]
@@ -874,7 +881,9 @@ pub fn run_closed_loop(
 
 /// [`run_closed_loop`] over a caller-configured controller (custom refresh
 /// mode, latency mode on the DRAM module, queue capacity…). The queue
-/// capacity is raised to fit the per-thread windows if needed.
+/// capacity is raised to fit the per-thread windows if needed. A
+/// controller with [cycle tracing](MemoryController::enable_cycle_tracing)
+/// on also traces the engine, and the report carries the merged log.
 ///
 /// # Errors
 ///
@@ -889,13 +898,10 @@ pub fn run_closed_loop_with(
         return Err(CtrlError::EmptyTrace);
     }
     let mut ctrl = ctrl.with_queue_capacity(traces.len() * window.max(1) + 8);
-    // Session capture (the bench CLI's `--trace`/`--profile`) turns on
-    // cycle tracing for every closed-loop run; the trace rides back on
-    // the report so parallel sweeps can submit it in task order.
-    let tracing = ia_trace::capture_enabled();
-    if tracing {
-        ctrl.enable_cycle_tracing(ia_trace::DEFAULT_EVENT_CAPACITY);
-    }
+    // A controller handed in with cycle tracing on gets the engine
+    // traced too; the trace rides back on the report so parallel sweeps
+    // can merge it in task order.
+    let tracing = ctrl.is_cycle_tracing();
     let mut cursor = vec![0usize; traces.len()];
     let mut outstanding = vec![0usize; traces.len()];
     let mut completed = vec![0u64; traces.len()];

@@ -24,15 +24,12 @@ pub enum CtrlError {
 impl fmt::Display for CtrlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CtrlError::QueueFull => f.write_str("request queue is full")?,
-            CtrlError::EmptyTrace => f.write_str("trace must contain at least one request")?,
-            CtrlError::Config(e) => write!(f, "dram configuration error: {e}")?,
-            CtrlError::Invalid(msg) => f.write_str(msg)?,
-            CtrlError::Stalled(report) => write!(f, "{report}")?,
+            CtrlError::QueueFull => f.write_str("request queue is full"),
+            CtrlError::EmptyTrace => f.write_str("trace must contain at least one request"),
+            CtrlError::Config(e) => write!(f, "dram configuration error: {e}"),
+            CtrlError::Invalid(msg) => f.write_str(msg),
+            CtrlError::Stalled(report) => write!(f, "{report}"),
         }
-        // When a record/replay or fuzz session is active, every failure
-        // message cites the artifact and seed that reproduce it.
-        f.write_str(&crate::replay::context_suffix())
     }
 }
 

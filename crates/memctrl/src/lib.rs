@@ -61,10 +61,7 @@ pub use power::{epoch_outcome, standard_points, EpochOutcome, FrequencyPoint, Me
 pub use reliability::{
     Mitigation, ReliabilityConfig, ReliabilityPipeline, ReliabilityReport, ReliabilityStats,
 };
-pub use replay::{
-    clear_replay_context, record_workload, replay_context, set_replay_context,
-    workload_from_records, ReplayContext,
-};
+pub use replay::{record_workload, workload_from_records};
 pub use request::{Completed, MemRequest, Pending};
 pub use scheduler::{
     Atlas, Bliss, Fcfs, FrFcfs, ParBs, RlScheduler, RlSchedulerConfig, Scheduler, Tcm,

@@ -1,17 +1,17 @@
-//! Process-wide accounting of parallel work, for observability.
+//! Accounting of parallel work, for observability.
 //!
-//! Every [`par_map`](crate::par_map) invocation records how many tasks
-//! it ran and, for parallel invocations, each worker's busy time. The
-//! bench CLI drains the ledger once per experiment ([`take`]) and
-//! reports the totals as *runtime diagnostics* on stderr. The numbers
-//! are wall-clock derived, hence nondeterministic — they must never be
-//! folded into a canonical report (`BENCH_PR.json` stays byte-identical
-//! across `--threads` values precisely because they are not).
+//! Every [`par_map_recorded`](crate::par_map_recorded) invocation
+//! returns how many tasks it ran and, for parallel invocations, each
+//! worker's busy time. The caller folds those into one [`ParLedger`]
+//! per run ([`ParLedger::merge`]), and the bench CLI reports the totals
+//! as *runtime diagnostics* on stderr. The numbers are wall-clock
+//! derived, hence nondeterministic — they must never be folded into a
+//! canonical report (`BENCH_PR.json` stays byte-identical across
+//! `--threads` values precisely because they are not).
 
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// Aggregated parallel-execution accounting since the last [`take`].
+/// Aggregated parallel-execution accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParLedger {
     /// `par_map` invocations that ran on the inline serial path.
@@ -33,84 +33,50 @@ pub struct ParLedger {
 }
 
 impl ParLedger {
-    /// Folds one parallel invocation into the totals.
-    fn absorb(&mut self, workers: usize, tasks: u64, busy: &[Duration], slowest: Duration) {
-        self.parallel_invocations += 1;
-        self.slowest_task = self.slowest_task.max(slowest);
-        self.tasks += tasks;
-        self.max_workers = self.max_workers.max(workers);
-        let total: Duration = busy.iter().sum();
-        self.busy_total += total;
-        let mean = total.as_secs_f64() / busy.len().max(1) as f64;
-        if mean > 0.0 {
-            let max = busy.iter().max().copied().unwrap_or_default().as_secs_f64();
-            self.worst_imbalance = self.worst_imbalance.max(max / mean);
+    /// One serial (inline) invocation of `tasks` tasks.
+    pub(crate) fn serial(tasks: usize) -> Self {
+        ParLedger {
+            serial_invocations: 1,
+            tasks: tasks as u64,
+            ..ParLedger::default()
         }
     }
-}
 
-static LEDGER: Mutex<ParLedger> = Mutex::new(ParLedger {
-    serial_invocations: 0,
-    parallel_invocations: 0,
-    tasks: 0,
-    max_workers: 0,
-    busy_total: Duration::ZERO,
-    worst_imbalance: 0.0,
-    slowest_task: Duration::ZERO,
-});
+    /// One pooled invocation: `workers` threads, per-worker busy time,
+    /// and the longest single task.
+    pub(crate) fn parallel(
+        workers: usize,
+        tasks: usize,
+        busy: &[Duration],
+        slowest: Duration,
+    ) -> Self {
+        let total: Duration = busy.iter().sum();
+        let mean = total.as_secs_f64() / busy.len().max(1) as f64;
+        let worst_imbalance = if mean > 0.0 {
+            let max = busy.iter().max().copied().unwrap_or_default().as_secs_f64();
+            max / mean
+        } else {
+            0.0
+        };
+        ParLedger {
+            serial_invocations: 0,
+            parallel_invocations: 1,
+            tasks: tasks as u64,
+            max_workers: workers,
+            busy_total: total,
+            worst_imbalance,
+            slowest_task: slowest,
+        }
+    }
 
-fn with_ledger<R>(f: impl FnOnce(&mut ParLedger) -> R) -> R {
-    f(&mut LEDGER
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner))
-}
-
-/// Records a serial (inline) invocation of `tasks` tasks.
-pub(crate) fn record_serial(tasks: usize) {
-    with_ledger(|l| {
-        l.serial_invocations += 1;
-        l.tasks += tasks as u64;
-    });
-}
-
-/// Records a pooled invocation: `workers` threads, per-worker busy
-/// time, and the longest single task.
-pub(crate) fn record_parallel(workers: usize, tasks: usize, busy: &[Duration], slowest: Duration) {
-    with_ledger(|l| l.absorb(workers, tasks as u64, busy, slowest));
-}
-
-/// Returns the accounting accumulated since the previous `take` and
-/// resets it — call once per experiment to scope the diagnostics.
-#[must_use]
-pub fn take() -> ParLedger {
-    with_ledger(std::mem::take)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ledger_counts_serial_and_parallel_work() {
-        // Other unit tests in this binary also feed the global ledger,
-        // so assert lower bounds, not exact counts.
-        let before = take();
-        let out = crate::par_map(1, vec![1u32, 2, 3], |x| x);
-        assert_eq!(out.len(), 3);
-        let out = crate::par_map(2, (0..10u32).collect(), |x| x);
-        assert_eq!(out.len(), 10);
-        let ledger = take();
-        assert!(
-            ledger.serial_invocations >= 1,
-            "{ledger:?} after {before:?}"
-        );
-        assert!(ledger.parallel_invocations >= 1, "{ledger:?}");
-        assert!(ledger.tasks >= 13, "{ledger:?}");
-        assert!(ledger.max_workers >= 2, "{ledger:?}");
-        assert!(ledger.worst_imbalance >= 0.0);
-        assert!(
-            ledger.slowest_task <= ledger.busy_total,
-            "one task cannot exceed total busy time: {ledger:?}"
-        );
+    /// Folds `other` into the totals: counts add, worst cases win.
+    pub fn merge(&mut self, other: &ParLedger) {
+        self.serial_invocations += other.serial_invocations;
+        self.parallel_invocations += other.parallel_invocations;
+        self.tasks += other.tasks;
+        self.max_workers = self.max_workers.max(other.max_workers);
+        self.busy_total += other.busy_total;
+        self.worst_imbalance = self.worst_imbalance.max(other.worst_imbalance);
+        self.slowest_task = self.slowest_task.max(other.slowest_task);
     }
 }

@@ -17,43 +17,24 @@
 //!   lowest-indexed panic is re-raised on the caller (so even the
 //!   propagated panic is deterministic).
 //!
-//! Every parallel invocation also records wall-clock accounting into a
-//! process-wide [`ledger`], which the bench CLI drains into
+//! [`par_map_recorded`] also returns the invocation's wall-clock
+//! accounting as a [`ParLedger`]; the bench harness folds those into
 //! `par_threads` / `par_tasks` / `par_imbalance` runtime diagnostics.
 //! Those numbers are timing-derived and therefore **never** enter the
-//! canonical experiment reports — see `ia_bench::report`.
+//! canonical experiment reports — see `ia_bench::report`. The crate
+//! holds no process-wide state: the worker count is always an argument.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-pub mod ledger;
+mod ledger;
 
-/// The ambient worker count: `0` means "not configured", which resolves
-/// to [`std::thread::available_parallelism`].
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count used by [`auto_threads`].
-/// `set_threads(1)` restores the exact serial path everywhere;
-/// `set_threads(0)` reverts to the hardware default.
-pub fn set_threads(n: usize) {
-    THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The resolved ambient worker count: the value given to
-/// [`set_threads`], or the host's available parallelism when unset.
-#[must_use]
-pub fn auto_threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        // lint: allow(D006, picks the worker count only; par_map output is index-ordered and byte-identical for any thread count)
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-}
+pub use ledger::ParLedger;
 
 /// Locks `m`, riding through poison: a worker panic must not deadlock
 /// or double-panic the pool teardown.
@@ -93,6 +74,22 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
+    par_map_recorded(threads, items, f).0
+}
+
+/// [`par_map_indexed`], also returning the invocation's accounting —
+/// tasks run, workers spawned, per-worker busy time — for the caller to
+/// [`merge`](ParLedger::merge) into its own ledger.
+///
+/// # Panics
+///
+/// As [`par_map_indexed`].
+pub fn par_map_recorded<T, R, F>(threads: usize, items: Vec<T>, f: F) -> (Vec<R>, ParLedger)
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
     let tasks = items.len();
     let workers = threads.max(1).min(tasks.max(1));
     if workers <= 1 {
@@ -103,8 +100,7 @@ where
             .enumerate()
             .map(|(i, item)| f(i, item))
             .collect();
-        ledger::record_serial(tasks);
-        return out;
+        return (out, ParLedger::serial(tasks));
     }
 
     // Workers pull `(index, item)` pairs in input order; each keeps a
@@ -188,8 +184,8 @@ where
         .iter()
         .enumerate()
         .all(|(slot, &(i, _))| slot == i));
-    ledger::record_parallel(workers, tasks, &busy, slowest);
-    collected.into_iter().map(|(_, r)| r).collect()
+    let ledger = ParLedger::parallel(workers, tasks, &busy, slowest);
+    (collected.into_iter().map(|(_, r)| r).collect(), ledger)
 }
 
 #[cfg(test)]
@@ -237,10 +233,20 @@ mod tests {
     }
 
     #[test]
-    fn ambient_thread_count_round_trips() {
-        set_threads(3);
-        assert_eq!(auto_threads(), 3);
-        set_threads(0);
-        assert!(auto_threads() >= 1);
+    fn recorded_invocations_merge_into_one_ledger() {
+        let (out, mut ledger) = par_map_recorded(1, vec![1u32, 2, 3], |_, x| x);
+        assert_eq!(out, [1, 2, 3]);
+        let (out, pooled) = par_map_recorded(2, (0..10u32).collect(), |_, x| x);
+        assert_eq!(out.len(), 10);
+        ledger.merge(&pooled);
+        assert_eq!(ledger.serial_invocations, 1);
+        assert_eq!(ledger.parallel_invocations, 1);
+        assert_eq!(ledger.tasks, 13);
+        assert_eq!(ledger.max_workers, 2);
+        assert!(ledger.worst_imbalance >= 0.0);
+        assert!(
+            ledger.slowest_task <= ledger.busy_total,
+            "one task cannot exceed total busy time: {ledger:?}"
+        );
     }
 }

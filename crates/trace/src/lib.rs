@@ -18,13 +18,16 @@
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter with
 //!   fixed field order: `ts` is the simulated cycle, so the file is
 //!   byte-identical across `--threads` settings, seeds, and hosts.
-//! * [`session`] — the process-wide capture flag and ordered submission
-//!   sink behind the shared `--trace <path>` / `--profile` CLI flags.
+//!
+//! Capture is switched on per component: a run that wants a trace
+//! builds its components with enabled tracers and merges their logs
+//! into one [`TraceLog`] (the bench harness keeps that log in its
+//! per-run context behind `--trace <path>` / `--profile`).
 //!
 //! Determinism is the design constraint everything above serves: traces
 //! carry no wall-clock anywhere (host-time diagnostics stay in
 //! `ia-par`'s runtime ledger), aggregation uses ordered maps, and
-//! parallel sweeps submit per-task logs from the main thread in input
+//! parallel sweeps merge per-task logs on the calling thread in input
 //! order.
 //!
 //! ## Example
@@ -53,10 +56,8 @@
 pub mod chrome;
 mod log;
 mod profile;
-pub mod session;
 mod tracer;
 
 pub use log::{ComponentTrace, InstantStat, SpanStat, TraceLog};
 pub use profile::{Profile, ProfileRow};
-pub use session::{capture_enabled, set_capture, submit};
 pub use tracer::{TraceEvent, Tracer, DEFAULT_EVENT_CAPACITY};

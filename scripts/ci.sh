@@ -39,6 +39,10 @@ for t in $(cargo test -q --test parallel_determinism -- --list 2>/dev/null \
     cargo test -q --test parallel_determinism -- --exact "$t"
 done
 
+echo "== run isolation (determinism and trace tests side by side on 8 test threads: shared state would fail here)"
+cargo test -q --test parallel_determinism -- --test-threads 8
+cargo test -q -p ia-bench --test trace_profile -- --test-threads 8
+
 echo "== --threads 2 smoke run (exercises the multi-worker pool on any host)"
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- --quick --threads 2 > /dev/null
 

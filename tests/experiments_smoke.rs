@@ -34,7 +34,7 @@ const MARKERS: [&str; 24] = [
 
 fn renders(index: usize) {
     let (name, report) = ia_bench::EXPERIMENTS[index];
-    let out = report(true)
+    let out = report(true, &ia_bench::RunCtx::default())
         .unwrap_or_else(|e| panic!("{name}: {e}"))
         .to_text();
     let marker = MARKERS[index];

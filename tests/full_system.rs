@@ -106,7 +106,8 @@ fn data_awareness_reduces_offchip_traffic() {
 #[test]
 fn ablation_ladder_runs_through_the_facade() {
     let trace = mixed_trace(2500);
-    let rows = run_ablation(&SystemConfig::default(), &registry(), &trace).expect("ladder runs");
+    let (rows, _) =
+        run_ablation(&SystemConfig::default(), &registry(), &trace, 2).expect("ladder runs");
     assert_eq!(rows.len(), 4);
     assert!((rows[0].speedup - 1.0).abs() < 1e-12);
     for row in &rows {

@@ -1,49 +1,40 @@
-//! The `ia-par` determinism contract, end to end: every experiment's
+//! The determinism contract, end to end: every experiment's
 //! machine-readable report must be **byte-identical** at `--threads` 1
 //! (the exact serial path), 2 and 4 (multi-worker pools on any host,
-//! including single-core CI), and so must the `ia-trace` session each
-//! experiment submits.
+//! including single-core CI), and so must the `ia-trace` log each
+//! experiment captures. A recorded run, its replay and a serial run
+//! must agree byte for byte too.
 //!
-//! The thread count and trace capture are process-global
-//! (`ia_par::set_threads`, `ia_trace::set_capture`), so each test holds
-//! a lock while it flips them; the lock also keeps the comparison
-//! honest — no other thread can change the worker count between runs.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! Every run gets its own [`RunCtx`], so no test locks anything: the
+//! tests run side by side under the default test harness, and
+//! `intercepting_runs_are_isolated_under_concurrency` runs four
+//! experiments at once on purpose.
 
 use ia_bench::report::{Error, ExperimentReport, ReportFn};
+use ia_bench::RunCtx;
+use ia_tracefmt::TraceReader;
 
-static THREADS_GUARD: Mutex<()> = Mutex::new(());
-
-fn guard() -> MutexGuard<'static, ()> {
-    THREADS_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Renders `render()` at each thread count in `threads` and returns a
-/// description of the first pair whose bytes differ, if any.
-fn first_mismatch(threads: &[usize], render: impl Fn() -> String) -> Option<String> {
-    let runs: Vec<(usize, String)> = threads
-        .iter()
-        .map(|&t| {
-            ia_par::set_threads(t);
-            (t, render())
-        })
-        .collect();
-    ia_par::set_threads(0);
+/// Renders `render(threads)` at each thread count in `threads` and
+/// returns a description of the first pair whose bytes differ, if any.
+fn first_mismatch(threads: &[usize], render: impl Fn(usize) -> String) -> Option<String> {
+    let runs: Vec<(usize, String)> = threads.iter().map(|&t| (t, render(t))).collect();
     let (t0, first) = runs.first()?;
     let (t, other) = runs.iter().find(|(_, bytes)| bytes != first)?;
-    let at = first
-        .bytes()
-        .zip(other.bytes())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| first.len().min(other.len()));
     Some(format!(
-        "--threads {t0} and --threads {t} differ at byte {at}"
+        "--threads {t0} and --threads {t} differ at byte {}",
+        first_difference(first, other)
     ))
 }
 
-fn report_json(name: &str, report: ReportFn) -> String {
-    report(true)
+fn first_difference(a: &str, b: &str) -> usize {
+    a.bytes()
+        .zip(b.bytes())
+        .position(|(x, y)| x != y)
+        .unwrap_or_else(|| a.len().min(b.len()))
+}
+
+fn report_json(name: &str, report: ReportFn, ctx: &RunCtx) -> String {
+    report(true, ctx)
         .unwrap_or_else(|e| panic!("{name}: {e}"))
         .to_json()
         .render()
@@ -51,14 +42,10 @@ fn report_json(name: &str, report: ReportFn) -> String {
 
 /// The Chrome trace of one quick run; an experiment that submits no
 /// trace renders an empty log.
-fn trace_json(name: &str, report: ReportFn) -> String {
-    let _ = ia_trace::session::take();
-    ia_trace::set_capture(true);
-    let result = report(true);
-    ia_trace::set_capture(false);
-    let log = ia_trace::session::take();
-    result.unwrap_or_else(|e| panic!("{name}: {e}"));
-    ia_trace::chrome::render_chrome(&log)
+fn trace_json(name: &str, report: ReportFn, threads: usize) -> String {
+    let ctx = RunCtx::new(threads).with_trace();
+    report(true, &ctx).unwrap_or_else(|e| panic!("{name}: {e}"));
+    ia_trace::chrome::render_chrome(&ctx.take_trace())
 }
 
 fn lookup(name: &str) -> ReportFn {
@@ -69,22 +56,21 @@ fn lookup(name: &str) -> ReportFn {
         .1
 }
 
+fn report_mismatch(name: &str, report: ReportFn) -> Option<String> {
+    first_mismatch(&[1, 2, 4], |t| report_json(name, report, &RunCtx::new(t)))
+}
+
 fn assert_report_invariant(name: &str) {
-    let _guard = guard();
-    let report = lookup(name);
-    if let Some(m) = first_mismatch(&[1, 2, 4], || report_json(name, report)) {
+    if let Some(m) = report_mismatch(name, lookup(name)) {
         panic!("{name}: report {m}");
     }
 }
 
 #[test]
 fn every_report_is_thread_count_invariant() {
-    let _guard = guard();
     let failures: Vec<String> = ia_bench::EXPERIMENTS
         .iter()
-        .filter_map(|&(name, report)| {
-            first_mismatch(&[1, 2, 4], || report_json(name, report)).map(|m| format!("{name}: {m}"))
-        })
+        .filter_map(|&(name, report)| report_mismatch(name, report).map(|m| format!("{name}: {m}")))
         .collect();
     assert!(failures.is_empty(), "{failures:#?}");
 }
@@ -94,11 +80,10 @@ fn every_report_is_thread_count_invariant() {
 /// must match between the exact serial path and a multi-worker pool.
 #[test]
 fn every_trace_is_thread_count_invariant() {
-    let _guard = guard();
     let failures: Vec<String> = ia_bench::EXPERIMENTS
         .iter()
         .filter_map(|&(name, report)| {
-            first_mismatch(&[1, 4], || trace_json(name, report)).map(|m| format!("{name}: {m}"))
+            first_mismatch(&[1, 4], |t| trace_json(name, report, t)).map(|m| format!("{name}: {m}"))
         })
         .collect();
     assert!(failures.is_empty(), "{failures:#?}");
@@ -108,12 +93,10 @@ fn every_trace_is_thread_count_invariant() {
 /// worker count is flagged.
 #[test]
 fn comparison_flags_a_thread_dependent_report() {
-    fn leaks_threads(quick: bool) -> Result<ExperimentReport, Error> {
-        Ok(ExperimentReport::new("leaks_threads", quick)
-            .metric("threads", ia_par::auto_threads() as f64))
+    fn leaks_threads(quick: bool, ctx: &RunCtx) -> Result<ExperimentReport, Error> {
+        Ok(ExperimentReport::new("leaks_threads", quick).metric("threads", ctx.threads() as f64))
     }
-    let _guard = guard();
-    let mismatch = first_mismatch(&[1, 2, 4], || report_json("leaks_threads", leaks_threads));
+    let mismatch = report_mismatch("leaks_threads", leaks_threads);
     assert!(
         mismatch
             .as_deref()
@@ -144,10 +127,9 @@ fn exp24_fault_injection_is_thread_count_invariant() {
 
 #[test]
 fn exp05_trace_is_thread_count_invariant() {
-    let _guard = guard();
     let report = lookup("exp05_scheduler_suite");
-    let trace = || {
-        let t = trace_json("exp05", report);
+    let trace = |threads| {
+        let t = trace_json("exp05", report, threads);
         assert!(
             t.starts_with("{\"traceEvents\":[") && t.len() > 100,
             "every exp05 run must submit its trace: {t}"
@@ -157,4 +139,60 @@ fn exp05_trace_is_thread_count_invariant() {
     if let Some(m) = first_mismatch(&[1, 4], trace) {
         panic!("exp05: trace {m}");
     }
+}
+
+/// Records one quick run of `name` on two workers, replays the artifact
+/// on two workers, and runs it serially with a fresh context; returns
+/// what failed to match, if anything.
+fn record_replay_mismatch(name: &str) -> Option<String> {
+    let report = lookup(name);
+    let recorder = RunCtx::new(2).recording();
+    let recorded = report_json(name, report, &recorder);
+    let segments = recorder.intercepted();
+    if segments == 0 {
+        return Some(format!("{name}: the run intercepted no workload"));
+    }
+    let artifact = TraceReader::from_bytes(&recorder.recorded_artifact())
+        .unwrap_or_else(|e| panic!("{name}: recorded artifact must decode: {e}"));
+    let replayer = RunCtx::new(2).replaying(&artifact);
+    let replayed = report_json(name, report, &replayer);
+    if replayer.intercepted() != segments {
+        return Some(format!(
+            "{name}: replay asked for {} workloads, the recording holds {segments}",
+            replayer.intercepted()
+        ));
+    }
+    let serial = report_json(name, report, &RunCtx::new(1));
+    for (label, bytes) in [("replayed", &replayed), ("serial", &serial)] {
+        if *bytes != recorded {
+            return Some(format!(
+                "{name}: {label} report differs from the recorded one at byte {}",
+                first_difference(&recorded, bytes)
+            ));
+        }
+    }
+    None
+}
+
+/// The four experiments that intercept workloads run at the same time,
+/// each with its own context: recording in one cannot capture another's
+/// workloads, and replaying in one cannot feed another.
+#[test]
+fn intercepting_runs_are_isolated_under_concurrency() {
+    const INTERCEPTING: [&str; 4] = [
+        "exp04_rl_memctrl",
+        "exp05_scheduler_suite",
+        "exp13_low_latency_dram",
+        "exp24_fault_injection",
+    ];
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let runs: Vec<_> = INTERCEPTING
+            .iter()
+            .map(|&name| s.spawn(move || record_replay_mismatch(name)))
+            .collect();
+        runs.into_iter()
+            .filter_map(|run| run.join().unwrap_or_else(|_| Some("a run panicked".into())))
+            .collect()
+    });
+    assert!(failures.is_empty(), "{failures:#?}");
 }
