@@ -1,4 +1,4 @@
-//! The full-stack fuzz harness behind the `fuzz_stack` binary.
+//! The full-stack fuzz harness behind `ia-bench fuzz`.
 //!
 //! Each case draws a random multi-threaded workload (via the in-tree
 //! `proptest` strategies), a randomized [`FaultPlan`], one of the 7
@@ -62,8 +62,8 @@ const MISCORRECTION_MASK: u128 = 0b111;
 /// The mitigation ladder the grid sweeps.
 const LADDER: [Mitigation; 3] = [Mitigation::None, Mitigation::EccOnly, Mitigation::Full];
 
-/// Fuzz-run parameters (the `fuzz_stack` CLI surface).
-#[derive(Debug, Clone)]
+/// Fuzz-run parameters (the `ia-bench fuzz` flags).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzOptions {
     /// Number of cases to run.
     pub cases: u32,

@@ -5,11 +5,13 @@
 //! Result<ExperimentReport, Error>`, that runs the experiment once and
 //! returns its params, metrics, result table and caption; the table is
 //! the one recorded in `EXPERIMENTS.md`. [`EXPERIMENTS`] maps every
-//! binary name to its report function. The [`RunCtx`] carries the run's
-//! settings — worker count, trace capture, workload record/replay —
-//! so no process-wide state exists and runs in one process are
-//! independent. The `expNN_*` binaries route through [`report::cli`]
-//! (its module docs list the flags), and the integration tests assert
+//! experiment name to its report function. The [`RunCtx`] carries the
+//! run's settings — worker count, trace capture, workload record/replay
+//! — so no process-wide state exists and runs in one process are
+//! independent. The crate's one binary, `ia-bench`, runs an experiment
+//! by name through [`report::cli`], all of them through
+//! [`report::suite`], or the fuzzer through [`report::fuzz`] (the
+//! [`report`] module docs list the flags); the integration tests assert
 //! the qualitative shape on `report(true, &RunCtx::default())`.
 //! Independent-configuration sweeps fan out on the run's `ia-par`
 //! workers; reports are byte-identical at every `--threads` setting
@@ -50,8 +52,9 @@ pub mod report;
 
 pub use ctx::RunCtx;
 
-/// Every experiment, keyed by its standalone binary name (the names
-/// `scripts/bench_snapshot.sh` derives from `crates/bench/src/bin/exp*.rs`).
+/// Every experiment, keyed by the name `ia-bench <name>` runs it under,
+/// in ascending `expNN` order: the order `ia-bench suite` runs them in
+/// and `scripts/bench_snapshot.sh` writes them to `BENCH_PR.json`.
 pub const EXPERIMENTS: [(&str, report::ReportFn); 24] = [
     ("exp01_data_movement_energy", exp01_data_movement::report),
     ("exp02_rowclone", exp02_rowclone::report),

@@ -6,10 +6,19 @@
 //!
 //! ## Command-line flags
 //!
-//! This is the one place the flags are documented. The `expNN_*`
-//! binaries route their report through [`cli`], which builds one
-//! [`RunCtx`] from the flags, prints [`ExperimentReport::to_text`] and
-//! understands:
+//! This is the one place the flags are documented. One binary,
+//! `ia-bench`, takes three kinds of command, and one parser reads the
+//! flags of all three:
+//!
+//! ```text
+//! ia-bench <experiment> [flags]
+//! ia-bench suite [--quick] [--threads <n>] --json-dir <dir>
+//! ia-bench fuzz [--cases <n>] [--seed <n|0xHEX>] [--repro-dir <dir>] [--inject-violation]
+//! ```
+//!
+//! `<experiment>` is a name in [`EXPERIMENTS`](crate::EXPERIMENTS).
+//! [`cli`] builds one [`RunCtx`] from the flags, prints
+//! [`ExperimentReport::to_text`] and understands:
 //!
 //! * `--quick` — run the reduced-size configuration;
 //! * `--threads <n>` — worker count for parallel sweeps (`ia-par`);
@@ -37,13 +46,12 @@
 //! `error: <experiment>: <cause>`, followed by ` [trace: <path>]` when
 //! the run replayed an artifact.
 //!
-//! Two more binaries take flags:
-//! `bench_suite [--quick] [--threads <n>] --json-dir <dir>` runs all 24
-//! reports in one process, each on a fresh [`RunCtx`], and writes
-//! `<dir>/<bin-name>.json` for each;
-//! `fuzz_stack [--cases <n>] [--seed <n|0xHEX>] [--repro-dir <dir>]
-//! [--inject-violation]` runs the full-stack fault-plan fuzzer (see
-//! [`crate::fuzz`]), citing each failing case's fault seed.
+//! [`suite`] runs all 24 reports in one process, each on a fresh
+//! [`RunCtx`] built from the same `--quick`/`--threads` flags, and
+//! writes `<dir>/<experiment>.json` for each (`--help` prints its usage).
+//! [`fuzz`] runs the full-stack fault-plan fuzzer (see [`crate::fuzz`])
+//! and exits `1` on a violation, citing the failing case's fault seed.
+//! Both share the experiment commands' exit codes for usage errors.
 //!
 //! Reports round-trip through `ia-telemetry`'s own JSON parser — see
 //! [`ExperimentReport::from_json`] — so downstream tooling can consume
@@ -61,6 +69,7 @@
 
 use ia_telemetry::{csv, JsonValue};
 
+use crate::fuzz::FuzzOptions;
 use crate::RunCtx;
 
 /// The error an experiment's report returns: whatever failed in the
@@ -285,55 +294,118 @@ impl ExperimentReport {
     }
 }
 
-/// Parsed command-line options shared by every experiment binary.
+/// The three kinds of `ia-bench` command. Each accepts its own
+/// [flags](Command::flags), and all three parse into one [`CliOptions`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    /// `ia-bench <experiment>`: one report, through [`cli`].
+    Experiment,
+    /// `ia-bench suite`: every report in one process, through [`suite`].
+    Suite,
+    /// `ia-bench fuzz`: the full-stack fuzzer, through [`fuzz`].
+    Fuzz,
+}
+
+impl Command {
+    /// The flags this command accepts, each followed by its value's
+    /// placeholder if it takes one, in the order a usage error lists
+    /// them.
+    fn flags(self) -> &'static [&'static str] {
+        match self {
+            Command::Experiment => &[
+                "--quick",
+                "--threads <n>",
+                "--json <path>",
+                "--csv <path>",
+                "--trace <path>",
+                "--record-trace <path>",
+                "--replay-trace <path>",
+                "--profile",
+            ],
+            Command::Suite => &[
+                "--quick",
+                "--threads <n>",
+                "--json-dir <dir>",
+                "--help",
+                "-h",
+            ],
+            Command::Fuzz => &[
+                "--cases <n>",
+                "--seed <n|0xHEX>",
+                "--repro-dir <dir>",
+                "--inject-violation",
+            ],
+        }
+    }
+}
+
+/// One parsed command line. Every command parses into this one set;
+/// each reads only the fields its own flags set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct CliOptions {
     quick: bool,
-    threads: Option<String>,
+    threads: Option<usize>,
     json: Option<String>,
     csv: Option<String>,
     trace: Option<String>,
     record_trace: Option<String>,
     replay_trace: Option<String>,
     profile: bool,
+    json_dir: Option<String>,
+    help: bool,
+    fuzz: FuzzOptions,
 }
 
-/// Strictly parses `args` (`args[0]` is the binary name). Every flag
-/// must be recognized and every value-taking flag must have a value —
-/// anything else is an error, so a typo can't silently run a default
-/// configuration.
-fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
+/// Strictly parses `args`, the arguments after the command name, against
+/// `cmd`'s flags. Every flag must be one of them and every value-taking
+/// flag must have a valid value — anything else is an error, so a typo
+/// can't silently run a default configuration. A help flag ends the
+/// parse.
+fn parse(cmd: Command, args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(spec) = cmd
+            .flags()
+            .iter()
+            .find(|spec| spec.split(' ').next() == Some(arg))
+        else {
+            let expected = cmd.flags().join(", ");
+            return Err(format!("unknown flag `{arg}` (expected {expected})"));
+        };
+        let (flag, value) = match spec.split_once(' ') {
+            Some((flag, _)) => {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("{flag} expects a value"))?;
+                (flag, value.as_str())
+            }
+            None => (*spec, ""),
+        };
+        match flag {
             "--quick" => opts.quick = true,
             "--profile" => opts.profile = true,
-            flag @ ("--threads" | "--json" | "--csv" | "--trace" | "--record-trace"
-            | "--replay-trace") => {
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    return Err(format!("{flag} expects a value"));
-                };
-                let slot = match flag {
-                    "--threads" => &mut opts.threads,
-                    "--json" => &mut opts.json,
-                    "--csv" => &mut opts.csv,
-                    "--record-trace" => &mut opts.record_trace,
-                    "--replay-trace" => &mut opts.replay_trace,
-                    _ => &mut opts.trace,
-                };
-                *slot = Some(value.clone());
+            "--threads" => opts.threads = Some(positive(flag, value)?),
+            "--json" => opts.json = Some(value.to_owned()),
+            "--csv" => opts.csv = Some(value.to_owned()),
+            "--trace" => opts.trace = Some(value.to_owned()),
+            "--record-trace" => opts.record_trace = Some(value.to_owned()),
+            "--replay-trace" => opts.replay_trace = Some(value.to_owned()),
+            "--json-dir" => opts.json_dir = Some(value.to_owned()),
+            "--help" | "-h" => {
+                opts.help = true;
+                return Ok(opts);
             }
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` (expected --quick, --threads <n>, \
-                     --json <path>, --csv <path>, --trace <path>, \
-                     --record-trace <path>, --replay-trace <path>, --profile)"
-                ))
+            "--cases" => opts.fuzz.cases = positive(flag, value)?,
+            "--seed" => {
+                opts.fuzz.seed = parse_seed(value).ok_or_else(|| {
+                    format!("--seed expects an integer (decimal or 0x hex), got `{value}`")
+                })?;
             }
+            "--repro-dir" => opts.fuzz.repro_dir = value.into(),
+            "--inject-violation" => opts.fuzz.inject_violation = true,
+            other => return Err(format!("flag `{other}` has no parser")),
         }
-        i += 1;
     }
     if opts.record_trace.is_some() && opts.replay_trace.is_some() {
         return Err(
@@ -345,62 +417,87 @@ fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
     Ok(opts)
 }
 
-/// Shared experiment-binary entry point: builds the run's [`RunCtx`]
-/// from the flags (see the module docs), runs `report` once, prints its
-/// [text](ExperimentReport::to_text), writes the requested artifacts,
+/// Parses `flag`'s `value` as a positive integer.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    value
+        .parse::<T>()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} expects a positive integer, got `{value}`"))
+}
+
+/// Parses a seed written in decimal or as `0x` hex.
+fn parse_seed(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
+impl CliOptions {
+    /// The run context these options ask for: `--threads` workers (the
+    /// host's parallelism by default), trace capture for `--trace` or
+    /// `--profile`, and workload replay or recording.
+    ///
+    /// # Errors
+    ///
+    /// The `--replay-trace` artifact cannot be read or decoded.
+    fn run_ctx(&self) -> Result<RunCtx, String> {
+        let threads = self.threads.unwrap_or_else(crate::ctx::host_threads);
+        let mut ctx = RunCtx::new(threads);
+        if self.trace.is_some() || self.profile {
+            ctx = ctx.with_trace();
+        }
+        if let Some(path) = &self.replay_trace {
+            let artifact = ia_tracefmt::TraceReader::from_path(path)
+                .map_err(|e| format!("loading replay trace {path}: {e}"))?;
+            ctx = ctx.replaying(&artifact);
+        }
+        if self.record_trace.is_some() {
+            ctx = ctx.recording();
+        }
+        Ok(ctx)
+    }
+}
+
+/// Prints `error: <msg>` to stderr and exits with `code`: `2` for a
+/// usage or output error, `1` for a failed run.
+fn exit_with(code: i32, msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code);
+}
+
+/// `ia-bench <name> [flags]`: builds the run's [`RunCtx`] from the flags
+/// (see the module docs), runs experiment `name`'s `report` once, prints
+/// its [text](ExperimentReport::to_text), writes the requested artifacts,
 /// and prints the run's parallel-execution diagnostics to stderr.
 ///
 /// # Exits
 ///
 /// With status `2` on a usage error or an unwritable output, and with
-/// status `1` after `error: <experiment>: <cause>` if the experiment
-/// fails; a replayed run's cause names the artifact.
-pub fn cli(report: ReportFn) {
-    let args: Vec<String> = std::env::args().collect();
-    let usage_error = |msg: &str| -> ! {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    };
-    let opts = parse_cli(&args).unwrap_or_else(|msg| usage_error(&msg));
-    let bin = std::path::Path::new(args.first().map_or("", String::as_str));
-    let name = bin.file_stem().unwrap_or_default().to_string_lossy();
-    let threads = opts
-        .threads
-        .as_ref()
-        .map_or_else(crate::ctx::host_threads, |t| {
-            t.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    usage_error(&format!("--threads expects a positive integer, got `{t}`"))
-                })
-        });
-    let mut ctx = RunCtx::new(threads);
-    if opts.trace.is_some() || opts.profile {
-        ctx = ctx.with_trace();
-    }
-    if let Some(path) = &opts.replay_trace {
-        let artifact = ia_tracefmt::TraceReader::from_path(path)
-            .unwrap_or_else(|e| usage_error(&format!("loading replay trace {path}: {e}")));
-        ctx = ctx.replaying(&artifact);
-    }
-    if opts.record_trace.is_some() {
-        ctx = ctx.recording();
-    }
+/// status `1` after `error: <name>: <cause>` if the experiment fails; a
+/// replayed run's cause names the artifact.
+pub fn cli(name: &str, report: ReportFn, args: &[String]) {
+    let opts = parse(Command::Experiment, args).unwrap_or_else(|msg| exit_with(2, &msg));
+    let ctx = opts.run_ctx().unwrap_or_else(|msg| exit_with(2, &msg));
     let rep = report(opts.quick, &ctx).unwrap_or_else(|e| {
         let trace = opts.replay_trace.as_ref();
         let cite = trace.map_or_else(String::new, |path| format!(" [trace: {path}]"));
-        eprintln!("error: {name}: {e}{cite}");
-        std::process::exit(1);
+        exit_with(1, &format!("{name}: {e}{cite}"))
     });
     for (flag, path) in [
         ("--record-trace", &opts.record_trace),
         ("--replay-trace", &opts.replay_trace),
     ] {
         if path.is_some() && ctx.intercepted() == 0 {
-            usage_error(&format!(
-                "{flag}: {name} generates no memory-request workload to record or replay"
-            ));
+            exit_with(
+                2,
+                &format!("{flag}: {name} generates no memory-request workload to record or replay"),
+            );
         }
     }
     if let Some(path) = &opts.record_trace {
@@ -418,14 +515,99 @@ pub fn cli(report: ReportFn) {
     let rep = attach_par_diagnostics(rep, &ctx);
     print!("{}", rep.to_text());
     eprintln!("{}", par_diagnostics_from(&rep));
-    if let Some(path) = opts.json {
-        let mut text = rep.to_json().render();
-        text.push('\n');
-        write_or_exit(&path, text);
+    if let Some(path) = &opts.json {
+        write_or_exit(path, json_file(&rep));
     }
-    if let Some(path) = opts.csv {
-        write_or_exit(&path, rep.to_csv());
+    if let Some(path) = &opts.csv {
+        write_or_exit(path, rep.to_csv());
     }
+}
+
+/// `ia-bench suite [flags]`: runs every report in
+/// [`EXPERIMENTS`](crate::EXPERIMENTS) order in this one process, each on
+/// a fresh [`RunCtx`], and writes each to `<json-dir>/<name>.json` — the
+/// bytes `ia-bench <name> --json` writes, since the JSON carries only the
+/// deterministic report. After each experiment it prints a `<name> <ms>`
+/// wall line to stdout, timed in-process so the row is free of fork
+/// noise.
+///
+/// # Exits
+///
+/// With status `2` on a usage error, a missing `--json-dir` or an
+/// unwritable report file, and with status `1` after
+/// `error: <name>: <cause>` if an experiment fails.
+pub fn suite(args: &[String]) {
+    let opts = parse(Command::Suite, args).unwrap_or_else(|msg| exit_with(2, &msg));
+    if opts.help {
+        println!("usage: ia-bench suite [--quick] [--threads <n>] --json-dir <dir>");
+        return;
+    }
+    let Some(dir) = &opts.json_dir else {
+        exit_with(2, "--json-dir is required")
+    };
+    for (name, report) in crate::EXPERIMENTS {
+        // lint: allow(D002, per-experiment wall rows are host diagnostics on stdout; the report JSON carries no timing)
+        let start = std::time::Instant::now();
+        let ctx = opts.run_ctx().unwrap_or_else(|msg| exit_with(2, &msg));
+        let rep =
+            report(opts.quick, &ctx).unwrap_or_else(|e| exit_with(1, &format!("{name}: {e}")));
+        write_or_exit(&format!("{dir}/{name}.json"), json_file(&rep));
+        println!("{name} {}", start.elapsed().as_millis());
+    }
+}
+
+/// `ia-bench fuzz [flags]`: runs the full-stack fault-plan fuzzer (see
+/// [`crate::fuzz`]) and prints its verdict: one green line, or the first
+/// violation with its seed tuple, its minimized repro artifact and the
+/// command that reproduces it.
+///
+/// # Exits
+///
+/// With status `1` when an oracle fails, and with status `2` on a usage
+/// or harness error.
+pub fn fuzz(args: &[String]) {
+    let opts = parse(Command::Fuzz, args)
+        .unwrap_or_else(|msg| exit_with(2, &msg))
+        .fuzz;
+    let outcome = crate::fuzz::run_fuzz(&opts).unwrap_or_else(|e| exit_with(2, &e));
+    let Some(v) = outcome.violation else {
+        println!(
+            "fuzz_stack: {} cases across 7 schedulers x 3 mitigation rungs, \
+             all 4 oracles green (seed {:#x})",
+            outcome.cases_run, opts.seed
+        );
+        return;
+    };
+    println!("fuzz_stack: VIOLATION — oracle `{}` failed", v.oracle);
+    println!("  {}", v.detail);
+    println!(
+        "  case {}: scheduler={} mitigation={} master_seed={:#x} fault_seed={:#x}",
+        v.case_idx, v.scheduler, v.mitigation, opts.seed, v.fault_seed
+    );
+    println!(
+        "  minimized {} -> {} request(s); repro written to {}",
+        v.original_requests,
+        v.minimized_requests,
+        v.repro_path.display()
+    );
+    println!(
+        "  reproduce: ia-bench fuzz --seed {:#x} --cases {}{}",
+        opts.seed,
+        v.case_idx + 1,
+        if opts.inject_violation {
+            " --inject-violation"
+        } else {
+            ""
+        }
+    );
+    std::process::exit(1);
+}
+
+/// A report's `--json` file bytes: its JSON, newline-terminated.
+fn json_file(rep: &ExperimentReport) -> String {
+    let mut text = rep.to_json().render();
+    text.push('\n');
+    text
 }
 
 /// Renders the cycle-attribution profile of `log` plus a `trace.*`
@@ -446,8 +628,7 @@ fn profile_text(log: &ia_trace::TraceLog) -> String {
 /// backtrace.
 fn write_or_exit(path: &str, bytes: impl AsRef<[u8]>) {
     if let Err(e) = std::fs::write(path, bytes) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(2);
+        exit_with(2, &format!("writing {path}: {e}"));
     }
 }
 
@@ -560,10 +741,11 @@ mod tests {
     }
 
     fn argv(parts: &[&str]) -> Vec<String> {
-        std::iter::once("exp99_sample")
-            .chain(parts.iter().copied())
-            .map(str::to_owned)
-            .collect()
+        parts.iter().copied().map(str::to_owned).collect()
+    }
+
+    fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
+        parse(Command::Experiment, args)
     }
 
     #[test]
@@ -584,7 +766,7 @@ mod tests {
         ]))
         .expect("all flags are valid");
         assert!(opts.quick && opts.profile);
-        assert_eq!(opts.threads.as_deref(), Some("4"));
+        assert_eq!(opts.threads, Some(4));
         assert_eq!(opts.json.as_deref(), Some("a.json"));
         assert_eq!(opts.csv.as_deref(), Some("b.csv"));
         assert_eq!(opts.trace.as_deref(), Some("t.json"));
@@ -598,7 +780,12 @@ mod tests {
     #[test]
     fn parse_cli_rejects_unknown_flags_and_missing_values() {
         let err = parse_cli(&argv(&["--qiuck"])).unwrap_err();
-        assert!(err.contains("unknown flag `--qiuck`"), "{err}");
+        assert_eq!(
+            err,
+            "unknown flag `--qiuck` (expected --quick, --threads <n>, \
+             --json <path>, --csv <path>, --trace <path>, \
+             --record-trace <path>, --replay-trace <path>, --profile)"
+        );
         for flag in [
             "--threads",
             "--json",
@@ -624,6 +811,69 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn each_command_accepts_only_its_own_flags() {
+        let err = parse(Command::Suite, &argv(&["--json", "a.json"])).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag `--json` (expected --quick, --threads <n>, \
+             --json-dir <dir>, --help, -h)"
+        );
+        assert!(parse_cli(&argv(&["--json-dir", "d"])).is_err());
+        assert!(parse(Command::Fuzz, &argv(&["--quick"])).is_err());
+        let opts = parse(
+            Command::Suite,
+            &argv(&["--quick", "--threads", "3", "--json-dir", "d"]),
+        )
+        .expect("valid suite flags");
+        assert!(opts.quick);
+        assert_eq!(opts.threads, Some(3));
+        assert_eq!(opts.json_dir.as_deref(), Some("d"));
+        // The same flag is parsed, and refused, the same way everywhere.
+        for cmd in [Command::Experiment, Command::Suite] {
+            let err = parse(cmd, &argv(&["--threads", "0"])).unwrap_err();
+            assert_eq!(err, "--threads expects a positive integer, got `0`");
+        }
+    }
+
+    #[test]
+    fn help_ends_the_suite_parse() {
+        let opts = parse(Command::Suite, &argv(&["--quick", "-h", "--bogus"])).expect("help");
+        assert!(opts.help && opts.quick);
+        assert!(parse_cli(&argv(&["--help"])).is_err());
+    }
+
+    #[test]
+    fn fuzz_flags_fill_the_fuzz_options() {
+        let opts = parse(
+            Command::Fuzz,
+            &argv(&[
+                "--cases",
+                "5",
+                "--seed",
+                "0xFF",
+                "--repro-dir",
+                "r",
+                "--inject-violation",
+            ]),
+        )
+        .expect("valid fuzz flags")
+        .fuzz;
+        assert_eq!(opts.cases, 5);
+        assert_eq!(opts.seed, 255);
+        assert_eq!(opts.repro_dir, std::path::PathBuf::from("r"));
+        assert!(opts.inject_violation);
+        let seed = |v: &str| parse(Command::Fuzz, &argv(&["--seed", v])).map(|o| o.fuzz.seed);
+        assert_eq!(seed("42"), Ok(42));
+        assert!(seed("0xZZ").unwrap_err().contains("decimal or 0x hex"));
+        let err = parse(Command::Fuzz, &argv(&["--cases", "0"])).unwrap_err();
+        assert_eq!(err, "--cases expects a positive integer, got `0`");
+        assert_eq!(
+            parse(Command::Fuzz, &argv(&[])).unwrap().fuzz,
+            FuzzOptions::default()
+        );
     }
 
     #[test]

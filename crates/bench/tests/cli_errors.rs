@@ -1,28 +1,33 @@
-//! The shared experiment CLI's error contract, tested against a real
-//! binary (`exp05_scheduler_suite` stands in for all 24): bad arguments
-//! and unwritable output paths must exit with status `2` and a message
-//! on stderr — never a panic backtrace, never a silent default run —
-//! and the happy-path `--trace` output must be valid Chrome trace-event
-//! JSON.
+//! The `ia-bench` CLI's error contract, tested against the real binary
+//! (`exp05_scheduler_suite` stands in for all 24 experiments): a missing
+//! or unknown command, bad arguments and unwritable output paths must
+//! exit with status `2` and a message on stderr — never a panic
+//! backtrace, never a silent default run — and the happy-path `--trace`
+//! output must be valid Chrome trace-event JSON.
 
 use std::process::{Command, Output};
 
 use ia_tracefmt::{TraceOp, TraceRecord, TraceWriter};
 
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
+/// Runs `ia-bench <command> <args>`.
+fn run(command: &str, args: &[&str]) -> Output {
+    ia_bench(&[&[command], args].concat())
+}
+
+fn ia_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ia-bench"))
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
+        .unwrap_or_else(|e| panic!("spawn ia-bench: {e}"))
 }
 
 fn exp05(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_exp05_scheduler_suite"), args)
+    run("exp05_scheduler_suite", args)
 }
 
 /// `exp02_rowclone` generates no memory-request workload.
 fn exp02(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_exp02_rowclone"), args)
+    run("exp02_rowclone", args)
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -191,6 +196,69 @@ fn a_failing_replayed_run_names_its_artifact() {
 fn threads_must_be_a_positive_integer() {
     assert_usage_error(&["--threads", "0"], "positive integer");
     assert_usage_error(&["--threads", "lots"], "positive integer");
+}
+
+#[test]
+fn suite_parses_threads_like_every_experiment() {
+    let args = ["--threads", "0"];
+    let suite = run("suite", &args);
+    let msg = "error: --threads expects a positive integer, got `0`\n";
+    assert_usage_failure(&suite, &args, msg);
+    assert_eq!(
+        String::from_utf8_lossy(&suite.stderr),
+        String::from_utf8_lossy(&exp05(&args).stderr),
+        "suite and an experiment must refuse a bad --threads with one message"
+    );
+}
+
+#[test]
+fn suite_and_fuzz_refuse_bad_flags_before_running() {
+    let cases = [
+        ("suite", &["--quick"][..], "error: --json-dir is required"),
+        ("suite", &["--json", "a.json"][..], "unknown flag `--json`"),
+        (
+            "fuzz",
+            &["--cases", "0"][..],
+            "--cases expects a positive integer",
+        ),
+        ("fuzz", &["--seed", "0xZZ"][..], "decimal or 0x hex"),
+        ("fuzz", &["--quick"][..], "unknown flag `--quick`"),
+    ];
+    for (command, args, needle) in cases {
+        assert_usage_failure(&run(command, args), args, needle);
+    }
+}
+
+/// A missing or unknown command exits 2 with nothing on stdout and
+/// lists every command on stderr.
+fn assert_lists_every_command(args: &[&str], needle: &str) {
+    let out = ia_bench(args);
+    assert_usage_failure(&out, args, needle);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let words: Vec<&str> = stderr
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .collect();
+    let commands = ["suite", "fuzz"].into_iter();
+    for command in commands.chain(ia_bench::EXPERIMENTS.iter().map(|(n, _)| *n)) {
+        assert!(
+            words.contains(&command),
+            "{args:?}: stderr must list `{command}`:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn no_command_is_a_usage_error() {
+    assert_lists_every_command(&[], "error: no command given");
+}
+
+#[test]
+fn an_unknown_command_never_runs_a_default_experiment() {
+    assert_lists_every_command(
+        &["exp05_scheduler_suit", "--quick"],
+        "error: unknown command `exp05_scheduler_suit`",
+    );
+    assert_lists_every_command(&["--quick"], "error: unknown command `--quick`");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end check of the machine-readable report pipeline: run the
-//! RowClone experiment through the report path the `exp02_rowclone`
-//! binary uses, write the JSON to disk, and parse it back with
+//! RowClone experiment through the report path `ia-bench exp02_rowclone`
+//! uses, write the JSON to disk, and parse it back with
 //! `ia-telemetry`'s own parser — the same loop `scripts/bench_snapshot.sh`
 //! and any downstream tooling rely on.
 
@@ -12,7 +12,7 @@ fn exp02_report_round_trips_through_json_on_disk() {
     let rep =
         ia_bench::exp02_rowclone::report(true, &ia_bench::RunCtx::default()).expect("exp02 runs");
 
-    // Write exactly what the binary's `--json <path>` flag writes.
+    // Write exactly what `ia-bench exp02_rowclone --json <path>` writes.
     let mut text = rep.to_json().render();
     text.push('\n');
     let path = std::env::temp_dir().join("ia_bench_exp02_report.json");
@@ -44,7 +44,7 @@ fn exp02_report_round_trips_through_json_on_disk() {
 
 #[test]
 fn every_experiment_report_names_itself_and_records_quick() {
-    // Names match their binaries' experiment number, the quick param is
+    // Names match their registry key's experiment number, the quick param is
     // recorded and every report carries its table, so BENCH_PR.json
     // entries are self-describing.
     for (bin, report) in ia_bench::EXPERIMENTS {
@@ -62,16 +62,20 @@ fn every_experiment_report_names_itself_and_records_quick() {
 }
 
 #[test]
-fn registry_lists_exactly_the_experiment_binaries() {
-    // bench_snapshot.sh derives the snapshot's entries from this glob.
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
-    let mut bins: Vec<String> = std::fs::read_dir(dir)
-        .expect("bin dir readable")
-        .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .filter(|f| f.starts_with("exp") && f.ends_with(".rs"))
-        .map(|f| f.trim_end_matches(".rs").to_owned())
-        .collect();
-    bins.sort();
-    let registry: Vec<&str> = ia_bench::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-    assert_eq!(bins, registry);
+fn registry_holds_24_unique_names_in_ascending_order() {
+    // `ia-bench suite` runs, and bench_snapshot.sh writes BENCH_PR.json
+    // in, registry order: exp01 .. exp24, one entry each.
+    let names: Vec<&str> = ia_bench::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names.len(), 24);
+    for (i, name) in names.iter().enumerate() {
+        assert!(
+            name.starts_with(&format!("exp{:02}_", i + 1)),
+            "entry {i} is `{name}`, expected an exp{:02}_ name",
+            i + 1
+        );
+    }
+    assert!(
+        names.windows(2).all(|w| w[0] < w[1]),
+        "names must be unique and strictly ascending: {names:?}"
+    );
 }

@@ -25,9 +25,11 @@
 //!   `crate.section.name` convention (M001) and never collide across
 //!   crates (M002).
 //! * **S-series — safety.** Every crate root forbids `unsafe_code`
-//!   (S001), every experiment binary routes through
-//!   `ia_bench::report::cli` (S002), and shipped code declares no
-//!   process-wide mutable `static` or `thread_local!` (S003).
+//!   (S001), and shipped code declares no process-wide mutable
+//!   `static` or `thread_local!` (S003). S002 (`bin-bypasses-cli`) is
+//!   retired, ID not reused: its subject, the per-experiment
+//!   binaries, became the one `ia-bench` dispatcher, which routes every
+//!   experiment through `ia_bench::report::cli` by construction.
 //! * **W-series — waiver hygiene.** `// lint: allow` comments that no
 //!   longer silence anything are themselves findings (W001).
 //!

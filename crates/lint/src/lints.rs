@@ -123,13 +123,6 @@ pub const CATALOG: &[LintInfo] = &[
         version: 1,
     },
     LintInfo {
-        id: "S002",
-        name: "bin-bypasses-cli",
-        summary: "every experiment binary must route through ia_bench::report::cli \
-                  (shared flags, error handling, exit codes)",
-        version: 1,
-    },
-    LintInfo {
         id: "S003",
         name: "process-wide-mutable-static",
         summary: "shipped code declares a `static` with interior mutability (Atomic*, \
@@ -283,7 +276,7 @@ fn starts_with_any(path: &str, prefixes: &[&str]) -> bool {
 /// filters them centrally so it can also tell which waivers were used
 /// (dead ones become W001 findings). Cross-file facts (metric
 /// registrations for M002) are appended to `metrics`; S-series runs in
-/// the workspace passes ([`check_crate_root`], [`check_bench_bin`]).
+/// the workspace pass ([`check_crate_root`]).
 #[must_use]
 pub fn check_file(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -508,27 +501,6 @@ pub fn check_crate_root(path: &str, ctx: &FileContext) -> Vec<Finding> {
             1,
             "S001",
             "crate root is missing `#![forbid(unsafe_code)]`".to_owned(),
-        )]
-    }
-}
-
-/// S002: an experiment binary must call through `report::cli` so every
-/// bin shares flags, error handling, and exit codes.
-#[must_use]
-pub fn check_bench_bin(path: &str, ctx: &FileContext) -> Vec<Finding> {
-    let code = &ctx.code;
-    let found = code.windows(4).any(|w| {
-        w[0].is_ident("report") && w[1].is_punct(':') && w[2].is_punct(':') && w[3].is_ident("cli")
-    });
-    if found {
-        Vec::new()
-    } else {
-        vec![Finding::new(
-            path,
-            1,
-            1,
-            "S002",
-            "experiment binary does not route through `ia_bench::report::cli`".to_owned(),
         )]
     }
 }

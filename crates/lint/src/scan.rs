@@ -8,9 +8,7 @@ use crate::context::{path_is_testlike, FileContext};
 use crate::graph::{CallGraph, CrateDeps};
 use crate::ipa::{check_graph, ParsedFile};
 use crate::lexer::tokenize;
-use crate::lints::{
-    check_bench_bin, check_crate_root, check_file, check_metric_collisions, Finding, MetricSite,
-};
+use crate::lints::{check_crate_root, check_file, check_metric_collisions, Finding, MetricSite};
 use crate::parser::parse_items;
 use std::collections::BTreeSet;
 use std::io;
@@ -43,13 +41,6 @@ pub fn is_crate_root(path: &str) -> bool {
     }
     let parts: Vec<&str> = path.split('/').collect();
     matches!(parts.as_slice(), ["crates", _, "src", "lib.rs" | "main.rs"])
-}
-
-/// True when `path` is an experiment binary that must route through
-/// `ia_bench::report::cli` (S002).
-#[must_use]
-pub fn is_bench_bin(path: &str) -> bool {
-    path.starts_with("crates/bench/src/bin/") && path.ends_with(".rs")
 }
 
 /// True for a workspace manifest path (`Cargo.toml`,
@@ -127,9 +118,6 @@ fn file_raw(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) -> Vec
     let mut findings = check_file(path, ctx, metrics);
     if is_crate_root(path) {
         findings.extend(check_crate_root(path, ctx));
-    }
-    if is_bench_bin(path) {
-        findings.extend(check_bench_bin(path, ctx));
     }
     findings
 }
@@ -261,9 +249,8 @@ mod tests {
         assert!(is_crate_root("crates/dram/src/lib.rs"));
         assert!(is_crate_root("crates/lint/src/main.rs"));
         assert!(!is_crate_root("crates/dram/src/module.rs"));
+        assert!(is_crate_root("crates/bench/src/main.rs"));
         assert!(!is_crate_root("crates/bench/src/bin/exp02_rowclone.rs"));
-        assert!(is_bench_bin("crates/bench/src/bin/exp02_rowclone.rs"));
-        assert!(!is_bench_bin("crates/bench/src/report.rs"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn lint_ids(name: &str, metrics: &mut Vec<MetricSite>) -> Vec<&'static str> {
 /// IDs exercised by plain single-file fixture pairs (M002 is cross-file
 /// and has its own test below).
 const PAIRED_IDS: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "M001", "P001", "P002", "S001", "S002", "S003",
+    "D001", "D002", "D003", "D004", "D005", "M001", "P001", "P002", "S001", "S003",
 ];
 
 /// IDs whose fixtures need the full pipeline — call graph plus waiver

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# Runs every experiment in quick mode via the single-process bench_suite
-# runner and concatenates the per-experiment reports into one JSON array,
+# Runs every experiment in quick mode via the single-process
+# `ia-bench suite` command and concatenates the per-experiment reports into one JSON array,
 # BENCH_PR.json, at the repo root. Attach that file to a PR to snapshot
 # the benchmark state.
 #
 # One process instead of one per experiment: fork+exec costs ~2 ms per
-# binary on a loaded host, ~50 ms of pure churn across the suite. The
-# runner writes byte-for-byte the same per-experiment JSON the
-# standalone exp* binaries write (runtime diagnostics never enter the
-# report), so the concatenated snapshot is unchanged. Parallelism lives
+# process on a loaded host, ~50 ms of pure churn across the suite. The
+# suite writes byte-for-byte the same per-experiment JSON
+# `ia-bench <experiment> --json` writes (runtime diagnostics never enter
+# the report), so the concatenated snapshot is unchanged. Parallelism lives
 # *inside* the run (the ia-par worker pool, exposed as --threads) and
 # the report bytes are identical at any thread count — byte-identical
 # to a fully serial run.
 #
-# Per-binary wall-clock goes into a *separate* side file, BENCH_WALL.json
+# Per-experiment wall-clock goes into a *separate* side file, BENCH_WALL.json
 # next to the output: timing is host-dependent and must never contaminate
 # the canonical, byte-stable BENCH_PR.json. Timestamps come from bash's
 # $EPOCHREALTIME builtin — forking `date` twice per bin used to charge
@@ -47,11 +47,6 @@ now_ms() {
     local t=$EPOCHREALTIME
     echo $(( ${t%.*} * 1000 + 10#${t#*.} / 1000 ))
 }
-
-bins=()
-for src in crates/bench/src/bin/exp*.rs; do
-    bins+=("$(basename "$src" .rs)")
-done
 
 threads="$(nproc 2>/dev/null || echo 1)"
 wall="$(dirname "$out")/BENCH_WALL.json"
@@ -90,15 +85,19 @@ record() {
 }
 
 suite_start_ms="$(now_ms)"
-if ! target/release/bench_suite --quick --threads "$threads" \
+if ! target/release/ia-bench suite --quick --threads "$threads" \
         --json-dir "$tmpdir" > "$tmpdir/walls.txt"; then
-    echo "FAILED: bench_suite" >&2
-    failed+=("bench_suite")
+    echo "FAILED: ia-bench suite" >&2
+    failed+=("ia-bench suite")
 fi
 suite_end_ms="$(now_ms)"
-# Per-experiment rows come from the runner's own stopwatch (fork-free);
-# they are recorded here, outside the timed window.
+# Per-experiment rows come from the suite's own stopwatch (fork-free);
+# they are recorded here, outside the timed window. The suite prints one
+# `<experiment> <ms>` line per report, in registry order, which is also
+# the snapshot's entry order.
+bins=()
 while IFS=' ' read -r bin ms; do
+    bins+=("$bin")
     record "$bin" "$ms"
 done < "$tmpdir/walls.txt"
 # The headline row perf work optimizes against: one number for the whole
@@ -152,7 +151,7 @@ mv "$out.tmp" "$out"
 mv "$wall.tmp" "$wall"
 
 echo "wrote $out (${#bins[@]} experiments, --threads $threads)" >&2
-echo "wrote $wall (per-binary wall-clock, host-dependent)" >&2
+echo "wrote $wall (per-experiment wall-clock, host-dependent)" >&2
 echo "wrote $micro (deterministic per-op checksums)" >&2
 
 if [ "${#regressed[@]}" -gt 0 ]; then

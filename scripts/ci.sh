@@ -44,28 +44,28 @@ cargo test -q --test parallel_determinism -- --test-threads 8
 cargo test -q -p ia-bench --test trace_profile -- --test-threads 8
 
 echo "== --threads 2 smoke run (exercises the multi-worker pool on any host)"
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- --quick --threads 2 > /dev/null
+cargo run -q -p ia-bench -- exp05_scheduler_suite --quick --threads 2 > /dev/null
 
 echo "== trace smoke (--trace output byte-identical across --threads)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
+cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --threads 1 --trace "$trace_dir/t1.json" > /dev/null
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
+cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --threads 4 --trace "$trace_dir/t4.json" > /dev/null
 diff "$trace_dir/t1.json" "$trace_dir/t4.json"
 
 echo "== fault-injection campaign (detect -> correct -> degrade loop)"
-cargo run -q -p ia-bench --bin exp24_fault_injection -- --quick > /dev/null
+cargo run -q -p ia-bench -- exp24_fault_injection --quick > /dev/null
 
 echo "== fuzz smoke (64 fixed-seed cases, 7 schedulers x 3 ladders, 4 oracles)"
 fuzz_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$fuzz_dir"' EXIT
-cargo run -q -p ia-bench --bin fuzz_stack -- \
+cargo run -q -p ia-bench -- fuzz \
     --cases 64 --repro-dir "$fuzz_dir" > /dev/null
 
 echo "== fuzz self-test (injected miscorrection is caught and minimized)"
-if cargo run -q -p ia-bench --bin fuzz_stack -- \
+if cargo run -q -p ia-bench -- fuzz \
     --cases 1 --inject-violation --repro-dir "$fuzz_dir" > "$fuzz_dir/inject.txt"; then
     echo "fuzz self-test: injected violation was NOT caught"; exit 1
 fi
@@ -75,9 +75,9 @@ test -f "$fuzz_dir"/fuzz-case0000.trace \
     || { echo "fuzz self-test: repro artifact missing"; exit 1; }
 
 echo "== record/replay determinism (replayed exp05 byte-identical to recorded run)"
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
+cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --record-trace "$fuzz_dir/e5.trace" > "$fuzz_dir/rec.txt"
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
+cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --replay-trace "$fuzz_dir/e5.trace" > "$fuzz_dir/rep.txt"
 diff "$fuzz_dir/rec.txt" "$fuzz_dir/rep.txt"
 
@@ -134,9 +134,9 @@ trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir"' EXIT
 # The warm-forked exp05 must emit byte-identical reports on back-to-back
 # runs: every sweep cell forks one warm controller, so a fork must behave
 # exactly like a cold-built one.
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
+cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --json "$fork_dir/a.json" > /dev/null
-cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
+cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --json "$fork_dir/b.json" > /dev/null
 diff "$fork_dir/a.json" "$fork_dir/b.json"
 
