@@ -28,8 +28,8 @@
 //! * `--csv <path>` — write the report's table as CSV;
 //! * `--trace <path>` — write an `ia-trace` Chrome trace-event JSON
 //!   file of the run (cycle-exact, byte-identical across `--threads`);
-//! * `--profile` — print the cycle-attribution profile and a `trace.*`
-//!   telemetry snapshot to stderr;
+//! * `--profile` — print the cycle-attribution profile and its
+//!   `[trace] trace.profile.*` summary lines to stderr;
 //! * `--record-trace <path>` — record the run's generated workloads as
 //!   an `ia-tracefmt` artifact (see `crates/tracefmt/FORMAT.md`);
 //! * `--replay-trace <path>` — drive the run from a recorded artifact
@@ -610,15 +610,26 @@ fn json_file(rep: &ExperimentReport) -> String {
     text
 }
 
-/// Renders the cycle-attribution profile of `log` plus a `trace.*`
-/// telemetry snapshot, for the `--profile` stderr block.
+/// Renders the cycle-attribution profile of `log` plus its
+/// `[trace] trace.profile.*` summary lines, for the `--profile` stderr
+/// block.
 fn profile_text(log: &ia_trace::TraceLog) -> String {
-    let profile = ia_trace::Profile::from_log(log);
-    let mut reg = ia_telemetry::Registry::new();
-    reg.collect("trace.profile", &profile);
-    let mut out = profile.to_text();
-    for (name, value) in reg.iter() {
-        out.push_str(&format!("[trace] {name}={}\n", value.scalar()));
+    let p = ia_trace::Profile::from_log(log);
+    let mut out = p.to_text();
+    let mut lines = vec![
+        ("attributed_cycles", p.total_attributed),
+        ("tracks", p.components.len() as u64),
+        ("phases", p.rows.len() as u64),
+        ("spans", p.span_count),
+        ("instants", p.instant_count),
+        ("events_recorded", p.events_recorded),
+        ("events_dropped", p.events_dropped),
+    ];
+    if let Some((_, hottest)) = p.components.first() {
+        lines.push(("hottest_component_cycles", *hottest));
+    }
+    for (name, value) in lines {
+        out.push_str(&format!("[trace] trace.profile.{name}={value}\n"));
     }
     out
 }
@@ -888,10 +899,26 @@ mod tests {
             text.contains("[profile] attributed 10 simulated cycles"),
             "{text}"
         );
-        assert!(
-            text.contains("[trace] trace.profile.attributed_cycles=10"),
+        let trace_block: Vec<&str> = text.lines().filter(|l| l.starts_with("[trace] ")).collect();
+        assert_eq!(
+            trace_block,
+            [
+                "[trace] trace.profile.attributed_cycles=10",
+                "[trace] trace.profile.tracks=1",
+                "[trace] trace.profile.phases=2",
+                "[trace] trace.profile.spans=0",
+                "[trace] trace.profile.instants=0",
+                "[trace] trace.profile.events_recorded=2",
+                "[trace] trace.profile.events_dropped=0",
+                "[trace] trace.profile.hottest_component_cycles=10",
+            ],
             "{text}"
         );
+        assert!(text.ends_with("[trace] trace.profile.hottest_component_cycles=10\n"));
+        // An empty log has no hottest component, so that line is absent.
+        let empty = profile_text(&ia_trace::TraceLog::new());
+        assert!(empty.contains("[trace] trace.profile.events_dropped=0\n"));
+        assert!(!empty.contains("hottest_component_cycles"), "{empty}");
     }
 
     #[test]

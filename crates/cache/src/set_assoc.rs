@@ -92,16 +92,6 @@ impl CacheStats {
     }
 }
 
-impl ia_telemetry::MetricSource for CacheStats {
-    fn export_into(&self, scope: &mut ia_telemetry::Scope<'_>) {
-        scope.set_counter("hits", self.hits);
-        scope.set_counter("misses", self.misses);
-        scope.set_counter("evictions", self.evictions);
-        scope.set_counter("writebacks", self.writebacks);
-        scope.set_gauge("hit_rate", self.hit_rate());
-    }
-}
-
 /// A set-associative write-back cache.
 ///
 /// # Examples
@@ -356,7 +346,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_merge_and_export() {
+    fn stats_merge_and_hit_rate() {
         let mut c = tiny();
         c.access(0x0, CacheOp::Read);
         c.access(0x0, CacheOp::Read);
@@ -365,13 +355,9 @@ mod tests {
         total.merge(c.stats());
         total.merge(c.stats());
         assert_eq!(total.accesses(), 6);
-
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("llc", c.stats());
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.counter("llc.hits"), Some(1));
-        assert_eq!(snap.counter("llc.misses"), Some(2));
-        assert!((snap.gauge("llc.hit_rate").unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!((total.hits, total.misses), (2, 4));
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 2));
+        assert!((c.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     fn tiny() -> Cache {

@@ -140,20 +140,6 @@ impl EnergyCounter {
     }
 }
 
-impl ia_telemetry::MetricSource for EnergyCounter {
-    fn export_into(&self, scope: &mut ia_telemetry::Scope<'_>) {
-        scope.set_gauge("act_pre_pj", self.act_pre_pj);
-        scope.set_gauge("array_pj", self.array_pj);
-        scope.set_gauge("io_pj", self.io_pj);
-        scope.set_gauge("refresh_pj", self.refresh_pj);
-        scope.set_gauge("dynamic_pj", self.dynamic_pj());
-        scope.set_gauge("movement_fraction", self.movement_fraction());
-        scope.set_counter("activates", self.activates);
-        scope.set_counter("bursts", self.bursts);
-        scope.set_counter("refreshes", self.refreshes);
-    }
-}
-
 impl fmt::Display for EnergyCounter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

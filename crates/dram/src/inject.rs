@@ -90,8 +90,8 @@ impl InjectLog {
         self.enabled
     }
 
-    /// Records one event; free when disabled (`record_with` idiom from
-    /// `TraceBuffer`: the closure only runs if someone is listening).
+    /// Records one event; free when disabled (the closure only runs if
+    /// someone is listening).
     #[inline]
     pub(crate) fn record_with(&mut self, make: impl FnOnce() -> InjectEvent) {
         if self.enabled {

@@ -2,7 +2,6 @@
 //! Ramulator-style fine-grained command interface and an open-page
 //! convenience interface.
 
-use ia_telemetry::{MetricSource, Scope};
 use ia_trace::{ComponentTrace, Tracer};
 
 use crate::channel::Channel;
@@ -523,16 +522,6 @@ impl DramModule {
     }
 }
 
-impl MetricSource for DramModule {
-    /// Publishes command/locality counters at this scope and energy
-    /// under an `energy` child scope.
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        self.stats.export_into(scope);
-        scope.collect("energy", &self.energy);
-        scope.set_gauge("charge_cache_hit_rate", self.charge_cache.hit_rate());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,16 +714,13 @@ mod tests {
     }
 
     #[test]
-    fn module_exports_stats_and_energy() {
+    fn write_counts_in_stats_and_energy() {
         let mut dram = module();
         dram.access(PhysAddr::new(0), AccessKind::Write, Cycle::ZERO)
             .unwrap();
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("dram", &dram);
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.counter("dram.writes"), Some(1));
-        assert_eq!(snap.counter("dram.energy.bursts"), Some(1));
-        assert!(snap.gauge("dram.energy.io_pj").unwrap() > 0.0);
+        assert_eq!(dram.stats().writes, 1);
+        assert_eq!(dram.energy().bursts, 1);
+        assert!(dram.energy().io_pj > 0.0);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use ia_telemetry::{MetricSource, Scope};
-
 use crate::RowBufferOutcome;
 
 /// Command and locality counters for a simulated module.
@@ -75,20 +73,6 @@ impl DramStats {
     }
 }
 
-impl MetricSource for DramStats {
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        scope.set_counter("activates", self.activates);
-        scope.set_counter("precharges", self.precharges);
-        scope.set_counter("reads", self.reads);
-        scope.set_counter("writes", self.writes);
-        scope.set_counter("refreshes", self.refreshes);
-        scope.set_counter("row_hits", self.row_hits);
-        scope.set_counter("row_misses", self.row_misses);
-        scope.set_counter("row_conflicts", self.row_conflicts);
-        scope.set_gauge("row_hit_rate", self.row_hit_rate());
-    }
-}
-
 impl fmt::Display for DramStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -124,20 +108,6 @@ mod tests {
         s.record_outcome(RowBufferOutcome::Miss);
         s.record_outcome(RowBufferOutcome::Conflict);
         assert!((s.row_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn export_publishes_counters_and_hit_rate() {
-        let mut s = DramStats::new();
-        s.reads = 7;
-        s.record_outcome(RowBufferOutcome::Hit);
-        s.record_outcome(RowBufferOutcome::Miss);
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("dram", &s);
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.counter("dram.reads"), Some(7));
-        assert_eq!(snap.counter("dram.row_hits"), Some(1));
-        assert_eq!(snap.gauge("dram.row_hit_rate"), Some(0.5));
     }
 
     #[test]

@@ -77,7 +77,8 @@ impl FlipMask {
 }
 
 /// Lifetime counters for one injector, broken out per mechanism.
-/// `ia-memctrl` mirrors these into its telemetry scope.
+/// `ia-memctrl`'s reliability pipeline exposes them through
+/// `ReliabilityPipeline::fault_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// RowHammer victim bits newly flipped.

@@ -21,9 +21,10 @@
 //!   `panic!`-family macros (P002) in non-test library code, and no
 //!   panic site reachable from a report entry point (P003, with a
 //!   deterministic witness call chain per finding).
-//! * **M-series — metrics.** Registered metric names follow the
-//!   `crate.section.name` convention (M001) and never collide across
-//!   crates (M002).
+//! * **M-series — metrics.** Retired, IDs not reused: M001
+//!   (`metric-name-convention`) and M002 (`metric-name-collision`)
+//!   policed `.counter/.gauge/.histogram("…")` registrations on the
+//!   metrics registry, which was deleted when no run read it.
 //! * **S-series — safety.** Every crate root forbids `unsafe_code`
 //!   (S001), and shipped code declares no process-wide mutable
 //!   `static` or `thread_local!` (S003). S002 (`bin-bypasses-cli`) is

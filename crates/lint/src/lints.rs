@@ -1,6 +1,6 @@
-//! The lint catalog: D-series (determinism), P-series (panic policy),
-//! M-series (metric naming), S-series (safety / CLI routing / run
-//! isolation).
+//! The lint catalog: D-series (determinism), H-series (hot paths),
+//! P-series (panic policy), S-series (safety / run isolation),
+//! W-series (waiver hygiene).
 //!
 //! Every lint is identified by a stable `X000` ID. Findings print as
 //! `file:line:col: LINT-ID: message`; the catalog with rationale and
@@ -8,7 +8,6 @@
 
 use crate::context::FileContext;
 use crate::lexer::{Tok, TokKind};
-use std::collections::BTreeMap;
 
 /// One catalog entry.
 #[derive(Debug, Clone, Copy)]
@@ -77,20 +76,6 @@ pub const CATALOG: &[LintInfo] = &[
         summary: "a `// lint: hot-path` function transitively calls code that allocates \
                   (Vec::new/.collect/.to_vec/.clone) — D005 for the whole call closure, \
                   with the witness chain from the hot function to the allocation",
-        version: 1,
-    },
-    LintInfo {
-        id: "M001",
-        name: "metric-name-convention",
-        summary: "metric names must be dot-separated lowercase paths with >= 2 segments \
-                  (`crate.section.name`), each segment `[a-z0-9_]+`",
-        version: 1,
-    },
-    LintInfo {
-        id: "M002",
-        name: "metric-name-collision",
-        summary: "the same metric name is registered from two different crates — rename, \
-                  or waive the consumer site with `// lint: allow(M002, why)`",
         version: 1,
     },
     LintInfo {
@@ -195,24 +180,6 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// A metric-name registration site, recorded for the cross-file M002 pass.
-#[derive(Debug, Clone)]
-pub struct MetricSite {
-    /// Metric name literal.
-    pub name: String,
-    /// Crate the registration lives in (`bench`, `dram`, root = `intelligent-arch`).
-    pub krate: String,
-    /// Registration site.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// An `allow(M002)` waiver covers the site: it is excluded from the
-    /// collision pass, and the waiver counts as used (W001).
-    pub waived: bool,
-}
-
 /// File-path prefixes whose sources build report/metric bytes: hash-ordered
 /// collections are banned outright there (D001).
 const REPORT_PATHS: &[&str] = &["crates/bench/src/", "crates/telemetry/src/"];
@@ -274,11 +241,10 @@ fn starts_with_any(path: &str, prefixes: &[&str]) -> bool {
 /// Runs all single-file lints on one file, emitting **raw** findings:
 /// `// lint: allow` waivers are *not* applied here — the scan pipeline
 /// filters them centrally so it can also tell which waivers were used
-/// (dead ones become W001 findings). Cross-file facts (metric
-/// registrations for M002) are appended to `metrics`; S-series runs in
-/// the workspace pass ([`check_crate_root`]).
+/// (dead ones become W001 findings). S001 runs in the workspace pass
+/// ([`check_crate_root`]).
 #[must_use]
-pub fn check_file(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) -> Vec<Finding> {
+pub fn check_file(path: &str, ctx: &FileContext) -> Vec<Finding> {
     let mut out = Vec::new();
     let code = &ctx.code;
     let mut push = |id: &'static str, t: &Tok, message: String| {
@@ -404,74 +370,7 @@ pub fn check_file(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) 
                  context and pass it explicitly"
                     .to_owned(),
             ),
-            "counter" | "gauge" | "histogram" if prev_is_dot && next_is_open => {
-                if let Some(lit) = code.get(i + 2).filter(|l| l.kind == TokKind::Str) {
-                    if !metric_name_ok(&lit.text) {
-                        push(
-                            "M001",
-                            lit,
-                            format!(
-                                "metric name `{}` violates the `crate.section.name` \
-                                 convention (>= 2 dot-separated `[a-z0-9_]+` segments)",
-                                lit.text
-                            ),
-                        );
-                    }
-                    metrics.push(MetricSite {
-                        name: lit.text.clone(),
-                        krate: crate_of(path),
-                        file: path.to_owned(),
-                        line: lit.line,
-                        col: lit.col,
-                        waived: ctx.allowed("M002", lit.line),
-                    });
-                }
-            }
             _ => {}
-        }
-    }
-    out
-}
-
-/// M001 shape: `seg(.seg)+` with every segment a non-empty `[a-z0-9_]+`.
-#[must_use]
-pub fn metric_name_ok(name: &str) -> bool {
-    let segs: Vec<&str> = name.split('.').collect();
-    segs.len() >= 2
-        && segs.iter().all(|s| {
-            !s.is_empty()
-                && s.chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-        })
-}
-
-/// M002: the same metric name registered from two or more crates. The
-/// first site (in path order) is treated as the owner; every site in a
-/// different crate is a finding.
-#[must_use]
-pub fn check_metric_collisions(metrics: &[MetricSite]) -> Vec<Finding> {
-    let mut by_name: BTreeMap<&str, Vec<&MetricSite>> = BTreeMap::new();
-    for m in metrics.iter().filter(|m| !m.waived) {
-        by_name.entry(&m.name).or_default().push(m);
-    }
-    let mut out = Vec::new();
-    for (name, mut sites) in by_name {
-        sites.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-        let owner = &sites[0];
-        for s in &sites[1..] {
-            if s.krate != owner.krate {
-                out.push(Finding::new(
-                    &s.file,
-                    s.line,
-                    s.col,
-                    "M002",
-                    format!(
-                        "metric `{name}` is already registered by crate `{}` \
-                         ({}:{}) — cross-crate names must be unique",
-                        owner.krate, owner.file, owner.line
-                    ),
-                ));
-            }
         }
     }
     out
@@ -510,18 +409,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metric_name_shapes() {
-        assert!(metric_name_ok("dram.reads"));
-        assert!(metric_name_ok("ctrl.reliability.faults_injected"));
-        assert!(metric_name_ok("cache.l2.hits"));
-        assert!(!metric_name_ok("reads"));
-        assert!(!metric_name_ok("Dram.reads"));
-        assert!(!metric_name_ok("dram..reads"));
-        assert!(!metric_name_ok("dram.reads "));
-        assert!(!metric_name_ok(""));
-    }
-
-    #[test]
     fn d005_fires_only_inside_hot_path_functions() {
         let src = "\
 fn cold() -> Vec<u32> { Vec::new() }
@@ -536,8 +423,7 @@ fn hot(xs: &[u32], ys: &[u32]) -> Vec<u32> {
 fn cold2(xs: &[u32]) -> Vec<u32> { xs.to_vec() }
 ";
         let ctx = FileContext::build("crates/x/src/lib.rs", crate::lexer::tokenize(src));
-        let mut metrics = Vec::new();
-        let found = check_file("crates/x/src/lib.rs", &ctx, &mut metrics);
+        let found = check_file("crates/x/src/lib.rs", &ctx);
         let d005: Vec<u32> = found
             .iter()
             .filter(|f| f.id == "D005")
@@ -560,13 +446,12 @@ fn hot(xs: &[u32]) -> Vec<u32> {
 }
 ";
         let ctx = FileContext::build("crates/x/src/lib.rs", crate::lexer::tokenize(src));
-        let mut metrics = Vec::new();
-        let raw = check_file("crates/x/src/lib.rs", &ctx, &mut metrics);
+        let raw = check_file("crates/x/src/lib.rs", &ctx);
         assert!(
             raw.iter().any(|f| f.id == "D005"),
             "raw findings ignore waivers (the pipeline needs them for W001)"
         );
-        let filtered = crate::scan::analyze_source("crates/x/src/lib.rs", src, &mut metrics);
+        let filtered = crate::scan::analyze_source("crates/x/src/lib.rs", src);
         assert!(filtered.iter().all(|f| f.id != "D005"));
     }
 

@@ -8,7 +8,7 @@ use crate::context::{path_is_testlike, FileContext};
 use crate::graph::{CallGraph, CrateDeps};
 use crate::ipa::{check_graph, ParsedFile};
 use crate::lexer::tokenize;
-use crate::lints::{check_crate_root, check_file, check_metric_collisions, Finding, MetricSite};
+use crate::lints::{check_crate_root, check_file, Finding};
 use crate::parser::parse_items;
 use std::collections::BTreeSet;
 use std::io;
@@ -105,17 +105,16 @@ fn relative(root: &Path, path: &Path) -> Option<String> {
 /// see [`analyze_sources`]). Waivers are applied. Exposed for fixture
 /// tests.
 #[must_use]
-pub fn analyze_source(path: &str, src: &str, metrics: &mut Vec<MetricSite>) -> Vec<Finding> {
+pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     let ctx = FileContext::build(path, tokenize(src));
-    let mut findings = file_raw(path, &ctx, metrics);
+    let mut findings = file_raw(path, &ctx);
     findings.retain(|f| ctx.allow_line(f.id, f.line).is_none());
     findings
 }
 
-/// Per-file raw findings for `path`; M002 registration sites are
-/// appended to `metrics` for the cross-file pass.
-fn file_raw(path: &str, ctx: &FileContext, metrics: &mut Vec<MetricSite>) -> Vec<Finding> {
-    let mut findings = check_file(path, ctx, metrics);
+/// Per-file raw findings for `path`.
+fn file_raw(path: &str, ctx: &FileContext) -> Vec<Finding> {
+    let mut findings = check_file(path, ctx);
     if is_crate_root(path) {
         findings.extend(check_crate_root(path, ctx));
     }
@@ -144,13 +143,11 @@ pub fn analyze_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
         .collect();
     files.sort_by(|a, b| a.0.cmp(&b.0));
 
-    // Phase 1: raw per-file findings + metric sites.
+    // Phase 1: raw per-file findings.
     let mut raw: Vec<Finding> = Vec::new();
-    let mut metrics: Vec<MetricSite> = Vec::new();
     for (path, ctx, _) in &files {
-        raw.extend(file_raw(path, ctx, &mut metrics));
+        raw.extend(file_raw(path, ctx));
     }
-    raw.extend(check_metric_collisions(&metrics));
 
     // Phase 2: call graph + interprocedural lints (these pre-exclude
     // cross-lint-waived sites themselves; their own waivers are applied
@@ -159,8 +156,7 @@ pub fn analyze_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
     raw.extend(check_graph(&files, &graph));
 
     // Phase 3: central waiver filter. A waiver that suppresses at least
-    // one raw finding — or excludes an M002 registration site — is
-    // *used*; the rest are dead.
+    // one raw finding is *used*; the rest are dead.
     let mut used: BTreeSet<(String, u32, String)> = BTreeSet::new();
     let mut findings: Vec<Finding> = Vec::new();
     for f in raw {
@@ -173,13 +169,6 @@ pub fn analyze_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
                 used.insert((f.file.clone(), at, f.id.to_owned()));
             }
             None => findings.push(f),
-        }
-    }
-    for m in metrics.iter().filter(|m| m.waived) {
-        if let Some((path, ctx, _)) = files.iter().find(|(p, _, _)| *p == m.file) {
-            if let Some(at) = ctx.allow_line("M002", m.line) {
-                used.insert((path.clone(), at, "M002".to_owned()));
-            }
         }
     }
 
@@ -255,13 +244,12 @@ mod tests {
 
     #[test]
     fn analyze_source_flags_and_waives() {
-        let mut m = Vec::new();
         let bad = "fn f() { x.unwrap(); }";
-        let f = analyze_source("crates/x/src/util.rs", bad, &mut m);
+        let f = analyze_source("crates/x/src/util.rs", bad);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].id, "P001");
         let waived = "fn f() { x.unwrap(); // lint: allow(P001, test helper)\n}";
-        assert!(analyze_source("crates/x/src/util.rs", waived, &mut m).is_empty());
+        assert!(analyze_source("crates/x/src/util.rs", waived).is_empty());
     }
 
     #[test]
@@ -294,24 +282,5 @@ mod tests {
             findings.iter().all(|f| f.id != "W001"),
             "test-context + W001-waived declarations stay quiet: {findings:?}"
         );
-    }
-
-    #[test]
-    fn m002_waivers_count_as_used() {
-        let findings = analyze_sources(&[
-            (
-                "crates/a/src/lib.rs",
-                "fn a(reg: &mut R) { reg.counter(\"dram.reads\", 1); }",
-            ),
-            (
-                "crates/b/src/lib.rs",
-                "fn b(reg: &mut R) {
-                     // lint: allow(M002, re-export of the dram counter)
-                     reg.counter(\"dram.reads\", 1);
-                 }",
-            ),
-        ]);
-        assert!(findings.iter().all(|f| f.id != "M002"), "{findings:?}");
-        assert!(findings.iter().all(|f| f.id != "W001"), "{findings:?}");
     }
 }

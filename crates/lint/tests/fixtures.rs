@@ -2,7 +2,6 @@
 //! negative (`_ok`) fixture under `tests/fixtures/`, linted *as if* it
 //! lived at the workspace path named by its `// path:` header.
 
-use ia_lint::lints::{check_metric_collisions, MetricSite};
 use ia_lint::{analyze_source, analyze_sources, Finding, CATALOG};
 use std::path::{Path, PathBuf};
 
@@ -27,9 +26,9 @@ fn load(name: &str) -> (String, String) {
 }
 
 /// Lints one fixture, returning the IDs of its findings (sorted, deduped).
-fn lint_ids(name: &str, metrics: &mut Vec<MetricSite>) -> Vec<&'static str> {
+fn lint_ids(name: &str) -> Vec<&'static str> {
     let (path, src) = load(name);
-    let mut ids: Vec<&'static str> = analyze_source(&path, &src, metrics)
+    let mut ids: Vec<&'static str> = analyze_source(&path, &src)
         .into_iter()
         .map(|f| f.id)
         .collect();
@@ -38,10 +37,9 @@ fn lint_ids(name: &str, metrics: &mut Vec<MetricSite>) -> Vec<&'static str> {
     ids
 }
 
-/// IDs exercised by plain single-file fixture pairs (M002 is cross-file
-/// and has its own test below).
+/// IDs exercised by plain single-file fixture pairs.
 const PAIRED_IDS: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "M001", "P001", "P002", "S001", "S003",
+    "D001", "D002", "D003", "D004", "D005", "P001", "P002", "S001", "S003",
 ];
 
 /// IDs whose fixtures need the full pipeline — call graph plus waiver
@@ -53,7 +51,7 @@ const GRAPH_PAIRED_IDS: &[&str] = &["D006", "H002", "P003", "W001"];
 fn every_catalog_id_has_fixture_coverage() {
     for l in CATALOG {
         assert!(
-            PAIRED_IDS.contains(&l.id) || GRAPH_PAIRED_IDS.contains(&l.id) || l.id == "M002",
+            PAIRED_IDS.contains(&l.id) || GRAPH_PAIRED_IDS.contains(&l.id),
             "lint {} has no fixture coverage — add {}_bad.rs / {}_ok.rs",
             l.id,
             l.id.to_lowercase(),
@@ -65,8 +63,7 @@ fn every_catalog_id_has_fixture_coverage() {
 #[test]
 fn bad_fixtures_trigger_exactly_their_lint() {
     for id in PAIRED_IDS {
-        let mut metrics = Vec::new();
-        let ids = lint_ids(&format!("{}_bad.rs", id.to_lowercase()), &mut metrics);
+        let ids = lint_ids(&format!("{}_bad.rs", id.to_lowercase()));
         assert_eq!(
             ids,
             vec![*id],
@@ -78,9 +75,8 @@ fn bad_fixtures_trigger_exactly_their_lint() {
 #[test]
 fn ok_fixtures_are_clean() {
     for id in PAIRED_IDS {
-        let mut metrics = Vec::new();
         let name = format!("{}_ok.rs", id.to_lowercase());
-        let ids = lint_ids(&name, &mut metrics);
+        let ids = lint_ids(&name);
         assert!(ids.is_empty(), "{name} must be clean, got {ids:?}");
     }
 }
@@ -219,36 +215,12 @@ fn a_dependency_fn_reached_through_use_draws_an_edge() {
 }
 
 #[test]
-fn m002_cross_crate_collision_fires_and_same_crate_does_not() {
-    // Two crates registering the same name: the non-owner site is flagged.
-    let mut metrics = Vec::new();
-    assert!(lint_ids("m002_peer.rs", &mut metrics).is_empty());
-    assert!(lint_ids("m002_bad.rs", &mut metrics).is_empty());
-    let collisions = check_metric_collisions(&metrics);
-    assert_eq!(collisions.len(), 1);
-    assert_eq!(collisions[0].id, "M002");
-    // The first site in path order (`cache` < `dram`) owns the name;
-    // the other crate's site is the finding.
-    assert_eq!(collisions[0].file, "crates/dram/src/fake_metrics.rs");
-    assert!(collisions[0].message.contains("crate `cache`"));
-
-    // The same name twice within one crate is not a collision.
-    let mut metrics = Vec::new();
-    assert!(lint_ids("m002_ok.rs", &mut metrics).is_empty());
-    assert!(check_metric_collisions(&metrics).is_empty());
-}
-
-#[test]
 fn waiver_suppresses_each_lint_in_bad_fixtures() {
     // Appending a trailing waiver to every offending line silences the
     // fixture entirely — proving `lint: allow` works for every ID.
     for id in PAIRED_IDS {
         let (path, src) = load(&format!("{}_bad.rs", id.to_lowercase()));
-        let mut metrics = Vec::new();
-        let offending: Vec<u32> = analyze_source(&path, &src, &mut metrics)
-            .iter()
-            .map(|f| f.line)
-            .collect();
+        let offending: Vec<u32> = analyze_source(&path, &src).iter().map(|f| f.line).collect();
         let waived: String = src
             .lines()
             .enumerate()
@@ -260,8 +232,7 @@ fn waiver_suppresses_each_lint_in_bad_fixtures() {
                 }
             })
             .collect();
-        let mut metrics = Vec::new();
-        let left = analyze_source(&path, &waived, &mut metrics);
+        let left = analyze_source(&path, &waived);
         assert!(
             left.is_empty(),
             "waivers must silence {id}_bad.rs, got {left:?}"

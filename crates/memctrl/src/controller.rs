@@ -12,7 +12,6 @@ use std::fmt;
 use ia_dram::{Command, ConfigError, Cycle, DramConfig, DramModule, RowBufferOutcome};
 use ia_reliability::Raidr;
 use ia_sim::{Clocked, CompletionSink, EngineStats, SimLoop, StepOutcome};
-use ia_telemetry::{Histogram, MetricSource, Scope};
 use ia_trace::{TraceLog, Tracer};
 
 use crate::error::CtrlError;
@@ -171,17 +170,6 @@ impl fmt::Display for CtrlStats {
     }
 }
 
-impl MetricSource for CtrlStats {
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        scope.set_counter("completed", self.completed);
-        scope.set_counter("total_latency", self.total_latency);
-        scope.set_counter("refreshes_issued", self.refreshes_issued);
-        scope.set_counter("refreshes_skipped", self.refreshes_skipped);
-        scope.set_counter("busy_cycles", self.busy_cycles);
-        scope.set_gauge("avg_latency", self.avg_latency());
-    }
-}
-
 /// A single-module memory controller driving [`DramModule`] through a
 /// pluggable [`Scheduler`].
 ///
@@ -218,11 +206,6 @@ pub struct MemoryController {
     queue_capacity: usize,
     refresh: RefreshEngine,
     stats: CtrlStats,
-    latency: Histogram,
-    queue_depth: Histogram,
-    sched_column: u64,
-    sched_prep: u64,
-    sched_idle: u64,
     engine: EngineStats,
     /// Cycle-attribution tracer (track `"ctrl"`): every simulated cycle
     /// is classified into exactly one phase, so the profile partition
@@ -252,11 +235,6 @@ impl MemoryController {
             queue_capacity: 64,
             refresh,
             stats: CtrlStats::default(),
-            latency: Histogram::new(),
-            queue_depth: Histogram::new(),
-            sched_column: 0,
-            sched_prep: 0,
-            sched_idle: 0,
             engine: EngineStats::default(),
             tracer: Tracer::disabled(),
             reliability: None,
@@ -346,18 +324,6 @@ impl MemoryController {
     #[must_use]
     pub fn stats(&self) -> &CtrlStats {
         &self.stats
-    }
-
-    /// Request-latency distribution (one sample per completed request).
-    #[must_use]
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency
-    }
-
-    /// Queue-depth distribution (one sample per simulated cycle).
-    #[must_use]
-    pub fn queue_depth_histogram(&self) -> &Histogram {
-        &self.queue_depth
     }
 
     /// Enables cycle-attribution tracing on this controller (track
@@ -456,7 +422,6 @@ impl MemoryController {
                 let c = self.inflight[i];
                 self.stats.completed += 1;
                 self.stats.total_latency += c.latency();
-                self.latency.record(c.latency());
                 self.scheduler.on_complete(&c, now);
                 sink.complete(c);
             } else {
@@ -469,7 +434,6 @@ impl MemoryController {
             }
         }
         self.inflight.truncate(kept);
-        self.queue_depth.record(self.queue.len() as u64);
 
         // 2. Refresh engine.
         let mut refresh_fired = false;
@@ -530,11 +494,6 @@ impl MemoryController {
                     if let Ok(out) = self.dram.issue(&p.loc, cmd, self.now) {
                         issued_this_cycle = true;
                         column_issued = column;
-                        if column {
-                            self.sched_column += 1;
-                        } else {
-                            self.sched_prep += 1;
-                        }
                         self.scheduler.on_issue(column, self.now);
                         if column {
                             self.stats.busy_cycles += 1;
@@ -554,10 +513,6 @@ impl MemoryController {
                 }
             }
         }
-        if !issued_this_cycle && !self.queue.is_empty() {
-            self.sched_idle += 1;
-        }
-
         // Cycle attribution: classify this cycle into exactly one phase
         // (highest-priority activity wins) so the per-phase totals
         // partition the run's cycles exactly.
@@ -723,18 +678,14 @@ impl Clocked for MemoryController {
     }
 
     /// Applies the bookkeeping the skipped idle ticks would have done, in
-    /// bulk: per-cycle queue-depth samples, the stalled-cycle counter, and
-    /// scheduler epoch housekeeping (via [`Scheduler::on_advance`]).
+    /// bulk: scheduler epoch housekeeping (via [`Scheduler::on_advance`])
+    /// and, when tracing, the cycle attribution of the skipped span.
     fn skip_to(&mut self, target: Cycle) {
         if target <= self.now {
             return;
         }
         let n = target - self.now;
         self.scheduler.on_advance(self.now, target);
-        self.queue_depth.record_n(self.queue.len() as u64, n);
-        if !self.queue.is_empty() {
-            self.sched_idle += n;
-        }
         if self.tracer.is_enabled() {
             // Bulk-attribute the skipped idle span with the same
             // classification a per-cycle loop would have produced.
@@ -766,24 +717,6 @@ impl ia_sim::SnapshotState for MemoryController {
 
     fn restore(&mut self, saved: &MemoryController) {
         *self = saved.clone();
-    }
-}
-
-impl MetricSource for MemoryController {
-    /// Publishes controller counters and distributions at this scope and
-    /// the DRAM module's metrics under a `dram` child scope.
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        self.stats.export_into(scope);
-        scope.set_histogram("latency_cycles", &self.latency);
-        scope.set_histogram("queue_depth", &self.queue_depth);
-        scope.set_counter("sched_column", self.sched_column);
-        scope.set_counter("sched_prep", self.sched_prep);
-        scope.set_counter("sched_stalled", self.sched_idle);
-        scope.collect("engine", &self.engine);
-        scope.collect("dram", &self.dram);
-        if let Some(rel) = &self.reliability {
-            scope.collect("reliability", rel);
-        }
     }
 }
 
@@ -1230,7 +1163,7 @@ mod tests {
     }
 
     #[test]
-    fn controller_exports_latency_histogram_and_dram_child() {
+    fn controller_counts_completions_and_dram_reads() {
         let mut ctrl =
             MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new())).unwrap();
         for i in 0..16u64 {
@@ -1238,31 +1171,13 @@ mod tests {
         }
         let done = ctrl.run_until_drained(100_000);
         assert_eq!(done.len(), 16);
-
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("ctrl", &ctrl);
-        let snap = reg.snapshot(ctrl.now().as_u64());
-        assert_eq!(snap.counter("ctrl.completed"), Some(16));
-        assert_eq!(snap.counter("ctrl.dram.reads"), Some(16));
-        match snap.get("ctrl.latency_cycles") {
-            Some(ia_telemetry::MetricValue::Histogram(h)) => {
-                assert_eq!(h.count(), 16, "one sample per completion");
-                assert!(h.p50() <= h.p99());
-                assert!(h.max() >= ctrl.stats().avg_latency() as u64);
-            }
-            other => panic!("expected latency histogram, got {other:?}"),
-        }
-        match snap.get("ctrl.queue_depth") {
-            Some(ia_telemetry::MetricValue::Histogram(h)) => {
-                assert!(h.count() > 0, "sampled every cycle");
-            }
-            other => panic!("expected queue-depth histogram, got {other:?}"),
-        }
-        assert!(snap.counter("ctrl.sched_column").unwrap() >= 16);
+        assert_eq!(ctrl.stats().completed, 16);
+        assert_eq!(ctrl.stats().busy_cycles, 16, "one column command each");
+        assert_eq!(ctrl.dram().stats().reads, 16);
     }
 
     #[test]
-    fn reliability_pipeline_detects_corrects_and_exports_through_a_real_run() {
+    fn reliability_pipeline_detects_and_corrects_through_a_real_run() {
         use crate::reliability::ReliabilityConfig;
         use ia_faults::FaultPlan;
 
@@ -1294,21 +1209,6 @@ mod tests {
             "single-bit flips get corrected: {:?}",
             rel.stats()
         );
-
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("ctrl", &ctrl);
-        let snap = reg.snapshot(ctrl.now().as_u64());
-        assert!(snap.counter("ctrl.reliability.faults_injected").unwrap() > 0);
-        for key in [
-            "ctrl.reliability.corrected",
-            "ctrl.reliability.uncorrected",
-            "ctrl.reliability.remaps",
-            "ctrl.reliability.quarantines",
-            "ctrl.reliability.scrubs",
-            "ctrl.reliability.retries",
-        ] {
-            assert!(snap.counter(key).is_some(), "missing counter {key}");
-        }
     }
 
     #[test]

@@ -21,15 +21,14 @@
 //!   victim row preemptively. Spare-pool exhaustion is counted, not
 //!   hidden — that is the graceful-degradation boundary.
 //!
-//! Every decision lands in [`ReliabilityStats`], exported through
-//! `ia-telemetry` under the controller's `reliability` scope.
+//! Every decision lands in [`ReliabilityStats`], which a closed-loop
+//! run returns inside its [`ReliabilityReport`].
 //!
 //! [`MemoryController::with_reliability`]: crate::MemoryController::with_reliability
 
 use ia_dram::{Cycle, DramModule, Geometry, InjectEvent};
 use ia_faults::{FaultPlan, FaultStats, Inject, RowSite, SiteMap};
 use ia_reliability::{decode, encode, inject_error, DecodeOutcome, EccWord, RetentionBin};
-use ia_telemetry::{MetricSource, Scope};
 
 type RowKey = (usize, usize, usize, u64);
 type BankKey = (usize, usize, usize);
@@ -513,31 +512,6 @@ impl ReliabilityPipeline {
             self.stats.escalated_refreshes += 1;
         }
         self.due = due;
-    }
-}
-
-impl MetricSource for ReliabilityPipeline {
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        let faults = self.injector.stats();
-        scope.set_counter("faults_injected", faults.injected());
-        scope.set_counter("faults_rowhammer", faults.rowhammer_flips);
-        scope.set_counter("faults_retention", faults.retention_flips);
-        scope.set_counter("faults_transient", faults.transient_flips);
-        scope.set_counter("faults_stuck", faults.stuck_cells);
-        scope.set_counter("faults_scripted", faults.scripted_applied);
-        scope.set_counter("reads_checked", self.stats.reads_checked);
-        scope.set_counter("corrected", self.stats.corrected);
-        scope.set_counter("retries", self.stats.retries);
-        scope.set_counter("retry_recovered", self.stats.retry_recovered);
-        scope.set_counter("uncorrected", self.stats.uncorrected);
-        scope.set_counter("miscorrections", self.stats.miscorrections);
-        scope.set_counter("scrubs", self.stats.scrubs);
-        scope.set_counter("remaps", self.stats.remaps);
-        scope.set_counter("spare_exhausted", self.stats.spare_exhausted);
-        scope.set_counter("quarantines", self.stats.quarantines);
-        scope.set_counter("escalations", self.stats.escalations);
-        scope.set_counter("escalated_refreshes", self.stats.escalated_refreshes);
-        scope.set_gauge("uncorrected_rate", self.stats.uncorrected_rate());
     }
 }
 

@@ -45,6 +45,21 @@
 //!   simulator benchmark's 2,500 requests per thread, converted to
 //!   [`MemRequest`]s: the set-up layer every trace-driven run pays
 //!   before its first simulated cycle.
+//! * **ambit-and-row** — one [`AmbitEngine`] bulk AND of two full
+//!   DDR3 rows (1,024 words) into a third: the in-DRAM bitwise
+//!   primitive behind exp03.
+//! * **bdi-compress** — one [`bdi_compress`] of a 64-byte block, cycling
+//!   through zero, repeated, pointer, narrow-integer and random blocks so
+//!   every encoding is chosen: the per-line cost behind exp07.
+//! * **secded-encode-decode** — one SECDED [`encode`] + [`decode`] of a
+//!   64-bit word: the ECC check every read pays under the reliability
+//!   pipeline.
+//! * **pnm-pagerank-step** — one PageRank superstep of a
+//!   [`PnmGraphEngine`] over a 1,024-vertex, 16 k-edge R-MAT graph:
+//!   the near-memory graph kernel behind exp08.
+//! * **stride-prefetch** — one demand access through a
+//!   [`PrefetchHarness`] with a [`StridePrefetcher`] over a sequential
+//!   stream: the per-access prefetch path behind exp17.
 //!
 //! ## Determinism (lint D002)
 //!
@@ -77,6 +92,7 @@
 use std::time::Instant;
 
 use ia_bench::mixes::interference_mix;
+use ia_cache::{bdi_compress, BdiEncoding};
 use ia_dram::{AddressMapping, Cycle, DramConfig, DramModule, PhysAddr};
 use ia_faults::{FaultInjector, FaultPlan, Inject, RowSite};
 use ia_lint::context::FileContext;
@@ -87,8 +103,15 @@ use ia_memctrl::{
     RlSchedulerConfig, Scheduler, Tcm, ViewMode,
 };
 use ia_noc::{BufferedMeshSim, BufferlessMeshSim, Delivered, MeshConfig, RouteTable, Traffic};
+use ia_pnm::{PnmGraphEngine, StackConfig};
+use ia_prefetch::{PrefetchHarness, StridePrefetcher};
+use ia_pum::{AmbitEngine, BitwiseOp};
+use ia_reliability::{decode, encode, DecodeOutcome};
 use ia_sim::{Clocked, EventWheel, FnSink};
 use ia_telemetry::JsonValue;
+use ia_workloads::Graph;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// One timed repetition: deterministic op count and checksum, plus the
 /// harness-side wall time of the measured loop.
@@ -573,6 +596,190 @@ fn workload_gen(iters: u64) -> Sample {
     Sample { ops, checksum, ns }
 }
 
+/// One bulk AND of rows 0 and 1 into row 2 per op, on an Ambit engine
+/// with DDR3-1600 rows. The checksum folds one word of each result and
+/// the engine's final AAP and cycle counts.
+fn ambit_and_row(iters: u64) -> Sample {
+    let mut engine = AmbitEngine::new(&DramConfig::ddr3_1600());
+    let words = engine.row_words() as u64;
+    for (id, seed) in [(0, 1), (1, 2)] {
+        let row = (0..words).map(|i| fold(seed, i)).collect();
+        // lint: allow(P001, the operand is built exactly one row wide)
+        engine.write_row(id, row).expect("one row wide");
+    }
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        let and = engine.execute(BitwiseOp::And, 2, 0, Some(1));
+        // lint: allow(P001, both operand rows were written above)
+        and.expect("operands present");
+        let word = engine.read_row(2).map_or(0, |r| r[(i % words) as usize]);
+        checksum = fold(checksum, word);
+    }
+    let ns = start.elapsed().as_nanos();
+    checksum = fold(checksum, engine.stats().aaps);
+    checksum = fold(checksum, engine.stats().cycles);
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// Eight 64-byte blocks covering every BDI outcome: zeros, one repeated
+/// value, heap pointers (8-byte base, 1-byte deltas), narrow counters
+/// (4-byte base), 2-byte values near a base, and incompressible noise.
+fn bdi_blocks() -> Vec<[u8; 64]> {
+    let from_u64s = |f: &dyn Fn(u64) -> u64| {
+        let mut b = [0u8; 64];
+        for i in 0..8u64 {
+            b[i as usize * 8..][..8].copy_from_slice(&f(i).to_le_bytes());
+        }
+        b
+    };
+    let from_u32s = |f: &dyn Fn(u32) -> u32| {
+        let mut b = [0u8; 64];
+        for i in 0..16u32 {
+            b[i as usize * 4..][..4].copy_from_slice(&f(i).to_le_bytes());
+        }
+        b
+    };
+    let from_u16s = |f: &dyn Fn(u16) -> u16| {
+        let mut b = [0u8; 64];
+        for i in 0..32u16 {
+            b[i as usize * 2..][..2].copy_from_slice(&f(i).to_le_bytes());
+        }
+        b
+    };
+    vec![
+        [0u8; 64],
+        from_u64s(&|_| 0xDEAD_BEEF_CAFE_F00D),
+        from_u64s(&|i| 0x7FFF_0000_0000 + fold(i, 1) % 100),
+        from_u64s(&|i| 0x7FFF_0000_0000 + i * 0x400),
+        from_u32s(&|i| 0x0010_0000 + i * 3),
+        from_u16s(&|i| 0x4000 + i),
+        from_u64s(&|i| fold(i, 0x51ED)),
+        from_u64s(&|i| if i % 2 == 0 { 0 } else { 0x6000_0000 + i }),
+    ]
+}
+
+/// One [`bdi_compress`] per op, cycling through [`bdi_blocks`]. The
+/// checksum folds each chosen encoding and compressed size.
+fn bdi_compress_block(iters: u64) -> Sample {
+    let blocks = bdi_blocks();
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        let block = &blocks[(i % blocks.len() as u64) as usize];
+        let code = match bdi_compress(block) {
+            Ok(c) => {
+                let encoding = match c.encoding {
+                    BdiEncoding::Zeros => 1,
+                    BdiEncoding::Repeated => 2,
+                    BdiEncoding::BaseDelta { base, delta } => {
+                        u64::from(base) << 8 | u64::from(delta)
+                    }
+                    BdiEncoding::Uncompressed => 3,
+                };
+                encoding << 16 | c.bytes as u64
+            }
+            Err(_) => 0,
+        };
+        checksum = fold(checksum, code);
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// One SECDED [`encode`] + [`decode`] round trip per op over an LCG
+/// word stream. The checksum folds every decoded word.
+fn secded_encode_decode(iters: u64) -> Sample {
+    let mut x = 0x0123_4567_89AB_CDEFu64;
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for _ in 0..iters {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let word = match decode(encode(x)) {
+            DecodeOutcome::Clean(d) => d,
+            DecodeOutcome::Corrected(d) => !d,
+            DecodeOutcome::DetectedUncorrectable => 0,
+        };
+        checksum = fold(checksum, word);
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// One PageRank superstep per op on an HMC-like stack over a fixed
+/// R-MAT graph (1,024 vertices, 16,384 edges, seed 2), built untimed.
+/// The checksum folds one rank and the modelled step time of each op.
+fn pnm_pagerank_step(iters: u64) -> Sample {
+    let mut rng = SmallRng::seed_from_u64(2);
+    // lint: allow(P001, 1024 vertices is a power of two and the edge count is positive)
+    let graph = Graph::rmat(1024, 16 * 1024, &mut rng).expect("valid R-MAT graph");
+    // lint: allow(P001, the hmc_like preset is statically valid)
+    let engine = PnmGraphEngine::new(StackConfig::hmc_like(), &graph).expect("valid stack");
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        let (ranks, report) = engine.pagerank(0.85, 1);
+        let rank = ranks[(i % ranks.len() as u64) as usize];
+        checksum = fold(checksum, rank.to_bits());
+        checksum = fold(checksum, report.total_ns.to_bits());
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// One demand access per op through a 64 KiB, 8-way cache with a
+/// degree-4 stride prefetcher, walking a sequential line stream that
+/// wraps at 256 MiB. The checksum folds the final prefetch metrics.
+fn stride_prefetch(iters: u64) -> Sample {
+    let mut h = PrefetchHarness::new(64 * 1024, 64, 8, Box::new(StridePrefetcher::new(4)))
+        // lint: allow(P001, 64 KiB of 64 B lines in 8 ways is a valid cache)
+        .expect("valid harness");
+    let mut addr = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for _ in 0..iters {
+        addr = (addr + 64) % (1 << 28);
+        h.demand(addr);
+    }
+    let ns = start.elapsed().as_nanos();
+    let m = h.metrics();
+    let checksum = [
+        m.demands,
+        m.uncovered_misses,
+        m.covered_misses,
+        m.issued,
+        m.useful,
+        m.useless,
+    ]
+    .iter()
+    .fold(0, |acc, &count| fold(acc, count));
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
 /// One synthetic source file for the lint-parse kernel: Rust-like items
 /// exercising the parser's shapes — impls, traits, modules, nested
 /// generics, raw identifiers, doc comments — sized like a mid-size
@@ -683,6 +890,26 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "workload_gen",
             run: workload_gen,
+        },
+        Bench {
+            name: "ambit_and_row",
+            run: ambit_and_row,
+        },
+        Bench {
+            name: "bdi_compress",
+            run: bdi_compress_block,
+        },
+        Bench {
+            name: "secded_encode_decode",
+            run: secded_encode_decode,
+        },
+        Bench {
+            name: "pnm_pagerank_step",
+            run: pnm_pagerank_step,
+        },
+        Bench {
+            name: "stride_prefetch",
+            run: stride_prefetch,
         },
     ]
 }
@@ -861,6 +1088,43 @@ mod tests {
         let two = workload_gen(10_001);
         assert_eq!(two.ops, 20_000);
         assert_ne!(two.checksum, one.checksum);
+    }
+
+    #[test]
+    fn bdi_blocks_cover_every_encoding() {
+        let mut seen = std::collections::BTreeSet::new();
+        for block in bdi_blocks() {
+            let c = bdi_compress(&block).unwrap();
+            seen.insert(format!("{:?}", c.encoding));
+        }
+        for want in ["Zeros", "Repeated", "Uncompressed"] {
+            assert!(seen.contains(want), "{want} missing from {seen:?}");
+        }
+        let base_delta = seen.iter().filter(|e| e.starts_with("BaseDelta")).count();
+        assert!(base_delta >= 3, "{seen:?}");
+    }
+
+    #[test]
+    fn ported_kernels_fold_real_work() {
+        let ambit = ambit_and_row(4);
+        assert_eq!(ambit.ops, 4);
+        assert_ne!(ambit.checksum, 0);
+        // Repeating a deterministic op must not leave the checksum where
+        // a shorter run left it.
+        for kernel in [
+            ambit_and_row,
+            secded_encode_decode,
+            pnm_pagerank_step,
+            stride_prefetch,
+        ] {
+            assert_ne!(kernel(2).checksum, kernel(3).checksum);
+        }
+        let prefetch = PrefetchHarness::new(64 * 1024, 64, 8, Box::new(StridePrefetcher::new(4)));
+        let mut h = prefetch.unwrap();
+        for i in 1..=256u64 {
+            h.demand(i * 64);
+        }
+        assert!(h.metrics().covered_misses > 0, "the stride is learned");
     }
 
     #[test]

@@ -101,20 +101,6 @@ impl Default for StackConfig {
     }
 }
 
-impl ia_telemetry::MetricSource for StackConfig {
-    /// Publishes the vault/bandwidth shape of the stack — the ratio that
-    /// drives every PNM result in the paper.
-    fn export_into(&self, scope: &mut ia_telemetry::Scope<'_>) {
-        scope.set_gauge("vaults", self.vaults as f64);
-        scope.set_gauge("internal_gbps_per_vault", self.internal_gbps_per_vault);
-        scope.set_gauge("internal_gbps_total", self.internal_gbps_total());
-        scope.set_gauge("external_gbps", self.external_gbps);
-        scope.set_gauge("bandwidth_ratio", self.bandwidth_ratio());
-        scope.set_gauge("internal_latency_ns", self.internal_latency_ns);
-        scope.set_gauge("external_latency_ns", self.external_latency_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,16 +115,6 @@ mod tests {
             "internal bandwidth should dwarf the link"
         );
         assert!(s.internal_latency_ns < s.external_latency_ns);
-    }
-
-    #[test]
-    fn export_publishes_vault_bandwidth() {
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("stack", &StackConfig::hmc_like());
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.gauge("stack.vaults"), Some(16.0));
-        assert_eq!(snap.gauge("stack.internal_gbps_total"), Some(256.0));
-        assert!(snap.gauge("stack.bandwidth_ratio").unwrap() > 6.0);
     }
 
     #[test]

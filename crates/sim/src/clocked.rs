@@ -20,7 +20,7 @@ use crate::sink::{CompletionSink, DenyCompletions};
 ///    `None` means the component is drained: no future event will ever
 ///    occur without external input.
 /// 3. [`skip_to`](Clocked::skip_to) advances `now` to `target`, applying
-///    the same per-cycle bookkeeping (histogram samples, epoch
+///    the same per-cycle bookkeeping (idle counters, epoch
 ///    housekeeping) the skipped idle ticks would have performed — in bulk,
 ///    without per-cycle work. The engine only calls it with
 ///    `target <= next_event_at()`, so no completions can occur inside the

@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use ia_telemetry::{MetricSource, Scope};
 use ia_trace::{ComponentTrace, Tracer};
 
 use crate::clocked::Clocked;
@@ -11,8 +10,8 @@ use crate::cycle::Cycle;
 use crate::sink::{CompletionSink, CountingSink};
 
 /// Counters describing how much work the engine did and how much it
-/// avoided. Exported through `ia-telemetry` so the cycle-skipping payoff
-/// is observable in experiment reports.
+/// avoided. Experiments put them in their reports (exp05's
+/// `engine_cycles_skipped`), so the cycle-skipping payoff is observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Ticks actually executed (events processed).
@@ -43,15 +42,6 @@ impl fmt::Display for EngineStats {
             "{} events, {} cycles skipped in {} jumps, sink high-water {}",
             self.events_processed, self.cycles_skipped, self.skips, self.sink_high_water
         )
-    }
-}
-
-impl MetricSource for EngineStats {
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        scope.set_counter("events_processed", self.events_processed);
-        scope.set_counter("cycles_skipped", self.cycles_skipped);
-        scope.set_counter("skips", self.skips);
-        scope.set_counter("sink_high_water", self.sink_high_water);
     }
 }
 
@@ -716,21 +706,5 @@ mod tests {
         assert_eq!(trace.spans[0].phase, "run");
         // Disabled engines record nothing (take() drains, so retake is empty).
         assert!(engine.take_trace().instants.is_empty());
-    }
-
-    #[test]
-    fn stats_export_through_telemetry() {
-        let stats = EngineStats {
-            events_processed: 11,
-            cycles_skipped: 22,
-            skips: 3,
-            sink_high_water: 4,
-        };
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("engine", &stats);
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.counter("engine.events_processed"), Some(11));
-        assert_eq!(snap.counter("engine.cycles_skipped"), Some(22));
-        assert_eq!(snap.counter("engine.sink_high_water"), Some(4));
     }
 }

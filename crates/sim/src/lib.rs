@@ -29,7 +29,7 @@
 //!    will panic if a completion fires mid-skip). `None` means drained.
 //! 3. **[`skip_to`](Clocked::skip_to)** fast-forwards `now` to a target
 //!    `<= next_event_at()`, applying whatever bulk bookkeeping the skipped
-//!    idle ticks would have done (histogram samples, scheduler epoch
+//!    idle ticks would have done (idle counters, scheduler epoch
 //!    decay). The default implementation just ticks through — correct for
 //!    any component, fast for none.
 //!
@@ -38,8 +38,7 @@
 //! is what lets closed-loop harnesses inject new work in response to
 //! completions; [`SimLoop::run_while`] loops until a predicate, a
 //! deadline, or drain. The engine's own effort — events processed, cycles
-//! skipped, sink high-water mark — is tracked in [`EngineStats`] and
-//! exported through `ia-telemetry`.
+//! skipped, sink high-water mark — is tracked in [`EngineStats`].
 //!
 //! A no-progress **watchdog** guards against components that violate the
 //! contract by reporting an imminent event while never advancing their
@@ -72,9 +71,8 @@
 //!    now"). Return `None` only when no internal state can ever produce an
 //!    event again.
 //! 3. Override `skip_to` with the bulk form of whatever per-cycle
-//!    bookkeeping the old loop did on idle cycles: sample a histogram `n`
-//!    times with `record_n`, bump an idle counter by `n`, advance epoch
-//!    counters by their closed form. If a piece of bookkeeping has no
+//!    bookkeeping the old loop did on idle cycles: bump an idle counter
+//!    by `n`, advance epoch counters by their closed form. If a piece of bookkeeping has no
 //!    closed form, keep it per-cycle inside `skip_to` — correctness first.
 //! 4. Keep a thin `tick()` compatibility wrapper if external callers want
 //!    the old shape, and add a differential test: run the same seeded

@@ -11,7 +11,7 @@
 //! byte-for-byte statistics and completions as a freshly built component
 //! driven through the warm-up and then those inputs. That means the
 //! snapshot must capture *everything* observable — clocks, queues,
-//! in-flight operations, RNG streams, telemetry counters — or exclude a
+//! in-flight operations, RNG streams, statistics counters — or exclude a
 //! piece of state only when it provably cannot affect any output.
 //!
 //! [`snapshot`]: SnapshotState::snapshot

@@ -1,49 +1,37 @@
-//! # ia-telemetry — workspace-wide metrics, tracing, and report emission
+//! # ia-telemetry — machine-readable report encoding
 //!
-//! The paper's *data-driven* principle says a system should observe its
-//! own behaviour and feed those observations back into control decisions.
-//! This crate is the observation substrate for the whole workspace:
+//! Every experiment report leaves the simulator as JSON or CSV. The
+//! build is offline, so serde is unavailable by design; this crate holds
+//! the two hand-rolled encoders the workspace shares:
 //!
-//! * [`Registry`] — named, hierarchically-scoped instruments
-//!   ([`Counter`], [`Gauge`], log2 [`Histogram`] with p50/p95/p99), plain
-//!   `u64`/`f64` cells with handle-based access: no atomics, no hashing,
-//!   no allocation after registration.
-//! * [`Snapshot`] — epoch captures with [`Snapshot::delta`] /
-//!   [`Snapshot::merge`], so per-interval rates (row-hit rate per 100k
-//!   cycles, requests per epoch) can be observed the same way the RL
-//!   memory controller observes its state.
-//! * [`TraceBuffer`] — a bounded ring buffer for command-level event
-//!   tracing with drop counting; the disabled path is one branch on a
-//!   `bool` and never allocates.
-//! * [`JsonValue`] / [`csv`] — hand-rolled machine-readable emitters
-//!   (and a JSON parser for round-trip verification); the build is
-//!   offline, so serde is unavailable by design.
+//! * [`JsonValue`] — a JSON value with a byte-stable writer and a parser
+//!   (so reports can be round-tripped and checked), plus [`JsonError`]
+//!   for parse failures.
+//! * [`csv`] — RFC-4180-style CSV rendering of a header plus rows.
 //!
-//! Stats structs across the workspace implement [`MetricSource`] to
-//! publish themselves into a registry scope; `ia_bench::report` turns a
-//! registry snapshot plus experiment-specific metrics into the
-//! `--json` / `--csv` artifacts every experiment binary emits.
+//! `ia_bench::report` renders every experiment's `--json` / `--csv`
+//! artifact through these; `ia-trace` uses [`JsonValue`] for its Chrome
+//! trace export and profile JSON.
 //!
 //! ## Example
 //!
 //! ```
-//! use ia_telemetry::{MetricSource, Registry, Scope};
+//! use ia_telemetry::{csv, JsonValue};
 //!
-//! struct MyStats { hits: u64, misses: u64 }
-//!
-//! impl MetricSource for MyStats {
-//!     fn export_into(&self, scope: &mut Scope<'_>) {
-//!         scope.set_counter("hits", self.hits);
-//!         scope.set_counter("misses", self.misses);
-//!         scope.set_gauge("hit_rate", self.hits as f64 / (self.hits + self.misses) as f64);
-//!     }
-//! }
-//!
-//! let mut reg = Registry::new();
-//! reg.collect("cache.l1", &MyStats { hits: 90, misses: 10 });
-//! let snap = reg.snapshot(1000);
-//! assert_eq!(snap.counter("cache.l1.hits"), Some(90));
-//! assert!(snap.to_json().render().contains("\"cache.l1.hit_rate\":0.9"));
+//! let report = JsonValue::obj(vec![
+//!     ("name", JsonValue::Str("exp02_rowclone".to_owned())),
+//!     ("speedup", JsonValue::Num(11.6)),
+//! ]);
+//! let text = report.render();
+//! assert_eq!(text, r#"{"name":"exp02_rowclone","speedup":11.6}"#);
+//! assert_eq!(JsonValue::parse(&text), Ok(report));
+//! assert_eq!(
+//!     csv::render(
+//!         &["size".to_owned(), "speedup".to_owned()],
+//!         &[vec!["4 KiB".to_owned(), "11.6x".to_owned()]],
+//!     ),
+//!     "size,speedup\n4 KiB,11.6x\n"
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,14 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod csv;
-mod instrument;
 mod json;
-mod registry;
-mod snapshot;
-mod trace;
 
-pub use instrument::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use json::{JsonError, JsonValue};
-pub use registry::{CounterId, GaugeId, HistogramId, MetricSource, MetricValue, Registry, Scope};
-pub use snapshot::{metric_json, Snapshot};
-pub use trace::TraceBuffer;

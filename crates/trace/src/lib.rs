@@ -11,10 +11,12 @@
 //!   (point events with values), all timestamped in simulated cycles.
 //!   The disabled path is one branch and never allocates, so trace
 //!   points live inside per-cycle hot loops.
+//!   Its events go to a private bounded ring with drop counting; the
+//!   per-phase totals are folded at record time, so they stay exact
+//!   when the ring overwrites old events.
 //! * [`Profile`] — folds a [`TraceLog`] into the sorted per-track /
-//!   per-phase cycle table, a per-component rollup, text + JSON
-//!   renderings, and `trace.*` metrics via
-//!   [`MetricSource`](ia_telemetry::MetricSource).
+//!   per-phase cycle table, a per-component rollup, and text + JSON
+//!   renderings.
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter with
 //!   fixed field order: `ts` is the simulated cycle, so the file is
 //!   byte-identical across `--threads` settings, seeds, and hosts.

@@ -3,10 +3,10 @@
 //! Folds a [`TraceLog`] into a sorted per-track/per-phase table plus a
 //! per-component rollup (the last path segment of each track — `ctrl`,
 //! `dram`, `engine` — aggregated across sweep tasks). Rendered as text
-//! for stderr, as byte-stable JSON, and exported through ia-telemetry
-//! as `trace.*` metrics.
+//! for stderr and as byte-stable JSON; the bench harness's `--profile`
+//! block adds `trace.profile.*` summary lines read from its fields.
 
-use ia_telemetry::{JsonValue, MetricSource, Scope};
+use ia_telemetry::JsonValue;
 
 use crate::log::TraceLog;
 
@@ -194,26 +194,10 @@ impl Profile {
     }
 }
 
-impl MetricSource for Profile {
-    fn export_into(&self, scope: &mut Scope<'_>) {
-        scope.set_counter("attributed_cycles", self.total_attributed);
-        scope.set_counter("tracks", self.components.len() as u64);
-        scope.set_counter("phases", self.rows.len() as u64);
-        scope.set_counter("spans", self.span_count);
-        scope.set_counter("instants", self.instant_count);
-        scope.set_counter("events_recorded", self.events_recorded);
-        scope.set_counter("events_dropped", self.events_dropped);
-        if let Some((_, hottest)) = self.components.first() {
-            scope.set_counter("hottest_component_cycles", *hottest);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{TraceLog, Tracer};
-    use ia_telemetry::Registry;
 
     fn sample_log() -> TraceLog {
         let mut log = TraceLog::new();
@@ -259,20 +243,6 @@ mod tests {
         assert!(a
             .to_text()
             .contains("top components: ctrl 85.7%, dram 14.3%"));
-    }
-
-    #[test]
-    fn exports_trace_metrics_namespace() {
-        let p = Profile::from_log(&sample_log());
-        let mut reg = Registry::new();
-        reg.collect("trace.profile", &p);
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.counter("trace.profile.attributed_cycles"), Some(140));
-        assert_eq!(snap.counter("trace.profile.instants"), Some(1));
-        assert_eq!(
-            snap.counter("trace.profile.hottest_component_cycles"),
-            Some(120)
-        );
     }
 
     #[test]

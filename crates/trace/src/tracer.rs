@@ -3,15 +3,13 @@
 //!
 //! A `Tracer` is owned by the component it observes (a memory
 //! controller, a mesh, the sim engine) and costs one branch per trace
-//! point when disabled — the same contract as
-//! [`TraceBuffer`](ia_telemetry::TraceBuffer), which backs the event
-//! ring. Aggregation (per-phase cycle totals, span inclusive/exclusive
-//! time, instant counts) is folded in *at record time*, so a full ring
+//! point when disabled: the private `Ring` that holds its events
+//! allocates once, at construction, and not at all when disabled.
+//! Aggregation (per-phase cycle totals, span inclusive/exclusive time,
+//! instant counts) is folded in *at record time*, so a full ring
 //! overwriting old events never corrupts the profile totals.
 
 use std::collections::BTreeMap;
-
-use ia_telemetry::TraceBuffer;
 
 use crate::log::{ComponentTrace, InstantStat, SpanStat};
 
@@ -53,6 +51,79 @@ pub enum TraceEvent {
         /// Event payload (count delta, cycles skipped, …).
         value: f64,
     },
+}
+
+/// A fixed-capacity ring of trace events with drop counting.
+///
+/// When full, the oldest event is overwritten and the drop counter
+/// increments. The default ring has capacity 0: it is disabled, and
+/// pushing to it is one branch that allocates nothing, ever.
+#[derive(Debug, Clone)]
+struct Ring<T> {
+    buf: Vec<T>,
+    /// Index of the oldest element once the ring has wrapped.
+    head: usize,
+    capacity: usize,
+    dropped: u64,
+    recorded: u64,
+}
+
+impl<T> Default for Ring<T> {
+    fn default() -> Self {
+        Ring::new(0)
+    }
+}
+
+impl<T> Ring<T> {
+    /// A ring holding at most `capacity` events; enabled when
+    /// `capacity > 0`.
+    fn new(capacity: usize) -> Self {
+        Ring {
+            buf: Vec::with_capacity(capacity),
+            head: 0,
+            capacity,
+            dropped: 0,
+            recorded: 0,
+        }
+    }
+
+    fn is_enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
+    fn push(&mut self, event: T) {
+        if !self.is_enabled() {
+            return;
+        }
+        if self.buf.len() < self.capacity {
+            self.buf.push(event);
+        } else {
+            self.buf[self.head] = event;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped += 1;
+        }
+        self.recorded += 1;
+    }
+
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Events overwritten because the ring was full.
+    fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Events ever pushed while enabled (held + dropped).
+    fn recorded(&self) -> u64 {
+        self.recorded
+    }
+
+    /// Iterates the held events oldest → newest.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        let (wrapped, linear) = self.buf.split_at(self.head);
+        linear.iter().chain(wrapped.iter())
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -104,7 +175,7 @@ struct InstantTotals {
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     track: String,
-    events: TraceBuffer<TraceEvent>,
+    events: Ring<TraceEvent>,
     stack: Vec<OpenSpan>,
     run: Option<MarkRun>,
     marks: BTreeMap<&'static str, u64>,
@@ -120,7 +191,7 @@ impl Tracer {
     pub fn new(track: &str, capacity: usize) -> Self {
         Tracer {
             track: track.to_owned(),
-            events: TraceBuffer::new(capacity),
+            events: Ring::new(capacity),
             ..Tracer::default()
         }
     }
@@ -237,7 +308,7 @@ impl Tracer {
         self.flush_run();
         self.truncated_spans += self.stack.len() as u64;
         self.stack.clear();
-        let fresh = TraceBuffer::new(self.events.capacity());
+        let fresh = Ring::new(self.events.capacity());
         let ring = std::mem::replace(&mut self.events, fresh);
         ComponentTrace {
             track: self.track.clone(),
@@ -280,6 +351,51 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn held(ring: &Ring<u64>) -> Vec<u64> {
+        ring.iter().copied().collect()
+    }
+
+    #[test]
+    fn ring_keeps_newest_in_wrap_order_and_counts_drops() {
+        let mut r = Ring::new(3);
+        for i in 0..7u64 {
+            r.push(i);
+        }
+        assert_eq!(held(&r), vec![4, 5, 6]);
+        assert_eq!(r.dropped(), 4);
+        assert_eq!(r.recorded(), 7);
+    }
+
+    #[test]
+    fn ring_iterates_in_order_before_wrap_and_at_exactly_full() {
+        let mut r = Ring::new(4);
+        r.push(0);
+        r.push(1);
+        assert_eq!(held(&r), vec![0, 1]);
+        // Exactly full, head still at 0: every element once, oldest
+        // first, with zero drops.
+        r.push(2);
+        r.push(3);
+        assert_eq!(held(&r), vec![0, 1, 2, 3]);
+        assert_eq!(r.dropped(), 0);
+        // One more push tips it over: exactly one drop, order kept.
+        r.push(4);
+        assert_eq!(held(&r), vec![1, 2, 3, 4]);
+        assert_eq!((r.recorded(), r.dropped()), (5, 1));
+    }
+
+    #[test]
+    fn disabled_ring_never_allocates() {
+        let mut r: Ring<[u64; 4]> = Ring::default();
+        for i in 0..1_000_000u64 {
+            r.push([i; 4]);
+        }
+        assert!(!r.is_enabled());
+        assert_eq!(r.buf.capacity(), 0, "a disabled ring must not allocate");
+        assert_eq!((r.recorded(), r.dropped()), (0, 0));
+        assert_eq!(r.iter().count(), 0);
+    }
 
     #[test]
     fn disabled_tracer_records_nothing_and_never_allocates() {

@@ -106,7 +106,9 @@ echo "== engine skip exactness (event-driven runs == per-cycle oracle, faults in
 cargo test -q -p ia-memctrl --test properties
 
 echo "== simulator benchmark gate self-tests (every job's digest against simbench/pins.txt)"
-cargo test --release --offline --manifest-path simbench/Cargo.toml
+# --locked: a dependency change in a crate simbench builds fails here
+# instead of silently rewriting simbench/Cargo.lock.
+cargo test --release --offline --locked --manifest-path simbench/Cargo.toml
 
 echo "== microbench smoke (--iters 1 run + JSON schema check + bench set vs BENCH_MICRO.json)"
 micro_dir="$(mktemp -d)"
