@@ -527,9 +527,10 @@ pub fn cli(name: &str, report: ReportFn, args: &[String]) {
 /// [`EXPERIMENTS`](crate::EXPERIMENTS) order in this one process, each on
 /// a fresh [`RunCtx`], and writes each to `<json-dir>/<name>.json` — the
 /// bytes `ia-bench <name> --json` writes, since the JSON carries only the
-/// deterministic report. After each experiment it prints a `<name> <ms>`
-/// wall line to stdout, timed in-process so the row is free of fork
-/// noise.
+/// deterministic report. After each experiment it prints a `<name> <µs>`
+/// wall line to stdout, in whole microseconds (whole milliseconds would
+/// read `0` for the fastest experiments), timed in-process so the row is
+/// free of fork noise.
 ///
 /// # Exits
 ///
@@ -552,7 +553,7 @@ pub fn suite(args: &[String]) {
         let rep =
             report(opts.quick, &ctx).unwrap_or_else(|e| exit_with(1, &format!("{name}: {e}")));
         write_or_exit(&format!("{dir}/{name}.json"), json_file(&rep));
-        println!("{name} {}", start.elapsed().as_millis());
+        println!("{name} {}", start.elapsed().as_micros());
     }
 }
 

@@ -1,7 +1,7 @@
 //! Channel-level state: the shared command/data bus.
 
 use crate::rank::Rank;
-use crate::{Command, Cycle, IssueOutcome, SharedGates, TimingParams};
+use crate::{Command, Cycle, IssueOutcome, LocalGates, SharedGates, TimingParams};
 
 /// A channel: ranks sharing one command/address/data bus.
 ///
@@ -45,7 +45,22 @@ impl Channel {
     ///
     /// Panics if `rank` is out of range.
     pub(crate) fn shared_gates(&self, rank: usize) -> SharedGates {
+        self.shared_of(&self.ranks[rank])
+    }
+
+    /// The bank-local gates of `bank` in `rank` and the gates every bank
+    /// of `rank` shares, from one rank lookup: everything a command to
+    /// that bank is gated by.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` or `bank` is out of range.
+    pub(crate) fn gates(&self, rank: usize, bank: usize) -> (LocalGates, SharedGates) {
         let r = &self.ranks[rank];
+        (r.local_gates(bank), self.shared_of(r))
+    }
+
+    fn shared_of(&self, r: &Rank) -> SharedGates {
         SharedGates {
             refresh_until: r.busy_until(),
             activate: r.activate_gate(),
@@ -55,7 +70,10 @@ impl Channel {
     }
 
     /// Applies the state transition of a legal `cmd` at `now`; a column
-    /// command sets the data-bus gates.
+    /// command sets the data-bus gates. Always inlined into the issue
+    /// path, like `DramModule::commit` and the rank's and bank store's
+    /// `apply`, so the outcome stays in registers.
+    #[inline(always)]
     pub(crate) fn apply(
         &mut self,
         rank: usize,

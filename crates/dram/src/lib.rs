@@ -13,16 +13,21 @@
 //! query is derived from them:
 //!
 //! * [`LocalGates`] — one bank's open row and its own deadlines
-//!   (tRCD/tRAS/tRP/tRC/tWR/tRTP/tCCD), kept struct-of-arrays per rank.
+//!   (tRCD/tRAS/tRP/tRC/tWR/tRTP/tCCD), kept as one 32-byte record per
+//!   bank. Every query reads one bank, never scans, so a record costs
+//!   one bounds check and one cache line where parallel per-field
+//!   arrays cost four of each (measured in `flat.rs`).
 //! * [`SharedGates`] — what every bank of one (channel, rank) shares:
 //!   the rank's refresh blackout (tRFC), its activate throttle (tRRD,
 //!   tFAW), and the channel's data-bus gates with the write-to-read
 //!   turnaround (tWTR).
 //! * [`BankGates`] — a bank's per-command gates. One function folds the
 //!   two kinds of gates together per command kind;
-//!   [`BankGates::combine`] and [`DramModule::ready_at`] are built on it,
-//!   and [`DramModule::issue`] accepts a command exactly when the bank's
-//!   protocol state allows it and `ready_at` has passed.
+//!   [`BankGates::combine`], [`DramModule::ready_at`] and
+//!   [`DramModule::probe_next`] (the open-page next command and its gate)
+//!   are built on it, and [`DramModule::issue`] accepts a command exactly
+//!   when the bank's protocol state allows it and `ready_at` has passed,
+//!   both checked from one read of the bank.
 //! * [`DramModule`] — address mapping, statistics, energy, and reduced
 //!   latency modes (AL-DRAM, ChargeCache, TL-DRAM).
 //!

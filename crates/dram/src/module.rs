@@ -29,9 +29,12 @@ pub struct AccessResult {
 ///
 /// Two interfaces are offered:
 ///
-/// * the **command interface** ([`next_needed`](DramModule::next_needed),
+/// * the **command interface** ([`probe_next`](DramModule::probe_next),
+///   [`next_needed`](DramModule::next_needed),
 ///   [`ready_at`](DramModule::ready_at), [`issue`](DramModule::issue)) used
-///   by the `ia-memctrl` schedulers, and
+///   by the `ia-memctrl` schedulers: `probe_next` answers `next_needed`
+///   and that command's `ready_at` from one read of the bank, and
+///   `issue` checks a command against one read of it, and
 /// * the **access interface** ([`access`](DramModule::access)) which plays
 ///   an open-page controller for callers that do not care about scheduling.
 ///
@@ -182,14 +185,19 @@ impl DramModule {
     /// open-page bank management.
     #[must_use]
     pub fn next_needed(&self, loc: &Location, kind: AccessKind) -> Command {
-        match self.row_buffer_outcome(loc) {
-            RowBufferOutcome::Hit => match kind {
-                AccessKind::Read => Command::Read { column: loc.column },
-                AccessKind::Write => Command::Write { column: loc.column },
-            },
-            RowBufferOutcome::Miss => Command::Activate { row: loc.row },
-            RowBufferOutcome::Conflict => Command::Precharge,
-        }
+        next_command(self.open_row(loc), loc, kind)
+    }
+
+    /// [`DramModule::next_needed`] and the cycle it becomes issuable
+    /// ([`DramModule::ready_at`] of that command), from one read of the
+    /// bank's [`LocalGates`] and its rank's [`SharedGates`]: the
+    /// wake-up bound and the issue probe of an in-order policy, which
+    /// serves only the oldest queued request.
+    #[must_use]
+    pub fn probe_next(&self, loc: &Location, kind: AccessKind) -> (Command, Cycle) {
+        let (local, shared) = self.channels[loc.channel].gates(loc.rank, self.bank_index(loc));
+        let cmd = next_command(local.open_row, loc, kind);
+        (cmd, command_gate(&local, &shared, &cmd))
     }
 
     /// Row-buffer classification of a prospective access to `loc`.
@@ -270,23 +278,16 @@ impl DramModule {
     /// gate and the rank's refresh blackout.
     #[must_use]
     pub fn ready_at(&self, loc: &Location, cmd: &Command) -> Cycle {
-        let shared = self.shared_gates(loc.channel, loc.rank);
-        let rank = self.channels[loc.channel].rank(loc.rank);
+        let channel = &self.channels[loc.channel];
         match cmd {
-            Command::Refresh => (0..self.config.geometry.banks_per_rank())
-                .map(|bank| command_gate(&rank.local_gates(bank), &shared, cmd))
-                .fold(Cycle::ZERO, Cycle::max),
-            _ => command_gate(&rank.local_gates(self.bank_index(loc)), &shared, cmd),
+            Command::Refresh => channel
+                .rank(loc.rank)
+                .refresh_gate(&channel.shared_gates(loc.rank)),
+            _ => {
+                let (local, shared) = channel.gates(loc.rank, self.bank_index(loc));
+                command_gate(&local, &shared, cmd)
+            }
         }
-    }
-
-    /// Earliest cycle at which *the next command needed* to serve an
-    /// access to `loc` becomes issuable — the controller's wake-up
-    /// bound for an in-order policy, which serves only the oldest
-    /// queued request.
-    #[must_use]
-    pub fn next_ready_for(&self, loc: &Location, kind: AccessKind) -> Cycle {
-        self.ready_at(loc, &self.next_needed(loc, kind))
     }
 
     /// Checks `loc`, and an activate's row, against the geometry.
@@ -308,9 +309,13 @@ impl DramModule {
     }
 
     /// Validates `cmd` for the in-range `loc` at `now` against the bank
-    /// and rank protocol state, then against [`DramModule::ready_at`],
-    /// and applies its state transition with `timing`. No statistics,
-    /// energy, trace or injection accounting.
+    /// and rank protocol state, then against its gate (what
+    /// [`DramModule::ready_at`] returns), both from one read of the
+    /// bank, and applies its state transition with `timing`. No
+    /// statistics, energy, trace or injection accounting. Always
+    /// inlined: returned through memory, its `Result` cost `issue` a
+    /// stalled reload on every command.
+    #[inline(always)]
     fn commit(
         &mut self,
         loc: &Location,
@@ -319,8 +324,10 @@ impl DramModule {
         timing: &TimingParams,
     ) -> Result<IssueOutcome, IssueError> {
         let bank = self.bank_index(loc);
-        let rank = self.channels[loc.channel].rank(loc.rank);
-        let open = rank.open_row(bank).is_some();
+        let channel = &mut self.channels[loc.channel];
+        let (local, shared) = channel.gates(loc.rank, bank);
+        let open = local.open_row.is_some();
+        let rank = channel.rank(loc.rank);
         let protocol = match cmd {
             Command::Activate { .. } if open => Err(IssueErrorReason::BankAlreadyOpen),
             Command::Precharge | Command::Read { .. } | Command::Write { .. } if !open => {
@@ -330,11 +337,14 @@ impl DramModule {
             _ => Ok(()),
         };
         protocol.map_err(|reason| IssueError::new(cmd, now, reason))?;
-        let ready = self.ready_at(loc, &cmd);
+        let ready = match cmd {
+            Command::Refresh => rank.refresh_gate(&shared),
+            _ => command_gate(&local, &shared, &cmd),
+        };
         if now < ready {
             return Err(IssueError::new(cmd, now, IssueErrorReason::TooEarly(ready)));
         }
-        Ok(self.channels[loc.channel].apply(loc.rank, bank, cmd, now, timing))
+        Ok(channel.apply(loc.rank, bank, cmd, now, timing))
     }
 
     /// Issues `cmd` for `loc` at `now`, updating stats and energy.
@@ -355,7 +365,17 @@ impl DramModule {
         // transition stores as deadlines; the gates checked in `commit`
         // use none of them at query time.
         let timing = self.effective_timing(loc, &cmd, now);
-        let open_before = self.open_row(loc);
+        // ChargeCache remembers the row a precharge closes; only then is
+        // the row read before the command.
+        let closing = match (self.latency, cmd) {
+            (
+                LatencyMode::ChargeCache {
+                    entries_per_bank, ..
+                },
+                Command::Precharge,
+            ) => self.open_row(loc).map(|row| (row, entries_per_bank)),
+            _ => None,
+        };
         let out = self.commit(loc, cmd, now, &timing)?;
         let bank_idx = self.bank_index(loc);
         if self.tracer.is_enabled() {
@@ -405,13 +425,7 @@ impl DramModule {
             Command::Activate { .. } => self.stats.activates += 1,
             Command::Precharge => {
                 self.stats.precharges += 1;
-                if let (
-                    LatencyMode::ChargeCache {
-                        entries_per_bank, ..
-                    },
-                    Some(row),
-                ) = (self.latency, open_before)
-                {
+                if let Some((row, entries_per_bank)) = closing {
                     let bank = loc.flat_bank(&self.config.geometry);
                     self.charge_cache
                         .note_close(bank, row, now, entries_per_bank);
@@ -456,8 +470,8 @@ impl DramModule {
         let outcome = self.row_buffer_outcome(loc);
         self.stats.record_outcome(outcome);
         loop {
-            let cmd = self.next_needed(loc, kind);
-            let at = self.ready_at(loc, &cmd).max(earliest);
+            let (cmd, gate) = self.probe_next(loc, kind);
+            let at = gate.max(earliest);
             let out = self.issue(loc, cmd, at)?;
             if let Some(data_ready) = out.data_ready {
                 return Ok(AccessResult {
@@ -519,6 +533,20 @@ impl DramModule {
     /// Mutable access to the stats counter (for composite operations).
     pub fn stats_mut(&mut self) -> &mut DramStats {
         &mut self.stats
+    }
+}
+
+/// The open-page next command for an access of `kind` to `loc` in a
+/// bank whose open row is `open_row`: the column command on a row hit,
+/// an activate when the bank is closed, a precharge on a conflict.
+fn next_command(open_row: Option<u64>, loc: &Location, kind: AccessKind) -> Command {
+    match open_row {
+        Some(row) if row == loc.row => match kind {
+            AccessKind::Read => Command::Read { column: loc.column },
+            AccessKind::Write => Command::Write { column: loc.column },
+        },
+        Some(_) => Command::Precharge,
+        None => Command::Activate { row: loc.row },
     }
 }
 

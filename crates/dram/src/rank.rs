@@ -1,7 +1,10 @@
 //! Rank-level state: activate throttling (tRRD, tFAW) and refresh.
 
 use crate::flat::BankStates;
-use crate::{Command, Cycle, IssueOutcome, LocalGates, RowBufferOutcome, TimingParams};
+use crate::types::command_gate;
+use crate::{
+    Command, Cycle, IssueOutcome, LocalGates, RowBufferOutcome, SharedGates, TimingParams,
+};
 
 /// Fixed-size ring of the most recent activate issue times, sized to the
 /// tFAW window (four activates). Replaces an unbounded `VecDeque`: the
@@ -38,8 +41,8 @@ impl ActWindow {
 
 /// A rank: a set of banks sharing activate-rate limits and refresh.
 ///
-/// Bank state is stored struct-of-arrays (see [`BankStates`]) so the
-/// controller's per-cycle timing queries walk contiguous memory.
+/// Bank state is one record per bank (see [`BankStates`]), so a
+/// command's timing query reads one cache line of its bank.
 #[derive(Debug, Clone)]
 pub(crate) struct Rank {
     banks: BankStates,
@@ -91,6 +94,14 @@ impl Rank {
         self.banks.local_gates(bank)
     }
 
+    /// The earliest cycle a refresh of this rank can issue: every bank
+    /// past its activate gate, folded with the rank's `shared` gates.
+    pub(crate) fn refresh_gate(&self, shared: &SharedGates) -> Cycle {
+        (0..self.banks.bank_count())
+            .map(|bank| command_gate(&self.banks.local_gates(bank), shared, &Command::Refresh))
+            .fold(Cycle::ZERO, Cycle::max)
+    }
+
     /// The rank's activate throttle: tRRD after the last activate and
     /// the tFAW window over the last four.
     pub(crate) fn activate_gate(&self) -> Cycle {
@@ -99,6 +110,7 @@ impl Rank {
 
     /// Applies the state transition of a legal `cmd` to `bank` at `now`.
     /// A [`Command::Refresh`] is rank-wide and blocks the rank for tRFC.
+    #[inline(always)]
     pub(crate) fn apply(
         &mut self,
         bank: usize,

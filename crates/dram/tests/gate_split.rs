@@ -24,9 +24,17 @@
 //! [`DramModule::ready_at`] and [`DramModule::bank_gates`] must equal
 //! the reference for every bank and every command kind, and the chosen
 //! command must fail one cycle before its gate with `TooEarly(gate)`.
+//!
+//! The fused probe is checked against the module's own two-call
+//! derivation: after every step, for every bank and both access kinds,
+//! [`DramModule::probe_next`] must equal [`DramModule::next_needed`]
+//! and that command's [`DramModule::ready_at`]. This check runs under
+//! every [`LatencyMode`]; the reference, written with nominal timing,
+//! is compared only under [`LatencyMode::Standard`].
 
 use ia_dram::{
-    BankGates, Command, Cycle, DramConfig, DramModule, IssueErrorReason, Location, TimingParams,
+    AccessKind, BankGates, Command, Cycle, DramConfig, DramModule, IssueErrorReason, LatencyMode,
+    Location, TimingParams,
 };
 use proptest::prelude::*;
 
@@ -252,6 +260,34 @@ fn assert_matches(dram: &DramModule, reference: &Reference, banks: &[Location], 
     }
 }
 
+/// For every bank and both access kinds, the fused probe equals the
+/// next command and its gate asked for separately.
+fn assert_probe_matches(dram: &DramModule, banks: &[Location], step: usize) {
+    for bank in banks {
+        // The open row (a hit) and its neighbour (a conflict), or two
+        // misses on a closed bank.
+        let open = dram.open_row(bank).unwrap_or(0);
+        for row in [open, open + 1] {
+            let loc = Location {
+                row,
+                column: 3,
+                ..*bank
+            };
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                let cmd = dram.next_needed(&loc, kind);
+                prop_assert_eq!(
+                    dram.probe_next(&loc, kind),
+                    (cmd, dram.ready_at(&loc, &cmd)),
+                    "probe_next diverges at step {} for {:?} {:?}",
+                    step,
+                    kind,
+                    loc
+                );
+            }
+        }
+    }
+}
+
 /// Issuing `cmd` one cycle before its gate fails with `TooEarly(gate)`.
 fn assert_too_early(dram: &mut DramModule, loc: &Location, cmd: Command, gate: Cycle) {
     if gate > Cycle::ZERO {
@@ -271,13 +307,24 @@ fn assert_too_early(dram: &mut DramModule, loc: &Location, cmd: Command, gate: C
 /// choice, a row and an extra delay. A closed bank gets an activate; an
 /// open one a read, a write or a precharge; every 16th choice refreshes
 /// the bank's rank instead. Each command issues at its first legal
-/// cycle plus the delay. `wtr` selects the reference's tWTR rule.
-fn run(config: DramConfig, ops: &[(usize, u8, u64, u64)], wtr: bool) {
-    let mut dram = DramModule::new(config.clone()).unwrap();
+/// cycle plus the delay. `wtr` selects the reference's tWTR rule. The
+/// module runs in latency `mode`; the probe check runs in every mode,
+/// the nominal-timing reference only in [`LatencyMode::Standard`].
+fn run(config: DramConfig, mode: LatencyMode, ops: &[(usize, u8, u64, u64)], wtr: bool) {
+    let mut dram = DramModule::new(config.clone())
+        .unwrap()
+        .with_latency_mode(mode);
+    let nominal = mode == LatencyMode::Standard;
     let mut reference = Reference::new(&config, wtr);
     let banks = all_banks(&config);
     let mut now = Cycle::ZERO;
-    assert_matches(&dram, &reference, &banks, 0);
+    let check = |dram: &DramModule, reference: &Reference, step: usize| {
+        if nominal {
+            assert_matches(dram, reference, &banks, step);
+        }
+        assert_probe_matches(dram, &banks, step);
+    };
+    check(&dram, &reference, 0);
     for (step, &(pick, choice, row, delay)) in ops.iter().enumerate() {
         let flat = pick % banks.len();
         let mut loc = banks[flat];
@@ -291,7 +338,10 @@ fn run(config: DramConfig, ops: &[(usize, u8, u64, u64)], wtr: bool) {
                 assert_too_early(&mut dram, &loc, Command::Refresh, gate);
             }
             let done = dram.refresh_rank(loc.channel, loc.rank, now).unwrap();
-            prop_assert_eq!(done.as_u64(), reference.refresh_rank(rank, now.as_u64()));
+            let want = reference.refresh_rank(rank, now.as_u64());
+            if nominal {
+                prop_assert_eq!(done.as_u64(), want);
+            }
         } else {
             loc.row = row % config.geometry.rows_per_bank;
             loc.column = u64::from(choice) % config.geometry.columns_per_row();
@@ -308,7 +358,35 @@ fn run(config: DramConfig, ops: &[(usize, u8, u64, u64)], wtr: bool) {
             reference.issue(flat, cmd, at.as_u64());
             now = at;
         }
-        assert_matches(&dram, &reference, &banks, step + 1);
+        check(&dram, &reference, step + 1);
+    }
+}
+
+/// Every latency mode: nominal timing, then the reduced modes, each
+/// shortening a different set of activates: all of them (AL-DRAM),
+/// reopened rows (ChargeCache), and rows below 32 (TL-DRAM's near
+/// segment; `ops` draws rows 0..64).
+fn latency_modes(config: &DramConfig) -> [LatencyMode; 4] {
+    [
+        LatencyMode::Standard,
+        LatencyMode::AlDram { scale: 0.6 },
+        LatencyMode::ChargeCache {
+            entries_per_bank: 4,
+            window: 100_000,
+            scale: 0.6,
+        },
+        LatencyMode::TieredLatency {
+            near_fraction: 32.0 / config.geometry.rows_per_bank as f64,
+            near_scale: 0.5,
+            far_scale: 1.2,
+        },
+    ]
+}
+
+/// [`run`] in every latency mode.
+fn run_every_mode(config: DramConfig, ops: &[(usize, u8, u64, u64)]) {
+    for mode in latency_modes(&config) {
+        run(config.clone(), mode, ops, true);
     }
 }
 
@@ -333,6 +411,7 @@ fn two_ranks() -> DramConfig {
 fn reference_without_twtr_is_caught() {
     run(
         DramConfig::ddr3_1600(),
+        LatencyMode::Standard,
         &[(0, 1, 0, 0), (0, 1, 0, 0)],
         false,
     );
@@ -344,26 +423,26 @@ proptest! {
     /// One channel, one rank, eight banks.
     #[test]
     fn gates_match_reference_on_ddr3(ops in ops()) {
-        run(DramConfig::ddr3_1600(), &ops, true);
+        run_every_mode(DramConfig::ddr3_1600(), &ops);
     }
 
     /// Four bank groups.
     #[test]
     fn gates_match_reference_on_ddr4(ops in ops()) {
-        run(DramConfig::ddr4_2400(), &ops, true);
+        run_every_mode(DramConfig::ddr4_2400(), &ops);
     }
 
     /// Two channels: a column command on one must not move the other's
     /// bus gates.
     #[test]
     fn gates_match_reference_on_lpddr4(ops in ops()) {
-        run(DramConfig::lpddr4_3200(), &ops, true);
+        run_every_mode(DramConfig::lpddr4_3200(), &ops);
     }
 
     /// Two ranks on one channel: they share the data bus but not the
     /// refresh blackout or the activate throttle.
     #[test]
     fn gates_match_reference_on_two_ranks(ops in ops()) {
-        run(two_ranks(), &ops, true);
+        run_every_mode(two_ranks(), &ops);
     }
 }

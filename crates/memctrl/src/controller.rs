@@ -475,8 +475,7 @@ impl MemoryController {
                 let (cmd, ready) = if cached {
                     self.queue.next_command(h)
                 } else {
-                    let cmd = self.dram.next_needed(&p.loc, p.request.kind);
-                    (cmd, self.dram.ready_at(&p.loc, &cmd))
+                    self.dram.probe_next(&p.loc, p.request.kind)
                 };
                 if ready <= self.now {
                     // Classify the row-buffer outcome once, when the

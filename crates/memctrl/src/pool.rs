@@ -101,8 +101,8 @@ pub enum ViewMode {
     ///
     /// A Skip policy reads no cached gates, so the controller does not
     /// resync the queue's gate cache for it: it probes the DRAM for the
-    /// head alone ([`DramModule::ready_at`], derived from the same split
-    /// gates the cache holds), once to pick and once to wake up.
+    /// head alone ([`DramModule::probe_next`], derived from the same
+    /// split gates the cache holds), once to pick and once to wake up.
     /// Resyncing after every command cost the FCFS fault-injection
     /// benchmark more than those two probes.
     Skip,
@@ -782,13 +782,13 @@ impl RequestQueue {
     /// cycles, O(occupied banks) with no DRAM probe, exact for the DRAM
     /// state of the last resync. A [`ViewMode::Skip`] policy serves only
     /// [`RequestQueue::head`] and runs without the gate cache, so its
-    /// bound is one probe of `dram`: the head's
-    /// [`DramModule::next_ready_for`].
+    /// bound is one probe of `dram`: the gate of the head's
+    /// [`DramModule::probe_next`].
     #[must_use]
     pub fn next_issue_at(&self, dram: &DramModule, now: Cycle, mode: ViewMode) -> Option<Cycle> {
         if mode == ViewMode::Skip {
             let p = &self.slots[self.head()?.0 as usize].p;
-            return Some(dram.next_ready_for(&p.loc, p.request.kind).max(now));
+            return Some(dram.probe_next(&p.loc, p.request.kind).1.max(now));
         }
         let mut next: Option<Cycle> = None;
         for &bank in &self.occupied {

@@ -172,7 +172,8 @@ fn check_wakeup(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
     // A Skip-mode policy serves only the head.
     let head_ready = first_cycle(queue, now, |t| {
         let head = &pendings[0];
-        dram.next_ready_for(&head.loc, head.request.kind) <= t
+        let cmd = dram.next_needed(&head.loc, head.request.kind);
+        dram.ready_at(&head.loc, &cmd) <= t
     });
     prop_assert_eq!(
         queue.next_issue_at(dram, now, ViewMode::Skip),

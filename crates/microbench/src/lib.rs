@@ -12,6 +12,10 @@
 //!   same per pick (the linear scan it replaced scaled 32×).
 //! * **dram-timing-check** — one [`DramModule::bank_gates`] probe, the
 //!   full per-bank gate walk the queue's gate cache is checked against.
+//! * **dram-issue** — one [`DramModule::probe_next`] and one
+//!   [`DramModule::issue`] of that command at its gate, over a fixed
+//!   open-page address cycle of row hits, misses and conflicts: the
+//!   per-command DRAM path an in-order (FCFS) controller runs.
 //! * **bank-resync** — one [`RequestQueue::resync`], the gate-cache
 //!   refresh the controller runs after every issued command (a bank
 //!   probe, its channel's shared gates, the occupied banks' wake
@@ -93,7 +97,7 @@ use std::time::Instant;
 
 use ia_bench::mixes::interference_mix;
 use ia_cache::{bdi_compress, BdiEncoding};
-use ia_dram::{AddressMapping, Cycle, DramConfig, DramModule, PhysAddr};
+use ia_dram::{AccessKind, AddressMapping, Cycle, DramConfig, DramModule, Location, PhysAddr};
 use ia_faults::{FaultInjector, FaultPlan, Inject, RowSite};
 use ia_lint::context::FileContext;
 use ia_lint::lexer::tokenize;
@@ -345,6 +349,72 @@ fn dram_timing_check(iters: u64) -> Sample {
         checksum = fold(checksum, gates.read.as_u64());
         checksum = fold(checksum, gates.activate.as_u64());
     }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// The fixed open-page address cycle of [`dram_issue`] on DDR3-1600:
+/// sixteen accesses over four banks, row 0 then row 1 of each, every
+/// third one a write. Each bank sees a miss and a hit on row 0, then a
+/// conflict and a hit on row 1, and a conflict again when the cycle
+/// wraps.
+fn dram_issue_cycle() -> Vec<(Location, AccessKind)> {
+    (0..16u64)
+        .map(|j| {
+            let loc = Location {
+                bank: (j % 4) as usize,
+                row: j / 8,
+                column: j,
+                ..Location::default()
+            };
+            let kind = if j % 3 == 2 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            (loc, kind)
+        })
+        .collect()
+}
+
+/// Runs `ops` commands of [`dram_issue_cycle`] on `dram` from cycle
+/// zero: probe the current access's next command, issue it at its gate
+/// (never before the previous command), and move to the next access
+/// once the column command issues. Returns the fold of every issue
+/// cycle and data burst end.
+fn drive_dram_issue(dram: &mut DramModule, ops: u64) -> u64 {
+    let accesses = dram_issue_cycle();
+    let mut checksum = 0u64;
+    let mut now = Cycle::ZERO;
+    let mut next = 0;
+    for _ in 0..ops {
+        let (loc, kind) = &accesses[next];
+        let (cmd, gate) = dram.probe_next(loc, *kind);
+        let at = gate.max(now);
+        // lint: allow(P001, the probed command issues at its own gate, which is legal by construction)
+        let out = dram.issue(loc, cmd, at).expect("issued at its gate");
+        checksum = fold(checksum, at.as_u64());
+        if let Some(ready) = out.data_ready {
+            checksum = fold(checksum, ready.as_u64());
+            next = (next + 1) % accesses.len();
+        }
+        now = at;
+    }
+    checksum
+}
+
+/// One DRAM command per op: [`DramModule::probe_next`], then
+/// [`DramModule::issue`] at the probed gate (see [`drive_dram_issue`]).
+fn dram_issue(iters: u64) -> Sample {
+    // lint: allow(P001, ddr3_1600 is a valid preset)
+    let mut dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    let checksum = drive_dram_issue(&mut dram, iters);
     let ns = start.elapsed().as_nanos();
     Sample {
         ops: iters,
@@ -911,6 +981,10 @@ pub fn benches() -> Vec<Bench> {
             name: "stride_prefetch",
             run: stride_prefetch,
         },
+        Bench {
+            name: "dram_issue",
+            run: dram_issue,
+        },
     ]
 }
 
@@ -1125,6 +1199,21 @@ mod tests {
             h.demand(i * 64);
         }
         assert!(h.metrics().covered_misses > 0, "the stride is learned");
+    }
+
+    #[test]
+    fn dram_issue_cycle_issues_every_open_page_command() {
+        let mut dram = DramModule::new(DramConfig::ddr3_1600()).unwrap();
+        // Per bank and pass: row 0 (a miss, ACT+col, on the first pass; a
+        // conflict, PRE+ACT+col, after), a row-0 hit, a row-1 conflict
+        // and a row-1 hit.
+        let first = 4 * (2 + 1 + 3 + 1);
+        let second = 4 * (3 + 1 + 3 + 1);
+        drive_dram_issue(&mut dram, first + second);
+        let s = dram.stats();
+        assert_eq!((s.reads, s.writes), (22, 10), "two passes of 16 accesses");
+        assert_eq!((s.activates, s.precharges), (16, 12));
+        assert_ne!(dram_issue(3).checksum, dram_issue(4).checksum);
     }
 
     #[test]

@@ -87,6 +87,7 @@ impl<T> Ring<T> {
         }
     }
 
+    #[inline]
     fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
@@ -205,6 +206,7 @@ impl Tracer {
 
     /// Whether trace points currently record anything.
     #[must_use]
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.events.is_enabled()
     }
@@ -287,11 +289,19 @@ impl Tracer {
     }
 
     /// Records a point event carrying an explicit `value` (a count
-    /// delta, cycles skipped, …).
+    /// delta, cycles skipped, …). Inlined to the enabled check, so a
+    /// disabled tracer costs its caller one branch and no call (the
+    /// engine calls this on every cycle skip).
+    #[inline]
     pub fn instant_value(&mut self, name: &'static str, at: u64, value: f64) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.record_instant(name, at, value);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record_instant(&mut self, name: &'static str, at: u64, value: f64) {
         let totals = self.instants.entry(name).or_default();
         totals.count += 1;
         totals.sum += value;

@@ -19,11 +19,13 @@
 # $EPOCHREALTIME builtin — forking `date` twice per bin used to charge
 # the suite ~150 ms of measurement overhead on a loaded host.
 #
-# The wall trajectory is self-auditing: each run prints a per-bin delta
-# column against the *previous* BENCH_WALL.json and exits non-zero with
-# a warning list if any bin regressed by more than 25% (bins below a
-# 5 ms absolute delta are exempt — at 2-4 ms per bin, scheduler jitter
-# alone crosses any percentage threshold).
+# Walls are whole microseconds (`wall_us`), so even a sub-millisecond
+# experiment carries a number. The wall trajectory is self-auditing: each
+# run prints a per-bin delta column against the *previous*
+# BENCH_WALL.json and exits non-zero with a warning list if any bin
+# regressed by more than 25% (bins below a 5 ms = 5000 µs absolute delta
+# are exempt — at 2-4 ms per bin, scheduler jitter alone crosses any
+# percentage threshold).
 #
 # The per-op microbenchmarks ride along: after the suite, the
 # ia-microbench harness writes its byte-stable BENCH_MICRO.json next to
@@ -42,10 +44,10 @@ trap 'rm -rf "$tmpdir"' EXIT
 cd "$repo_root"
 cargo build --release -q -p ia-bench -p ia-microbench
 
-# Millisecond timestamp from the shell builtin: no fork, ~30 µs.
-now_ms() {
+# Microsecond timestamp from the shell builtin: no fork, ~30 µs.
+now_us() {
     local t=$EPOCHREALTIME
-    echo $(( ${t%.*} * 1000 + 10#${t#*.} / 1000 ))
+    echo $(( ${t%.*} * 1000000 + 10#${t#*.} ))
 }
 
 threads="$(nproc 2>/dev/null || echo 1)"
@@ -55,9 +57,9 @@ micro="$(dirname "$out")/BENCH_MICRO.json"
 # Previous per-bin walls, for the delta column (missing file = no deltas).
 declare -A prev_wall=()
 if [ -f "$wall" ]; then
-    while IFS=' ' read -r bin ms; do
-        prev_wall["$bin"]="$ms"
-    done < <(sed -n 's/.*"bin": "\([^"]*\)", "wall_ms": \([0-9]*\).*/\1 \2/p' "$wall")
+    while IFS=' ' read -r bin us; do
+        prev_wall["$bin"]="$us"
+    done < <(sed -n 's/.*"bin": "\([^"]*\)", "wall_us": \([0-9]*\).*/\1 \2/p' "$wall")
 fi
 
 failed=()
@@ -66,55 +68,55 @@ names=()
 walls=()
 
 record() {
-    local bin="$1" ms="$2"
+    local bin="$1" us="$2"
     names+=("$bin")
-    walls+=("$ms")
+    walls+=("$us")
     local prev="${prev_wall[$bin]:-}"
     local delta="n/a"
     if [ -n "$prev" ] && [ "$prev" -gt 0 ]; then
         # Pure-builtin percent (tenths, truncated): record() runs inside
         # the timed suite window, so it must not fork.
-        local dt=$(( (ms - prev) * 1000 / prev )) sign="+"
+        local dt=$(( (us - prev) * 1000 / prev )) sign="+"
         if [ "$dt" -lt 0 ]; then sign="-"; dt=$(( -dt )); fi
         delta="${sign}$(( dt / 10 )).$(( dt % 10 ))%"
-        if [ "$ms" -gt $(( prev + prev / 4 )) ] && [ $(( ms - prev )) -ge 5 ]; then
-            regressed+=("$bin: ${prev} ms -> ${ms} ms ($delta)")
+        if [ "$us" -gt $(( prev + prev / 4 )) ] && [ $(( us - prev )) -ge 5000 ]; then
+            regressed+=("$bin: ${prev} us -> ${us} us ($delta)")
         fi
     fi
-    printf '%-28s %5d ms   %s\n' "$bin" "$ms" "$delta" >&2
+    printf '%-28s %9d us   %s\n' "$bin" "$us" "$delta" >&2
 }
 
-suite_start_ms="$(now_ms)"
+suite_start_us="$(now_us)"
 if ! target/release/ia-bench suite --quick --threads "$threads" \
         --json-dir "$tmpdir" > "$tmpdir/walls.txt"; then
     echo "FAILED: ia-bench suite" >&2
     failed+=("ia-bench suite")
 fi
-suite_end_ms="$(now_ms)"
+suite_end_us="$(now_us)"
 # Per-experiment rows come from the suite's own stopwatch (fork-free);
 # they are recorded here, outside the timed window. The suite prints one
-# `<experiment> <ms>` line per report, in registry order, which is also
+# `<experiment> <µs>` line per report, in registry order, which is also
 # the snapshot's entry order.
 bins=()
-while IFS=' ' read -r bin ms; do
+while IFS=' ' read -r bin us; do
     bins+=("$bin")
-    record "$bin" "$ms"
+    record "$bin" "$us"
 done < "$tmpdir/walls.txt"
 # The headline row perf work optimizes against: one number for the whole
 # suite, same units and file as the per-experiment rows.
-record "suite_total" $(( suite_end_ms - suite_start_ms ))
+record "suite_total" $(( suite_end_us - suite_start_us ))
 
 # Per-op microbenches: byte-stable JSON (checksums, no timing) to
 # BENCH_MICRO.json; the ns/op table goes to stderr for humans.
-micro_start_ms="$(now_ms)"
+micro_start_us="$(now_us)"
 if ! target/release/microbench --iters 4096 --k 5 --json "$micro.tmp" >&2; then
     echo "FAILED: microbench" >&2
     failed+=("microbench")
 else
     mv "$micro.tmp" "$micro"
 fi
-micro_end_ms="$(now_ms)"
-record "microbench" $(( micro_end_ms - micro_start_ms ))
+micro_end_us="$(now_us)"
+record "microbench" $(( micro_end_us - micro_start_us ))
 
 if [ "${#failed[@]}" -gt 0 ]; then
     echo "aborting: ${#failed[@]} step(s) failed: ${failed[*]}" >&2
@@ -141,7 +143,7 @@ mv "$out.tmp" "$out"
     echo "["
     sep=""
     for i in "${!names[@]}"; do
-        printf '%s  {"bin": "%s", "wall_ms": %d}' "$sep" "${names[$i]}" "${walls[$i]}"
+        printf '%s  {"bin": "%s", "wall_us": %d}' "$sep" "${names[$i]}" "${walls[$i]}"
         sep=",
 "
     done

@@ -105,10 +105,23 @@ cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
 echo "== engine skip exactness (event-driven runs == per-cycle oracle, faults included)"
 cargo test -q -p ia-memctrl --test properties
 
-echo "== simulator benchmark gate self-tests (every job's digest against simbench/pins.txt)"
+echo "== simulator benchmark gate self-tests (job 0 of each workload against simbench/pins.txt)"
 # --locked: a dependency change in a crate simbench builds fails here
 # instead of silently rewriting simbench/Cargo.lock.
 cargo test --release --offline --locked --manifest-path simbench/Cargo.toml
+
+echo "== simulator benchmark pins (every seed-1 job of all three workloads against simbench/pins.txt)"
+# One short run per workload: every round runs every job, and at seed 1
+# the gate checks each job's digest against its pin, so all 328 pins are
+# checked. The last stdout line is the run's verdict object.
+for w in sched_sweep fault_ladder noc_mesh; do
+    sb_out="$(cargo run --release --offline --locked --quiet \
+        --manifest-path simbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0)" \
+        || { echo "simbench $w: exited non-zero"; printf '%s\n' "$sb_out" | tail -n 5; exit 1; }
+    printf '%s\n' "$sb_out" | tail -n 1 | grep -q '"correct":true' \
+        || { echo "simbench $w: a job failed the gate"; printf '%s\n' "$sb_out" | tail -n 5; exit 1; }
+done
 
 echo "== microbench smoke (--iters 1 run + JSON schema check + bench set vs BENCH_MICRO.json)"
 micro_dir="$(mktemp -d)"
