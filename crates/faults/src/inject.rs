@@ -8,7 +8,7 @@ use crate::rng::{
     chance, fold, hash, unit, STREAM_DECAY, STREAM_HAMMER, STREAM_STUCK, STREAM_TRANSIENT,
     STREAM_WEAK,
 };
-use crate::site::SiteMap;
+use crate::site::{rank_key, RowKey, SiteMap};
 
 /// Bits per protected word: 64 data + 8 SECDED check bits. Flip masks
 /// index the same 0..72 space as `ia_reliability::ecc::inject_error`.
@@ -28,8 +28,15 @@ pub struct RowSite {
 }
 
 impl RowSite {
-    fn key(&self) -> RowKey {
-        (self.channel, self.rank, self.bank, self.row)
+    /// The row's packed site-map key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate does not fit a [`RowKey`].
+    #[must_use]
+    #[inline]
+    pub fn key(&self) -> RowKey {
+        RowKey::new(self.channel, self.rank, self.bank, self.row)
     }
 
     fn folded(&self) -> u64 {
@@ -37,8 +44,72 @@ impl RowSite {
     }
 }
 
-type RowKey = (usize, usize, usize, u64);
+/// One codeword: its row and its word index within the row.
 type WordKey = (RowKey, u64);
+
+/// What the injector tracks per row, in one map entry so that an
+/// activate finds all of it with one probe.
+#[derive(Debug, Clone, Copy)]
+struct RowState {
+    /// Last cycle the row was individually restored (activate, write, or
+    /// targeted refresh); 0 until then.
+    restored: u64,
+    /// Aggressor activations absorbed since the row's last refresh.
+    exposure: u64,
+    /// The row's retention limit in cycles, drawn once when the row is
+    /// first seen; `None` when it is not retention-weak.
+    limit: Option<u64>,
+}
+
+impl RowState {
+    fn first_seen(plan: &FaultPlan, site: &RowSite) -> Self {
+        RowState {
+            restored: 0,
+            exposure: 0,
+            limit: retention_limit(plan, site),
+        }
+    }
+}
+
+/// What the injector tracks per codeword.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordState {
+    /// Soft (scrubbable) flips: RowHammer, retention, scripted soft
+    /// faults.
+    soft: u128,
+    /// The stuck-at mask, materialized on the word's first read; `None`
+    /// means "not yet examined", zero "examined, not stuck".
+    stuck: Option<u128>,
+}
+
+/// The row's hash-drawn retention limit in cycles, or `None` if the row
+/// is not retention-weak (or retention is disabled).
+fn retention_limit(plan: &FaultPlan, site: &RowSite) -> Option<u64> {
+    if plan.retention_weak_prob <= 0.0 || plan.refresh_window == 0 {
+        return None;
+    }
+    let folded = site.folded();
+    if !chance(
+        hash(plan.seed, STREAM_WEAK, folded, 0),
+        plan.retention_weak_prob,
+    ) {
+        return None;
+    }
+    // Weak limits span 25–90% of the nominal window: short enough to
+    // overrun under baseline refresh, long enough that a 2x–4x
+    // escalated rate always covers them.
+    let frac = 0.25 + 0.65 * unit(hash(plan.seed, STREAM_WEAK, folded, 1));
+    Some(((plan.refresh_window as f64 * frac) as u64).max(1))
+}
+
+/// Sets one soft flip bit. Returns true when the bit was new.
+fn set_soft(words: &mut SiteMap<WordKey, WordState>, key: WordKey, bit: u32) -> bool {
+    let word = words.entry(key).or_default();
+    let mask = 1u128 << bit;
+    let new = word.soft & mask == 0;
+    word.soft |= mask;
+    new
+}
 
 /// Which bits of a 72-bit codeword read back flipped, and which of those
 /// are transient (absent on a retry of the same read).
@@ -195,23 +266,15 @@ impl Inject for NoFaults {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Soft (scrubbable) flips per codeword: RowHammer, retention,
-    /// scripted soft faults.
-    soft: SiteMap<WordKey, u128>,
-    /// Stuck-at masks per codeword, materialized lazily on first touch
-    /// (`None` entries are never stored — absence means "not yet
-    /// examined", zero means "examined, not stuck").
-    stuck: SiteMap<WordKey, u128>,
-    /// Aggressor activations absorbed per victim row since its last
-    /// refresh.
-    exposure: SiteMap<RowKey, u64>,
-    /// Last cycle each row was individually restored (activate, write,
-    /// or targeted refresh).
-    row_restored: SiteMap<RowKey, u64>,
-    /// Last cycle a full refresh pass completed, per (channel, rank).
-    rank_epoch: SiteMap<(usize, usize), u64>,
-    /// Rank-refresh commands seen so far, per (channel, rank).
-    refresh_calls: SiteMap<(usize, usize), u64>,
+    /// Restore cycle, disturbance exposure and retention limit per row
+    /// the injector has seen.
+    rows: SiteMap<RowKey, RowState>,
+    /// Soft flips and stuck-at mask per codeword.
+    words: SiteMap<WordKey, WordState>,
+    /// Last cycle a full refresh pass completed, per [`rank_key`].
+    rank_epoch: SiteMap<u64, u64>,
+    /// Rank-refresh commands seen so far, per [`rank_key`].
+    refresh_calls: SiteMap<u64, u64>,
     /// Monotonic read counter — the transient-error decision key.
     reads: u64,
     /// Which scripted faults have manifested.
@@ -226,10 +289,8 @@ impl FaultInjector {
         let scripted_done = vec![false; plan.scripted.len()];
         FaultInjector {
             plan,
-            soft: SiteMap::default(),
-            stuck: SiteMap::default(),
-            exposure: SiteMap::default(),
-            row_restored: SiteMap::default(),
+            rows: SiteMap::default(),
+            words: SiteMap::default(),
             rank_epoch: SiteMap::default(),
             refresh_calls: SiteMap::default(),
             reads: 0,
@@ -249,72 +310,8 @@ impl FaultInjector {
         self.plan.spare_floor.is_some_and(|floor| row >= floor)
     }
 
-    /// Last cycle this row's charge was known-good: the later of its
-    /// individual restore and the last full rank refresh pass.
-    fn last_restored(&self, key: RowKey) -> u64 {
-        let rank_pass = self.rank_epoch.get(&(key.0, key.1)).copied().unwrap_or(0);
-        let row = self.row_restored.get(&key).copied().unwrap_or(0);
-        rank_pass.max(row)
-    }
-
-    /// The row's hash-drawn retention limit in cycles, or `None` if the
-    /// row is not retention-weak (or retention is disabled).
-    fn retention_limit(&self, site: &RowSite) -> Option<u64> {
-        if self.plan.retention_weak_prob <= 0.0 || self.plan.refresh_window == 0 {
-            return None;
-        }
-        let folded = site.folded();
-        if !chance(
-            hash(self.plan.seed, STREAM_WEAK, folded, 0),
-            self.plan.retention_weak_prob,
-        ) {
-            return None;
-        }
-        // Weak limits span 25–90% of the nominal window: short enough to
-        // overrun under baseline refresh, long enough that a 2x–4x
-        // escalated rate always covers them.
-        let frac = 0.25 + 0.65 * unit(hash(self.plan.seed, STREAM_WEAK, folded, 1));
-        Some(((self.plan.refresh_window as f64 * frac) as u64).max(1))
-    }
-
-    /// Sets one soft flip bit, counting it only if newly set. Returns
-    /// true when the bit was new.
-    fn set_soft(&mut self, key: WordKey, bit: u32) -> bool {
-        let slot = self.soft.entry(key).or_insert(0);
-        let mask = 1u128 << bit;
-        if *slot & mask == 0 {
-            *slot |= mask;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Materializes (or recalls) the stuck-at mask for one codeword.
-    fn stuck_mask(&mut self, site: &RowSite, word: u64) -> u128 {
-        if self.plan.stuck_prob <= 0.0 {
-            return self.stuck.get(&(site.key(), word)).copied().unwrap_or(0);
-        }
-        let key = (site.key(), word);
-        if let Some(&mask) = self.stuck.get(&key) {
-            return mask;
-        }
-        let folded = site.folded();
-        let h = hash(self.plan.seed, STREAM_STUCK, folded, word);
-        let mask = if chance(h, self.plan.stuck_prob) {
-            let bit =
-                hash(self.plan.seed, STREAM_STUCK, folded ^ h, word) % u64::from(CODEWORD_BITS);
-            self.stats.stuck_cells += 1;
-            1u128 << bit
-        } else {
-            0
-        };
-        self.stuck.insert(key, mask);
-        mask
-    }
-
     /// Applies any scripted faults targeting this codeword that are due.
-    fn apply_scripted(&mut self, site: &RowSite, word: u64, now: u64) -> u128 {
+    fn apply_scripted(&mut self, site: &RowSite, key: WordKey, now: u64) -> u128 {
         let mut transient = 0u128;
         for i in 0..self.plan.scripted.len() {
             if self.scripted_done[i] {
@@ -325,7 +322,7 @@ impl FaultInjector {
                 && f.rank == site.rank
                 && f.bank == site.bank
                 && f.row == site.row
-                && f.word == word
+                && f.word == key.1
                 && now >= f.at;
             if !matches {
                 continue;
@@ -335,13 +332,16 @@ impl FaultInjector {
             let bit = u32::from(f.bit) % CODEWORD_BITS;
             match f.kind {
                 FaultKind::StuckAt => {
-                    *self.stuck.entry((site.key(), word)).or_insert(0) |= 1u128 << bit;
+                    // Marks the word examined: no probabilistic stuck-at
+                    // cell is drawn for it afterwards.
+                    let word = self.words.entry(key).or_default();
+                    word.stuck = Some(word.stuck.unwrap_or(0) | 1u128 << bit);
                 }
                 FaultKind::TransientBus => {
                     transient |= 1u128 << bit;
                 }
                 FaultKind::RowHammer | FaultKind::Retention => {
-                    self.set_soft((site.key(), word), bit);
+                    set_soft(&mut self.words, key, bit);
                 }
             }
         }
@@ -354,12 +354,15 @@ impl FaultInjector {
             return;
         }
         let key = victim.key();
-        let count = self.exposure.entry(key).or_insert(0);
-        *count += 1;
-        if !(*count).is_multiple_of(self.plan.rowhammer_threshold) {
+        let row = self
+            .rows
+            .entry(key)
+            .or_insert_with(|| RowState::first_seen(&self.plan, &victim));
+        row.exposure += 1;
+        if !row.exposure.is_multiple_of(self.plan.rowhammer_threshold) {
             return;
         }
-        let trip = *count / self.plan.rowhammer_threshold;
+        let trip = row.exposure / self.plan.rowhammer_threshold;
         let folded = victim.folded();
         let h = hash(self.plan.seed, STREAM_HAMMER, folded, trip);
         if !chance(h, self.plan.rowhammer_flip_prob) {
@@ -368,7 +371,7 @@ impl FaultInjector {
         let word = hash(self.plan.seed, STREAM_HAMMER, folded ^ h, trip) % self.plan.words_per_row;
         let bit = (hash(self.plan.seed, STREAM_HAMMER, folded.wrapping_add(h), trip)
             % u64::from(CODEWORD_BITS)) as u32;
-        if self.set_soft((key, word), bit) {
+        if set_soft(&mut self.words, (key, word), bit) {
             self.stats.rowhammer_flips += 1;
         }
     }
@@ -384,10 +387,17 @@ impl Inject for FaultInjector {
             return;
         }
         let key = site.key();
+        let row = self
+            .rows
+            .entry(key)
+            .or_insert_with(|| RowState::first_seen(&self.plan, site));
         // Retention: the decayed value is latched before the activate
-        // restores charge, so an overrun materializes a flip first.
-        if let Some(limit) = self.retention_limit(site) {
-            let restored = self.last_restored(key);
+        // restores charge, so an overrun materializes a flip first. The
+        // charge was last known good at the later of the row's own
+        // restore and its rank's last full refresh pass.
+        if let Some(limit) = row.limit {
+            let rank_pass = self.rank_epoch.get(&key.rank()).copied().unwrap_or(0);
+            let restored = rank_pass.max(row.restored);
             if now.saturating_sub(restored) > limit {
                 let folded = site.folded();
                 let word =
@@ -398,12 +408,12 @@ impl Inject for FaultInjector {
                     folded ^ restored.wrapping_add(1),
                     1,
                 ) % u64::from(CODEWORD_BITS)) as u32;
-                if self.set_soft((key, word), bit) {
+                if set_soft(&mut self.words, (key, word), bit) {
                     self.stats.retention_flips += 1;
                 }
             }
         }
-        self.row_restored.insert(key, now);
+        row.restored = now;
         // Disturbance: both physical neighbors absorb one exposure hit.
         if self.plan.rowhammer_threshold > 0 {
             if site.row > 0 {
@@ -426,9 +436,28 @@ impl Inject for FaultInjector {
             return FlipMask::CLEAN;
         }
         self.reads += 1;
-        let mut transient = self.apply_scripted(site, word, now);
-        let mut bits = self.stuck_mask(site, word);
-        bits |= self.soft.get(&(site.key(), word)).copied().unwrap_or(0);
+        let key = (site.key(), word);
+        let mut transient = self.apply_scripted(site, key, now);
+        let mut bits = if self.plan.stuck_prob > 0.0 {
+            // Materialize (or recall) the word's stuck-at mask.
+            let state = self.words.entry(key).or_default();
+            let stuck = *state.stuck.get_or_insert_with(|| {
+                let folded = site.folded();
+                let h = hash(self.plan.seed, STREAM_STUCK, folded, word);
+                if !chance(h, self.plan.stuck_prob) {
+                    return 0;
+                }
+                let bit =
+                    hash(self.plan.seed, STREAM_STUCK, folded ^ h, word) % u64::from(CODEWORD_BITS);
+                self.stats.stuck_cells += 1;
+                1u128 << bit
+            });
+            stuck | state.soft
+        } else {
+            self.words
+                .get(&key)
+                .map_or(0, |state| state.stuck.unwrap_or(0) | state.soft)
+        };
         if self.plan.transient_prob > 0.0 {
             let h = hash(self.plan.seed, STREAM_TRANSIENT, self.reads, 0);
             if chance(h, self.plan.transient_prob) {
@@ -450,28 +479,42 @@ impl Inject for FaultInjector {
             return;
         }
         let key = site.key();
-        if self.soft.remove(&(key, word)).is_some() {
-            self.stats.scrubs += 1;
+        if let Some(state) = self.words.get_mut(&(key, word)) {
+            if state.soft != 0 {
+                state.soft = 0;
+                self.stats.scrubs += 1;
+            }
         }
         // Writing implies the row is open: its charge is restored.
-        self.row_restored.insert(key, now);
+        self.rows
+            .entry(key)
+            .or_insert_with(|| RowState::first_seen(&self.plan, site))
+            .restored = now;
     }
 
     fn on_refresh(&mut self, channel: usize, rank: usize, now: u64) {
-        let calls = self.refresh_calls.entry((channel, rank)).or_insert(0);
+        let rank = rank_key(channel, rank);
+        let calls = self.refresh_calls.entry(rank).or_insert(0);
         *calls += 1;
         if (*calls).is_multiple_of(self.plan.slots_per_window) {
             // A full pass completed: every row in the rank is restored
             // and its disturbance exposure cleared.
-            self.rank_epoch.insert((channel, rank), now);
-            self.exposure
-                .retain(|key, _| !(key.0 == channel && key.1 == rank));
+            self.rank_epoch.insert(rank, now);
+            for (key, row) in &mut self.rows {
+                if key.rank() == rank {
+                    row.exposure = 0;
+                }
+            }
         }
     }
 
     fn on_row_refresh(&mut self, site: &RowSite, now: u64) {
-        self.row_restored.insert(site.key(), now);
-        self.exposure.remove(&site.key());
+        let row = self
+            .rows
+            .entry(site.key())
+            .or_insert_with(|| RowState::first_seen(&self.plan, site));
+        row.restored = now;
+        row.exposure = 0;
         self.stats.row_refreshes += 1;
     }
 

@@ -25,7 +25,10 @@
 //!   `exp24_fault_injection` byte-identical across `--threads`.
 //! * Per-site state lives in [`SiteMap`]s: std maps hashed with the
 //!   fixed-seed [`SiteHasher`] instead of SipHash, because the keys are
-//!   simulator coordinates and the hash sits on every hook call.
+//!   simulator coordinates and the hash sits on every hook call. A row
+//!   is keyed by one packed, order-preserving [`RowKey`] (a rank by its
+//!   [`rank_key`]), and the injector keeps one record per row and one
+//!   per codeword, so each hook call costs one probe of one word.
 //!
 //! The crate is intentionally **zero-dependency** (std only): any layer
 //! of the stack can host an injector without dependency cycles.
@@ -40,4 +43,4 @@ mod site;
 
 pub use inject::{FaultInjector, FaultStats, FlipMask, Inject, NoFaults, RowSite, CODEWORD_BITS};
 pub use plan::{FaultKind, FaultPlan, ScriptedFault};
-pub use site::{SiteHasher, SiteMap};
+pub use site::{rank_key, RowKey, SiteHasher, SiteMap};

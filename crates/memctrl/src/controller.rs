@@ -15,7 +15,7 @@ use ia_sim::{Clocked, CompletionSink, EngineStats, SimLoop, StepOutcome};
 use ia_trace::{TraceLog, Tracer};
 
 use crate::error::CtrlError;
-use crate::pool::{IssueView, RequestQueue, ViewMode};
+use crate::pool::{IssueView, ReqId, RequestQueue, ViewMode};
 use crate::reliability::{ReliabilityPipeline, ReliabilityReport};
 use crate::request::{thread_index, Completed, MemRequest, Pending};
 use crate::scheduler::Scheduler;
@@ -195,6 +195,17 @@ pub struct MemoryController {
     /// the policy is installed: the trait forbids it from changing.
     mode: ViewMode,
     queue: RequestQueue,
+    /// For a [`ViewMode::Skip`] policy: the queue head, its next command
+    /// and that command's gate, from one [`RequestQueue::probe_head`].
+    /// The probe depends only on the DRAM state and on which request is
+    /// the head, so it is taken again only when one of those changes:
+    /// after an issued command (the head may also have left the queue),
+    /// after a refresh that issued, on an enqueue into an empty queue,
+    /// and when the policy or the latency mode is swapped. An enqueue
+    /// into a non-empty queue never displaces the head: arrivals are
+    /// `now` and ids rise, so the newcomer orders after every queued
+    /// request. `None` for other modes and for an empty queue.
+    head: Option<(ReqId, Command, Cycle)>,
     /// Reused per-cycle scheduling view (capacity persists across ticks).
     view: IssueView,
     /// Requests whose column command has issued, as the [`Completed`]
@@ -228,6 +239,7 @@ impl MemoryController {
             mode: scheduler.view_mode(),
             scheduler,
             queue: RequestQueue::new(),
+            head: None,
             view: IssueView::default(),
             inflight: Vec::new(),
             now: Cycle::ZERO,
@@ -268,6 +280,7 @@ impl MemoryController {
         // The outgoing policy may have been a Skip one, which leaves the
         // queue's gate cache unsynced.
         self.queue.resync_all(&self.dram);
+        self.reprobe_head();
         self
     }
 
@@ -299,7 +312,31 @@ impl MemoryController {
             DramModule::new(DramConfig::ddr3_1600()).expect("preset is valid"),
         );
         self.dram = dram.with_latency_mode(mode);
+        self.reprobe_head();
         self
+    }
+
+    /// Takes the [`ViewMode::Skip`] head probe again (see `head`).
+    fn reprobe_head(&mut self) {
+        self.head = if self.mode == ViewMode::Skip {
+            self.queue.probe_head(&self.dram)
+        } else {
+            None
+        };
+    }
+
+    /// The cached probe of queue head `h` for a [`ViewMode::Skip`]
+    /// policy: its next command and gate.
+    fn head_command(&self, h: ReqId) -> Option<(Command, Cycle)> {
+        let (id, cmd, gate) = self.head?;
+        debug_assert_eq!(id, h, "the Skip head probe is not the queue head");
+        debug_assert_eq!(
+            self.head,
+            self.queue.probe_head(&self.dram),
+            "the Skip head probe is out of sync with the DRAM at {:?}",
+            self.now
+        );
+        Some((cmd, gate))
     }
 
     /// Current simulated cycle.
@@ -395,6 +432,10 @@ impl MemoryController {
             },
             &self.dram,
         );
+        // Only an enqueue into an empty queue changes the head (see `head`).
+        if self.queue.len() == 1 {
+            self.reprobe_head();
+        }
         Ok(id)
     }
 
@@ -448,6 +489,8 @@ impl MemoryController {
                 }
                 if cached {
                     self.queue.resync_all(&self.dram);
+                } else {
+                    self.reprobe_head();
                 }
                 self.stats.refreshes_issued += 1;
             } else {
@@ -472,12 +515,12 @@ impl MemoryController {
                 "a ViewMode::Skip policy must serve only the queue head"
             );
             if let Some(&p) = self.queue.get(h) {
-                let (cmd, ready) = if cached {
-                    self.queue.next_command(h)
+                let next = if cached {
+                    Some(self.queue.next_command(h))
                 } else {
-                    self.dram.probe_next(&p.loc, p.request.kind)
+                    self.head_command(h)
                 };
-                if ready <= self.now {
+                if let Some((cmd, _)) = next.filter(|&(_, ready)| ready <= self.now) {
                     // Classify the row-buffer outcome once, when the
                     // request first makes progress.
                     if !p.started {
@@ -507,6 +550,8 @@ impl MemoryController {
                         }
                         if cached {
                             self.queue.resync(&self.dram, &p.loc);
+                        } else {
+                            self.reprobe_head();
                         }
                     }
                 }
@@ -640,16 +685,17 @@ impl Clocked for MemoryController {
     /// Exact next cycle at which a tick can do anything observable: an
     /// in-flight burst retiring, a refresh slot falling due, or the
     /// scheduler's view holding a command that can issue
-    /// ([`RequestQueue::next_issue_at`], which applies the open-page rule
-    /// and, for a [`ViewMode::Skip`] policy, gates on the queue head
-    /// alone). Every tick before it retires, refreshes and issues
-    /// nothing, so skipping straight to it is exact — after any tick,
-    /// busy or idle, and after any enqueue. Except for a Skip policy,
-    /// which probes its head, the issue bound is a minimum over the
-    /// queue's cached per-bank wake cycles, with no DRAM probe: every
-    /// enqueue, issued command and refresh resyncs that cache, so it is
-    /// current whenever the engine asks. Each source returns `now` as
-    /// soon as it is already due.
+    /// ([`RequestQueue::next_issue_at`], which applies the open-page
+    /// rule, or for a [`ViewMode::Skip`] policy the queue head's gate).
+    /// Every tick before it retires, refreshes and issues nothing, so
+    /// skipping straight to it is exact — after any tick, busy or idle,
+    /// and after any enqueue. Neither issue bound probes the DRAM: a
+    /// view-building policy's is a minimum over the queue's cached
+    /// per-bank wake cycles, and a Skip policy's is the gate of its
+    /// cached head probe. Every enqueue, issued command and refresh
+    /// keeps the cache in use current, so it is current whenever the
+    /// engine asks. Each source returns `now` as soon as it is already
+    /// due.
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now;
         let mut next: Option<Cycle> = None;
@@ -667,7 +713,12 @@ impl Clocked for MemoryController {
             }
             next = Some(next.map_or(at, |n| n.min(at)));
         }
-        if let Some(at) = self.queue.next_issue_at(&self.dram, now, self.mode) {
+        let issue = if self.mode == ViewMode::Skip {
+            self.head.map(|(_, _, gate)| gate.max(now))
+        } else {
+            self.queue.next_issue_at(now)
+        };
+        if let Some(at) = issue {
             if at <= now {
                 return Some(now);
             }

@@ -47,7 +47,7 @@
 //! the last resync: a caller that mutates the DRAM without resyncing
 //! gets views and wake-ups for the old state. A [`ViewMode::Skip`]
 //! policy reads no cached gate, so the controller skips the resyncs for
-//! it (see there).
+//! it and keeps one [`RequestQueue::probe_head`] instead (see there).
 
 use ia_dram::{BankGates, Command, Cycle, DramModule, LocalGates, Location, SharedGates};
 
@@ -100,11 +100,14 @@ pub enum ViewMode {
     /// violation (a `debug_assert!` in the controller's tick).
     ///
     /// A Skip policy reads no cached gates, so the controller does not
-    /// resync the queue's gate cache for it: it probes the DRAM for the
-    /// head alone ([`DramModule::probe_next`], derived from the same
-    /// split gates the cache holds), once to pick and once to wake up.
-    /// Resyncing after every command cost the FCFS fault-injection
-    /// benchmark more than those two probes.
+    /// resync the queue's gate cache for it. It keeps the head's next
+    /// command and gate instead, from one [`RequestQueue::probe_head`]
+    /// ([`DramModule::probe_next`], derived from the same split gates
+    /// the cache holds) per DRAM or head change: after an issued command
+    /// or refresh, and on an enqueue into an empty queue. Both the pick
+    /// and the wake-up bound read that one probe. Resyncing after every
+    /// command cost the FCFS fault-injection benchmark more than the
+    /// probe does.
     Skip,
     /// Class-list heads only — exact for policies whose key is constant
     /// within a (bank, class): FR-FCFS, all RL actions.
@@ -774,22 +777,17 @@ impl RequestQueue {
     }
 
     /// Earliest cycle `>= now` at which a tick can issue a command for a
-    /// policy of view `mode`; `None` when the queue is empty.
+    /// [`ViewMode::Frontier`] or [`ViewMode::Full`] policy; `None` when
+    /// the queue is empty.
     ///
-    /// For [`ViewMode::Frontier`] and [`ViewMode::Full`] this is the
-    /// first cycle at which [`RequestQueue::build_view`] would return a
-    /// non-empty view: the minimum of the occupied banks' cached wake
-    /// cycles, O(occupied banks) with no DRAM probe, exact for the DRAM
-    /// state of the last resync. A [`ViewMode::Skip`] policy serves only
-    /// [`RequestQueue::head`] and runs without the gate cache, so its
-    /// bound is one probe of `dram`: the gate of the head's
-    /// [`DramModule::probe_next`].
+    /// This is the first cycle at which [`RequestQueue::build_view`]
+    /// would return a non-empty view: the minimum of the occupied banks'
+    /// cached wake cycles, O(occupied banks) with no DRAM probe, exact
+    /// for the DRAM state of the last resync. A [`ViewMode::Skip`] policy
+    /// runs without the gate cache; its bound is the gate of
+    /// [`RequestQueue::probe_head`].
     #[must_use]
-    pub fn next_issue_at(&self, dram: &DramModule, now: Cycle, mode: ViewMode) -> Option<Cycle> {
-        if mode == ViewMode::Skip {
-            let p = &self.slots[self.head()?.0 as usize].p;
-            return Some(dram.probe_next(&p.loc, p.request.kind).1.max(now));
-        }
+    pub fn next_issue_at(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         for &bank in &self.occupied {
             let at = self.wake(&self.banks[bank as usize]);
@@ -799,6 +797,19 @@ impl RequestQueue {
             next = Some(next.map_or(at, |n| n.min(at)));
         }
         next
+    }
+
+    /// The queue head, the next DRAM command it needs under open-page
+    /// bank management and the first cycle that command can issue, from
+    /// one [`DramModule::probe_next`] of `dram` — no gate cache. `None`
+    /// when the queue is empty. What a [`ViewMode::Skip`] policy picks
+    /// and wakes up by.
+    #[must_use]
+    pub fn probe_head(&self, dram: &DramModule) -> Option<(ReqId, Command, Cycle)> {
+        let head = self.head()?;
+        let p = &self.slots[head.0 as usize].p;
+        let (cmd, gate) = dram.probe_next(&p.loc, p.request.kind);
+        Some((head, cmd, gate))
     }
 
     /// The next DRAM command `id` needs under open-page bank management

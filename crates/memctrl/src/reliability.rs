@@ -27,11 +27,8 @@
 //! [`MemoryController::with_reliability`]: crate::MemoryController::with_reliability
 
 use ia_dram::{Cycle, DramModule, Geometry, InjectEvent};
-use ia_faults::{FaultPlan, FaultStats, Inject, RowSite, SiteMap};
+use ia_faults::{rank_key, FaultPlan, FaultStats, Inject, RowKey, RowSite, SiteMap};
 use ia_reliability::{decode, encode, inject_error, DecodeOutcome, EccWord, RetentionBin};
-
-type RowKey = (usize, usize, usize, u64);
-type BankKey = (usize, usize, usize);
 
 /// How much intelligence the controller applies to faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,16 +166,16 @@ pub struct ReliabilityPipeline {
     due: Vec<RowKey>,
     /// Retired rows and the spare that replaced them.
     remap: SiteMap<RowKey, u64>,
-    /// Spares consumed per bank.
-    spare_used: SiteMap<BankKey, u64>,
+    /// Spares consumed per bank, keyed by [`RowKey::bank`].
+    spare_used: SiteMap<u64, u64>,
     /// Escalated rows and their current (faster-than-nominal) bin.
     bins: SiteMap<RowKey, RetentionBin>,
     /// Neighbor-activation exposure per potential victim row
     /// (CounterTRR-style, conservatively cumulative).
     exposure: SiteMap<RowKey, u64>,
-    /// Rank-refresh events seen, per (channel, rank) — the escalated
+    /// Rank-refresh events seen, per [`rank_key`] — the escalated
     /// service cadence counter.
-    refresh_events: SiteMap<(usize, usize), u64>,
+    refresh_events: SiteMap<u64, u64>,
     stats: ReliabilityStats,
 }
 
@@ -296,13 +293,16 @@ impl ReliabilityPipeline {
     }
 
     /// Applies the remap table: reads/writes of a retired row are routed
-    /// to its spare.
+    /// to its spare. Until a row is retired there is nothing to look up.
     fn resolve(&self, channel: usize, rank: usize, bank: usize, row: u64) -> RowSite {
-        let row = self
-            .remap
-            .get(&(channel, rank, bank, row))
-            .copied()
-            .unwrap_or(row);
+        let row = if self.remap.is_empty() {
+            row
+        } else {
+            self.remap
+                .get(&RowKey::new(channel, rank, bank, row))
+                .copied()
+                .unwrap_or(row)
+        };
         RowSite {
             channel,
             rank,
@@ -311,9 +311,9 @@ impl ReliabilityPipeline {
         }
     }
 
-    /// Consumes one spare from the bank's pool, if any remain.
-    fn take_spare(&mut self, bank: BankKey) -> Option<u64> {
-        let used = self.spare_used.entry(bank).or_insert(0);
+    /// Consumes one spare from `row`'s bank's pool, if any remain.
+    fn take_spare(&mut self, row: RowKey) -> Option<u64> {
+        let used = self.spare_used.entry(row.bank()).or_insert(0);
         let spare = self.spare_floor + *used;
         if spare >= self.rows_per_bank {
             self.stats.spare_exhausted += 1;
@@ -337,7 +337,7 @@ impl ReliabilityPipeline {
             if victim >= self.spare_floor {
                 continue;
             }
-            let key = (channel, rank, bank, victim);
+            let key = RowKey::new(channel, rank, bank, victim);
             if self.remap.contains_key(&key) {
                 continue;
             }
@@ -354,7 +354,7 @@ impl ReliabilityPipeline {
                 row: victim,
             };
             self.injector.on_row_refresh(&victim_site, at.as_u64());
-            if let Some(spare) = self.take_spare((channel, rank, bank)) {
+            if let Some(spare) = self.take_spare(key) {
                 self.remap.insert(key, spare);
                 self.stats.quarantines += 1;
             }
@@ -440,7 +440,7 @@ impl ReliabilityPipeline {
         }
         self.injector.on_write(site, column, at.as_u64());
         self.stats.scrubs += 1;
-        let key = (site.channel, site.rank, site.bank, site.row);
+        let key = site.key();
         let next = match self.bins.get(&key) {
             None => Some(RetentionBin::Ms128),
             Some(RetentionBin::Ms128) => Some(RetentionBin::Ms64),
@@ -459,11 +459,11 @@ impl ReliabilityPipeline {
         if self.config.mitigation != Mitigation::Full {
             return;
         }
-        let key = (channel, rank, bank, row);
+        let key = RowKey::new(channel, rank, bank, row);
         if self.remap.contains_key(&key) {
             return;
         }
-        if let Some(spare) = self.take_spare((channel, rank, bank)) {
+        if let Some(spare) = self.take_spare(key) {
             self.remap.insert(key, spare);
             self.stats.remaps += 1;
         }
@@ -477,21 +477,22 @@ impl ReliabilityPipeline {
         if self.config.mitigation != Mitigation::Full || self.bins.is_empty() {
             return;
         }
+        let rank = rank_key(channel, rank);
         let count = {
-            let c = self.refresh_events.entry((channel, rank)).or_insert(0);
+            let c = self.refresh_events.entry(rank).or_insert(0);
             *c += 1;
             *c
         };
         // Sorted for a deterministic service order regardless of map
-        // iteration order.
+        // iteration order: packed keys sort as their (channel, rank,
+        // bank, row) tuples.
         let mut due = std::mem::take(&mut self.due);
         due.clear();
         due.extend(
             self.bins
                 .iter()
                 .filter(|(key, bin)| {
-                    key.0 == channel
-                        && key.1 == rank
+                    key.rank() == rank
                         && match bin {
                             RetentionBin::Ms64 => true,
                             RetentionBin::Ms128 => count % 2 == 0,
@@ -502,13 +503,7 @@ impl ReliabilityPipeline {
         );
         due.sort_unstable();
         for &key in &due {
-            let site = RowSite {
-                channel: key.0,
-                rank: key.1,
-                bank: key.2,
-                row: key.3,
-            };
-            self.injector.on_row_refresh(&site, at.as_u64());
+            self.injector.on_row_refresh(&key.site(), at.as_u64());
             self.stats.escalated_refreshes += 1;
         }
         self.due = due;

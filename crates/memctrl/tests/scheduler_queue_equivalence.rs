@@ -8,9 +8,10 @@
 //! [`RequestQueue::build_view`] agrees with the retired linear scan
 //! (kept here as [`linear_issue_view`], the differential oracle) — same
 //! candidate set, same row-hit count, and the same pick from every
-//! scheduler policy — and that the wake-up bound
-//! [`RequestQueue::next_issue_at`] is exactly the first cycle at which a
-//! tick could issue, on DDR3, DDR4, LPDDR4 and a two-rank DDR3. The
+//! scheduler policy — and that the wake-up bounds are exactly the first
+//! cycle at which a tick could issue: [`RequestQueue::next_issue_at`] for
+//! a view-building policy, the gate of [`RequestQueue::probe_head`] for a
+//! Skip one, on DDR3, DDR4, LPDDR4 and a two-rank DDR3. The
 //! queue is exact after a resync, not in any state: a self-test shows
 //! that skipping the resync is caught.
 
@@ -160,23 +161,21 @@ fn check_wakeup(queue: &RequestQueue, dram: &DramModule, now: Cycle) {
     let view_ready = first_cycle(queue, now, |t| {
         !linear_issue_view(&pendings, dram, t).ready.is_empty()
     });
-    for mode in [ViewMode::Frontier, ViewMode::Full] {
-        prop_assert_eq!(
-            queue.next_issue_at(dram, now, mode),
-            view_ready,
-            "{:?} wake-up bound is not the first issuable cycle after {:?}",
-            mode,
-            now
-        );
-    }
-    // A Skip-mode policy serves only the head.
+    prop_assert_eq!(
+        queue.next_issue_at(now),
+        view_ready,
+        "the view wake-up bound is not the first issuable cycle after {:?}",
+        now
+    );
+    // A Skip-mode policy serves only the head, and wakes at the gate of
+    // its head probe.
     let head_ready = first_cycle(queue, now, |t| {
         let head = &pendings[0];
         let cmd = dram.next_needed(&head.loc, head.request.kind);
         dram.ready_at(&head.loc, &cmd) <= t
     });
     prop_assert_eq!(
-        queue.next_issue_at(dram, now, ViewMode::Skip),
+        queue.probe_head(dram).map(|(_, _, gate)| gate.max(now)),
         head_ready,
         "Skip wake-up bound is not the head's first issuable cycle after {:?}",
         now

@@ -445,7 +445,7 @@ fn bank_resync(iters: u64) -> Sample {
     let start = Instant::now();
     for i in 0..iters {
         queue.resync(&dram, &locs[(i % locs.len() as u64) as usize]);
-        let wake = queue.next_issue_at(&dram, now, ViewMode::Frontier);
+        let wake = queue.next_issue_at(now);
         checksum = fold(checksum, wake.map_or(0, |c| c.as_u64() + 1));
     }
     let ns = start.elapsed().as_nanos();

@@ -1,5 +1,13 @@
 //! SECDED (72,64) Hamming code, the ECC scheme server DRAM uses and the
 //! building block of heterogeneous-reliability memory.
+//!
+//! The codec works on whole words: each of the seven Hamming parities is
+//! `popcount(data & COVER[j]) & 1` over a precomputed cover mask, the
+//! overall parity is one more popcount, and a codeword position maps to
+//! the data or check bit it names through one 72-entry table. That is
+//! the check every read pays under `ia-memctrl`'s reliability pipeline.
+//! A bit-by-bit reference codec lives in `tests/ecc_reference.rs` and
+//! must agree on every outcome, non-codewords included.
 
 use crate::ReliabilityError;
 
@@ -23,11 +31,72 @@ pub enum DecodeOutcome {
     DetectedUncorrectable,
 }
 
-/// The 72-bit codeword layout: data bits occupy positions that are not
-/// powers of two in 1..=71; check bits sit at positions 1,2,4,8,16,32,64
-/// minus the overall-parity bit at position 0.
-fn data_positions() -> impl Iterator<Item = u32> {
-    (1u32..72).filter(|p| !p.is_power_of_two())
+/// Codeword positions 0..72 in the layout: data bits occupy the
+/// positions in 1..=71 that are not powers of two, in order; the Hamming
+/// check bit covering position bit `j` sits at position `2^j`; the
+/// overall-parity bit sits at position 0. In an [`EccWord`], `check` bit
+/// 0 is the overall parity and `check` bit `j + 1` the Hamming bit at
+/// `2^j`.
+const CODE_BITS: usize = 72;
+
+/// The position of each data bit (0..64) in the codeword.
+const DATA_POS: [u8; 64] = {
+    let mut pos = [0u8; 64];
+    let (mut p, mut i) = (1usize, 0usize);
+    while p < CODE_BITS {
+        if !p.is_power_of_two() {
+            pos[i] = p as u8;
+            i += 1;
+        }
+        p += 1;
+    }
+    pos
+};
+
+/// `COVER[j]`: the data bits whose codeword position has bit `j` set,
+/// the ones the Hamming check bit at position `2^j` covers.
+const COVER: [u64; 7] = {
+    let mut cover = [0u64; 7];
+    let mut i = 0;
+    while i < 64 {
+        let mut j = 0;
+        while j < 7 {
+            if DATA_POS[i] & (1 << j) != 0 {
+                cover[j] |= 1 << i;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    cover
+};
+
+/// What one codeword position is: `(data mask, check mask)` with exactly
+/// one bit set between them — the bit flipping that position toggles.
+const FLIP: [(u64, u8); CODE_BITS] = {
+    let mut flip = [(0u64, 0u8); CODE_BITS];
+    flip[0] = (0, 1);
+    let mut j = 0;
+    while j < 7 {
+        flip[1 << j] = (0, 1 << (j + 1));
+        j += 1;
+    }
+    let mut i = 0;
+    while i < 64 {
+        flip[DATA_POS[i] as usize] = (1 << i, 0);
+        i += 1;
+    }
+    flip
+};
+
+/// The seven Hamming parities of `data`, at `check` bits 1..=7.
+#[inline]
+fn hamming(data: u64) -> u8 {
+    let mut check = 0u8;
+    for (j, cover) in COVER.iter().enumerate() {
+        check |= (((data & cover).count_ones() & 1) as u8) << (j + 1);
+    }
+    check
 }
 
 /// Encodes a 64-bit word into data + check bits.
@@ -41,48 +110,13 @@ fn data_positions() -> impl Iterator<Item = u32> {
 /// ```
 #[must_use]
 pub fn encode(data: u64) -> EccWord {
-    let mut code = [false; 72];
-    for (i, pos) in data_positions().enumerate() {
-        code[pos as usize] = (data >> i) & 1 == 1;
+    let check = hamming(data);
+    // Overall parity (for double-error detection) over every other bit.
+    let overall = ((data.count_ones() + check.count_ones()) & 1) as u8;
+    EccWord {
+        data,
+        check: check | overall,
     }
-    // Hamming check bits: bit at position 2^j covers positions with bit j set.
-    for j in 0..7u32 {
-        let p = 1usize << j;
-        let parity = (1..72)
-            .filter(|&i| i & p != 0 && i != p)
-            .fold(false, |acc, i| acc ^ code[i]);
-        code[p] = parity;
-    }
-    // Overall parity at position 0 (for double-error detection).
-    code[0] = code[1..].iter().fold(false, |a, &b| a ^ b);
-    pack_check(&code)
-}
-
-fn pack_check(code: &[bool; 72]) -> EccWord {
-    let mut data = 0u64;
-    for (i, pos) in data_positions().enumerate() {
-        if code[pos as usize] {
-            data |= 1 << i;
-        }
-    }
-    let mut check = 0u8;
-    for (j, &p) in [0usize, 1, 2, 4, 8, 16, 32, 64].iter().enumerate() {
-        if code[p] {
-            check |= 1 << j;
-        }
-    }
-    EccWord { data, check }
-}
-
-fn unpack(word: EccWord) -> [bool; 72] {
-    let mut code = [false; 72];
-    for (i, pos) in data_positions().enumerate() {
-        code[pos as usize] = (word.data >> i) & 1 == 1;
-    }
-    for (j, &p) in [0usize, 1, 2, 4, 8, 16, 32, 64].iter().enumerate() {
-        code[p] = (word.check >> j) & 1 == 1;
-    }
-    code
 }
 
 /// Flips one bit of the 72-bit codeword (bit 0..=71), for fault injection.
@@ -91,58 +125,34 @@ fn unpack(word: EccWord) -> [bool; 72] {
 ///
 /// Returns [`ReliabilityError`] if `bit >= 72`.
 pub fn inject_error(word: EccWord, bit: u32) -> Result<EccWord, ReliabilityError> {
-    if bit >= 72 {
+    let Some(&(data, check)) = FLIP.get(bit as usize) else {
         return Err(ReliabilityError::invalid("codeword bit index must be < 72"));
-    }
-    let mut code = unpack(word);
-    code[bit as usize] = !code[bit as usize];
-    Ok(pack_check(&code))
+    };
+    Ok(EccWord {
+        data: word.data ^ data,
+        check: word.check ^ check,
+    })
 }
 
 /// Decodes a word, correcting single-bit and detecting double-bit errors.
 #[must_use]
 pub fn decode(word: EccWord) -> DecodeOutcome {
-    let code = unpack(word);
-    // Syndrome: XOR of positions of set bits (excluding overall parity).
-    let mut syndrome = 0usize;
-    for j in 0..7u32 {
-        let p = 1usize << j;
-        let parity = (1..72)
-            .filter(|&i| i & p != 0)
-            .fold(false, |acc, i| acc ^ code[i]);
-        if parity {
-            syndrome |= p;
-        }
-    }
-    let overall = code.iter().fold(false, |a, &b| a ^ b);
+    // Syndrome: the codeword position of a single flipped bit — each
+    // Hamming bit recomputed from the data against the stored one.
+    let syndrome = usize::from((hamming(word.data) ^ word.check) >> 1);
+    let overall = (word.data.count_ones() + word.check.count_ones()) & 1 == 1;
     match (syndrome, overall) {
-        (0, false) => DecodeOutcome::Clean(extract(&code)),
-        (0, true) => {
-            // Error in the overall parity bit itself: data unaffected.
-            DecodeOutcome::Corrected(extract(&code))
-        }
-        (_, true) => {
-            // Single-bit error at `syndrome`: flip and extract.
-            let mut fixed = code;
-            if syndrome < 72 {
-                fixed[syndrome] = !fixed[syndrome];
-                DecodeOutcome::Corrected(extract(&fixed))
-            } else {
-                DecodeOutcome::DetectedUncorrectable
-            }
-        }
+        (0, false) => DecodeOutcome::Clean(word.data),
+        // Error in the overall parity bit itself: data unaffected.
+        (0, true) => DecodeOutcome::Corrected(word.data),
+        // Single-bit error at `syndrome`: flip it (a data bit, or a check
+        // bit that leaves the data as it is).
+        (_, true) => match FLIP.get(syndrome) {
+            Some(&(flip, _)) => DecodeOutcome::Corrected(word.data ^ flip),
+            None => DecodeOutcome::DetectedUncorrectable,
+        },
         (_, false) => DecodeOutcome::DetectedUncorrectable,
     }
-}
-
-fn extract(code: &[bool; 72]) -> u64 {
-    let mut data = 0u64;
-    for (i, pos) in data_positions().enumerate() {
-        if code[pos as usize] {
-            data |= 1 << i;
-        }
-    }
-    data
 }
 
 #[cfg(test)]
