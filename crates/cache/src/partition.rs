@@ -177,25 +177,6 @@ impl PartitionedCache {
         })
     }
 
-    /// Updates the quotas (e.g., after re-running the partitioner).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError`] if the new quotas do not sum to the ways or
-    /// change the thread count.
-    pub fn set_quotas(&mut self, quotas: Vec<usize>) -> Result<(), CacheError> {
-        if quotas.len() != self.quotas.len() {
-            return Err(CacheError::invalid(
-                "quota vector must keep the same thread count",
-            ));
-        }
-        if quotas.iter().sum::<usize>() != self.ways {
-            return Err(CacheError::invalid("quotas must sum to the associativity"));
-        }
-        self.quotas = quotas;
-        Ok(())
-    }
-
     /// Accesses `addr` on behalf of `thread`. Returns `true` on hit.
     ///
     /// # Panics
@@ -347,13 +328,5 @@ mod tests {
             "sets not power of two"
         );
         assert!(PartitionedCache::new(2, 4, 64, vec![]).is_err());
-    }
-
-    #[test]
-    fn set_quotas_revalidates() {
-        let mut c = PartitionedCache::new(1, 4, 64, vec![2, 2]).unwrap();
-        assert!(c.set_quotas(vec![3, 1]).is_ok());
-        assert!(c.set_quotas(vec![4, 1]).is_err());
-        assert!(c.set_quotas(vec![4]).is_err());
     }
 }

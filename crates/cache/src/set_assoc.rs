@@ -159,17 +159,6 @@ impl Cache {
         self
     }
 
-    /// The insertion policy in use.
-    #[must_use]
-    pub fn insertion_policy(&self) -> InsertionPolicy {
-        self.policy
-    }
-
-    /// Mutably changes the insertion policy (for set dueling).
-    pub fn set_insertion_policy(&mut self, policy: InsertionPolicy) {
-        self.policy = policy;
-    }
-
     /// Statistics so far.
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
@@ -314,23 +303,6 @@ impl Cache {
         }
     }
 
-    /// Invalidates `addr` if present; returns `true` if a dirty line was
-    /// dropped (caller must write it back).
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        for slot in &mut self.sets[set] {
-            if let Some(line) = slot {
-                if line.tag == tag {
-                    let dirty = line.dirty;
-                    *slot = None;
-                    return dirty;
-                }
-            }
-        }
-        false
-    }
-
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
         for set in &mut self.sets {
@@ -467,17 +439,6 @@ mod tests {
             c.contains(0),
             "high-priority line survived low-priority churn"
         );
-    }
-
-    #[test]
-    fn invalidate_reports_dirtiness() {
-        let mut c = tiny();
-        c.access(0, CacheOp::Write);
-        assert!(c.invalidate(0));
-        assert!(!c.contains(0));
-        c.access(64, CacheOp::Read);
-        assert!(!c.invalidate(64));
-        assert!(!c.invalidate(0x9999));
     }
 
     #[test]

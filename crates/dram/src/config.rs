@@ -186,12 +186,6 @@ impl TimingParams {
         self.t_ras + self.t_rp
     }
 
-    /// Random access latency for a closed bank: ACT + tRCD + tCL + burst.
-    #[must_use]
-    pub fn closed_row_read_latency(&self) -> u64 {
-        self.t_rcd + self.t_cl + self.t_bl
-    }
-
     /// Validates that every constraint is non-zero where required.
     ///
     /// # Errors

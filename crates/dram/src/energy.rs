@@ -76,14 +76,6 @@ impl EnergyCounter {
         }
     }
 
-    /// Records an on-die column access that does *not* cross the chip
-    /// boundary (used by processing-using-memory operations, whose entire
-    /// point is avoiding the I/O energy).
-    pub fn record_internal_burst(&mut self, params: &EnergyParams) {
-        self.array_pj += params.read_pj;
-        self.bursts += 1;
-    }
-
     /// Total dynamic energy (excludes background power).
     #[must_use]
     pub fn dynamic_pj(&self) -> f64 {
@@ -169,15 +161,6 @@ mod tests {
         assert!((e.array_pj - p.read_pj).abs() < 1e-9);
         assert!((e.io_pj - p.io_pj_per_bit * 512.0).abs() < 1e-9);
         assert_eq!(e.bursts, 1);
-    }
-
-    #[test]
-    fn internal_burst_skips_io() {
-        let p = DramConfig::ddr3_1600().energy;
-        let mut e = EnergyCounter::new();
-        e.record_internal_burst(&p);
-        assert_eq!(e.io_pj, 0.0);
-        assert!(e.array_pj > 0.0);
     }
 
     #[test]

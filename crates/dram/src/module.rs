@@ -119,13 +119,6 @@ impl DramModule {
         self.inject.drain_into(out);
     }
 
-    /// Sets the address mapping (consumes and returns `self` for chaining).
-    #[must_use]
-    pub fn with_mapping(mut self, mapping: AddressMapping) -> Self {
-        self.mapping = mapping;
-        self
-    }
-
     /// Sets the latency mode.
     #[must_use]
     pub fn with_latency_mode(mut self, mode: LatencyMode) -> Self {

@@ -41,17 +41,6 @@ impl PhysAddr {
     pub const fn offset(self, bytes: u64) -> PhysAddr {
         PhysAddr(self.0 + bytes)
     }
-
-    /// Aligns the address down to a power-of-two boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `align` is not a power of two.
-    #[must_use]
-    pub fn align_down(self, align: u64) -> PhysAddr {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        PhysAddr(self.0 & !(align - 1))
-    }
 }
 
 impl From<u64> for PhysAddr {
@@ -334,19 +323,6 @@ pub struct SharedGates {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phys_addr_align_down() {
-        let a = PhysAddr::new(0x1234);
-        assert_eq!(a.align_down(64).as_u64(), 0x1200);
-        assert_eq!(a.align_down(1).as_u64(), 0x1234);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn phys_addr_align_down_rejects_non_power_of_two() {
-        let _ = PhysAddr::new(0x100).align_down(48);
-    }
 
     #[test]
     fn command_mnemonics() {

@@ -56,12 +56,6 @@ impl Perceptron {
         })
     }
 
-    /// Number of inputs.
-    #[must_use]
-    pub fn input_count(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Training threshold θ ≈ 1.93·n + 14 (the published optimum).
     #[must_use]
     pub fn threshold(&self) -> i32 {

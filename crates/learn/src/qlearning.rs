@@ -174,12 +174,6 @@ impl QAgent {
         })
     }
 
-    /// Number of actions.
-    #[must_use]
-    pub fn action_count(&self) -> usize {
-        self.actions
-    }
-
     /// Number of SARSA updates applied so far.
     #[must_use]
     pub fn updates(&self) -> u64 {

@@ -40,16 +40,14 @@
 //! zero-dependency and byte-deterministic.
 //!
 //! Violations print as `file:line:col: LINT-ID: message` (or JSON with
-//! `--json`). Pre-existing findings are grandfathered by the checked-in
-//! `lint.baseline`, which only ratchets toward zero: a count that rises
-//! fails the gate, and a count that falls is reported as stale until the
-//! baseline is regenerated. Individual sites can be waived in place with
-//! `// lint: allow(ID, reason)` on (or directly above) the line.
+//! `--json`), and any finding fails the gate. The only escape hatch is
+//! an in-place waiver, `// lint: allow(ID, reason)` on (or directly
+//! above) the line; a waiver that no longer silences anything is itself
+//! a finding (W001).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod context;
 pub mod graph;
 pub mod ipa;
@@ -59,7 +57,6 @@ pub mod output;
 pub mod parser;
 pub mod scan;
 
-pub use baseline::{Baseline, Gated, OutdatedSection, StaleEntry};
 pub use graph::CallGraph;
 pub use lints::{Finding, CATALOG};
 pub use scan::{analyze, analyze_source, analyze_sources, Analysis};

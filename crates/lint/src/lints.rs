@@ -18,11 +18,6 @@ pub struct LintInfo {
     pub name: &'static str,
     /// One-line description shown by `--list`.
     pub summary: &'static str,
-    /// Analysis version. Bumped whenever the lint's detection logic
-    /// changes enough that old baseline counts are meaningless; the
-    /// baseline stores it per section and the gate fails on mismatch
-    /// until the baseline is regenerated.
-    pub version: u32,
 }
 
 /// The full catalog, in ID order.
@@ -32,35 +27,30 @@ pub const CATALOG: &[LintInfo] = &[
         name: "hash-collection-in-report-path",
         summary: "HashMap/HashSet in report-building code (ia-bench, ia-telemetry) — \
                   iteration order could reach report bytes; use BTreeMap/BTreeSet or sort",
-        version: 1,
     },
     LintInfo {
         id: "D002",
         name: "wall-clock-in-simulator",
         summary: "std::time::Instant/SystemTime outside ia-par — simulated time must come \
                   from engine cycles, never the host clock",
-        version: 1,
     },
     LintInfo {
         id: "D003",
         name: "environment-dependent-input",
         summary: "std::env::var/vars or RandomState — results must be a pure function of \
                   CLI flags and seeds, not the host environment",
-        version: 1,
     },
     LintInfo {
         id: "D004",
         name: "rng-without-explicit-seed",
         summary: "from_entropy()/thread_rng() — stateful RNGs must be built via \
                   SmallRng::seed_from_u64 with an explicit seed",
-        version: 1,
     },
     LintInfo {
         id: "D005",
         name: "allocation-in-hot-path",
         summary: "Vec::new()/.collect()/.to_vec()/.clone() inside a `// lint: hot-path` \
                   function — per-cycle code must reuse scratch buffers, not allocate",
-        version: 1,
     },
     LintInfo {
         id: "D006",
@@ -68,7 +58,6 @@ pub const CATALOG: &[LintInfo] = &[
         summary: "a wall-clock / environment / thread-identity read is reachable from a \
                   function that writes metric or report values — the witness chain shows \
                   the call path; route diagnostics to stderr or cut the call edge",
-        version: 1,
     },
     LintInfo {
         id: "H002",
@@ -76,21 +65,18 @@ pub const CATALOG: &[LintInfo] = &[
         summary: "a `// lint: hot-path` function transitively calls code that allocates \
                   (Vec::new/.collect/.to_vec/.clone) — D005 for the whole call closure, \
                   with the witness chain from the hot function to the allocation",
-        version: 1,
     },
     LintInfo {
         id: "P001",
         name: "unwrap-in-library-code",
         summary: ".unwrap()/.expect() in non-test code — return a Result, or justify with \
-                  `// lint: allow(P001, why)` / a baseline entry",
-        version: 1,
+                  `// lint: allow(P001, why)`",
     },
     LintInfo {
         id: "P002",
         name: "panic-in-library-code",
         summary: "panic!/todo!/unimplemented! in non-test code — return an error, or \
-                  justify with `// lint: allow(P002, why)` / a baseline entry",
-        version: 1,
+                  justify with `// lint: allow(P002, why)`",
     },
     LintInfo {
         id: "P003",
@@ -99,13 +85,11 @@ pub const CATALOG: &[LintInfo] = &[
                   experiment `report()` entry point or `ia_bench::report::cli` — the \
                   witness chain shows the call path; fix the site or waive it with a \
                   reason (a P001/P002 waiver at the site covers P003 too)",
-        version: 1,
     },
     LintInfo {
         id: "S001",
         name: "missing-forbid-unsafe",
         summary: "every crate root must declare `#![forbid(unsafe_code)]`",
-        version: 1,
     },
     LintInfo {
         id: "S003",
@@ -114,22 +98,14 @@ pub const CATALOG: &[LintInfo] = &[
                   Mutex, RwLock, Cell, RefCell, OnceLock, LazyLock), a `static mut`, or a \
                   `thread_local!` — process-wide state couples runs; put it in the \
                   run's context instead",
-        version: 1,
     },
     LintInfo {
         id: "W001",
         name: "dead-waiver",
         summary: "a `// lint: allow(ID, …)` comment no longer silences any finding — \
-                  delete it so waiver debt ratchets down with the baseline",
-        version: 1,
+                  delete it so waiver debt only shrinks",
     },
 ];
-
-/// Looks up a catalog entry by ID.
-#[must_use]
-pub fn info(id: &str) -> Option<&'static LintInfo> {
-    CATALOG.iter().find(|l| l.id == id)
-}
 
 /// One violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -462,7 +438,5 @@ fn hot(xs: &[u32]) -> Vec<u32> {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ids, sorted, "catalog must stay in unique ID order");
-        assert!(info("P001").is_some());
-        assert!(info("Z999").is_none());
     }
 }

@@ -3,37 +3,31 @@
 //! ```text
 //! cargo run -q -p ia-lint -- --check            # CI gate (text output)
 //! cargo run -q -p ia-lint -- --json             # machine-readable output
-//! cargo run -q -p ia-lint -- --write-baseline   # ratchet after a burn-down
 //! cargo run -q -p ia-lint -- --list             # print the lint catalog
 //! ```
 //!
-//! Exit codes: `0` clean, `1` new findings or stale baseline entries,
-//! `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` any finding (accept one only with an
+//! in-place `// lint: allow(ID, reason)` waiver), `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use ia_lint::{analyze, Baseline, CATALOG};
+use ia_lint::{analyze, CATALOG};
 use std::path::PathBuf;
 
 struct Options {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: bool,
-    write_baseline: bool,
     list: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: ia-lint [--check] [--json] [--write-baseline] [--list] \
-     [--root <dir>] [--baseline <file>]"
+    "usage: ia-lint [--check] [--json] [--list] [--root <dir>]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        baseline: None,
         json: false,
-        write_baseline: false,
         list: false,
     };
     let mut i = 0;
@@ -41,17 +35,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match args[i].as_str() {
             "--check" => {}
             "--json" => opts.json = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--list" => opts.list = true,
             "--root" => {
                 i += 1;
                 let dir = args.get(i).ok_or("--root expects a directory")?;
                 opts.root = PathBuf::from(dir);
-            }
-            "--baseline" => {
-                i += 1;
-                let file = args.get(i).ok_or("--baseline expects a file")?;
-                opts.baseline = Some(PathBuf::from(file));
             }
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
@@ -94,49 +82,13 @@ fn run(opts: &Options) -> i32 {
             return 2;
         }
     };
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint.baseline"));
-
-    if opts.write_baseline {
-        let text = Baseline::render(&analysis.findings);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("error: writing {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "ia-lint: wrote {} covering {} finding(s) across {} file(s) scanned",
-            baseline_path.display(),
-            analysis.findings.len(),
-            analysis.files_scanned
-        );
-        return 0;
-    }
-
-    let baseline = match load_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let gated = baseline.apply(&analysis.findings);
-    if opts.json {
-        print!("{}", ia_lint::output::json(&gated, analysis.files_scanned));
+    let render = if opts.json {
+        ia_lint::output::json
     } else {
-        print!("{}", ia_lint::output::text(&gated, analysis.files_scanned));
-    }
-    i32::from(!gated.is_clean())
-}
-
-/// Loads the baseline; a missing file means "nothing grandfathered".
-fn load_baseline(path: &std::path::Path) -> Result<Baseline, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(format!("reading {}: {e}", path.display())),
-    }
+        ia_lint::output::text
+    };
+    print!("{}", render(&analysis.findings, analysis.files_scanned));
+    i32::from(!analysis.findings.is_empty())
 }
 
 /// Collapses the multi-line catalog summaries for one-line `--list` rows.

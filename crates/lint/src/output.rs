@@ -2,87 +2,37 @@
 //! machine-readable JSON document (hand-rolled — ia-lint is
 //! zero-dependency by design, like the rest of the offline build).
 
-use crate::baseline::Gated;
 use crate::lints::Finding;
 use std::fmt::Write as _;
 
-/// Renders the gate outcome as text for humans/CI logs.
+/// Renders the findings as text for humans/CI logs.
 #[must_use]
-pub fn text(gated: &Gated, files_scanned: usize) -> String {
+pub fn text(findings: &[Finding], files_scanned: usize) -> String {
     let mut out = String::new();
-    for f in &gated.new {
+    for f in findings {
         let _ = writeln!(out, "{f}");
-    }
-    for s in &gated.stale {
-        let _ = writeln!(
-            out,
-            "{}: stale baseline entry for {}: baseline says {}, found {} — run \
-             `cargo run -p ia-lint -- --write-baseline` to ratchet down",
-            s.file, s.id, s.baseline, s.found
-        );
-    }
-    for o in &gated.outdated {
-        let _ = writeln!(
-            out,
-            "lint.baseline: section [{} v{}] was generated against an older analysis \
-             (current v{}) — run `cargo run -p ia-lint -- --write-baseline` to re-count",
-            o.id, o.baseline_version, o.current_version
-        );
     }
     let _ = writeln!(
         out,
-        "ia-lint: {} file(s) scanned, {} new finding(s), {} stale baseline entr{}, \
-         {} outdated section(s), {} grandfathered",
+        "ia-lint: {} file(s) scanned, {} finding(s)",
         files_scanned,
-        gated.new.len(),
-        gated.stale.len(),
-        if gated.stale.len() == 1 { "y" } else { "ies" },
-        gated.outdated.len(),
-        gated.grandfathered
+        findings.len()
     );
     out
 }
 
-/// Renders the gate outcome as a stable JSON document: findings and
-/// stale entries in sorted order, suitable for diffing across runs.
+/// Renders the findings as a stable JSON document, in sorted order,
+/// suitable for diffing across runs.
 #[must_use]
-pub fn json(gated: &Gated, files_scanned: usize) -> String {
-    let mut out = String::from("{\"version\":2");
+pub fn json(findings: &[Finding], files_scanned: usize) -> String {
+    let mut out = String::from("{\"version\":3");
     let _ = write!(out, ",\"files_scanned\":{files_scanned}");
-    let _ = write!(out, ",\"grandfathered\":{}", gated.grandfathered);
     out.push_str(",\"findings\":[");
-    for (i, f) in gated.new.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write_finding(&mut out, f);
-    }
-    out.push_str("],\"stale\":[");
-    for (i, s) in gated.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"file\":{},\"id\":{},\"baseline\":{},\"found\":{}}}",
-            quote(&s.file),
-            quote(&s.id),
-            s.baseline,
-            s.found
-        );
-    }
-    out.push_str("],\"outdated\":[");
-    for (i, o) in gated.outdated.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"baseline_version\":{},\"current_version\":{}}}",
-            quote(&o.id),
-            o.baseline_version,
-            o.current_version
-        );
     }
     out.push_str("]}\n");
     out
@@ -135,55 +85,38 @@ fn quote(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::StaleEntry;
 
-    fn gated() -> Gated {
-        Gated {
-            new: vec![
-                Finding {
-                    file: "crates/x/src/lib.rs".to_owned(),
-                    line: 3,
-                    col: 7,
-                    id: "P001",
-                    message: "`.unwrap()` in non-test code — return a Result instead".to_owned(),
-                    witness: Vec::new(),
-                },
-                Finding {
-                    file: "crates/x/src/lib.rs".to_owned(),
-                    line: 9,
-                    col: 5,
-                    id: "P003",
-                    message: "panic site `.unwrap()` is reachable from report entry \
-                              `bench::exp02_rowclone::report`"
-                        .to_owned(),
-                    witness: vec![
-                        "bench::exp02_rowclone::report".to_owned(),
-                        "x::helper".to_owned(),
-                    ],
-                },
-            ],
-            stale: vec![StaleEntry {
-                file: "crates/y/src/lib.rs".to_owned(),
-                id: "P001".to_owned(),
-                baseline: 4,
-                found: 2,
-            }],
-            outdated: vec![crate::baseline::OutdatedSection {
-                id: "P001".to_owned(),
-                baseline_version: 1,
-                current_version: 2,
-            }],
-            grandfathered: 10,
-        }
+    fn findings() -> Vec<Finding> {
+        vec![
+            Finding {
+                file: "crates/x/src/lib.rs".to_owned(),
+                line: 3,
+                col: 7,
+                id: "P001",
+                message: "`.unwrap()` in non-test code — return a Result instead".to_owned(),
+                witness: Vec::new(),
+            },
+            Finding {
+                file: "crates/x/src/lib.rs".to_owned(),
+                line: 9,
+                col: 5,
+                id: "P003",
+                message: "panic site `.unwrap()` is reachable from report entry \
+                      `bench::exp02_rowclone::report`"
+                    .to_owned(),
+                witness: vec![
+                    "bench::exp02_rowclone::report".to_owned(),
+                    "x::helper".to_owned(),
+                ],
+            },
+        ]
     }
 
     #[test]
     fn text_lists_findings_in_grep_friendly_form() {
-        let t = text(&gated(), 5);
+        let t = text(&findings(), 5);
         assert!(t.contains("crates/x/src/lib.rs:3:7: P001:"));
-        assert!(t.contains("stale baseline entry"));
-        assert!(t.contains("section [P001 v1]"));
-        assert!(t.contains("5 file(s) scanned, 2 new finding(s)"));
+        assert!(t.contains("5 file(s) scanned, 2 finding(s)"));
         assert!(
             t.contains("[via: bench::exp02_rowclone::report -> x::helper]"),
             "witness chains print inline: {t}"
@@ -192,11 +125,9 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_escaped() {
-        let j = json(&gated(), 5);
+        let j = json(&findings(), 5);
         assert!(j.contains("\"files_scanned\":5"));
         assert!(j.contains("\"id\":\"P001\""));
-        assert!(j.contains("\"baseline\":4"));
-        assert!(j.contains("\"baseline_version\":1"));
         assert!(
             j.contains("\"witness\":[\"bench::exp02_rowclone::report\",\"x::helper\"]"),
             "witness arrays in JSON: {j}"
@@ -207,6 +138,6 @@ mod tests {
         );
         assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         // Byte-stable: rendering twice is identical.
-        assert_eq!(j, json(&gated(), 5));
+        assert_eq!(j, json(&findings(), 5));
     }
 }

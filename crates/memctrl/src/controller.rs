@@ -345,12 +345,6 @@ impl MemoryController {
         self.now
     }
 
-    /// Outstanding queued (not yet issued) requests.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Outstanding requests including in-flight data transfers.
     #[must_use]
     pub fn outstanding(&self) -> usize {

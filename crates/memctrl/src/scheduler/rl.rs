@@ -121,14 +121,6 @@ impl RlScheduler {
         self.decisions
     }
 
-    /// Greedy Q-values for a state, for introspection.
-    #[must_use]
-    pub fn q_values(&self, state: [f64; 3]) -> Vec<f64> {
-        (0..ACTIONS)
-            .map(|a| self.agent.value(&state, a).unwrap_or(0.0))
-            .collect()
-    }
-
     fn state_with_hits(&self, queue: &RequestQueue, row_hits: usize) -> [f64; 3] {
         // Occupancy and write fraction come from the queue's O(1) live
         // counters; the row-hit count comes from the view.
@@ -290,20 +282,10 @@ mod tests {
         let queue = queue_of(&d, &[pending(1, 64, &d), pending(2, 128, &d)]);
         for _ in 0..2000 {
             let view = frontier(&queue, Cycle::new(10_000));
-            let state = rl.state_with_hits(&queue, view.row_hits);
             let _ = rl.select(&queue, &view);
-            // Manually reward only when the last action was row-hit-first.
             // (In the real controller the reward comes from bus activity.)
-            let q = rl.q_values(state);
-            let _ = q;
             rl.on_issue(true, Cycle::ZERO);
         }
         assert!(rl.decisions() >= 2000);
-    }
-
-    #[test]
-    fn q_values_have_action_count_entries() {
-        let rl = RlScheduler::new(RlSchedulerConfig::default());
-        assert_eq!(rl.q_values([0.5, 0.5, 0.0]).len(), ACTIONS);
     }
 }

@@ -20,8 +20,6 @@
 //!   refresh the controller runs after every issued command (a bank
 //!   probe, its channel's shared gates, the occupied banks' wake
 //!   cycles), plus the wake-up read it feeds.
-//! * **wheel-insert-pop** — an [`EventWheel`] schedule/pop cycle, the
-//!   engine's O(1) next-event machinery.
 //! * **noc-route-flit** — one [`RouteTable`] XY lookup plus a
 //!   productive-port query, the per-flit work of the mesh hot loop.
 //! * **noc-mesh-cycle** — one whole 8×8 mesh cycle, buffered and
@@ -111,7 +109,7 @@ use ia_pnm::{PnmGraphEngine, StackConfig};
 use ia_prefetch::{PrefetchHarness, StridePrefetcher};
 use ia_pum::{AmbitEngine, BitwiseOp};
 use ia_reliability::{decode, encode, DecodeOutcome};
-use ia_sim::{Clocked, EventWheel, FnSink};
+use ia_sim::{Clocked, FnSink};
 use ia_telemetry::JsonValue;
 use ia_workloads::Graph;
 use rand::rngs::SmallRng;
@@ -454,33 +452,6 @@ fn bank_resync(iters: u64) -> Sample {
         checksum,
         ns,
     }
-}
-
-/// One wheel pop + reschedule per iteration over a steady population of
-/// 64 events — the engine's next-event machinery under load.
-fn wheel_insert_pop(iters: u64) -> Sample {
-    let mut wheel = EventWheel::new(4_096);
-    for i in 0..64u64 {
-        wheel.schedule(Cycle::new(i * 7 % 97), i as u32);
-    }
-    let mut due = Vec::new();
-    let mut ops = 0u64;
-    let mut checksum = 0u64;
-    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
-    let start = Instant::now();
-    for _ in 0..iters {
-        // lint: allow(P001, the population is rescheduled every pop, never empty)
-        let at = wheel.next_event_at().expect("population never drains");
-        due.clear();
-        wheel.take_due(at, &mut due);
-        for (j, &id) in due.iter().enumerate() {
-            checksum = fold(checksum, u64::from(id));
-            wheel.schedule(at + 3 + (u64::from(id) * 13 + j as u64) % 61, id);
-        }
-        ops += due.len() as u64;
-    }
-    let ns = start.elapsed().as_nanos();
-    Sample { ops, checksum, ns }
 }
 
 /// The `fault_ladder` request stream as row sites: four passes, each a
@@ -928,10 +899,6 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "bank_resync",
             run: bank_resync,
-        },
-        Bench {
-            name: "wheel_insert_pop",
-            run: wheel_insert_pop,
         },
         Bench {
             name: "noc_route_flit",

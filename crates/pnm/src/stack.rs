@@ -53,12 +53,6 @@ impl StackConfig {
         self.vaults as f64 * self.internal_gbps_per_vault
     }
 
-    /// The bandwidth advantage of computing inside the stack.
-    #[must_use]
-    pub fn bandwidth_ratio(&self) -> f64 {
-        self.internal_gbps_total() / self.external_gbps
-    }
-
     /// Returns a copy with a different vault count (bandwidth per vault
     /// unchanged — more vaults, more aggregate bandwidth).
     ///
@@ -111,7 +105,7 @@ mod tests {
         s.validate().unwrap();
         assert!((s.internal_gbps_total() - 256.0).abs() < 1e-9);
         assert!(
-            s.bandwidth_ratio() > 6.0,
+            s.internal_gbps_total() / s.external_gbps > 6.0,
             "internal bandwidth should dwarf the link"
         );
         assert!(s.internal_latency_ns < s.external_latency_ns);

@@ -80,12 +80,6 @@ impl PrefetchHarness {
         })
     }
 
-    /// The prefetcher's name.
-    #[must_use]
-    pub fn prefetcher_name(&self) -> &'static str {
-        self.prefetcher.name()
-    }
-
     /// Metrics so far.
     #[must_use]
     pub fn metrics(&self) -> &PrefetchMetrics {

@@ -137,13 +137,6 @@ impl AmbitEngine {
         }
     }
 
-    /// Overrides the bank-level parallelism (chainable).
-    #[must_use]
-    pub fn with_parallelism(mut self, banks: usize) -> Self {
-        self.parallelism = banks.max(1);
-        self
-    }
-
     /// Concurrent banks assumed for bulk throughput.
     #[must_use]
     pub fn parallelism(&self) -> usize {

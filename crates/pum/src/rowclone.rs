@@ -47,18 +47,6 @@ pub struct CopyReport {
     pub energy_pj: f64,
 }
 
-impl CopyReport {
-    /// Effective copy bandwidth in GiB/s.
-    #[must_use]
-    pub fn bandwidth_gib_s(&self) -> f64 {
-        if self.ns == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.ns * 1e9 / (1u64 << 30) as f64
-        }
-    }
-}
-
 /// Cycles for one AAP (ACTIVATE → ACTIVATE → PRECHARGE) primitive.
 fn aap_cycles(dram: &DramModule) -> u64 {
     let t = dram.config().timing;
@@ -475,7 +463,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            r.bandwidth_gib_s() > 10.0,
+            r.bytes as f64 / r.ns * 1e9 / (1u64 << 30) as f64 > 10.0,
             "in-DRAM copy should exceed 10 GiB/s"
         );
     }

@@ -22,16 +22,6 @@ pub enum RetentionBin {
 }
 
 impl RetentionBin {
-    /// Refresh interval of the bin in milliseconds.
-    #[must_use]
-    pub fn interval_ms(self) -> u64 {
-        match self {
-            RetentionBin::Ms64 => 64,
-            RetentionBin::Ms128 => 128,
-            RetentionBin::Ms256 => 256,
-        }
-    }
-
     /// Bins from weakest to strongest.
     #[must_use]
     pub fn all() -> [RetentionBin; 3] {
@@ -323,11 +313,8 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn bins_order_and_intervals() {
+    fn bins_order_weakest_first() {
         assert!(RetentionBin::Ms64 < RetentionBin::Ms256);
-        assert_eq!(RetentionBin::Ms64.interval_ms(), 64);
-        assert_eq!(RetentionBin::Ms128.interval_ms(), 128);
-        assert_eq!(RetentionBin::Ms256.interval_ms(), 256);
     }
 
     #[test]

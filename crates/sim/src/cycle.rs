@@ -46,21 +46,6 @@ impl Cycle {
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
-
-    /// Returns the number of cycles from `earlier` to `self`, or zero if
-    /// `earlier` is in the future.
-    #[must_use]
-    #[inline]
-    pub fn saturating_since(self, earlier: Cycle) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-
-    /// Converts this timestamp to nanoseconds given a clock period.
-    #[must_use]
-    #[inline]
-    pub fn to_ns(self, tck_ns: f64) -> f64 {
-        self.0 as f64 * tck_ns
-    }
 }
 
 impl Add<u64> for Cycle {
@@ -114,13 +99,6 @@ mod tests {
         assert_eq!(a - b, 0, "cycle subtraction saturates");
         assert_eq!(a.max(b), b);
         assert_eq!(Cycle::from(7u64).as_u64(), 7);
-    }
-
-    #[test]
-    fn cycle_to_ns_uses_clock_period() {
-        let t = Cycle::new(1000);
-        let ns = t.to_ns(1.25);
-        assert!((ns - 1250.0).abs() < 1e-9);
     }
 
     #[test]

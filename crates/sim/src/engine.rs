@@ -128,21 +128,6 @@ pub enum RunOutcome {
     Stalled(StallReport),
 }
 
-impl RunOutcome {
-    /// Converts the outcome into a `Result`, turning a watchdog trip into
-    /// the structured [`StallReport`] error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`StallReport`] if the run stalled.
-    pub fn into_result(self) -> Result<RunOutcome, StallReport> {
-        match self {
-            RunOutcome::Stalled(report) => Err(report),
-            other => Ok(other),
-        }
-    }
-}
-
 /// The event-driven simulation driver.
 ///
 /// `SimLoop` never executes an idle cycle: before each tick it asks the
@@ -557,7 +542,7 @@ mod tests {
             liar.ticked
         );
         // Structured error propagation: the report is a std::error::Error.
-        let err = out.into_result().expect_err("stall is an error");
+        let err: &dyn std::error::Error = &report;
         assert!(err.to_string().contains("stalled at cycle 17"));
     }
 

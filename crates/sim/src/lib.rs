@@ -88,17 +88,13 @@
 mod clocked;
 mod cycle;
 mod engine;
-mod group;
 mod sink;
 mod snapshot;
-mod wheel;
 
 pub use clocked::Clocked;
 pub use cycle::Cycle;
 pub use engine::{
     EngineStats, RunOutcome, SimLoop, StallKind, StallReport, StepOutcome, DEFAULT_WATCHDOG_BOUND,
 };
-pub use group::SimGroup;
 pub use sink::{CompletionSink, DenyCompletions, FnSink};
 pub use snapshot::SnapshotState;
-pub use wheel::{EventWheel, DEFAULT_WHEEL_SLOTS};

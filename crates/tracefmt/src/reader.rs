@@ -155,12 +155,6 @@ impl TraceReader {
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
-
-    /// Consumes the reader, returning the records.
-    #[must_use]
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +182,6 @@ mod tests {
         assert_eq!(recs[0], TraceRecord::new(0x1000, TraceOp::Read, 0, 5));
         assert_eq!(recs[1], TraceRecord::new(0x1040, TraceOp::Write, 1, 6));
         assert_eq!(recs[2], TraceRecord::new(0x0800, TraceOp::Read, 2, 6));
-        assert_eq!(r.clone().into_records().len(), 3);
     }
 
     #[test]

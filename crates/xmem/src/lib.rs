@@ -11,8 +11,7 @@
 //! * [`Atom`] / [`AtomRegistry`] — address-range → attribute mapping with
 //!   overlap checking (the hardware-visible atom table).
 //! * [`policies`] — adapters that turn attributes into concrete decisions:
-//!   cache insertion priority, compression choice, refresh class (EDEN),
-//!   and reliability-tier placement.
+//!   cache insertion priority and reliability-tier placement.
 //!
 //! ## Example
 //!
@@ -45,6 +44,6 @@ mod vbi;
 
 pub use attributes::{AccessPattern, Compressibility, Criticality, DataAttributes, Locality};
 pub use error::XmemError;
-pub use policies::{CompressionChoice, DataAwareCache};
+pub use policies::DataAwareCache;
 pub use registry::{Atom, AtomId, AtomRegistry};
 pub use vbi::{BlockId, BlockSize, VblTable, VirtualBlock};

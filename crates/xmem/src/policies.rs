@@ -2,24 +2,12 @@
 //! its policies and mechanisms to the characteristics of the data".
 //!
 //! Each adapter maps attributes to a concrete decision in some substrate:
-//! cache insertion priority, compression algorithm choice, refresh class
-//! for approximable data (EDEN), and reliability-tier placement.
+//! cache insertion priority and reliability-tier placement.
 
 use ia_cache::{Cache, CacheAccess, CacheOp};
 
-use crate::attributes::{Compressibility, Criticality, DataAttributes, Locality};
+use crate::attributes::{Criticality, DataAttributes, Locality};
 use crate::registry::AtomRegistry;
-
-/// Compression engine choice for a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CompressionChoice {
-    /// Base-Delta-Immediate (best for narrow/pointer data).
-    Bdi,
-    /// Frequent-Pattern Compression (best for zero-laden words).
-    Fpc,
-    /// Skip compression (saves latency on incompressible data).
-    None,
-}
 
 /// Cache-insertion priority for a region: `Some(true)` = high (MRU),
 /// `Some(false)` = low (LRU insertion), `None` = let the default policy
@@ -35,31 +23,6 @@ pub fn insertion_priority(attrs: &DataAttributes) -> Option<bool> {
         // Tolerant data with unknown locality yields to others.
         (Criticality::Tolerant, Locality::Unknown) => Some(false),
         _ => None,
-    }
-}
-
-/// Compression algorithm selection by expected compressibility
-/// (the HyComp-style data-type-aware choice).
-#[must_use]
-pub fn compression_choice(attrs: &DataAttributes) -> CompressionChoice {
-    match attrs.compressibility {
-        Compressibility::High => CompressionChoice::Fpc,
-        Compressibility::Medium => CompressionChoice::Bdi,
-        Compressibility::Incompressible => CompressionChoice::None,
-        Compressibility::Unknown => CompressionChoice::Bdi,
-    }
-}
-
-/// Refresh-interval multiplier for a region (EDEN, Koppula+ MICRO 2019:
-/// approximable DNN data tolerates reduced-refresh DRAM). 1 = nominal.
-#[must_use]
-pub fn refresh_multiplier(attrs: &DataAttributes) -> u32 {
-    if attrs.approximable && attrs.error_vulnerability <= 20 {
-        4
-    } else if attrs.approximable {
-        2
-    } else {
-        1
     }
 }
 
@@ -136,30 +99,6 @@ mod tests {
     #[test]
     fn unknown_attributes_defer_to_default_policy() {
         assert_eq!(insertion_priority(&DataAttributes::new()), None);
-    }
-
-    #[test]
-    fn compression_choice_follows_hint() {
-        let hi = DataAttributes::new().compressibility(Compressibility::High);
-        let med = DataAttributes::new().compressibility(Compressibility::Medium);
-        let none = DataAttributes::new().compressibility(Compressibility::Incompressible);
-        assert_eq!(compression_choice(&hi), CompressionChoice::Fpc);
-        assert_eq!(compression_choice(&med), CompressionChoice::Bdi);
-        assert_eq!(compression_choice(&none), CompressionChoice::None);
-    }
-
-    #[test]
-    fn refresh_multiplier_rewards_approximable_data() {
-        let precise = DataAttributes::new();
-        let approx = DataAttributes::new()
-            .approximable(true)
-            .error_vulnerability(10);
-        let approx_sensitive = DataAttributes::new()
-            .approximable(true)
-            .error_vulnerability(60);
-        assert_eq!(refresh_multiplier(&precise), 1);
-        assert_eq!(refresh_multiplier(&approx), 4);
-        assert_eq!(refresh_multiplier(&approx_sensitive), 2);
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl AtomRegistry {
         Ok(id)
     }
 
-    /// Unregisters an atom by id, returning it if present.
-    pub fn unregister(&mut self, id: AtomId) -> Option<Atom> {
-        let pos = self.atoms.iter().position(|a| a.id == id)?;
-        Some(self.atoms.remove(pos))
-    }
-
     /// The atom covering `addr`, if any.
     #[must_use]
     pub fn atom_at(&self, addr: u64) -> Option<&Atom> {
@@ -197,17 +191,6 @@ mod tests {
     fn empty_range_is_rejected() {
         let mut reg = AtomRegistry::new();
         assert!(reg.register(10..10, DataAttributes::new()).is_err());
-    }
-
-    #[test]
-    fn unregister_removes_atom() {
-        let mut reg = AtomRegistry::new();
-        let id = reg.register(0..64, DataAttributes::new()).unwrap();
-        let atom = reg.unregister(id).unwrap();
-        assert_eq!(atom.len(), 64);
-        assert!(!atom.is_empty());
-        assert!(reg.atom_at(0).is_none());
-        assert!(reg.unregister(id).is_none());
     }
 
     #[test]

@@ -170,12 +170,6 @@ impl VblTable {
         }
         Ok(b.phys_base + offset)
     }
-
-    /// Physical bytes consumed in each tier.
-    #[must_use]
-    pub fn tier_usage(&self) -> [u64; 3] {
-        self.next_phys
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +235,7 @@ mod tests {
             2,
             "tolerant data → commodity tier"
         );
-        let usage = vbl.tier_usage();
+        let usage = vbl.next_phys;
         assert!(usage[0] > 0 && usage[2] > 0 && usage[1] == 0);
     }
 

@@ -84,9 +84,6 @@ diff "$fuzz_dir/rec.txt" "$fuzz_dir/rep.txt"
 echo "== SimLoop watchdog (stalled components become structured errors)"
 cargo test -q -p ia-sim watchdog
 
-echo "== event wheel vs per-cycle scan (order-equivalence property)"
-cargo test -q -p ia-sim --test wheel_equivalence
-
 echo "== DRAM gates vs an independent per-command JEDEC reference (DDR3, DDR4, LPDDR4, 2-rank)"
 cargo test -q -p ia-dram --test gate_split
 
