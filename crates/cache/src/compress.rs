@@ -1,6 +1,6 @@
-//! Cache-line compression: Base-Delta-Immediate (Pekhimenko+, PACT 2012)
-//! and Frequent Pattern Compression, the paper's data-aware exemplars for
-//! "adaptively scaling capability to the compressibility of data".
+//! Cache-line compression: Base-Delta-Immediate (Pekhimenko+, PACT 2012),
+//! the paper's data-aware exemplar for "adaptively scaling capability to
+//! the compressibility of data".
 
 use crate::error::CacheError;
 
@@ -146,71 +146,6 @@ pub fn bdi_compress(block: &[u8]) -> Result<Compressed, CacheError> {
         }
     }
     Ok(best)
-}
-
-/// Frequent Pattern Compression: per-32-bit-word prefix encoding.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] if `block.len() != 64`.
-pub fn fpc_compress(block: &[u8]) -> Result<Compressed, CacheError> {
-    if block.len() != 64 {
-        return Err(CacheError::invalid("FPC operates on 64-byte blocks"));
-    }
-    let mut bits = 0usize;
-    for w in 0..16 {
-        let v = u32::from_le_bytes([
-            block[w * 4],
-            block[w * 4 + 1],
-            block[w * 4 + 2],
-            block[w * 4 + 3],
-        ]);
-        let payload = if v == 0 {
-            0 // zero run (simplified: per word)
-        } else if v <= 0xFF || (v as i32) >= -128 && (v as i32) < 0 {
-            8 // sign-extended byte
-        } else if v <= 0xFFFF
-            || ((v as i32) >= -32768 && (v as i32) < 0)
-            || v & 0xFFFF == 0
-            || ((v >> 8) & 0xFF == (v >> 24) & 0xFF && v & 0xFF == (v >> 16) & 0xFF)
-        {
-            // halfword classes: sign-extended, zero-padded, repeated bytes
-            16
-        } else {
-            32
-        };
-        bits += 3 + payload; // 3-bit prefix per word
-    }
-    let bytes = bits.div_ceil(8);
-    if bytes >= 64 {
-        Ok(Compressed {
-            encoding: BdiEncoding::Uncompressed,
-            bytes: 64,
-        })
-    } else {
-        Ok(Compressed {
-            encoding: BdiEncoding::Uncompressed,
-            bytes,
-        })
-    }
-}
-
-/// Average BDI compression ratio over a sequence of blocks.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] if `data` is not a multiple of 64 bytes or empty.
-pub fn average_bdi_ratio(data: &[u8]) -> Result<f64, CacheError> {
-    if data.is_empty() || !data.len().is_multiple_of(64) {
-        return Err(CacheError::invalid(
-            "data must be a non-empty multiple of 64 bytes",
-        ));
-    }
-    let mut compressed = 0usize;
-    for block in data.chunks_exact(64) {
-        compressed += bdi_compress(block)?.bytes;
-    }
-    Ok(data.len() as f64 / compressed as f64)
 }
 
 /// A compressed cache model: a conventional tag/data organization where
@@ -377,32 +312,6 @@ mod tests {
     #[test]
     fn bdi_rejects_wrong_block_size() {
         assert!(bdi_compress(&[0u8; 32]).is_err());
-        assert!(fpc_compress(&[0u8; 63]).is_err());
-    }
-
-    #[test]
-    fn fpc_compresses_zero_and_narrow_words() {
-        let c = fpc_compress(&[0u8; 64]).unwrap();
-        assert!(
-            c.bytes <= 8,
-            "all-zero FPC block should be tiny, got {}",
-            c.bytes
-        );
-        let mut b = [0u8; 64];
-        b[0] = 42; // one narrow word, rest zero
-        let c = fpc_compress(&b).unwrap();
-        assert!(c.bytes < 16);
-    }
-
-    #[test]
-    fn average_ratio_over_mixed_data() {
-        let mut data = Vec::new();
-        data.extend_from_slice(&[0u8; 64]); // zeros
-        data.extend_from_slice(&block_of_u64s([7; 8])); // repeated
-        let r = average_bdi_ratio(&data).unwrap();
-        assert!(r > 10.0);
-        assert!(average_bdi_ratio(&[]).is_err());
-        assert!(average_bdi_ratio(&[0u8; 65]).is_err());
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! # ia-cache — cache substrate with compression, filtering, partitioning
+//! # ia-cache — cache substrate with insertion policies and compression
 //!
 //! The on-chip storage layer for the `intelligent-arch` system, covering
-//! the cache-side mechanisms the paper cites under all three principles:
+//! the cache-side mechanisms the paper cites under its data-driven and
+//! data-aware principles:
 //!
 //! * [`Cache`] — set-associative LRU with pluggable insertion policy
 //!   (MRU / LIP / BIP), the substrate everything else builds on.
 //! * [`DipCache`] — dynamic insertion via set dueling (data-driven).
-//! * [`EafCache`] — Evicted-Address Filter against pollution & thrashing.
 //! * [`bdi_compress`] / [`CompressedCache`] — Base-Delta-Immediate
 //!   compression (data-aware: "adaptively scale capability to the
 //!   compressibility of data").
-//! * [`UtilityMonitor`] / [`PartitionedCache`] — utility-based cache
-//!   partitioning for multi-programmed fairness.
 //!
 //! ## Example
 //!
@@ -37,16 +35,10 @@
 
 mod compress;
 mod dip;
-mod eaf;
 mod error;
-mod partition;
 mod set_assoc;
 
-pub use compress::{
-    average_bdi_ratio, bdi_compress, fpc_compress, BdiEncoding, Compressed, CompressedCache,
-};
+pub use compress::{bdi_compress, BdiEncoding, Compressed, CompressedCache};
 pub use dip::{static_policies, DipCache};
-pub use eaf::{eaf_cache, EafCache};
 pub use error::CacheError;
-pub use partition::{partition_by_utility, PartitionedCache, UtilityMonitor};
 pub use set_assoc::{Cache, CacheAccess, CacheOp, CacheStats, InsertionPolicy};

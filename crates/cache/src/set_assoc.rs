@@ -2,8 +2,8 @@
 //!
 //! The replacement stack is LRU; what varies across the published designs
 //! the paper cites is the *insertion* position (MRU vs LRU vs bimodal —
-//! Qureshi+, ISCA 2007) and whether an external filter demotes insertion
-//! priority (the Evicted-Address Filter). Both knobs are exposed here.
+//! Qureshi+, ISCA 2007) and whether an external policy overrides insertion
+//! priority (the data-aware policies). Both knobs are exposed here.
 
 use crate::error::CacheError;
 
@@ -212,7 +212,7 @@ impl Cache {
 
     /// Accesses `addr` with an explicit insertion override: `Some(true)`
     /// forces MRU insertion, `Some(false)` forces LRU insertion (used by
-    /// the EAF and data-aware policies), `None` uses the default policy.
+    /// the data-aware policies), `None` uses the default policy.
     pub fn access_with_priority(
         &mut self,
         addr: u64,

@@ -190,28 +190,6 @@ impl IntelligentSystem {
         &self.config
     }
 
-    /// Records the workload a [`run`](IntelligentSystem::run) would
-    /// consume into an `ia-tracefmt` writer, making the run a replayable
-    /// on-disk artifact (replay it with
-    /// [`run_recorded`](IntelligentSystem::run_recorded)).
-    pub fn record_trace(&self, trace: &[TraceRequest], w: &mut ia_tracefmt::TraceWriter) {
-        ia_workloads::record_trace(trace, w);
-    }
-
-    /// Replays a decoded `ia-tracefmt` artifact through the system —
-    /// the counterpart of [`record_trace`](IntelligentSystem::record_trace).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] if the recorded trace is empty or the
-    /// configuration is invalid.
-    pub fn run_recorded(
-        &self,
-        reader: &ia_tracefmt::TraceReader,
-    ) -> Result<SystemReport, CoreError> {
-        self.run(&ia_workloads::trace_from_records(reader.records()))
-    }
-
     /// Runs a trace through the system: the LLC filters it, misses and
     /// writebacks go to the memory controller, the configured principles
     /// select the cache policy, scheduler, and DRAM latency mode.

@@ -1,6 +1,6 @@
 //! Property-based tests of the learning substrate.
 
-use ia_learn::{EpsilonGreedyBandit, FeatureQuantizer, Perceptron, QAgent, QConfig, UcbBandit};
+use ia_learn::{FeatureQuantizer, Perceptron, QAgent, QConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -61,42 +61,5 @@ proptest! {
         let out = p.predict(&all_true).output;
         // Bias + n weights, each clamped to ±128.
         prop_assert!(out.abs() <= 128 * (inputs as i32 + 1));
-    }
-
-    /// Bandit empirical means always lie within the observed reward range.
-    #[test]
-    fn bandit_means_within_range(
-        seed in any::<u64>(),
-        rewards in prop::collection::vec(0.0f64..1.0, 1..100),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut eg = EpsilonGreedyBandit::new(3, 0.2).unwrap();
-        let mut ucb = UcbBandit::new(3).unwrap();
-        let lo = rewards.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = rewards.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for r in &rewards {
-            let a = eg.select(&mut rng);
-            eg.update(a, *r);
-            let u = ucb.select();
-            ucb.update(u, *r);
-        }
-        for arm in 0..3 {
-            let m = eg.mean(arm);
-            prop_assert!(m == 0.0 || (lo..=hi).contains(&m));
-        }
-        prop_assert_eq!(eg.total_pulls(), rewards.len() as u64);
-        prop_assert!(ucb.best_arm() < 3);
-    }
-
-    /// UCB pull counts always sum to the number of updates.
-    #[test]
-    fn ucb_pull_accounting(n in 1usize..200) {
-        let mut ucb = UcbBandit::new(4).unwrap();
-        for i in 0..n {
-            let a = ucb.select();
-            ucb.update(a, (i % 7) as f64 / 7.0);
-        }
-        let total: u64 = (0..4).map(|a| ucb.pulls(a)).sum();
-        prop_assert_eq!(total, n as u64);
     }
 }

@@ -55,7 +55,7 @@ pub use controller::{
 };
 pub use error::CtrlError;
 pub use hybrid::{HybridMemory, HybridTiming, PlacementPolicy};
-pub use metrics::{harmonic_speedup, max_slowdown, slowdowns, weighted_speedup};
+pub use metrics::{max_slowdown, slowdowns, weighted_speedup};
 pub use pool::{IssueView, ReqId, RequestQueue, ViewMode};
 pub use power::{epoch_outcome, standard_points, EpochOutcome, FrequencyPoint, MemScaleGovernor};
 pub use reliability::{

@@ -1,6 +1,5 @@
 //! Multi-programmed performance and fairness metrics, as defined in the
-//! scheduling literature (weighted speedup, harmonic speedup, maximum
-//! slowdown).
+//! scheduling literature (weighted speedup, maximum slowdown).
 
 use crate::controller::RunReport;
 
@@ -49,19 +48,6 @@ pub fn max_slowdown(alone_finish: &[u64], shared: &RunReport) -> f64 {
         .fold(1.0, f64::max)
 }
 
-/// Harmonic mean of speedups: balances fairness and throughput.
-#[must_use]
-pub fn harmonic_speedup(alone_finish: &[u64], shared: &RunReport) -> f64 {
-    let s = slowdowns(alone_finish, shared);
-    let n = s.len() as f64;
-    let denom: f64 = s.iter().map(|x| if x.is_finite() { *x } else { 1e9 }).sum();
-    if denom == 0.0 {
-        0.0
-    } else {
-        n / denom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +82,6 @@ mod tests {
         let shared = report(&[100, 200]);
         assert!((weighted_speedup(&alone, &shared) - 2.0).abs() < 1e-12);
         assert!((max_slowdown(&alone, &shared) - 1.0).abs() < 1e-12);
-        assert!((harmonic_speedup(&alone, &shared) - 1.0).abs() < 1e-12);
     }
 
     #[test]

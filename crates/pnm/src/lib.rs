@@ -2,7 +2,7 @@
 //!
 //! The paper's second PIM approach "involves adding or integrating
 //! computation units … in the logic layer of 3D-stacked memories". This
-//! crate models that hardware and the three acceleration idioms the talk
+//! crate models that hardware and two acceleration idioms the talk
 //! highlights:
 //!
 //! * [`StackConfig`] — vaults, internal vs. external bandwidth, latency.
@@ -11,8 +11,6 @@
 //!   processor-centric baseline [`host_pagerank_ns`].
 //! * [`traverse_pnm`] / [`traverse_host`] — in-memory pointer-chasing
 //!   walkers vs. dependent external round trips.
-//! * [`PeiEngine`] — PIM-enabled instructions with locality-aware
-//!   host/memory offload.
 //!
 //! Unlike the DRAM/controller/NoC simulators, these models are
 //! *analytic*: they compute bandwidth-model timing in closed form rather
@@ -43,13 +41,11 @@
 
 mod error;
 mod graph;
-mod offload;
 mod pointer;
 mod stack;
 
 pub use error::PnmError;
 pub use graph::{host_pagerank_ns, PnmGraphEngine, PnmRunReport};
-pub use offload::{ExecSite, OffloadPolicy, PeiCosts, PeiEngine};
 pub use pointer::{
     concurrent_traversals, traverse_host, traverse_pnm, LinkedChain, TraversalReport,
 };

@@ -5,12 +5,11 @@
 //! enable operations inside memory structures with minimal changes". This
 //! crate implements the mechanisms the talk walks through:
 //!
-//! * [`bulk_copy`] / [`bulk_zero`] — RowClone FPM/PSM and LISA in-DRAM
-//!   bulk copy and initialization, vs. the CPU-copy baseline.
+//! * [`bulk_copy`] — RowClone FPM/PSM and LISA in-DRAM bulk copy, vs.
+//!   the CPU-copy baseline.
 //! * [`AmbitEngine`] — triple-row-activation bulk bitwise AND/OR/NOT/…,
 //!   functional *and* costed, with the channel-bound CPU baseline
 //!   ([`cpu_bitwise_baseline`]).
-//! * [`DRange`] — DRAM-based true random number generation.
 //!
 //! ## Example
 //!
@@ -37,11 +36,9 @@
 mod ambit;
 mod error;
 mod gather;
-mod rng;
 mod rowclone;
 
 pub use ambit::{cpu_bitwise_baseline, AmbitEngine, AmbitStats, BitwiseOp, RowId};
 pub use error::PumError;
 pub use gather::{conventional_gather, gather_elements, gs_dram_gather, GatherReport};
-pub use rng::DRange;
-pub use rowclone::{bulk_copy, bulk_zero, CopyMode, CopyReport};
+pub use rowclone::{bulk_copy, CopyMode, CopyReport};

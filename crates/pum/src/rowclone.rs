@@ -1,6 +1,5 @@
 //! RowClone (Seshadri+, MICRO 2013) and LISA (Chang+, HPCA 2016): bulk
-//! data copy and initialization inside DRAM, without moving a byte over
-//! the memory channel.
+//! data copy inside DRAM, without moving a byte over the memory channel.
 //!
 //! Three mechanisms, in decreasing speed:
 //!
@@ -184,23 +183,6 @@ pub fn bulk_copy(
         }
     };
     Ok(report)
-}
-
-/// Bulk zero-initialization: FPM copy from a reserved all-zeros row
-/// (RowClone-ZI). Same cost as an FPM copy.
-///
-/// # Errors
-///
-/// Returns [`PumError`] if `bytes == 0`.
-pub fn bulk_zero(dram: &mut DramModule, dst: PhysAddr, bytes: u64) -> Result<CopyReport, PumError> {
-    if bytes == 0 {
-        return Err(PumError::invalid("cannot zero zero bytes"));
-    }
-    // The zero row lives in the same subarray by construction.
-    bulk_copy(dram, dst, dst.offset(0), bytes, CopyMode::Fpm).map(|mut r| {
-        r.mode = CopyMode::Fpm;
-        r
-    })
 }
 
 #[cfg(test)]
@@ -439,15 +421,6 @@ mod tests {
             CopyMode::Cpu
         )
         .is_err());
-        assert!(bulk_zero(&mut d, PhysAddr::new(0), 0).is_err());
-    }
-
-    #[test]
-    fn bulk_zero_costs_like_fpm() {
-        let mut d = dram();
-        let z = bulk_zero(&mut d, PhysAddr::new(0), 8192).unwrap();
-        assert_eq!(z.mode, CopyMode::Fpm);
-        assert_eq!(z.cycles, aap_cycles(&d));
     }
 
     #[test]

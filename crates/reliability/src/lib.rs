@@ -9,8 +9,7 @@
 //!   (Kim+ ISCA 2014, ISCA 2020).
 //! * [`RetentionModel`] / [`Raidr`] — retention-aware intelligent refresh
 //!   with Bloom-filter row bins (Liu+, ISCA 2012).
-//! * SECDED ECC ([`encode`]/[`decode`]) and heterogeneous-reliability
-//!   memory placement ([`place`]) (Luo+, DSN 2014).
+//! * SECDED ECC ([`encode`]/[`decode`]).
 //!
 //! ## Example
 //!
@@ -35,7 +34,6 @@
 mod approx;
 mod ecc;
 mod error;
-mod hrm;
 mod retention;
 mod rowhammer;
 
@@ -44,7 +42,6 @@ pub use approx::{
 };
 pub use ecc::{decode, encode, inject_error, DecodeOutcome, EccWord};
 pub use error::ReliabilityError;
-pub use hrm::{homogeneous_cost, place, standard_tiers, DataRegion, MemoryTier, Placement};
 pub use retention::{BloomFilter, Raidr, RetentionBin, RetentionModel, RetentionProfile};
 pub use rowhammer::{
     double_sided_pattern, run_attack, CounterTrr, DeviceGeneration, Flip, Mitigation, Para,

@@ -6,8 +6,8 @@
 //! without proprietary traces:
 //!
 //! * trace generators ([`StreamGen`], [`RandomGen`], [`PointerChaseGen`],
-//!   [`ZipfGen`], mixes) — stream, random, pointer-chase, Zipf, and
-//!   multi-programmed mixes, with explicit locality/parallelism knobs.
+//!   [`ZipfGen`]) — stream, random, pointer-chase and Zipf, with explicit
+//!   locality/parallelism knobs.
 //! * [`Graph`] — CSR graphs with uniform and R-MAT power-law generators,
 //!   plus reference PageRank/BFS for validating the near-memory engine.
 //! * [`genome`] — synthetic references and reads, seed indexing, banded
@@ -48,7 +48,4 @@ pub use graph::Graph;
 pub use mobile::{
     energy_breakdown, energy_with_pim, EnergyBreakdown, MobileWorkload, SystemEnergyModel,
 };
-pub use trace::{
-    boxed, record_trace, trace_from_records, BoxedGenerator, HeterogeneousMix, MixGen, Op,
-    PointerChaseGen, RandomGen, StreamGen, TraceGenerator, TraceRequest, ZipfGen,
-};
+pub use trace::{Op, PointerChaseGen, RandomGen, StreamGen, TraceGenerator, TraceRequest, ZipfGen};

@@ -338,135 +338,6 @@ impl TraceGenerator for ZipfGen {
     }
 }
 
-/// Records `requests` into an `ia-tracefmt` writer: one record per
-/// request, `stream` = originating thread, `at` = position in the trace.
-/// The inverse is [`trace_from_records`]; together they make any
-/// generated workload a replayable on-disk artifact.
-pub fn record_trace(requests: &[TraceRequest], w: &mut ia_tracefmt::TraceWriter) {
-    for (i, r) in requests.iter().enumerate() {
-        let op = match r.op {
-            Op::Read => ia_tracefmt::TraceOp::Read,
-            Op::Write => ia_tracefmt::TraceOp::Write,
-        };
-        w.push(&ia_tracefmt::TraceRecord::new(
-            r.addr, op, r.thread, i as u64,
-        ));
-    }
-}
-
-/// Rebuilds a workload trace from decoded `ia-tracefmt` records,
-/// preserving record order (`stream` becomes the thread attribution;
-/// the `at` field is not consulted — file order is trace order).
-#[must_use]
-pub fn trace_from_records(records: &[ia_tracefmt::TraceRecord]) -> Vec<TraceRequest> {
-    records
-        .iter()
-        .map(|rec| {
-            let op = match rec.op {
-                ia_tracefmt::TraceOp::Read => Op::Read,
-                ia_tracefmt::TraceOp::Write => Op::Write,
-            };
-            TraceRequest {
-                addr: rec.addr,
-                op,
-                thread: rec.stream,
-            }
-        })
-        .collect()
-}
-
-/// A probabilistic mix of generators, each attributed to its own thread —
-/// the multi-programmed interference workloads of the scheduler papers.
-#[derive(Debug)]
-pub struct MixGen<G> {
-    components: Vec<G>,
-}
-
-impl<G: TraceGenerator> MixGen<G> {
-    /// Creates a mix; component `i` produces requests on thread `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] if `components` is empty.
-    pub fn new(components: Vec<G>) -> Result<Self, WorkloadError> {
-        if components.is_empty() {
-            return Err(WorkloadError::invalid("mix needs at least one component"));
-        }
-        Ok(MixGen { components })
-    }
-
-    /// Number of component threads.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.components.len()
-    }
-}
-
-impl<G: TraceGenerator> TraceGenerator for MixGen<G> {
-    fn next_request<R: Rng + ?Sized>(&mut self, rng: &mut R) -> TraceRequest {
-        let i = rng.gen_range(0..self.components.len());
-        self.components[i].next_request(rng).on_thread(i)
-    }
-}
-
-/// A boxed generator, for heterogeneous mixes.
-pub type BoxedGenerator = Box<dyn FnMut(&mut dyn rand::RngCore) -> TraceRequest>;
-
-/// Wraps any generator into a boxed closure (erasing the type), attributed
-/// to `thread`.
-pub fn boxed<G: TraceGenerator + 'static>(mut gen: G, thread: usize) -> BoxedGenerator {
-    Box::new(move |rng| gen.next_request(rng).on_thread(thread))
-}
-
-/// Round-robin interleave of boxed heterogeneous generators.
-pub struct HeterogeneousMix {
-    components: Vec<BoxedGenerator>,
-    turn: usize,
-}
-
-impl std::fmt::Debug for HeterogeneousMix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeterogeneousMix")
-            .field("components", &self.components.len())
-            .finish()
-    }
-}
-
-impl HeterogeneousMix {
-    /// Creates a round-robin mix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] if `components` is empty.
-    pub fn new(components: Vec<BoxedGenerator>) -> Result<Self, WorkloadError> {
-        if components.is_empty() {
-            return Err(WorkloadError::invalid("mix needs at least one component"));
-        }
-        Ok(HeterogeneousMix {
-            components,
-            turn: 0,
-        })
-    }
-
-    /// Produces the next request (round-robin across components).
-    pub fn next_request<R: Rng>(&mut self, rng: &mut R) -> TraceRequest {
-        let i = self.turn;
-        self.turn = (self.turn + 1) % self.components.len();
-        (self.components[i])(rng)
-    }
-
-    /// Collects `n` requests.
-    pub fn generate<R: Rng>(&mut self, n: usize, rng: &mut R) -> Vec<TraceRequest> {
-        (0..n).map(|_| self.next_request(rng)).collect()
-    }
-
-    /// Number of components.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.components.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,57 +438,5 @@ mod tests {
         assert!(ZipfGen::new(0, 0, 4096, 1.0, 0.0).is_err());
         assert!(ZipfGen::new(0, 10, 0, 1.0, 0.0).is_err());
         assert!(ZipfGen::new(0, 10, 4096, 0.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn mix_attributes_threads() {
-        let comps = vec![
-            StreamGen::new(0, 64, 1 << 16, 0.0).unwrap(),
-            StreamGen::new(1 << 20, 64, 1 << 16, 0.0).unwrap(),
-        ];
-        let mut mix = MixGen::new(comps).unwrap();
-        let mut r = rng();
-        let t = mix.generate(500, &mut r);
-        assert!(t.iter().any(|q| q.thread == 0));
-        assert!(t.iter().any(|q| q.thread == 1));
-        assert_eq!(mix.thread_count(), 2);
-        for q in &t {
-            let expected_base = if q.thread == 0 { 0 } else { 1 << 20 };
-            assert!(q.addr >= expected_base && q.addr < expected_base + (1 << 16));
-        }
-    }
-
-    #[test]
-    fn heterogeneous_mix_round_robins() {
-        let mut r = rng();
-        let chase = PointerChaseGen::new(1 << 24, 16, 64, &mut r).unwrap();
-        let stream = StreamGen::new(0, 64, 1 << 12, 0.0).unwrap();
-        let mut mix = HeterogeneousMix::new(vec![boxed(stream, 0), boxed(chase, 1)]).unwrap();
-        let t = mix.generate(10, &mut r);
-        assert_eq!(t.iter().filter(|q| q.thread == 0).count(), 5);
-        assert_eq!(t.iter().filter(|q| q.thread == 1).count(), 5);
-    }
-
-    #[test]
-    fn record_and_rebuild_round_trips() {
-        let mut g = StreamGen::new(0, 64, 1 << 12, 0.3).unwrap();
-        let mut r = rng();
-        let t: Vec<TraceRequest> = g
-            .generate(50, &mut r)
-            .into_iter()
-            .enumerate()
-            .map(|(i, q)| q.on_thread(i % 3))
-            .collect();
-        let mut w = ia_tracefmt::TraceWriter::new(9);
-        record_trace(&t, &mut w);
-        let reader = ia_tracefmt::TraceReader::from_bytes(&w.finish()).unwrap();
-        assert_eq!(reader.seed(), 9);
-        assert_eq!(trace_from_records(reader.records()), t);
-    }
-
-    #[test]
-    fn empty_mix_is_an_error() {
-        assert!(MixGen::<StreamGen>::new(vec![]).is_err());
-        assert!(HeterogeneousMix::new(vec![]).is_err());
     }
 }

@@ -40,10 +40,8 @@ mod attributes;
 mod error;
 pub mod policies;
 mod registry;
-mod vbi;
 
 pub use attributes::{AccessPattern, Compressibility, Criticality, DataAttributes, Locality};
 pub use error::XmemError;
 pub use policies::DataAwareCache;
 pub use registry::{Atom, AtomId, AtomRegistry};
-pub use vbi::{BlockId, BlockSize, VblTable, VirtualBlock};

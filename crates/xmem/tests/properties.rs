@@ -1,6 +1,6 @@
 //! Property-based tests for the Expressive Memory interface.
 
-use ia_xmem::{AtomRegistry, BlockSize, Criticality, DataAttributes, Locality, VblTable};
+use ia_xmem::{AtomRegistry, Criticality, DataAttributes, Locality};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,60 +46,5 @@ proptest! {
         let attrs = reg.attrs_at(addr);
         prop_assert_eq!(attrs.criticality, Criticality::Normal);
         prop_assert_eq!(attrs.locality, Locality::Unknown);
-    }
-
-    /// VBI translation is injective: no two (block, offset) pairs map to
-    /// the same physical address within a tier.
-    #[test]
-    fn vbi_translations_never_collide(
-        vulns in prop::collection::vec(0u8..=100, 2..20),
-        probe in any::<prop::sample::Index>(),
-    ) {
-        let mut vbl = VblTable::new(1 << 30);
-        let mut blocks = Vec::new();
-        for &v in &vulns {
-            let id = vbl
-                .allocate(BlockSize::Small, DataAttributes::new().error_vulnerability(v))
-                .unwrap();
-            blocks.push(id);
-        }
-        // Probe one block: its range must not intersect any other block in
-        // the same tier.
-        let a = blocks[probe.index(blocks.len())];
-        let ba = vbl.block(a).unwrap().clone();
-        for &b in &blocks {
-            if a == b {
-                continue;
-            }
-            let bb = vbl.block(b).unwrap();
-            if bb.tier == ba.tier {
-                let disjoint = bb.phys_base + bb.size.bytes() <= ba.phys_base
-                    || ba.phys_base + ba.size.bytes() <= bb.phys_base;
-                prop_assert!(disjoint, "{:?} overlaps {:?}", ba, bb);
-            }
-        }
-        // Offsets translate within the block.
-        for off in [0u64, 1, 4095] {
-            let pa = vbl.translate(a, off).unwrap();
-            prop_assert_eq!(pa, ba.phys_base + off);
-        }
-    }
-
-    /// Freeing a block makes translation fail but leaves others intact.
-    #[test]
-    fn vbi_free_is_local(count in 2usize..10, victim in any::<prop::sample::Index>()) {
-        let mut vbl = VblTable::new(1 << 24);
-        let ids: Vec<_> = (0..count)
-            .map(|_| vbl.allocate(BlockSize::Small, DataAttributes::new()).unwrap())
-            .collect();
-        let v = ids[victim.index(ids.len())];
-        vbl.free(v);
-        prop_assert!(vbl.translate(v, 0).is_err());
-        for &id in &ids {
-            if id != v {
-                prop_assert!(vbl.translate(id, 0).is_ok());
-            }
-        }
-        prop_assert_eq!(vbl.len(), count - 1);
     }
 }

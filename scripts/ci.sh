@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (broken intra-doc links are errors)"
+# A deleted item that a doc comment still links to fails here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc -q --workspace --no-deps
+
 echo "== ia-lint (determinism & invariant gate, timed against its 2 s budget)"
 # Build first so only the scan itself is timed; timestamps come from the
 # $EPOCHREALTIME builtin (no `date` forks), as in bench_snapshot.sh.
@@ -152,11 +156,20 @@ cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --json "$fork_dir/b.json" > /dev/null
 diff "$fork_dir/a.json" "$fork_dir/b.json"
 
+echo "== full-size reports byte-identical at --threads 1 and 2 (all 24, no --quick)"
+full_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir" "$full_dir"' EXIT
+mkdir "$full_dir/t1" "$full_dir/t2"
+cargo build -q --release -p ia-bench
+target/release/ia-bench suite --threads 1 --json-dir "$full_dir/t1" > /dev/null
+target/release/ia-bench suite --threads 2 --json-dir "$full_dir/t2" > /dev/null
+diff -r "$full_dir/t1" "$full_dir/t2"
+
 echo "== reports unchanged (fresh BENCH_PR.json and BENCH_MICRO.json vs the committed files)"
 # Written into a temp dir: with no previous BENCH_WALL.json beside the
 # output, the snapshot's wall-regression warning cannot fire here.
 snap_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir" "$snap_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir" "$full_dir" "$snap_dir"' EXIT
 scripts/bench_snapshot.sh "$snap_dir/BENCH_PR.json" > /dev/null
 cmp "$snap_dir/BENCH_PR.json" BENCH_PR.json \
     || { echo "BENCH_PR.json changed: a report byte moved"; exit 1; }

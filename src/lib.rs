@@ -40,19 +40,17 @@
 /// Cycle-level DRAM timing and energy simulation ([`ia_dram`]).
 pub use ia_dram as dram;
 
-/// Online-learning substrate: Q-learning, perceptrons, bandits
-/// ([`ia_learn`]).
+/// Online-learning substrate: Q-learning and perceptrons ([`ia_learn`]).
 pub use ia_learn as learn;
 
-/// DRAM reliability: RowHammer, retention/RAIDR, ECC, HRM
+/// DRAM reliability: RowHammer, retention/RAIDR, ECC
 /// ([`ia_reliability`]).
 pub use ia_reliability as reliability;
 
 /// Synthetic data-intensive workloads ([`ia_workloads`]).
 pub use ia_workloads as workloads;
 
-/// Cache substrate with compression, filtering, partitioning
-/// ([`ia_cache`]).
+/// Cache substrate with insertion policies and compression ([`ia_cache`]).
 pub use ia_cache as cache;
 
 /// Expressive Memory: the data-aware interface ([`ia_xmem`]).
@@ -61,10 +59,10 @@ pub use ia_xmem as xmem;
 /// Memory controllers, fixed and learning ([`ia_memctrl`]).
 pub use ia_memctrl as memctrl;
 
-/// Processing using memory: RowClone, Ambit, D-RaNGe ([`ia_pum`]).
+/// Processing using memory: RowClone, Ambit ([`ia_pum`]).
 pub use ia_pum as pum;
 
-/// Processing near memory: 3D stacks, graph engine, PEI ([`ia_pnm`]).
+/// Processing near memory: 3D stacks, graph engine ([`ia_pnm`]).
 pub use ia_pnm as pnm;
 
 /// Hardware prefetchers, fixed and adaptive ([`ia_prefetch`]).

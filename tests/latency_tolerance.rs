@@ -8,7 +8,6 @@ use intelligent_arch::memctrl::{standard_points, MemScaleGovernor};
 use intelligent_arch::pnm::{traverse_host, traverse_pnm, LinkedChain, StackConfig};
 use intelligent_arch::prefetch::runahead::{build_trace, execute, CoreModel};
 use intelligent_arch::prefetch::{PrefetchHarness, StridePrefetcher};
-use intelligent_arch::xmem::{BlockSize, DataAttributes, VblTable};
 use rand::SeedableRng;
 
 #[test]
@@ -98,45 +97,4 @@ fn salp_and_memscale_compose_in_the_same_story() {
     let outcome = governor.run(&low_demand).expect("runs");
     assert!(outcome.energy < 0.6);
     assert!(outcome.slowdown <= 1.10 + 1e-9);
-}
-
-#[test]
-fn vbi_blocks_feed_the_data_aware_hierarchy() {
-    // Allocate blocks through the Virtual Block Interface with different
-    // vulnerability attributes and check the end-to-end invariants: tier
-    // placement honours attributes and translation stays injective.
-    let mut vbl = VblTable::new(1 << 26);
-    let critical = vbl
-        .allocate(
-            BlockSize::Medium,
-            DataAttributes::new().error_vulnerability(90),
-        )
-        .expect("capacity");
-    let bulk = vbl
-        .allocate(
-            BlockSize::Medium,
-            DataAttributes::new().error_vulnerability(5),
-        )
-        .expect("capacity");
-    let cb = vbl.block(critical).expect("present").clone();
-    let bb = vbl.block(bulk).expect("present").clone();
-    assert!(cb.tier < bb.tier, "critical data in the stronger tier");
-    // Each tier is its own physical device: translation is exact within
-    // the block, and a second block in the same tier never collides.
-    assert_eq!(
-        vbl.translate(critical, 4096).expect("in range"),
-        cb.phys_base + 4096
-    );
-    let bulk2 = vbl
-        .allocate(
-            BlockSize::Medium,
-            DataAttributes::new().error_vulnerability(5),
-        )
-        .expect("capacity");
-    let b2 = vbl.block(bulk2).expect("present");
-    assert_eq!(b2.tier, bb.tier);
-    assert!(
-        b2.phys_base >= bb.phys_base + bb.size.bytes(),
-        "same-tier blocks are disjoint"
-    );
 }
