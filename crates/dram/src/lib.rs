@@ -58,7 +58,6 @@ mod config;
 mod energy;
 mod error;
 mod flat;
-mod inject;
 mod latency;
 mod module;
 mod rank;
@@ -70,7 +69,6 @@ pub use address::AddressMapping;
 pub use config::{DramConfig, DramConfigBuilder, EnergyParams, Geometry, TimingParams};
 pub use energy::EnergyCounter;
 pub use error::{ConfigError, IssueError, IssueErrorReason};
-pub use inject::InjectEvent;
 pub use latency::{ChargeCacheState, LatencyMode};
 pub use module::{AccessResult, DramModule};
 pub use salp::{serve_stream, BankOrganization, SalpBank};

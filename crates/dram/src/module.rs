@@ -6,7 +6,6 @@ use ia_trace::{ComponentTrace, Tracer};
 
 use crate::channel::Channel;
 use crate::error::{ConfigError, IssueError, IssueErrorReason};
-use crate::inject::{InjectEvent, InjectLog};
 use crate::latency::{ChargeCacheState, LatencyMode};
 use crate::types::command_gate;
 use crate::{
@@ -56,7 +55,6 @@ pub struct DramModule {
     energy: EnergyCounter,
     latency: LatencyMode,
     charge_cache: ChargeCacheState,
-    inject: InjectLog,
     tracer: Tracer,
 }
 
@@ -79,7 +77,6 @@ impl DramModule {
             energy: EnergyCounter::new(),
             latency: LatencyMode::Standard,
             charge_cache: ChargeCacheState::new(),
-            inject: InjectLog::default(),
             tracer: Tracer::disabled(),
         })
     }
@@ -96,27 +93,6 @@ impl DramModule {
     #[must_use]
     pub fn take_cycle_trace(&mut self) -> ComponentTrace {
         self.tracer.take()
-    }
-
-    /// Enables the fault-injection observation point: activates, column
-    /// reads/writes, and rank refreshes are recorded as [`InjectEvent`]s
-    /// for the controller to drain via
-    /// [`drain_inject_events`](DramModule::drain_inject_events) and feed
-    /// to its fault model. Off by default; one branch per command when
-    /// off.
-    pub fn enable_injection(&mut self) {
-        self.inject.enable();
-    }
-
-    /// Whether the injection observation point is recording.
-    #[must_use]
-    pub fn injection_enabled(&self) -> bool {
-        self.inject.is_enabled()
-    }
-
-    /// Moves all pending injection events into `out` in issue order.
-    pub fn drain_inject_events(&mut self, out: &mut Vec<InjectEvent>) {
-        self.inject.drain_into(out);
     }
 
     /// Sets the latency mode.
@@ -305,7 +281,7 @@ impl DramModule {
     /// and rank protocol state, then against its gate (what
     /// [`DramModule::ready_at`] returns), both from one read of the
     /// bank, and applies its state transition with `timing`. No
-    /// statistics, energy, trace or injection accounting. Always
+    /// statistics, energy or trace accounting. Always
     /// inlined: returned through memory, its `Result` cost `issue` a
     /// stalled reload on every command.
     #[inline(always)]
@@ -370,7 +346,6 @@ impl DramModule {
             _ => None,
         };
         let out = self.commit(loc, cmd, now, &timing)?;
-        let bank_idx = self.bank_index(loc);
         if self.tracer.is_enabled() {
             let name = match cmd {
                 Command::Activate { .. } => "bank.act",
@@ -380,37 +355,6 @@ impl DramModule {
                 Command::Precharge => "bank.pre",
             };
             self.tracer.instant(name, now.as_u64());
-        }
-        match cmd {
-            Command::Activate { row } => self.inject.record_with(|| InjectEvent::Activate {
-                at: now,
-                channel: loc.channel,
-                rank: loc.rank,
-                bank: bank_idx,
-                row,
-            }),
-            Command::Read { column } => self.inject.record_with(|| InjectEvent::Read {
-                at: now,
-                channel: loc.channel,
-                rank: loc.rank,
-                bank: bank_idx,
-                row: loc.row,
-                column,
-            }),
-            Command::Write { column } => self.inject.record_with(|| InjectEvent::Write {
-                at: now,
-                channel: loc.channel,
-                rank: loc.rank,
-                bank: bank_idx,
-                row: loc.row,
-                column,
-            }),
-            Command::Refresh => self.inject.record_with(|| InjectEvent::Refresh {
-                at: now,
-                channel: loc.channel,
-                rank: loc.rank,
-            }),
-            Command::Precharge => {}
         }
         self.energy
             .record(&cmd, self.config.geometry.column_bytes, &self.config.energy);
@@ -509,8 +453,6 @@ impl DramModule {
         }
         let at = self.ready_at(&loc, &Command::Refresh).max(earliest);
         self.commit(&loc, Command::Refresh, at, &timing)?;
-        self.inject
-            .record_with(|| InjectEvent::Refresh { at, channel, rank });
         self.stats.refreshes += 1;
         self.energy
             .record(&Command::Refresh, 0, &self.config.energy);
@@ -687,51 +629,6 @@ mod tests {
             [("bank.act", 0), ("bank.rd", t.t_rcd)],
             "miss = ACT then RD"
         );
-    }
-
-    #[test]
-    fn injection_log_captures_activate_read_write_refresh() {
-        let mut dram = module();
-        assert!(!dram.injection_enabled());
-        dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
-            .unwrap();
-        let mut events = Vec::new();
-        dram.drain_inject_events(&mut events);
-        assert!(events.is_empty(), "off by default");
-
-        dram.enable_injection();
-        dram.access(PhysAddr::new(64), AccessKind::Read, Cycle::ZERO)
-            .unwrap();
-        dram.access(PhysAddr::new(128), AccessKind::Write, Cycle::ZERO)
-            .unwrap();
-        dram.refresh_rank(0, 0, Cycle::new(10_000)).unwrap();
-        dram.drain_inject_events(&mut events);
-        assert!(
-            matches!(
-                events[0],
-                InjectEvent::Read {
-                    row: 0,
-                    column: 1,
-                    ..
-                }
-            ),
-            "row already open: read only — got {:?}",
-            events[0]
-        );
-        assert!(matches!(
-            events[1],
-            InjectEvent::Write {
-                row: 0,
-                column: 2,
-                ..
-            }
-        ));
-        assert!(matches!(events.last(), Some(InjectEvent::Refresh { .. })));
-        let drained = events.len();
-        let mut again = Vec::new();
-        dram.drain_inject_events(&mut again);
-        assert!(again.is_empty(), "drain is destructive");
-        assert!(drained >= 3);
     }
 
     #[test]

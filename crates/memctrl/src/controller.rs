@@ -284,13 +284,12 @@ impl MemoryController {
         self
     }
 
-    /// Attaches a reliability pipeline (chainable). Turns on the DRAM
-    /// module's injection event log; from then on every activate, read,
-    /// write, and refresh flows through the pipeline's closed
-    /// detect → correct → degrade loop at the end of each tick.
+    /// Attaches a reliability pipeline (chainable). From then on every
+    /// activate, read, write, and rank refresh the DRAM accepts flows
+    /// through the pipeline's closed detect → correct → degrade loop as
+    /// soon as it is issued.
     #[must_use]
     pub fn with_reliability(mut self, pipeline: ReliabilityPipeline) -> Self {
-        self.dram.enable_injection();
         self.reliability = Some(pipeline);
         self
     }
@@ -306,12 +305,7 @@ impl MemoryController {
     pub fn with_latency_mode(mut self, mode: ia_dram::LatencyMode) -> Self {
         // Rebuilding the module would lose state; the module applies the
         // mode to future commands only, which is exactly what we want.
-        let dram = std::mem::replace(
-            &mut self.dram,
-            // lint: allow(P001, the ddr3_1600 preset is statically valid)
-            DramModule::new(DramConfig::ddr3_1600()).expect("preset is valid"),
-        );
-        self.dram = dram.with_latency_mode(mode);
+        self.dram = self.dram.with_latency_mode(mode);
         self.reprobe_head();
         self
     }
@@ -445,6 +439,14 @@ impl MemoryController {
         // queue's gate cache is resynced only for the other modes.
         let mode = self.mode;
         let cached = mode != ViewMode::Skip;
+        // A traced run records the reliability ladder's activity this
+        // tick as instant deltas against these counts.
+        let rel_before = match &self.reliability {
+            Some(rel) if self.tracer.is_enabled() => {
+                Some((*rel.stats(), rel.fault_stats().injected()))
+            }
+            _ => None,
+        };
 
         // 1. Retire in-flight requests whose data burst has finished,
         //    compacting in place so retirement order (= insertion order)
@@ -477,8 +479,15 @@ impl MemoryController {
             if must_issue {
                 for ch in 0..self.dram.config().geometry.channels {
                     for rk in 0..self.dram.config().geometry.ranks {
-                        // refresh_rank sequences precharges internally.
-                        let _ = self.dram.refresh_rank(ch, rk, self.now);
+                        // refresh_rank sequences precharges internally,
+                        // so the refresh itself issues tRFC before `done`.
+                        let Ok(done) = self.dram.refresh_rank(ch, rk, self.now) else {
+                            continue;
+                        };
+                        if let Some(rel) = &mut self.reliability {
+                            let t_rfc = self.dram.config().timing.t_rfc;
+                            rel.on_refresh(Cycle::new(done.as_u64() - t_rfc), ch, rk);
+                        }
                     }
                 }
                 if cached {
@@ -528,6 +537,11 @@ impl MemoryController {
                     }
                     let column = matches!(cmd, Command::Read { .. } | Command::Write { .. });
                     if let Ok(out) = self.dram.issue(&p.loc, cmd, self.now) {
+                        if let Some(rel) = &mut self.reliability {
+                            let geo = &self.dram.config().geometry;
+                            let bank = p.loc.bank_group * geo.banks_per_group + p.loc.bank;
+                            rel.on_command(&p.loc, bank, cmd, self.now);
+                        }
                         issued_this_cycle = true;
                         column_issued = column;
                         self.scheduler.on_issue(column, self.now);
@@ -573,51 +587,34 @@ impl MemoryController {
             self.tracer.mark(phase, now.as_u64());
         }
 
-        if let Some(rel) = &mut self.reliability {
-            if self.tracer.is_enabled() {
-                // Record the reliability ladder's per-tick activity as
-                // instant deltas (counts since the previous tick).
-                let stats_before = *rel.stats();
-                let faults_before = rel.fault_stats().injected();
-                rel.process(&mut self.dram);
-                let s = *rel.stats();
-                let at = now.as_u64();
-                for (name, before, after) in [
-                    ("reliability.corrected", stats_before.corrected, s.corrected),
-                    (
-                        "reliability.uncorrected",
-                        stats_before.uncorrected,
-                        s.uncorrected,
-                    ),
-                    ("reliability.scrubs", stats_before.scrubs, s.scrubs),
-                    ("reliability.remaps", stats_before.remaps, s.remaps),
-                    (
-                        "reliability.quarantines",
-                        stats_before.quarantines,
-                        s.quarantines,
-                    ),
-                    (
-                        "reliability.escalated_refreshes",
-                        stats_before.escalated_refreshes,
-                        s.escalated_refreshes,
-                    ),
-                ] {
-                    let delta = after.saturating_sub(before);
-                    if delta > 0 {
-                        self.tracer.instant_value(name, at, delta as f64);
-                    }
+        if let (Some(rel), Some((before, faults_before))) = (&self.reliability, rel_before) {
+            let s = *rel.stats();
+            let at = now.as_u64();
+            for (name, before, after) in [
+                ("reliability.corrected", before.corrected, s.corrected),
+                ("reliability.uncorrected", before.uncorrected, s.uncorrected),
+                ("reliability.scrubs", before.scrubs, s.scrubs),
+                ("reliability.remaps", before.remaps, s.remaps),
+                ("reliability.quarantines", before.quarantines, s.quarantines),
+                (
+                    "reliability.escalated_refreshes",
+                    before.escalated_refreshes,
+                    s.escalated_refreshes,
+                ),
+            ] {
+                let delta = after.saturating_sub(before);
+                if delta > 0 {
+                    self.tracer.instant_value(name, at, delta as f64);
                 }
-                let injected = rel.fault_stats().injected().saturating_sub(faults_before);
-                if injected > 0 {
-                    self.tracer
-                        .instant_value("faults.injected", at, injected as f64);
-                }
-            } else {
-                rel.process(&mut self.dram);
+            }
+            let injected = rel.fault_stats().injected().saturating_sub(faults_before);
+            if injected > 0 {
+                self.tracer
+                    .instant_value("faults.injected", at, injected as f64);
             }
         }
-        // The pipeline only drains the DRAM's injection log, so the gate
-        // cache still matches the DRAM at the end of every tick.
+        // The pipeline issues no DRAM command, so the gate cache still
+        // matches the DRAM at the end of every tick.
         debug_assert!(
             !cached || self.queue.cache_matches(&self.dram),
             "request-queue gate cache out of sync with the DRAM at {now:?}"
@@ -1256,28 +1253,62 @@ mod tests {
     }
 
     #[test]
-    fn reliability_report_is_deterministic_and_part_of_same_results() {
+    fn reliability_is_deterministic_and_traced_instants_sum_to_its_counters() {
         use crate::reliability::ReliabilityConfig;
-        use ia_faults::FaultPlan;
+        use ia_faults::{FaultKind, FaultPlan, ScriptedFault};
 
-        let run = || {
+        let run = |traced: bool| {
             let config = DramConfig::ddr3_1600();
-            let plan = FaultPlan::new(11).transient(0.1);
+            // Two stuck bits in the first word read: a persistent
+            // uncorrectable, so the ladder remaps as well.
+            let first = DramModule::new(config.clone()).unwrap().decode(0.into());
+            let stuck = |bit| ScriptedFault {
+                at: 0,
+                channel: first.channel,
+                rank: first.rank,
+                bank: first.bank_group * config.geometry.banks_per_group + first.bank,
+                row: first.row,
+                word: first.column,
+                bit,
+                kind: FaultKind::StuckAt,
+            };
+            let plan = FaultPlan::new(3).transient(0.2).stuck(0.002);
+            let plan = plan.script(stuck(3)).script(stuck(40));
             let pipeline =
-                ReliabilityPipeline::new(ReliabilityConfig::full(100_000), plan, &config.geometry);
-            let ctrl = MemoryController::new(config, Box::new(FrFcfs::new()))
+                ReliabilityPipeline::new(ReliabilityConfig::full(8), plan, &config.geometry);
+            let mut ctrl = MemoryController::new(config, Box::new(FrFcfs::new()))
                 .unwrap()
                 .with_refresh_mode(RefreshMode::AllBank)
                 .with_reliability(pipeline);
-            let trace: Vec<MemRequest> = (0..64).map(|i| MemRequest::read(i * 64, 0)).collect();
-            run_closed_loop_with(ctrl, &[trace], 8, 1_000_000).unwrap()
+            if traced {
+                ctrl.enable_cycle_tracing(1024);
+            }
+            // Row scans plus a hammered pair.
+            let scan = (0..512u64).map(|i| MemRequest::read((i % 128) * 64 + ((i / 128) << 16), 0));
+            let hammer = (0..512u64).map(|i| MemRequest::read((1 << 20) + ((i % 2) << 17), 1));
+            let traces = [scan.collect(), hammer.collect()];
+            run_closed_loop_with(ctrl, &traces, 4, 2_000_000).unwrap()
         };
-        let a = run();
-        let b = run();
-        let rel = a.reliability.as_ref().expect("report carries reliability");
-        assert!(rel.stats.reads_checked > 0);
-        assert_eq!(a.reliability, b.reliability, "same seed, same outcome");
-        assert!(a.same_results(&b));
+        let (plain, traced) = (run(false), run(true));
+        assert!(plain.same_results(&run(false)), "same seed, same outcome");
+        assert!(plain.same_results(&traced), "tracing changed the run");
+        let rel = traced.reliability.expect("report carries reliability");
+        let log = traced.trace.as_ref().expect("tracing was enabled");
+        let ctrl = log.components.iter().find(|c| c.track == "ctrl").unwrap();
+        let s = rel.stats;
+        for (name, want) in [
+            ("reliability.corrected", s.corrected),
+            ("reliability.uncorrected", s.uncorrected),
+            ("reliability.scrubs", s.scrubs),
+            ("reliability.remaps", s.remaps),
+            ("reliability.quarantines", s.quarantines),
+            ("reliability.escalated_refreshes", s.escalated_refreshes),
+            ("faults.injected", rel.faults.injected()),
+        ] {
+            let sum = ctrl.instants.iter().find(|i| i.name == name);
+            assert!(want > 0, "{name} never moved: {s:?}");
+            assert_eq!(sum.map_or(0, |i| i.sum as u64), want, "{name}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The reliability pipeline: the controller's closed
 //! detect → correct → degrade loop.
 //!
-//! When attached ([`MemoryController::with_reliability`]), the pipeline
-//! drains the DRAM module's fault-injection events every tick, forwards
-//! them to an `ia-faults` [`Inject`] hook, and runs every read's
-//! codeword through `ia_reliability::ecc`:
+//! When attached ([`MemoryController::with_reliability`]), the
+//! controller hands the pipeline every activate, read, write and rank
+//! refresh right after the DRAM accepts it. The pipeline forwards each
+//! one to an `ia-faults` [`Inject`] hook and runs every read's codeword
+//! through `ia_reliability::ecc`:
 //!
 //! * **detect** — SECDED decode on each read; the pipeline knows the
 //!   canonical stored word, so miscorrections (3+ flips aliasing to a
@@ -26,7 +27,7 @@
 //!
 //! [`MemoryController::with_reliability`]: crate::MemoryController::with_reliability
 
-use ia_dram::{Cycle, DramModule, Geometry, InjectEvent};
+use ia_dram::{Command, Cycle, Geometry, Location};
 use ia_faults::{rank_key, FaultPlan, FaultStats, Inject, RowKey, RowSite, SiteMap};
 use ia_reliability::{decode, encode, inject_error, DecodeOutcome, EccWord, RetentionBin};
 
@@ -161,7 +162,6 @@ pub struct ReliabilityPipeline {
     rows_per_bank: u64,
     /// First spare row index: rows in `spare_floor..rows_per_bank`.
     spare_floor: u64,
-    scratch: Vec<InjectEvent>,
     /// Reused buffer for the escalated rows one rank refresh services.
     due: Vec<RowKey>,
     /// Retired rows and the spare that replaced them.
@@ -210,7 +210,6 @@ impl ReliabilityPipeline {
             injector,
             rows_per_bank,
             spare_floor,
-            scratch: Vec::new(),
             due: Vec::new(),
             remap: SiteMap::default(),
             spare_used: SiteMap::default(),
@@ -249,47 +248,24 @@ impl ReliabilityPipeline {
         }
     }
 
-    /// Drains and processes all pending injection events from the DRAM
-    /// module. Called by the controller at the end of every tick.
-    pub(crate) fn process(&mut self, dram: &mut DramModule) {
-        debug_assert!(dram.injection_enabled());
-        let mut events = std::mem::take(&mut self.scratch);
-        events.clear();
-        dram.drain_inject_events(&mut events);
-        for event in &events {
-            match *event {
-                InjectEvent::Activate {
-                    at,
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                } => self.handle_activate(at, channel, rank, bank, row),
-                InjectEvent::Read {
-                    at,
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    column,
-                } => self.handle_read(at, channel, rank, bank, row, column),
-                InjectEvent::Write {
-                    at,
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    column,
-                } => {
-                    let site = self.resolve(channel, rank, bank, row);
-                    self.injector.on_write(&site, column, at.as_u64());
-                }
-                InjectEvent::Refresh { at, channel, rank } => {
-                    self.handle_refresh(at, channel, rank);
-                }
+    /// Runs the loop for one command the DRAM accepted for `loc` at
+    /// `at`; `bank` is the flat bank index within the rank. Called by
+    /// the controller right after each successful issue. Rank refreshes
+    /// arrive through [`on_refresh`](Self::on_refresh) instead.
+    pub(crate) fn on_command(&mut self, loc: &Location, bank: usize, cmd: Command, at: Cycle) {
+        match cmd {
+            Command::Activate { row } => {
+                self.handle_activate(at, loc.channel, loc.rank, bank, row);
             }
+            Command::Read { column } => {
+                self.handle_read(at, loc.channel, loc.rank, bank, loc.row, column);
+            }
+            Command::Write { column } => {
+                let site = self.resolve(loc.channel, loc.rank, bank, loc.row);
+                self.injector.on_write(&site, column, at.as_u64());
+            }
+            Command::Precharge | Command::Refresh => {}
         }
-        self.scratch = events;
     }
 
     /// Applies the remap table: reads/writes of a retired row are routed
@@ -469,10 +445,11 @@ impl ReliabilityPipeline {
         }
     }
 
-    /// Rank refresh: forward to the injector, then service escalated
-    /// rows at their bin's accelerated cadence (Ms64 rows every slot,
-    /// Ms128 rows every other slot).
-    fn handle_refresh(&mut self, at: Cycle, channel: usize, rank: usize) {
+    /// Rank refresh issued at `at`: forward to the injector, then
+    /// service escalated rows at their bin's accelerated cadence (Ms64
+    /// rows every slot, Ms128 rows every other slot). Called by the
+    /// controller after each successful rank refresh.
+    pub(crate) fn on_refresh(&mut self, at: Cycle, channel: usize, rank: usize) {
         self.injector.on_refresh(channel, rank, at.as_u64());
         if self.config.mitigation != Mitigation::Full || self.bins.is_empty() {
             return;
@@ -723,7 +700,7 @@ mod tests {
         assert_eq!(p.stats().escalations, corrections as u64);
         for round in 0..4u64 {
             for rank in 0..2 {
-                p.handle_refresh(Cycle::new(100 + round * 10 + rank as u64), 0, rank);
+                p.on_refresh(Cycle::new(100 + round * 10 + rank as u64), 0, rank);
             }
         }
         let log = log.lock().unwrap().clone();

@@ -1,16 +1,13 @@
 //! CLI for the `ia-microbench` harness.
 //!
 //! ```text
-//! microbench [--iters N] [--k N] [--threads N] [--json PATH]
+//! microbench [--iters N] [--k N] [--json PATH]
 //! ```
 //!
 //! Prints the median-of-k ns/op table to stdout; `--json` additionally
 //! writes the byte-stable `BENCH_MICRO.json` document (deterministic
-//! fields only — no wall-clock numbers). `--threads` is accepted for
-//! pipeline symmetry with the experiment binaries and changes nothing:
-//! every bench is single-threaded by design, which is what makes the
-//! JSON byte-stable at any thread count. `--iters 1` is the CI smoke
-//! setting.
+//! fields only — no wall-clock numbers). Every bench is single-threaded
+//! by design. `--iters 1` is the CI smoke setting.
 
 fn main() {
     let mut iters: u64 = 4_096;
@@ -39,18 +36,9 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--threads" => {
-                // Accepted, validated, ignored: the benches are
-                // single-threaded so the JSON is thread-count-invariant.
-                let v = value("--threads");
-                if v.parse::<usize>().ok().filter(|&n| n > 0).is_none() {
-                    eprintln!("error: --threads expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                }
-            }
             "--json" => json = Some(value("--json")),
             "--help" | "-h" => {
-                println!("usage: microbench [--iters N] [--k N] [--threads N] [--json PATH]");
+                println!("usage: microbench [--iters N] [--k N] [--json PATH]");
                 return;
             }
             other => {

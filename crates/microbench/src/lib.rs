@@ -71,9 +71,9 @@
 //! and keeps every nondeterministic number (the ns/op) out of
 //! `BENCH_MICRO.json`: the JSON carries only the bench name, iteration
 //! and op counts, and a checksum folded from the measured work, so the
-//! file is byte-stable across runs, hosts, and `--threads` settings —
-//! a regression in *behavior* shows up as a checksum diff, a regression
-//! in *speed* shows up in the printed ns/op table.
+//! file is byte-stable across runs and hosts — a regression in
+//! *behavior* shows up as a checksum diff, a regression in *speed*
+//! shows up in the printed ns/op table.
 //!
 //! ## Example
 //!

@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One scratch root for every step's files, removed on any exit; each
+# step writes into its own subdirectory.
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -51,8 +56,8 @@ echo "== --threads 2 smoke run (exercises the multi-worker pool on any host)"
 cargo run -q -p ia-bench -- exp05_scheduler_suite --quick --threads 2 > /dev/null
 
 echo "== trace smoke (--trace output byte-identical across --threads)"
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
+trace_dir="$work/trace"
+mkdir "$trace_dir"
 cargo run -q -p ia-bench -- exp05_scheduler_suite \
     --quick --threads 1 --trace "$trace_dir/t1.json" > /dev/null
 cargo run -q -p ia-bench -- exp05_scheduler_suite \
@@ -63,8 +68,8 @@ echo "== fault-injection campaign (detect -> correct -> degrade loop)"
 cargo run -q -p ia-bench -- exp24_fault_injection --quick > /dev/null
 
 echo "== fuzz smoke (64 fixed-seed cases, 7 schedulers x 3 ladders, 4 oracles)"
-fuzz_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$fuzz_dir"' EXIT
+fuzz_dir="$work/fuzz"
+mkdir "$fuzz_dir"
 cargo run -q -p ia-bench -- fuzz \
     --cases 64 --repro-dir "$fuzz_dir" > /dev/null
 
@@ -125,8 +130,8 @@ for w in sched_sweep fault_ladder noc_mesh; do
 done
 
 echo "== microbench smoke (--iters 1 run + JSON schema check + bench set vs BENCH_MICRO.json)"
-micro_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir"' EXIT
+micro_dir="$work/micro"
+mkdir "$micro_dir"
 cargo run -q -p ia-microbench --bin microbench -- \
     --iters 1 --k 2 --json "$micro_dir/micro.json" > /dev/null
 # Schema: a non-empty array of {bench, iters, ops, checksum} objects.
@@ -145,8 +150,8 @@ fi
 
 echo "== warm-fork vs cold construction (snapshot bit-identity)"
 cargo test -q -p ia-memctrl --test snapshot_fork
-fork_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir"' EXIT
+fork_dir="$work/fork"
+mkdir "$fork_dir"
 # The warm-forked exp05 must emit byte-identical reports on back-to-back
 # runs: every sweep cell forks one warm controller, so a fork must behave
 # exactly like a cold-built one.
@@ -157,19 +162,19 @@ cargo run -q -p ia-bench -- exp05_scheduler_suite \
 diff "$fork_dir/a.json" "$fork_dir/b.json"
 
 echo "== full-size reports byte-identical at --threads 1 and 2 (all 24, no --quick)"
-full_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir" "$full_dir"' EXIT
-mkdir "$full_dir/t1" "$full_dir/t2"
+full_dir="$work/full"
+mkdir -p "$full_dir/t1" "$full_dir/t2"
 cargo build -q --release -p ia-bench
 target/release/ia-bench suite --threads 1 --json-dir "$full_dir/t1" > /dev/null
 target/release/ia-bench suite --threads 2 --json-dir "$full_dir/t2" > /dev/null
 diff -r "$full_dir/t1" "$full_dir/t2"
 
 echo "== reports unchanged (fresh BENCH_PR.json and BENCH_MICRO.json vs the committed files)"
-# Written into a temp dir: with no previous BENCH_WALL.json beside the
-# output, the snapshot's wall-regression warning cannot fire here.
-snap_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir" "$full_dir" "$snap_dir"' EXIT
+# Written into a fresh directory: with no previous BENCH_WALL.json
+# beside the output, the snapshot's wall-regression warning cannot fire
+# here.
+snap_dir="$work/snap"
+mkdir "$snap_dir"
 scripts/bench_snapshot.sh "$snap_dir/BENCH_PR.json" > /dev/null
 cmp "$snap_dir/BENCH_PR.json" BENCH_PR.json \
     || { echo "BENCH_PR.json changed: a report byte moved"; exit 1; }
