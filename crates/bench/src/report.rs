@@ -28,6 +28,8 @@
 //! * `--csv <path>` — write the report's table as CSV;
 //! * `--trace <path>` — write an `ia-trace` Chrome trace-event JSON
 //!   file of the run (cycle-exact, byte-identical across `--threads`);
+//!   only exp05, exp18 and exp24 record trace events, and on any other
+//!   experiment the flag is a usage error;
 //! * `--profile` — print the cycle-attribution profile and its
 //!   `[trace] trace.profile.*` summary lines to stderr;
 //! * `--record-trace <path>` — record the run's generated workloads as
@@ -39,8 +41,9 @@
 //! Only experiments that generate memory-request workloads (exp04,
 //! exp05, exp13, exp24) can record or replay; on any other experiment
 //! either flag is a usage error. Unknown flags, flags missing their
-//! value, a non-positive `--threads`, an unreadable replay artifact and
-//! an unwritable output path all exit with status `2` and a message on
+//! value, a non-positive `--threads`, an unreadable replay artifact,
+//! `--trace` on an experiment that records no trace events and an
+//! unwritable output path all exit with status `2` and a message on
 //! stderr, so sweep scripts fail loudly instead of silently running a
 //! default configuration. A failing experiment exits `1` after
 //! `error: <experiment>: <cause>`, followed by ` [trace: <path>]` when
@@ -500,16 +503,19 @@ pub fn cli(name: &str, report: ReportFn, args: &[String]) {
             );
         }
     }
+    let log = ctx.tracing().then(|| ctx.take_trace());
+    if opts.trace.is_some() && log.as_ref().is_none_or(ia_trace::TraceLog::is_empty) {
+        exit_with(2, &format!("--trace: {name} records no trace events"));
+    }
     if let Some(path) = &opts.record_trace {
         write_or_exit(path, ctx.recorded_artifact());
     }
-    if ctx.tracing() {
-        let log = ctx.take_trace();
+    if let Some(log) = &log {
         if let Some(path) = &opts.trace {
-            write_or_exit(path, ia_trace::chrome::render_chrome(&log));
+            write_or_exit(path, ia_trace::chrome::render_chrome(log));
         }
         if opts.profile {
-            eprint!("{}", profile_text(&log));
+            eprint!("{}", profile_text(log));
         }
     }
     let rep = attach_par_diagnostics(rep, &ctx);

@@ -169,6 +169,24 @@ fn record_or_replay_on_an_experiment_without_workloads_is_a_usage_error() {
 }
 
 #[test]
+fn trace_on_an_experiment_without_trace_events_is_a_usage_error() {
+    let dir = temp_dir("no-trace");
+    let path = dir.join("exp04.json");
+    let path = path.to_str().unwrap_or("bad-path");
+    let args = ["--quick", "--trace", path];
+    assert_usage_failure(
+        &run("exp04_rl_memctrl", &args),
+        &args,
+        "--trace: exp04_rl_memctrl records no trace events",
+    );
+    assert!(
+        !std::path::Path::new(path).exists(),
+        "no empty trace may be written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_failing_replayed_run_names_its_artifact() {
     // Streams 0 and 2 but none for thread 1: the replayed workload has
     // an empty thread, which the closed-loop runner rejects.

@@ -398,7 +398,7 @@ impl DramModule {
     /// # Errors
     ///
     /// Propagates [`IssueError`] from command issue.
-    pub fn access_loc(
+    fn access_loc(
         &mut self,
         loc: &Location,
         kind: AccessKind,

@@ -5,8 +5,8 @@ use std::fmt;
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::rng::{
-    chance, fold, hash, unit, STREAM_DECAY, STREAM_HAMMER, STREAM_STUCK, STREAM_TRANSIENT,
-    STREAM_WEAK,
+    chance, fold, hash, hash_from, prefix, unit, STREAM_DECAY, STREAM_HAMMER, STREAM_STUCK,
+    STREAM_TRANSIENT, STREAM_WEAK,
 };
 use crate::site::{rank_key, RowKey, SiteMap};
 
@@ -56,6 +56,10 @@ struct RowState {
     restored: u64,
     /// Aggressor activations absorbed since the row's last refresh.
     exposure: u64,
+    /// Aggressor activations left until the next RowHammer threshold
+    /// trip: `exposure` reaches a multiple of the threshold exactly when
+    /// this counts down to zero. Reset with `exposure`.
+    to_trip: u64,
     /// The row's retention limit in cycles, drawn once when the row is
     /// first seen; `None` when it is not retention-weak.
     limit: Option<u64>,
@@ -66,7 +70,35 @@ impl RowState {
         RowState {
             restored: 0,
             exposure: 0,
+            to_trip: plan.rowhammer_threshold,
             limit: retention_limit(plan, site),
+        }
+    }
+
+    /// Clears the disturbance exposure (a row or rank-pass refresh).
+    fn clear_exposure(&mut self, threshold: u64) {
+        self.exposure = 0;
+        self.to_trip = threshold;
+    }
+}
+
+/// The [`prefix`] of each hash stream the injector draws from on every
+/// event, computed once per injector.
+#[derive(Debug, Clone, Copy)]
+struct Streams {
+    hammer: u64,
+    transient: u64,
+    stuck: u64,
+    decay: u64,
+}
+
+impl Streams {
+    fn new(seed: u64) -> Self {
+        Streams {
+            hammer: prefix(seed, STREAM_HAMMER),
+            transient: prefix(seed, STREAM_TRANSIENT),
+            stuck: prefix(seed, STREAM_STUCK),
+            decay: prefix(seed, STREAM_DECAY),
         }
     }
 }
@@ -266,6 +298,7 @@ impl Inject for NoFaults {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    streams: Streams,
     /// Restore cycle, disturbance exposure and retention limit per row
     /// the injector has seen.
     rows: SiteMap<RowKey, RowState>,
@@ -288,6 +321,7 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         let scripted_done = vec![false; plan.scripted.len()];
         FaultInjector {
+            streams: Streams::new(plan.seed),
             plan,
             rows: SiteMap::default(),
             words: SiteMap::default(),
@@ -358,19 +392,24 @@ impl FaultInjector {
             .rows
             .entry(key)
             .or_insert_with(|| RowState::first_seen(&self.plan, &victim));
+        let threshold = self.plan.rowhammer_threshold;
         row.exposure += 1;
-        if !row.exposure.is_multiple_of(self.plan.rowhammer_threshold) {
+        row.to_trip -= 1;
+        debug_assert_eq!(row.to_trip == 0, row.exposure.is_multiple_of(threshold));
+        if row.to_trip > 0 {
             return;
         }
-        let trip = row.exposure / self.plan.rowhammer_threshold;
+        row.to_trip = threshold;
+        let trip = row.exposure / threshold;
         let folded = victim.folded();
-        let h = hash(self.plan.seed, STREAM_HAMMER, folded, trip);
+        let stream = self.streams.hammer;
+        let h = hash_from(stream, folded, trip);
         if !chance(h, self.plan.rowhammer_flip_prob) {
             return;
         }
-        let word = hash(self.plan.seed, STREAM_HAMMER, folded ^ h, trip) % self.plan.words_per_row;
-        let bit = (hash(self.plan.seed, STREAM_HAMMER, folded.wrapping_add(h), trip)
-            % u64::from(CODEWORD_BITS)) as u32;
+        let word = hash_from(stream, folded ^ h, trip) % self.plan.words_per_row;
+        let bit =
+            (hash_from(stream, folded.wrapping_add(h), trip) % u64::from(CODEWORD_BITS)) as u32;
         if set_soft(&mut self.words, (key, word), bit) {
             self.stats.rowhammer_flips += 1;
         }
@@ -400,14 +439,10 @@ impl Inject for FaultInjector {
             let restored = rank_pass.max(row.restored);
             if now.saturating_sub(restored) > limit {
                 let folded = site.folded();
-                let word =
-                    hash(self.plan.seed, STREAM_DECAY, folded, restored) % self.plan.words_per_row;
-                let bit = (hash(
-                    self.plan.seed,
-                    STREAM_DECAY,
-                    folded ^ restored.wrapping_add(1),
-                    1,
-                ) % u64::from(CODEWORD_BITS)) as u32;
+                let stream = self.streams.decay;
+                let word = hash_from(stream, folded, restored) % self.plan.words_per_row;
+                let bit = (hash_from(stream, folded ^ restored.wrapping_add(1), 1)
+                    % u64::from(CODEWORD_BITS)) as u32;
                 if set_soft(&mut self.words, (key, word), bit) {
                     self.stats.retention_flips += 1;
                 }
@@ -443,12 +478,12 @@ impl Inject for FaultInjector {
             let state = self.words.entry(key).or_default();
             let stuck = *state.stuck.get_or_insert_with(|| {
                 let folded = site.folded();
-                let h = hash(self.plan.seed, STREAM_STUCK, folded, word);
+                let h = hash_from(self.streams.stuck, folded, word);
                 if !chance(h, self.plan.stuck_prob) {
                     return 0;
                 }
                 let bit =
-                    hash(self.plan.seed, STREAM_STUCK, folded ^ h, word) % u64::from(CODEWORD_BITS);
+                    hash_from(self.streams.stuck, folded ^ h, word) % u64::from(CODEWORD_BITS);
                 self.stats.stuck_cells += 1;
                 1u128 << bit
             });
@@ -459,10 +494,10 @@ impl Inject for FaultInjector {
                 .map_or(0, |state| state.stuck.unwrap_or(0) | state.soft)
         };
         if self.plan.transient_prob > 0.0 {
-            let h = hash(self.plan.seed, STREAM_TRANSIENT, self.reads, 0);
+            let h = hash_from(self.streams.transient, self.reads, 0);
             if chance(h, self.plan.transient_prob) {
-                let bit = hash(self.plan.seed, STREAM_TRANSIENT, self.reads, 1)
-                    % u64::from(CODEWORD_BITS);
+                let bit =
+                    hash_from(self.streams.transient, self.reads, 1) % u64::from(CODEWORD_BITS);
                 transient |= 1u128 << bit;
                 self.stats.transient_flips += 1;
             }
@@ -500,9 +535,10 @@ impl Inject for FaultInjector {
             // A full pass completed: every row in the rank is restored
             // and its disturbance exposure cleared.
             self.rank_epoch.insert(rank, now);
+            let threshold = self.plan.rowhammer_threshold;
             for (key, row) in &mut self.rows {
                 if key.rank() == rank {
-                    row.exposure = 0;
+                    row.clear_exposure(threshold);
                 }
             }
         }
@@ -514,7 +550,7 @@ impl Inject for FaultInjector {
             .entry(site.key())
             .or_insert_with(|| RowState::first_seen(&self.plan, site));
         row.restored = now;
-        row.exposure = 0;
+        row.clear_exposure(self.plan.rowhammer_threshold);
         self.stats.row_refreshes += 1;
     }
 
@@ -594,6 +630,127 @@ mod tests {
         }
         assert!(a.stats().rowhammer_flips > 0);
         assert_eq!(b.stats().rowhammer_flips, 0, "quarantined victims survive");
+    }
+
+    /// One step of a trip-cadence script on rank (0, 0), bank 0.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Act(u64),
+        RowRefresh(u64),
+        RankRefresh,
+    }
+
+    /// Runs `ops` through an injector and through a reference that trips
+    /// whenever `exposure % threshold == 0`, and checks that both count the same
+    /// flips and refreshes and serve the same mask for every word of the
+    /// first 32 rows.
+    fn check_trip_cadence(threshold: u64, flip_prob: f64, ops: &[Op]) -> FaultStats {
+        use crate::rng::STREAM_HAMMER;
+        use std::collections::BTreeMap;
+        const ROWS: u64 = 1 << 10;
+        const WORDS: u64 = 8;
+        const SLOTS: u64 = 4;
+        // Retention weak_prob 0: no row is weak, but SLOTS rank
+        // refreshes complete a pass.
+        let plan = FaultPlan::new(13)
+            .geometry(ROWS, WORDS)
+            .rowhammer(threshold, flip_prob)
+            .retention(0.0, 1_000, SLOTS);
+        let mut inj = plan.clone().build();
+        let mut exposure = BTreeMap::<u64, u64>::new();
+        let mut soft = BTreeMap::<(u64, u64), u128>::new();
+        let mut want = FaultStats::default();
+        let mut rank_refreshes = 0u64;
+        for (now, &op) in (0u64..).zip(ops) {
+            match op {
+                Op::Act(row) => {
+                    inj.on_activate(&site(row), now);
+                    for victim in [row.checked_sub(1), Some(row + 1)].into_iter().flatten() {
+                        if victim >= ROWS {
+                            continue;
+                        }
+                        let e = exposure.entry(victim).or_insert(0);
+                        *e += 1;
+                        if !e.is_multiple_of(threshold) {
+                            continue;
+                        }
+                        let trip = *e / threshold;
+                        let folded = fold(0, 0, 0, victim);
+                        let h = hash(plan.seed, STREAM_HAMMER, folded, trip);
+                        if !chance(h, flip_prob) {
+                            continue;
+                        }
+                        let word = hash(plan.seed, STREAM_HAMMER, folded ^ h, trip) % WORDS;
+                        let bit = hash(plan.seed, STREAM_HAMMER, folded.wrapping_add(h), trip)
+                            % u64::from(CODEWORD_BITS);
+                        let mask = soft.entry((victim, word)).or_default();
+                        if *mask & 1u128 << bit == 0 {
+                            want.rowhammer_flips += 1;
+                        }
+                        *mask |= 1u128 << bit;
+                    }
+                }
+                Op::RowRefresh(row) => {
+                    inj.on_row_refresh(&site(row), now);
+                    exposure.insert(row, 0);
+                    want.row_refreshes += 1;
+                }
+                Op::RankRefresh => {
+                    inj.on_refresh(0, 0, now);
+                    rank_refreshes += 1;
+                    if rank_refreshes.is_multiple_of(SLOTS) {
+                        exposure.clear();
+                    }
+                }
+            }
+        }
+        let got = inj.stats();
+        assert_eq!(got, want, "threshold {threshold}");
+        let at = ops.len() as u64;
+        for row in 0..32 {
+            for word in 0..WORDS {
+                let want = soft.get(&(row, word)).copied().unwrap_or(0);
+                let mask = inj.on_read(&site(row), word, at);
+                assert_eq!(
+                    mask.bits, want,
+                    "threshold {threshold}, row {row}, word {word}"
+                );
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn rowhammer_trips_match_the_exposure_modulo_reference() {
+        // Threshold 1: every victim hit is a trip. Row 0 has one
+        // neighbour; rows 5 and 7 share victim 6.
+        let mut ops = Vec::new();
+        for _ in 0..40 {
+            ops.extend([Op::Act(5), Op::Act(7), Op::Act(0)]);
+        }
+        ops.push(Op::RowRefresh(6));
+        ops.extend([Op::Act(5), Op::Act(7)]);
+        let stats = check_trip_cadence(1, 0.5, &ops);
+        assert!(stats.rowhammer_flips > 0, "{stats}");
+
+        // A threshold no exposure reaches: no trip at all.
+        let ops = vec![Op::Act(5); 300];
+        let stats = check_trip_cadence(1_000, 1.0, &ops);
+        assert_eq!(stats.rowhammer_flips, 0, "{stats}");
+
+        // Threshold 10 on victims 4 and 6 of row 5: a row refresh of 4
+        // after its first trip, then a rank pass, both between trips.
+        let mut ops = vec![Op::Act(5); 15];
+        ops.push(Op::RowRefresh(4));
+        ops.extend([Op::Act(5); 3]);
+        ops.extend([Op::RankRefresh; 4]);
+        ops.extend([Op::Act(5); 7]);
+        ops.push(Op::RowRefresh(6));
+        ops.extend([Op::Act(5); 13]);
+        ops.extend([Op::RankRefresh; 3]);
+        ops.extend([Op::Act(5); 12]);
+        let stats = check_trip_cadence(10, 1.0, &ops);
+        assert!(stats.rowhammer_flips > 0, "{stats}");
     }
 
     #[test]

@@ -39,13 +39,26 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 #[inline]
 #[must_use]
 pub(crate) fn hash(seed: u64, stream: u64, a: u64, b: u64) -> u64 {
+    hash_from(prefix(seed, stream), a, b)
+}
+
+/// The `(seed, stream)` half of [`hash`]: a caller that draws from one
+/// stream on every event computes it once.
+#[inline]
+#[must_use]
+pub(crate) fn prefix(seed: u64, stream: u64) -> u64 {
     // Chained splitmix: each input passes through a full avalanche round
     // before combining, so low-entropy inputs (small row numbers, small
     // counters) still flip every output bit with probability ~1/2.
-    mix(
-        mix(mix(mix(seed ^ 0x9E37_79B9_7F4A_7C15).wrapping_add(stream)).wrapping_add(a))
-            .wrapping_add(b),
-    )
+    mix(mix(seed ^ 0x9E37_79B9_7F4A_7C15).wrapping_add(stream))
+}
+
+/// [`hash`] from its precomputed [`prefix`]:
+/// `hash_from(prefix(seed, stream), a, b) == hash(seed, stream, a, b)`.
+#[inline]
+#[must_use]
+pub(crate) fn hash_from(prefix: u64, a: u64, b: u64) -> u64 {
+    mix(mix(prefix.wrapping_add(a)).wrapping_add(b))
 }
 
 /// Folds a (channel, rank, bank, row) identity into one hash key.

@@ -197,6 +197,8 @@ pub struct MemoryController {
     queue: RequestQueue,
     /// For a [`ViewMode::Skip`] policy: the queue head, its next command
     /// and that command's gate, from one [`RequestQueue::probe_head`].
+    /// The controller serves this head itself, without calling the
+    /// policy, and sleeps until its gate.
     /// The probe depends only on the DRAM state and on which request is
     /// the head, so it is taken again only when one of those changes:
     /// after an issued command (the head may also have left the queue),
@@ -319,20 +321,6 @@ impl MemoryController {
         };
     }
 
-    /// The cached probe of queue head `h` for a [`ViewMode::Skip`]
-    /// policy: its next command and gate.
-    fn head_command(&self, h: ReqId) -> Option<(Command, Cycle)> {
-        let (id, cmd, gate) = self.head?;
-        debug_assert_eq!(id, h, "the Skip head probe is not the queue head");
-        debug_assert_eq!(
-            self.head,
-            self.queue.probe_head(&self.dram),
-            "the Skip head probe is out of sync with the DRAM at {:?}",
-            self.now
-        );
-        Some((cmd, gate))
-    }
-
     /// Current simulated cycle.
     #[must_use]
     pub fn now(&self) -> Cycle {
@@ -434,11 +422,15 @@ impl MemoryController {
     /// [`ia_sim::FnSink`]), so the steady-state tick path never touches
     /// the heap.
     pub fn tick_into(&mut self, sink: &mut dyn CompletionSink<Completed>) {
-        self.scheduler.on_tick(self.now);
-        // A Skip policy builds no view and reads no cached gates, so the
-        // queue's gate cache is resynced only for the other modes.
+        // For a Skip policy the controller serves the queue head itself:
+        // it calls none of the policy's hooks, builds no view and reads
+        // no cached gates, so the queue's gate cache is resynced only for
+        // the other modes.
         let mode = self.mode;
         let cached = mode != ViewMode::Skip;
+        if cached {
+            self.scheduler.on_tick(self.now);
+        }
         // A traced run records the reliability ladder's activity this
         // tick as instant deltas against these counts.
         let rel_before = match &self.reliability {
@@ -459,7 +451,9 @@ impl MemoryController {
                 let c = self.inflight[i];
                 self.stats.completed += 1;
                 self.stats.total_latency += c.latency();
-                self.scheduler.on_complete(&c, now);
+                if cached {
+                    self.scheduler.on_complete(&c, now);
+                }
                 sink.complete(c);
             } else {
                 // Shift only once a gap exists, like `Vec::retain`: the
@@ -502,66 +496,73 @@ impl MemoryController {
             self.refresh.advance(must_issue);
         }
 
-        // 3. Scheduling: one command per cycle. The view is built from
-        //    the queue's indexed per-bank ready lists and gate cache at the
+        // 3. Scheduling: one command per cycle. A Skip policy's pick is
+        //    the cached head probe. Otherwise the view is built from the
+        //    queue's indexed per-bank ready lists and gate cache at the
         //    depth the policy asks for — O(occupied banks), not O(queue
-        //    depth), and no DRAM probe. The issued command resyncs the
-        //    cache for what it changed: its bank and its channel.
-        self.scheduler.prepare(&mut self.queue);
+        //    depth), and no DRAM probe — and the issued command resyncs
+        //    the cache for what it changed: its bank and its channel.
         let mut issued_this_cycle = false;
         let mut column_issued = false;
-        self.queue.build_view(self.now, mode, &mut self.view);
-        if let Some(h) = self.scheduler.select(&self.queue, &self.view) {
-            // `next_event_at` wakes a Skip-mode policy only for the head.
-            debug_assert!(
-                mode != ViewMode::Skip || self.queue.head() == Some(h),
-                "a ViewMode::Skip policy must serve only the queue head"
+        let pick = if cached {
+            self.scheduler.prepare(&mut self.queue);
+            self.queue.build_view(self.now, mode, &mut self.view);
+            self.scheduler
+                .select(&self.queue, &self.view)
+                .filter(|&h| self.queue.get(h).is_some())
+                .map(|h| {
+                    let (cmd, gate) = self.queue.next_command(h);
+                    (h, cmd, gate)
+                })
+        } else {
+            debug_assert_eq!(
+                self.head,
+                self.queue.probe_head(&self.dram),
+                "the Skip head probe is out of sync with the DRAM at {:?}",
+                self.now
             );
-            if let Some(&p) = self.queue.get(h) {
-                let next = if cached {
-                    Some(self.queue.next_command(h))
-                } else {
-                    self.head_command(h)
+            self.head
+        };
+        if let Some((h, cmd, _)) = pick.filter(|&(_, _, gate)| gate <= self.now) {
+            let p = *self.queue.req(h);
+            // Classify the row-buffer outcome once, when the request
+            // first makes progress.
+            if !p.started {
+                let outcome = match cmd {
+                    Command::Read { .. } | Command::Write { .. } => RowBufferOutcome::Hit,
+                    Command::Activate { .. } => RowBufferOutcome::Miss,
+                    _ => RowBufferOutcome::Conflict,
                 };
-                if let Some((cmd, _)) = next.filter(|&(_, ready)| ready <= self.now) {
-                    // Classify the row-buffer outcome once, when the
-                    // request first makes progress.
-                    if !p.started {
-                        let outcome = match cmd {
-                            Command::Read { .. } | Command::Write { .. } => RowBufferOutcome::Hit,
-                            Command::Activate { .. } => RowBufferOutcome::Miss,
-                            _ => RowBufferOutcome::Conflict,
-                        };
-                        self.dram.stats_mut().record_outcome(outcome);
-                        self.queue.set_started(h);
-                    }
-                    let column = matches!(cmd, Command::Read { .. } | Command::Write { .. });
-                    if let Ok(out) = self.dram.issue(&p.loc, cmd, self.now) {
-                        if let Some(rel) = &mut self.reliability {
-                            let geo = &self.dram.config().geometry;
-                            let bank = p.loc.bank_group * geo.banks_per_group + p.loc.bank;
-                            rel.on_command(&p.loc, bank, cmd, self.now);
-                        }
-                        issued_this_cycle = true;
-                        column_issued = column;
-                        self.scheduler.on_issue(column, self.now);
-                        if column {
-                            self.stats.busy_cycles += 1;
-                            let ready = out.data_ready.unwrap_or(self.now);
-                            let p = self.queue.remove(h);
-                            self.inflight.push(Completed {
-                                id: p.id,
-                                request: p.request,
-                                arrival: p.arrival,
-                                finished: ready,
-                            });
-                        }
-                        if cached {
-                            self.queue.resync(&self.dram, &p.loc);
-                        } else {
-                            self.reprobe_head();
-                        }
-                    }
+                self.dram.stats_mut().record_outcome(outcome);
+                self.queue.set_started(h);
+            }
+            let column = matches!(cmd, Command::Read { .. } | Command::Write { .. });
+            if let Ok(out) = self.dram.issue(&p.loc, cmd, self.now) {
+                if let Some(rel) = &mut self.reliability {
+                    let geo = &self.dram.config().geometry;
+                    let bank = p.loc.bank_group * geo.banks_per_group + p.loc.bank;
+                    rel.on_command(&p.loc, bank, cmd, self.now);
+                }
+                issued_this_cycle = true;
+                column_issued = column;
+                if cached {
+                    self.scheduler.on_issue(column, self.now);
+                }
+                if column {
+                    self.stats.busy_cycles += 1;
+                    let ready = out.data_ready.unwrap_or(self.now);
+                    let p = self.queue.remove(h);
+                    self.inflight.push(Completed {
+                        id: p.id,
+                        request: p.request,
+                        arrival: p.arrival,
+                        finished: ready,
+                    });
+                }
+                if cached {
+                    self.queue.resync(&self.dram, &p.loc);
+                } else {
+                    self.reprobe_head();
                 }
             }
         }
@@ -719,14 +720,17 @@ impl Clocked for MemoryController {
     }
 
     /// Applies the bookkeeping the skipped idle ticks would have done, in
-    /// bulk: scheduler epoch housekeeping (via [`Scheduler::on_advance`])
-    /// and, when tracing, the cycle attribution of the skipped span.
+    /// bulk: scheduler epoch housekeeping (via [`Scheduler::on_advance`],
+    /// which a [`ViewMode::Skip`] policy never receives) and, when
+    /// tracing, the cycle attribution of the skipped span.
     fn skip_to(&mut self, target: Cycle) {
         if target <= self.now {
             return;
         }
         let n = target - self.now;
-        self.scheduler.on_advance(self.now, target);
+        if self.mode != ViewMode::Skip {
+            self.scheduler.on_advance(self.now, target);
+        }
         if self.tracer.is_enabled() {
             // Bulk-attribute the skipped idle span with the same
             // classification a per-cycle loop would have produced.
@@ -1166,6 +1170,74 @@ mod tests {
             1000,
         );
         assert!(r.is_err());
+    }
+
+    /// A Skip policy whose every hook panics: the controller must serve
+    /// the queue head itself and never call it.
+    #[derive(Debug, Clone)]
+    struct SkipOnly;
+
+    impl Scheduler for SkipOnly {
+        fn name(&self) -> &'static str {
+            "FCFS"
+        }
+        fn clone_box(&self) -> Box<dyn Scheduler> {
+            Box::new(SkipOnly)
+        }
+        fn view_mode(&self) -> ViewMode {
+            ViewMode::Skip
+        }
+        fn select(&mut self, _queue: &RequestQueue, _view: &IssueView) -> Option<ReqId> {
+            panic!("select called on a Skip policy")
+        }
+        fn prepare(&mut self, _queue: &mut RequestQueue) {
+            panic!("prepare called on a Skip policy")
+        }
+        fn on_issue(&mut self, _column: bool, _now: Cycle) {
+            panic!("on_issue called on a Skip policy")
+        }
+        fn on_complete(&mut self, _completed: &Completed, _now: Cycle) {
+            panic!("on_complete called on a Skip policy")
+        }
+        fn on_tick(&mut self, _now: Cycle) {
+            panic!("on_tick called on a Skip policy")
+        }
+        fn on_advance(&mut self, _from: Cycle, _to: Cycle) {
+            panic!("on_advance called on a Skip policy")
+        }
+    }
+
+    #[test]
+    fn skip_policy_is_served_by_the_controller_without_a_hook_call() {
+        // Row scans in two threads and a conflicting pair in a third, so
+        // the run activates, precharges, reads, refreshes and skips idle
+        // spans.
+        let traces: Vec<Vec<MemRequest>> = (0..3u64)
+            .map(|t| {
+                (0..300u64)
+                    .map(|i| {
+                        let addr = if t == 2 {
+                            (1 << 20) + ((i % 2) << 17)
+                        } else {
+                            (t << 23) + (i % 64) * 64 + ((i / 64) << 16)
+                        };
+                        MemRequest::read(addr, t as usize)
+                    })
+                    .collect()
+            })
+            .collect();
+        let run = |scheduler: Box<dyn Scheduler>| {
+            let ctrl = MemoryController::new(DramConfig::ddr3_1600(), scheduler)
+                .unwrap()
+                .with_refresh_mode(RefreshMode::AllBank);
+            run_closed_loop_with(ctrl, &traces, 4, 2_000_000).unwrap()
+        };
+        let skip = run(Box::new(SkipOnly));
+        let fcfs = run(Box::new(Fcfs::new()));
+        assert_eq!(skip.stats.completed, 900);
+        assert!(skip.stats.refreshes_issued > 0, "{}", skip.stats);
+        assert!(skip.engine.cycles_skipped > 0, "no idle span was skipped");
+        assert!(skip.same_results(&fcfs), "{skip:?}\n{fcfs:?}");
     }
 
     #[test]

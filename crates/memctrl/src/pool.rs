@@ -94,10 +94,12 @@ impl ReqId {
 /// policy must never pick a request the mode's bound does not cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewMode {
-    /// No view at all. The policy serves only [`RequestQueue::head`]
-    /// (FCFS), and the controller wakes only when the head's next
-    /// command can issue; picking any other request is a contract
-    /// violation (a `debug_assert!` in the controller's tick).
+    /// No view and no policy call: the controller serves
+    /// [`RequestQueue::head`] itself (FCFS), wakes only when the head's
+    /// next command can issue, and calls none of the policy's hooks
+    /// (`on_tick`, `prepare`, `select`, `on_issue`, `on_complete`,
+    /// `on_advance`). A policy that returns this mode is never asked to
+    /// pick, so the head is served by construction.
     ///
     /// A Skip policy reads no cached gates, so the controller does not
     /// resync the queue's gate cache for it. It keeps the head's next
@@ -802,8 +804,8 @@ impl RequestQueue {
     /// The queue head, the next DRAM command it needs under open-page
     /// bank management and the first cycle that command can issue, from
     /// one [`DramModule::probe_next`] of `dram` — no gate cache. `None`
-    /// when the queue is empty. What a [`ViewMode::Skip`] policy picks
-    /// and wakes up by.
+    /// when the queue is empty. What the controller serves, and wakes
+    /// up by, for a [`ViewMode::Skip`] policy.
     #[must_use]
     pub fn probe_head(&self, dram: &DramModule) -> Option<(ReqId, Command, Cycle)> {
         let head = self.head()?;

@@ -26,7 +26,8 @@ use crate::request::Completed;
 /// Every cycle the controller builds an [`IssueView`] at the depth
 /// requested by [`Scheduler::view_mode`] and presents it together with
 /// the queue; the scheduler returns the handle of the request whose next
-/// command should issue. Implementors should choose among the view's
+/// command should issue. A [`ViewMode::Skip`] policy is never called:
+/// the controller serves the queue head for it. Implementors should choose among the view's
 /// candidates — the controller ignores selections that cannot issue this
 /// cycle.
 pub trait Scheduler: std::fmt::Debug + Send {
@@ -44,13 +45,17 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// [`ViewMode::Frontier`] (class-list heads only) is exact for any
     /// policy whose sort key is constant within a (bank, row-hit/miss,
     /// read/write) class; thread-keyed fairness policies need
-    /// [`ViewMode::Full`]. [`ViewMode::Skip`] builds no view and promises
-    /// that the policy serves only [`RequestQueue::head`]: the controller
-    /// then sleeps until the head alone can issue, so a Skip policy that
-    /// picked any other request would be woken late. The mode must not
-    /// change over the policy's life: the controller reads it once, when
-    /// the policy is installed, keeps the queue's gate cache in sync only
-    /// for non-Skip modes, and resyncs it only when
+    /// [`ViewMode::Full`]. [`ViewMode::Skip`] hands the decision back to
+    /// the controller, which serves [`RequestQueue::head`] itself: it
+    /// builds no view and calls none of the policy's hooks
+    /// ([`Scheduler::on_tick`], [`Scheduler::prepare`],
+    /// [`Scheduler::select`], [`Scheduler::on_issue`],
+    /// [`Scheduler::on_complete`], [`Scheduler::on_advance`]), so only a
+    /// policy that is exactly "always the oldest request, nothing
+    /// learned" may return it. The mode must not change over the
+    /// policy's life: the controller reads it once, when the policy is
+    /// installed, keeps the queue's gate cache in sync only for non-Skip
+    /// modes, and resyncs it only when
     /// [`crate::MemoryController::with_scheduler`] swaps policies.
     fn view_mode(&self) -> ViewMode {
         ViewMode::Full
@@ -122,7 +127,8 @@ impl Scheduler for Fcfs {
     }
 
     fn view_mode(&self) -> ViewMode {
-        // FCFS is the global list head; it needs no view at all.
+        // FCFS is the global list head and keeps no state, so the
+        // controller serves the head itself and never calls `select`.
         ViewMode::Skip
     }
 
@@ -130,8 +136,6 @@ impl Scheduler for Fcfs {
     fn select(&mut self, queue: &RequestQueue, _view: &IssueView) -> Option<ReqId> {
         queue.head()
     }
-
-    fn on_advance(&mut self, _from: Cycle, _to: Cycle) {}
 }
 
 /// First-ready FCFS (Rixner+, ISCA 2000): row-buffer hits first, then

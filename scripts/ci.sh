@@ -35,6 +35,10 @@ if [ "$lint_ms" -ge 2000 ]; then
     echo "ia-lint --check blew its 2 s wall budget (${lint_ms} ms)"; exit 1
 fi
 
+echo "== scripts/ab.sh (parses, and prints its usage without building anything)"
+bash -n scripts/ab.sh
+scripts/ab.sh --help > /dev/null
+
 echo "== cargo test"
 cargo test -q --workspace
 
